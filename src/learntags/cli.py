@@ -122,11 +122,16 @@ def _read_profiles(path: str) -> ingest.ProfilesResult:
         return ingest.parse_profiles(fh)
 
 
-def _assemble_profiles(args: argparse.Namespace, records) -> dict[str, ingest.LearnerProfile]:
-    """Profiles from --profiles, topped up synthetically when asked."""
+def _assemble_profiles(
+    args: argparse.Namespace, records, parsed: ingest.ProfilesResult | None = None,
+) -> dict[str, ingest.LearnerProfile]:
+    """Profiles from --profiles, topped up synthetically when asked.
+
+    ``parsed`` is the already parsed --profiles file, when the caller has it.
+    """
     by_id: dict[str, ingest.LearnerProfile] = {}
     if args.profiles:
-        result = _read_profiles(args.profiles)
+        result = parsed if parsed is not None else _read_profiles(args.profiles)
         if result.rejected:
             line, reason = result.rejected[0]
             print(f"warning: {len(result.rejected)} profile rows rejected "
@@ -181,11 +186,12 @@ def _cmd_synth_profiles(args: argparse.Namespace) -> int:
     return 0
 
 
-def _quantify_details(args: argparse.Namespace, config: PipelineConfig):
+def _quantify_details(args: argparse.Namespace, config: PipelineConfig,
+                      parsed: ingest.ProfilesResult | None = None):
     if args.ratings is None:
         raise ValueError("missing --ratings")
     records = _read_ratings(args.ratings).records
-    profiles = _assemble_profiles(args, records)
+    profiles = _assemble_profiles(args, records, parsed)
     subsets = ingest.build_all_subsets(records, config.delta0)
     ordered = [subsets[rid] for rid in sorted(subsets)]
     details = {
@@ -231,12 +237,13 @@ def _cmd_match(args: argparse.Namespace) -> int:
     if args.profiles is None:
         raise ValueError("missing --profiles")
     store = load_store(args.store)
-    profiles = {p.learner_id: p for p in _read_profiles(args.profiles).profiles}
+    parsed = _read_profiles(args.profiles)
+    profiles = {p.learner_id: p for p in parsed.profiles}
     if args.learner not in profiles:
         raise KeyError(f"no profile for learner {args.learner!r}")
     if args.ratings is None:
         raise ValueError("missing --ratings (needed to recover quantified values)")
-    *_, details = _quantify_details(args, config)
+    *_, details = _quantify_details(args, config, parsed)
     ranked = match_resources(
         profiles[args.learner], store,
         details["strategy"].values, details["presentation"].values,

@@ -7,7 +7,10 @@ score in four steps:
 
 1. count, over all resource subsets, the unordered pairs of learners
    that share a subset, bucketed by the two learners' parameter values
-   (a symmetric 5x5 co-occurrence matrix);
+   (a symmetric 5x5 co-occurrence matrix).  The count is a sparse
+   product of the learner x subset incidence matrix with its transpose,
+   taken over blocks of learner rows so that memory is bounded by the
+   pair work of one block, not by the whole corpus;
 2. factor that matrix into non-negative weights x features with
    multiplicative-update NMF;
 3. for each parameter pick its dominant feature row, stacking the picks
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
+from scipy import sparse
 
 from .ingest import LearnerProfile, LearnerSubset
 
@@ -37,6 +41,13 @@ ATTRIBUTES = {"strategy": "strategy", "presentation": "presentation"}
 
 # Guards multiplicative-update denominators against division by zero.
 _EPS = 1e-12
+
+# Pair work (summed subset sizes over a block's learner rows) per block of
+# the co-occurrence product.  A block's product holds at most this many
+# entries plus one row's, which keeps it near a megabyte.  Each product
+# also fills scratch arrays as long as the learner count, so blocks grow
+# to that count on corpora with more learners than this.
+_BLOCK_PAIR_WORK = 1 << 16
 
 AttributeValueMap = dict[int, float]
 
@@ -92,6 +103,19 @@ def build_cooccurrence(
     parameter i+1 and v carries parameter j+1.  Each pair is counted
     once globally no matter how many subsets it shares, so the counts
     are comparable across resources.
+
+    The learner x subset incidence matrix M is built once.  For each
+    block of learner rows, the nonzeros of ``M[block] @ M.T`` mark every
+    partner of every row, the row itself included; multiplying them by a
+    one-hot of the parameter values gives per-learner partner counts,
+    which fold into ordered pair counts.  Self pairs are subtracted and
+    the diagonal, where both orders land in one bucket, is halved.  A
+    block's product has at most one entry per unit of its rows' pair
+    work (the summed sizes of the subsets each row belongs to), and
+    blocks are cut at ``_BLOCK_PAIR_WORK`` units or the learner count,
+    whichever is larger, so the product's memory stays within a small
+    multiple of the input's and never approaches the corpus's total
+    pair count.
     """
     if attribute not in ATTRIBUTES:
         raise ValueError(f"unknown attribute {attribute!r}, expected one of {list(ATTRIBUTES)}")
@@ -104,34 +128,33 @@ def build_cooccurrence(
     index = {lid: i for i, lid in enumerate(ids)}
     params = np.array([getattr(profiles[lid], field) for lid in ids], dtype=np.int64)
 
-    subset_arrays = [
-        np.fromiter(sorted(index[m] for m in s.members), dtype=np.int64, count=len(s.members))
-        for s in subsets
-    ]
-    containing: list[list[int]] = [[] for _ in ids]
-    for si, arr in enumerate(subset_arrays):
-        for u in arr:
-            containing[u].append(si)
+    sizes = np.fromiter((len(s.members) for s in subsets), dtype=np.int64, count=len(subsets))
+    rows = np.fromiter(
+        (index[m] for s in subsets for m in s.members), dtype=np.int64, count=int(sizes.sum())
+    )
+    cols = np.repeat(np.arange(len(subsets), dtype=np.int64), sizes)
+    incidence = sparse.csr_matrix(
+        (np.ones(rows.size, dtype=np.int32), (rows, cols)), shape=(len(ids), len(subsets))
+    )
+    incidence_t = incidence.T.tocsr()
+    onehot = np.zeros((len(ids), N_PARAMS), dtype=np.int64)
+    onehot[np.arange(len(ids)), params - 1] = 1
+
+    # Rows whose work starts in the same window share a block, so a block
+    # holds at most one window of work plus one row's.
+    work = incidence @ sizes
+    window = (np.cumsum(work) - work) // max(_BLOCK_PAIR_WORK, len(ids))
+    bounds = [0, *(np.flatnonzero(np.diff(window)) + 1), len(ids)]
 
     counts = np.zeros((N_PARAMS, N_PARAMS), dtype=np.int64)
-    for u in range(len(ids)):
-        if not containing[u]:
-            continue
-        # Partners are deduplicated across subsets; v > u counts each
-        # unordered pair exactly once.
-        partners = np.unique(np.concatenate([subset_arrays[si] for si in containing[u]]))
-        partners = partners[partners > u]
-        if partners.size == 0:
-            continue
-        p_u = int(params[u]) - 1
-        partner_counts = np.bincount(params[partners] - 1, minlength=N_PARAMS)
-        for p_v in range(N_PARAMS):
-            c = int(partner_counts[p_v])
-            if c == 0:
-                continue
-            counts[p_u, p_v] += c
-            if p_v != p_u:
-                counts[p_v, p_u] += c
+    for lo, hi in zip(bounds, bounds[1:]):
+        partners = incidence[lo:hi] @ incidence_t
+        partners.data[:] = 1  # shared-subset counts -> "shares at least one"
+        counts += onehot[lo:hi].T @ (partners @ onehot)
+    # Every learner is its own partner once; both orders of a same-value
+    # pair land on the diagonal.
+    counts -= np.diag(onehot.sum(axis=0))
+    counts[np.diag_indices(N_PARAMS)] //= 2
     return CooccurrenceMatrix(entries=counts, attribute=attribute)
 
 

@@ -27,6 +27,7 @@ from learntags import (
     render_profiles,
     render_ratings,
 )
+from learntags import ingest
 from learntags.cli import _build_parser, _config_from, dispatch
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -327,6 +328,22 @@ class TestMatch:
 
     def test_store_flag_required(self, capsys):
         assert dispatch(["match", "--learner", "u00"]) == 1
+
+    def test_parses_profiles_once(self, tmp_path, capsys, monkeypatch):
+        ratings, profiles = write_corpus(tmp_path)
+        store = tmp_path / "store.json"
+        dispatch(["tag", "--ratings", ratings, "--profiles", profiles,
+                  "--out", str(store)])
+        calls = []
+
+        def counting(fh):
+            calls.append(fh.name)
+            return parse_profiles(fh)
+
+        monkeypatch.setattr(ingest, "parse_profiles", counting)
+        assert dispatch(["match", "--ratings", ratings, "--profiles", profiles,
+                         "--store", str(store), "--learner", "u00"]) == 0
+        assert calls == [profiles]
 
 
 class TestExportCommands:

@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from learntags import (
     LearnerProfile,
@@ -19,6 +21,7 @@ from learntags import (
     quantify_attribute_detail,
     symmetrize,
 )
+from learntags import quantify
 from learntags.ingest import LearnerSubset
 from learntags.quantify import FactorPair
 
@@ -42,6 +45,77 @@ def brute_force_cooccurrence(subsets, profiles, attribute) -> np.ndarray:
         if i != j:
             counts[j, i] += 1
     return counts
+
+
+def loop_cooccurrence(subsets, profiles, attribute) -> np.ndarray:
+    """Per-learner oracle: deduplicate each learner's partners with np.unique
+    and count the partners with a larger index, one learner at a time."""
+    field = {"strategy": "strategy", "presentation": "presentation"}[attribute]
+    ids = sorted({m for s in subsets for m in s.members})
+    index = {lid: i for i, lid in enumerate(ids)}
+    params = np.array([getattr(profiles[lid], field) for lid in ids], dtype=np.int64)
+    subset_arrays = [
+        np.fromiter(sorted(index[m] for m in s.members), dtype=np.int64, count=len(s.members))
+        for s in subsets
+    ]
+    containing: list[list[int]] = [[] for _ in ids]
+    for si, arr in enumerate(subset_arrays):
+        for u in arr:
+            containing[u].append(si)
+
+    counts = np.zeros((5, 5), dtype=np.int64)
+    for u in range(len(ids)):
+        if not containing[u]:
+            continue
+        partners = np.unique(np.concatenate([subset_arrays[si] for si in containing[u]]))
+        partners = partners[partners > u]
+        p_u = int(params[u]) - 1
+        partner_counts = np.bincount(params[partners] - 1, minlength=5)
+        for p_v in range(5):
+            c = int(partner_counts[p_v])
+            counts[p_u, p_v] += c
+            if p_v != p_u:
+                counts[p_v, p_u] += c
+    return counts
+
+
+def assert_matches_oracles(subsets, profiles) -> None:
+    """build_cooccurrence is int64, symmetric and equal to both oracles."""
+    for attribute in ("strategy", "presentation"):
+        got = build_cooccurrence(subsets, profiles, attribute).entries
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, got.T)
+        np.testing.assert_array_equal(got, brute_force_cooccurrence(subsets, profiles, attribute))
+        np.testing.assert_array_equal(got, loop_cooccurrence(subsets, profiles, attribute))
+
+
+def _subsets(*groups) -> list[LearnerSubset]:
+    return [LearnerSubset(f"r{i}", frozenset(g)) for i, g in enumerate(groups)]
+
+
+_IDS = [f"u{i:02d}" for i in range(12)]
+_BIG = [f"u{i:03d}" for i in range(400)]
+_NAMED_CASES = {
+    "empty_subset_list": ([], {}),
+    "one_learner_subsets": (
+        _subsets({"u00"}, {"u01"}, {"u00"}),
+        {lid: profile(lid, a3=2, a4=4) for lid in _IDS[:2]},
+    ),
+    "repeated_subset": (
+        _subsets(*[set(_IDS[:6])] * 4),
+        {lid: profile(lid, a3=i % 5 + 1, a4=(2 * i) % 5 + 1) for i, lid in enumerate(_IDS)},
+    ),
+    "one_parameter_value": (
+        _subsets(set(_IDS[:7]), set(_IDS[5:]), {"u03", "u11"}),
+        {lid: profile(lid, a3=3, a4=3) for lid in _IDS},
+    ),
+    # One subset of 400 learners is 160,000 units of pair work, more than
+    # two blocks hold, so block edges fall inside it.
+    "crosses_block_edges": (
+        _subsets(set(_BIG), set(_BIG[::7]), set(_BIG[390:]) | {"u000"}),
+        {lid: profile(lid, a3=i % 5 + 1, a4=(i * i) % 5 + 1) for i, lid in enumerate(_BIG)},
+    ),
+}
 
 
 class TestBuildCooccurrence:
@@ -96,6 +170,28 @@ class TestBuildCooccurrence:
         expected = brute_force_cooccurrence(subsets, profiles, attribute)
         np.testing.assert_array_equal(cooc.entries, expected)
         np.testing.assert_array_equal(cooc.entries, cooc.entries.T)
+
+    @pytest.mark.parametrize("case", sorted(_NAMED_CASES))
+    def test_named_cases_match_oracles(self, case):
+        subsets, profiles = _NAMED_CASES[case]
+        if case == "crosses_block_edges":
+            assert sum(len(s) ** 2 for s in subsets) > 2 * quantify._BLOCK_PAIR_WORK
+        assert_matches_oracles(subsets, profiles)
+
+    @given(
+        groups=st.lists(st.frozensets(st.sampled_from(_IDS), max_size=len(_IDS)), max_size=8),
+        strategy=st.lists(st.integers(1, 5), min_size=len(_IDS), max_size=len(_IDS)),
+        presentation=st.lists(st.integers(1, 5), min_size=len(_IDS), max_size=len(_IDS)),
+        block=st.sampled_from([1, 17, quantify._BLOCK_PAIR_WORK]),
+    )
+    def test_matches_oracles_at_any_block_size(self, groups, strategy, presentation, block):
+        """Random corpora, with blocks down to the smallest the learner count allows."""
+        profiles = {
+            lid: profile(lid, a3=a3, a4=a4)
+            for lid, a3, a4 in zip(_IDS, strategy, presentation)
+        }
+        with mock.patch.object(quantify, "_BLOCK_PAIR_WORK", block):
+            assert_matches_oracles(_subsets(*groups), profiles)
 
 
 class TestNMF:
