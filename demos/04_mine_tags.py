@@ -3,9 +3,10 @@ Mining frequent attribute itemsets into a tag
 =============================================
 
 Each learner in a cluster becomes one transaction of five attribute
-items.  Apriori keeps the itemsets whose support clears the level sl;
-the winning tag is the largest such itemset, with ties kept as a
-multi-tag cloud.
+items.  The paper's Apriori step keeps the itemsets whose support clears
+the level sl; since a transaction supports only its own attribute
+subsets, `apriori` counts those subsets directly.  The winning tag is
+the largest frequent itemset, with ties kept as a multi-tag cloud.
 """
 
 from learntags import (

@@ -248,10 +248,11 @@ def select_k(
 ) -> KSelection:
     """Sweep k downward and stop just before the first diameter jump.
 
-    Runs seeding plus Lloyd for k = min(k_max, n) down to 1 and returns
-    the clustering at the smallest k reachable without the average
-    diameter growing by more than a factor of ``gamma`` in one step; a
-    zero diameter at k treats any positive diameter at k - 1 as a jump.
+    Runs Lloyd for k = min(k_max, n) down to 1, seeded with the first k
+    seeds of one farthest-first traversal, and returns the clustering at
+    the smallest k reachable without the average diameter growing by
+    more than a factor of ``gamma`` in one step; a zero diameter at k
+    treats any positive diameter at k - 1 as a jump.
     With no jump anywhere the sweep ends at k = 1.
     """
     if not points:
@@ -265,9 +266,11 @@ def select_k(
     clusterings: dict[int, Clustering] = {}
     diameters: dict[int, float] = {}
     trace = []
+    # Farthest-first picks do not depend on k, so the seeds for every k
+    # of the sweep are a prefix of one traversal.
+    seeds = farthest_first_seeds(points, k_start, seed)
     for k in range(k_start, 0, -1):
-        seeds = farthest_first_seeds(points, k, seed)
-        clusterings[k] = lloyd_kmeans(points, seeds, max_iters)
+        clusterings[k] = lloyd_kmeans(points, seeds[:k], max_iters)
         diameters[k] = average_diameter(clusterings[k], points)
         trace.append(KTraceEntry(k=k, sse=clusterings[k].sse, avg_diameter=diameters[k]))
 

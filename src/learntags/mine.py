@@ -3,10 +3,12 @@
 Each learner in the chosen cluster becomes a transaction of five items,
 one per profile attribute; strategy and presentation stay categorical
 ids for counting and learning time is carried as its decade bin.
-Level-wise Apriori (candidate join plus subset pruning) finds every
-itemset whose support meets the threshold, and the tag for the resource
-is the maximal itemset of highest cardinality, then highest support,
-with all co-maximal itemsets returned when tied.
+Because a transaction holds one item per attribute, every itemset it
+supports is one of its at most 31 non-empty attribute subsets, so the
+frequent itemsets of the paper's Apriori step come from counting those
+subsets directly, with no level-wise candidate generation.  The tag for
+the resource is the maximal itemset of highest cardinality, then highest
+support, with all co-maximal itemsets returned when tied.
 """
 from __future__ import annotations
 
@@ -69,14 +71,18 @@ def itemset_key(items: frozenset[Item]) -> tuple[tuple[int, int], ...]:
 
 
 def apriori(transactions: list[Transaction], sl: float) -> list[FrequentItemset]:
-    """Every itemset with support >= sl, mined level-wise.
+    """Every itemset with support >= sl, counted subset by subset.
 
-    Candidates of size k are joined from frequent (k-1)-itemsets sharing
-    a (k-2)-prefix and pruned unless all their (k-1)-subsets are
-    frequent; itemsets never carry two items of the same attribute.
-    Support compares inclusively so an itemset exactly at the threshold
-    counts as frequent.  Output is sorted by size then item key for
-    reproducible files.
+    An itemset's support is the number of transactions that contain it,
+    and a transaction contains exactly its own subsets.  Adding each
+    distinct transaction's weight (how often it occurs) to every subset
+    of its items, interned as small ints for the call, therefore counts
+    every itemset a level-wise Apriori search can reach, with no
+    candidates to join or prune.  As in that search, subsets stop at
+    ``N_ATTRIBUTES`` items and itemsets never carry two items of the same
+    attribute.  Support compares inclusively so an itemset exactly at the
+    threshold counts as frequent.  Output is sorted by size then item key
+    for reproducible files.
     """
     if not transactions:
         raise ValueError("no transactions")
@@ -85,44 +91,23 @@ def apriori(transactions: list[Transaction], sl: float) -> list[FrequentItemset]
     n = len(transactions)
     min_count = sl * n
 
-    counts = Counter()
-    for t in transactions:
-        for item in t.items:
-            counts[frozenset([item])] += 1
-    frequent: dict[frozenset[Item], int] = {
-        s: c for s, c in counts.items() if c >= min_count
-    }
-    level = sorted(frequent, key=itemset_key)
+    codes: dict[Item, int] = {}
+    counts: Counter[tuple[int, ...]] = Counter()
+    for items, weight in Counter(t.items for t in transactions).items():
+        coded = sorted(codes.setdefault(item, len(codes)) for item in items)
+        for size in range(1, min(len(coded), N_ATTRIBUTES) + 1):
+            for combo in combinations(coded, size):
+                counts[combo] += weight
 
-    size = 2
-    while level and size <= N_ATTRIBUTES:
-        prev = set(level)
-        # Join step on sorted-tuple representations sharing the prefix.
-        tuples = [tuple(sorted(s, key=Item.sort_key)) for s in level]
-        tuples.sort(key=lambda t: tuple(i.sort_key() for i in t))
-        candidates = set()
-        for a, b in combinations(tuples, 2):
-            if a[:-1] != b[:-1]:
-                continue
-            joined = a + (b[-1],)
-            if len({i.attribute for i in joined}) != size:
-                continue
-            cand = frozenset(joined)
-            if all(frozenset(sub) in prev for sub in combinations(joined, size - 1)):
-                candidates.add(cand)
-
-        counts = Counter()
-        for t in transactions:
-            for cand in candidates:
-                if cand <= t.items:
-                    counts[cand] += 1
-        level = sorted((c for c in candidates if counts[c] >= min_count), key=itemset_key)
-        for s in level:
-            frequent[s] = counts[s]
-        size += 1
-
-    ordered = sorted(frequent, key=lambda s: (len(s), itemset_key(s)))
-    return [FrequentItemset(s, frequent[s] / n, frequent[s]) for s in ordered]
+    decode = list(codes)
+    frequent = []
+    for combo, count in counts.items():
+        if count < min_count:
+            continue
+        itemset = frozenset(decode[c] for c in combo)
+        if len({i.attribute for i in itemset}) == len(combo):
+            frequent.append(FrequentItemset(itemset, count / n, count))
+    return sorted(frequent, key=lambda f: (len(f.items), itemset_key(f.items)))
 
 
 def maximal_itemsets(frequent: list[FrequentItemset]) -> list[FrequentItemset]:

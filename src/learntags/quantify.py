@@ -127,6 +127,11 @@ def build_cooccurrence(
             raise KeyError(f"no profile for learner {lid!r}")
     index = {lid: i for i, lid in enumerate(ids)}
     params = np.array([getattr(profiles[lid], field) for lid in ids], dtype=np.int64)
+    # A value outside 1..N_PARAMS would wrap or overrun the one-hot index.
+    bad = np.flatnonzero((params < 1) | (params > N_PARAMS))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"learner {ids[i]!r} has {attribute} {params[i]}, expected 1..{N_PARAMS}")
 
     sizes = np.fromiter((len(s.members) for s in subsets), dtype=np.int64, count=len(subsets))
     rows = np.fromiter(

@@ -1,9 +1,9 @@
 """Shared corpus builders and independent oracles for the test suite.
 
 The oracle functions deliberately avoid the library's own algorithms:
-brute-force pair enumeration, exhaustive subset counting, and direct
-rescans, so test expectations are derived independently of the code
-under test.
+brute-force pair enumeration, exhaustive subset counting, level-wise
+Apriori candidate search, and direct rescans, so test expectations are
+derived independently of the code under test.
 """
 from __future__ import annotations
 
@@ -20,7 +20,13 @@ from learntags import (
     generate_profiles,
 )
 from learntags.cluster import FeaturePoint
-from learntags.mine import Item, Transaction
+from learntags.mine import (
+    N_ATTRIBUTES,
+    FrequentItemset,
+    Item,
+    Transaction,
+    itemset_key,
+)
 from learntags.ingest import discretize_time
 
 settings.register_profile(
@@ -92,6 +98,63 @@ def brute_force_frequent(
     return {
         s: (c, c / n) for s, c in counts.items() if c >= sl * n
     }
+
+
+def levelwise_apriori(transactions: list[Transaction], sl: float) -> list[FrequentItemset]:
+    """Every itemset with support >= sl, mined level-wise.
+
+    Candidates of size k are joined from frequent (k-1)-itemsets sharing
+    a (k-2)-prefix and pruned unless all their (k-1)-subsets are
+    frequent; itemsets never carry two items of the same attribute.
+    Support compares inclusively so an itemset exactly at the threshold
+    counts as frequent.  Output is sorted by size then item key for
+    reproducible files.
+    """
+    if not transactions:
+        raise ValueError("no transactions")
+    if not 0 < sl <= 1:
+        raise ValueError(f"support level must be in (0, 1], got {sl}")
+    n = len(transactions)
+    min_count = sl * n
+
+    counts = Counter()
+    for t in transactions:
+        for item in t.items:
+            counts[frozenset([item])] += 1
+    frequent: dict[frozenset[Item], int] = {
+        s: c for s, c in counts.items() if c >= min_count
+    }
+    level = sorted(frequent, key=itemset_key)
+
+    size = 2
+    while level and size <= N_ATTRIBUTES:
+        prev = set(level)
+        # Join step on sorted-tuple representations sharing the prefix.
+        tuples = [tuple(sorted(s, key=Item.sort_key)) for s in level]
+        tuples.sort(key=lambda t: tuple(i.sort_key() for i in t))
+        candidates = set()
+        for a, b in combinations(tuples, 2):
+            if a[:-1] != b[:-1]:
+                continue
+            joined = a + (b[-1],)
+            if len({i.attribute for i in joined}) != size:
+                continue
+            cand = frozenset(joined)
+            if all(frozenset(sub) in prev for sub in combinations(joined, size - 1)):
+                candidates.add(cand)
+
+        counts = Counter()
+        for t in transactions:
+            for cand in candidates:
+                if cand <= t.items:
+                    counts[cand] += 1
+        level = sorted((c for c in candidates if counts[c] >= min_count), key=itemset_key)
+        for s in level:
+            frequent[s] = counts[s]
+        size += 1
+
+    ordered = sorted(frequent, key=lambda s: (len(s), itemset_key(s)))
+    return [FrequentItemset(s, frequent[s] / n, frequent[s]) for s in ordered]
 
 
 def items_from_tag(

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.spatial.distance import cdist
 
 from learntags import (
@@ -139,6 +140,21 @@ class TestFarthestFirstSeeds:
         a = farthest_first_seeds(points, k=4, seed=7)
         b = farthest_first_seeds(points, k=4, seed=7)
         assert [s.learner_id for s in a] == [s.learner_id for s in b]
+
+    @given(
+        st.lists(st.tuples(*[st.integers(0, 2)] * 5), min_size=1, max_size=15),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_seeds_for_k_prefix_seeds_for_larger_k(self, grid, seed):
+        """select_k relies on this to run one traversal per sweep; grid
+        coordinates make many distance ties."""
+        points = [
+            FeaturePoint(f"u{i:02d}", tuple(float(c) for c in coords))
+            for i, coords in enumerate(grid)
+        ]
+        full = farthest_first_seeds(points, k=len(points), seed=seed)
+        for k in range(1, len(points)):
+            assert farthest_first_seeds(points, k=k, seed=seed) == full[:k]
 
 
 class TestLloydKmeans:

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from learntags import (
     LearnerProfile,
@@ -13,8 +14,8 @@ from learntags import (
     select_tag,
     transaction_from_profile,
 )
-from learntags.ingest import TimeBin
-from learntags.mine import FrequentItemset, Item, Transaction, itemset_key
+from learntags.ingest import TimeBin, discretize_time
+from learntags.mine import N_ATTRIBUTES, FrequentItemset, Item, Transaction, itemset_key
 
 
 def tx(lid: str, *items: Item) -> Transaction:
@@ -23,6 +24,34 @@ def tx(lid: str, *items: Item) -> Transaction:
 
 def as_comparable(frequent):
     return {f.items: (f.count, f.support) for f in frequent}
+
+
+@st.composite
+def mining_inputs(draw, full: bool = False):
+    """Transactions drawn with repeats from a small pool, plus a support level.
+
+    With ``full`` each transaction holds one item per attribute; otherwise
+    an attribute may be missing or carry two items.  Support levels are
+    either exactly at a count boundary c / n or anywhere in (0, 1].
+    """
+    values = st.frozensets(
+        st.integers(1, 3), min_size=1 if full else 0, max_size=1 if full else 2
+    )
+    pool = []
+    for _ in range(draw(st.integers(1, 5))):
+        items = set()
+        for attribute in range(1, N_ATTRIBUTES + 1):
+            for v in draw(values):
+                items.add(Item(attribute, discretize_time(v * 10) if attribute == 5 else v))
+        pool.append(frozenset(items))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=12))
+    transactions = [Transaction(f"t{i:02d}", pool[j]) for i, j in enumerate(picks)]
+    n = len(transactions)
+    sl = draw(st.one_of(
+        st.integers(1, n).map(lambda c: c / n),
+        st.floats(0, 1, exclude_min=True),
+    ))
+    return transactions, sl
 
 
 class TestTransactionFromProfile:
@@ -99,6 +128,22 @@ class TestApriori:
             got = as_comparable(apriori(transactions, sl))
             want = brute_force_frequent(transactions, sl)
             assert got == want, f"trial {trial} diverged"
+
+    @given(mining_inputs())
+    def test_equals_levelwise_search(self, inputs):
+        from conftest import levelwise_apriori
+
+        transactions, sl = inputs
+        assert apriori(transactions, sl) == levelwise_apriori(transactions, sl)
+
+    @given(mining_inputs(full=True))
+    def test_full_transactions_equal_both_oracles(self, inputs):
+        from conftest import brute_force_frequent, levelwise_apriori
+
+        transactions, sl = inputs
+        got = apriori(transactions, sl)
+        assert got == levelwise_apriori(transactions, sl)
+        assert as_comparable(got) == brute_force_frequent(transactions, sl)
 
     def test_structural_invariants(self):
         from conftest import random_transactions

@@ -152,6 +152,17 @@ class TestBuildCooccurrence:
             build_cooccurrence([], {}, "hours")
 
     @pytest.mark.parametrize("attribute", ["strategy", "presentation"])
+    @pytest.mark.parametrize("bad", [0, 6, -1])
+    def test_out_of_range_value_names_learner(self, attribute, bad):
+        subsets = [LearnerSubset("r", frozenset({"u1", "u2"}))]
+        profiles = {
+            "u1": profile("u1", a3=5, a4=5),
+            "u2": profile("u2", **{"a3" if attribute == "strategy" else "a4": bad}),
+        }
+        with pytest.raises(ValueError, match=f"'u2' has {attribute} {bad}, expected 1..5"):
+            build_cooccurrence(subsets, profiles, attribute)
+
+    @pytest.mark.parametrize("attribute", ["strategy", "presentation"])
     def test_matches_brute_force_enumeration(self, attribute):
         """Seeded 200-learner, 20-subset instance against the pair oracle."""
         rng = np.random.default_rng(77)
