@@ -47,3 +47,10 @@ print(f"largest cluster has {len(members)} learners, e.g. {sorted(members)[:5]}"
 os.makedirs("demos/out", exist_ok=True)
 export_parcoords(normalized, chosen.assignment, "demos/out/parcoords.svg")
 print("wrote demos/out/parcoords.svg")
+
+# the sweep's exact floats, in the format of `learntags tag --trace`
+# without the resource column
+with open("demos/out/ksweep.tsv", "w", encoding="utf-8") as fh:
+    for entry in selection.trace:
+        fh.write(f"{entry.k}\t{entry.sse!r}\t{entry.avg_diameter!r}\n")
+print("wrote demos/out/ksweep.tsv")

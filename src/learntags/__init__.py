@@ -38,6 +38,7 @@ from .cluster import (
     FeaturePoint,
     KSelection,
     KTraceEntry,
+    LloydFit,
     NormalizationSpec,
     apply_normalization,
     average_diameter,
@@ -83,7 +84,7 @@ __all__ = [
     "CooccurrenceMatrix", "FactorPair", "QuantifyDetail", "attribute_values",
     "build_cooccurrence", "derive_orderings", "nmf", "quantification_report",
     "quantify_attribute", "quantify_attribute_detail", "symmetrize",
-    "Clustering", "FeaturePoint", "KSelection", "KTraceEntry",
+    "Clustering", "FeaturePoint", "KSelection", "KTraceEntry", "LloydFit",
     "NormalizationSpec", "apply_normalization", "average_diameter",
     "farthest_first_seeds", "fit_normalization", "largest_cluster",
     "lloyd_kmeans", "select_k", "to_feature_points",

@@ -7,6 +7,8 @@ Euclidean metric, seeding uses farthest-first traversal, Lloyd's
 iteration refines the clusters, and the cluster count is chosen by
 sweeping k downward until the average cluster diameter jumps by a large
 factor.  The largest cluster is the learner group that tags a resource.
+The k sweep works on one ``(n, dims)`` array per subset, with seeds as
+row indices and one Lloyd label per row.
 """
 from __future__ import annotations
 
@@ -39,15 +41,22 @@ class NormalizationSpec:
 
 
 @dataclass
-class Clustering:
-    """A k-means result.
-
-    Every point is assigned to its nearest centroid under Euclidean
-    distance (ties to the smallest cluster index, except for a point a
-    repaired empty cluster was reseeded on, which sits at distance 0).
-    ``sse_trace`` holds the sum of squared distances after each Lloyd
-    iteration and is non-increasing.
+class LloydFit:
+    """Lloyd's result: each row labelled with its nearest centroid (ties
+    to the smallest index, except a row a repaired empty cluster was
+    reseeded on, at distance 0), and the non-increasing SSE after the
+    seeding and after each iteration; ``sse`` is the last entry.
     """
+
+    centroids: np.ndarray            # (k, dims)
+    labels: np.ndarray               # (n,) cluster index per row
+    sse: float
+    sse_trace: list[float]
+
+
+@dataclass
+class Clustering:
+    """The k-means result ``select_k`` picks, keyed by learner id."""
 
     k: int
     centroids: np.ndarray            # (k, dims)
@@ -115,17 +124,13 @@ def apply_normalization(points: list[FeaturePoint], spec: NormalizationSpec) -> 
     """Map each coordinate to (x - min) / (max - min); degenerate dims to 0."""
     mins = np.array(spec.mins)
     spans = np.array(spec.maxs) - mins
-    safe = np.where(spans > 0, spans, 1.0)
-    out = []
-    for p in points:
-        frac = (np.array(p.coords) - mins) / safe
-        frac[spans == 0] = 0.0
-        out.append(FeaturePoint(p.learner_id, tuple(float(v) for v in frac)))
-    return out
+    x = np.array([p.coords for p in points], dtype=np.float64).reshape(len(points), len(mins))
+    frac = np.where(spans == 0, 0.0, (x - mins) / np.where(spans > 0, spans, 1.0))
+    return [FeaturePoint(p.learner_id, tuple(row)) for p, row in zip(points, frac.tolist())]
 
 
-def farthest_first_seeds(points: list[FeaturePoint], k: int, seed: int) -> list[FeaturePoint]:
-    """Pick k seeds by farthest-first traversal.
+def farthest_first_seeds(points: list[FeaturePoint], k: int, seed: int) -> list[int]:
+    """Pick k seeds by farthest-first traversal, as row indices into ``points``.
 
     The first seed is drawn uniformly at random from ``seed``; every
     later seed is the point maximizing its minimum distance to the seeds
@@ -148,7 +153,7 @@ def farthest_first_seeds(points: list[FeaturePoint], k: int, seed: int) -> list[
         pick = min(candidates, key=lambda i: points[i].learner_id)
         chosen.append(int(pick))
         min_dist = np.minimum(min_dist, np.linalg.norm(x - x[pick], axis=1))
-    return [points[i] for i in chosen]
+    return chosen
 
 
 def _assign(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -166,77 +171,69 @@ def _repair_empty(x: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> N
 
     Keeps k stable so the diameter sequence stays comparable across the
     sweep.  A reseed at distance zero cannot reduce the error and would
-    only shuffle duplicate points, so those clusters are left empty.
+    only shuffle duplicate points, so those clusters are left empty.  A
+    reseed moves only row ``far`` (to distance 0), so distances are computed
+    once; a later cluster it empties is repaired in turn.
     """
-    k = centroids.shape[0]
-    for j in range(k):
-        if np.any(labels == j):
+    counts = np.bincount(labels, minlength=len(centroids))
+    if counts.all():
+        return
+    dist = np.linalg.norm(x - centroids[labels], axis=1)
+    for j in range(len(counts)):
+        if counts[j]:
             continue
-        dist = np.linalg.norm(x - centroids[labels], axis=1)
         far = int(np.argmax(dist))
         if dist[far] == 0.0:
-            continue
+            return
+        counts[labels[far]] -= 1
+        counts[j] = 1
         centroids[j] = x[far]
         labels[far] = j
+        dist[far] = 0.0
 
 
 def lloyd_kmeans(
-    points: list[FeaturePoint],
-    seeds: list[FeaturePoint],
+    x: np.ndarray,
+    seed_rows: list[int],
     max_iters: int = DEFAULT_LLOYD_MAX_ITERS,
-) -> Clustering:
-    """Alternate nearest-centroid assignment and centroid means.
+) -> LloydFit:
+    """Alternate nearest-centroid assignment and centroid means on the rows
+    of ``x``, starting from centroids at ``seed_rows``.
 
-    Stops when no assignment changes or after ``max_iters``; the SSE is
-    non-increasing across iterations, and the final assignment is always
-    computed against the final centroids.
+    Stops when no label changes or after ``max_iters``; the final labels
+    are always computed against the final centroids.
     """
-    if not points:
+    if len(x) == 0:
         raise ValueError("no points to cluster")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    seed_ids = [s.learner_id for s in seeds]
-    if len(set(seed_ids)) != len(seed_ids):
+    if len(set(seed_rows)) != len(seed_rows):
         raise ValueError("seeds must be distinct points")
 
-    x = np.array([p.coords for p in points], dtype=np.float64)
-    centroids = np.array([s.coords for s in seeds], dtype=np.float64)
-    k = centroids.shape[0]
-
+    centroids = x[list(seed_rows)].astype(np.float64)
     labels = _assign(x, centroids)
     _repair_empty(x, labels, centroids)
     trace = [_sse(x, labels, centroids)]
     for _ in range(max_iters):
-        prev = labels.copy()
-        for j in range(k):
-            mask = labels == j
-            if mask.any():
-                centroids[j] = x[mask].mean(axis=0)
+        prev = labels
+        # Row-order sums over counts equal x[labels == j].mean(axis=0) exactly.
+        counts = np.bincount(labels, minlength=len(centroids))
+        sums = np.zeros_like(centroids)
+        np.add.at(sums, labels, x)
+        filled = counts > 0
+        centroids[filled] = sums[filled] / counts[filled, None]
         labels = _assign(x, centroids)
         _repair_empty(x, labels, centroids)
         trace.append(_sse(x, labels, centroids))
         if np.array_equal(labels, prev):
             break
-
-    assignment = {p.learner_id: int(labels[i]) for i, p in enumerate(points)}
-    return Clustering(k=k, centroids=centroids, assignment=assignment,
-                      sse=trace[-1], sse_trace=trace)
+    return LloydFit(centroids=centroids, labels=labels, sse=trace[-1], sse_trace=trace)
 
 
-def average_diameter(clustering: Clustering, points: list[FeaturePoint]) -> float:
-    """Mean over non-empty clusters of the max pairwise member distance."""
-    coords = {p.learner_id: p.coords for p in points}
-    members: dict[int, list[tuple[float, ...]]] = {}
-    for lid, j in clustering.assignment.items():
-        members.setdefault(j, []).append(coords[lid])
-    diameters = []
-    for j in sorted(members):
-        pts = members[j]
-        if len(pts) < 2:
-            diameters.append(0.0)
-        else:
-            diameters.append(float(pdist(np.array(pts)).max()))
-    return float(np.mean(diameters))
+def average_diameter(x: np.ndarray, labels: np.ndarray) -> float:
+    """Mean over non-empty clusters, in label order, of the max row distance."""
+    clusters = [x[labels == j] for j in np.unique(labels)]
+    return float(np.mean([pdist(m).max() if len(m) > 1 else 0.0 for m in clusters]))
 
 
 def select_k(
@@ -262,24 +259,27 @@ def select_k(
     if gamma <= 1:
         raise ValueError(f"gamma must exceed 1, got {gamma}")
 
+    x = np.array([p.coords for p in points], dtype=np.float64)
     k_start = min(k_max, len(points))
-    clusterings: dict[int, Clustering] = {}
+    fits: dict[int, LloydFit] = {}
     diameters: dict[int, float] = {}
     trace = []
     # Farthest-first picks do not depend on k, so the seeds for every k
     # of the sweep are a prefix of one traversal.
     seeds = farthest_first_seeds(points, k_start, seed)
     for k in range(k_start, 0, -1):
-        clusterings[k] = lloyd_kmeans(points, seeds[:k], max_iters)
-        diameters[k] = average_diameter(clusterings[k], points)
-        trace.append(KTraceEntry(k=k, sse=clusterings[k].sse, avg_diameter=diameters[k]))
+        fits[k] = lloyd_kmeans(x, seeds[:k], max_iters)
+        diameters[k] = average_diameter(x, fits[k].labels)
+        trace.append(KTraceEntry(k=k, sse=fits[k].sse, avg_diameter=diameters[k]))
 
     chosen = 1
     for k in range(k_start, 1, -1):
         if diameters[k - 1] > gamma * diameters[k]:
             chosen = k
             break
-    return KSelection(clustering=clusterings[chosen], trace=trace)
+    fit = fits[chosen]
+    assignment = dict(zip((p.learner_id for p in points), fit.labels.tolist()))
+    return KSelection(Clustering(chosen, fit.centroids, assignment, fit.sse, fit.sse_trace), trace)
 
 
 def largest_cluster(clustering: Clustering) -> set[str]:

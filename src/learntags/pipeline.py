@@ -22,7 +22,7 @@ from .cluster import (
     to_feature_points,
 )
 from .ingest import LearnerProfile, RatingRecord, TimeBin, build_all_subsets
-from .mine import FrequentItemset, Item, apriori, select_tag, transaction_from_profile
+from .mine import FrequentItemset, Item, Transaction, apriori, select_tag, transaction_from_profile
 from .quantify import AttributeValueMap, quantify_attribute
 
 logger = logging.getLogger(__name__)
@@ -163,6 +163,7 @@ def run(
     presentation_values = quantify_attribute(all_subsets, by_id, "presentation", config)
 
     store: dict[str, TagCloud] = {}
+    encoded: dict[str, Transaction] = {}  # each learner's items, encoded once per run
     skipped = 0
     for rid in ordered_resources:
         subset = subsets[rid]
@@ -186,7 +187,9 @@ def run(
             chosen_k = selection.clustering.k
             cluster_ids = largest_cluster(selection.clustering)
 
-        transactions = [transaction_from_profile(by_id[lid]) for lid in sorted(cluster_ids)]
+        for lid in sorted(cluster_ids - encoded.keys()):
+            encoded[lid] = transaction_from_profile(by_id[lid])
+        transactions = [encoded[lid] for lid in sorted(cluster_ids)]
         winners = select_tag(apriori(transactions, config.support_sl))
         provenance = Provenance(
             subset_size=size,

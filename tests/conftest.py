@@ -2,8 +2,9 @@
 
 The oracle functions deliberately avoid the library's own algorithms:
 brute-force pair enumeration, exhaustive subset counting, level-wise
-Apriori candidate search, and direct rescans, so test expectations are
-derived independently of the code under test.
+Apriori candidate search, the point-by-point k sweep, and direct
+rescans, so test expectations are derived independently of the code
+under test.
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from itertools import combinations
 
 import numpy as np
 from hypothesis import HealthCheck, settings
+from scipy.spatial.distance import cdist, pdist
 
 from learntags import (
     LearnerProfile,
@@ -19,7 +21,13 @@ from learntags import (
     Tag,
     generate_profiles,
 )
-from learntags.cluster import FeaturePoint
+from learntags.cluster import (
+    DEFAULT_LLOYD_MAX_ITERS,
+    Clustering,
+    FeaturePoint,
+    KSelection,
+    KTraceEntry,
+)
 from learntags.mine import (
     N_ATTRIBUTES,
     FrequentItemset,
@@ -246,3 +254,167 @@ def make_blobs(
             coords = tuple(float(c + o) for c, o in zip(center, offsets[i]))
             points.append(FeaturePoint(f"u{b:02d}{i:03d}", coords))
     return points
+
+
+# Reference k sweep, point by point on tuples of FeaturePoint: the array
+# code in learntags.cluster must reproduce it bit for bit.
+
+
+def reference_farthest_first_seeds(
+    points: list[FeaturePoint], k: int, seed: int
+) -> list[FeaturePoint]:
+    """Pick k seeds by farthest-first traversal.
+
+    The first seed is drawn uniformly at random from ``seed``; every
+    later seed is the point maximizing its minimum distance to the seeds
+    already chosen, ties going to the smallest learner id.
+    """
+    n = len(points)
+    if not 1 <= k <= n:
+        raise ValueError(f"insufficient points: need 1 <= k <= {n}, got k={k}")
+    x = np.array([p.coords for p in points], dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    first = int(rng.integers(n))
+
+    chosen = [first]
+    min_dist = np.linalg.norm(x - x[first], axis=1)
+    while len(chosen) < k:
+        masked = min_dist.copy()
+        masked[chosen] = -np.inf
+        best = masked.max()
+        candidates = np.flatnonzero(masked == best)
+        pick = min(candidates, key=lambda i: points[i].learner_id)
+        chosen.append(int(pick))
+        min_dist = np.minimum(min_dist, np.linalg.norm(x - x[pick], axis=1))
+    return [points[i] for i in chosen]
+
+
+def _reference_assign(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    # argmin takes the first minimum, which is the smallest cluster index.
+    return np.argmin(cdist(x, centroids), axis=1)
+
+
+def _reference_sse(x: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> float:
+    diffs = x - centroids[labels]
+    return float(np.sum(diffs * diffs))
+
+
+def reference_repair_empty(x: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> None:
+    """Reseed each empty cluster on the point farthest from its centroid.
+
+    Keeps k stable so the diameter sequence stays comparable across the
+    sweep.  A reseed at distance zero cannot reduce the error and would
+    only shuffle duplicate points, so those clusters are left empty.
+    """
+    k = centroids.shape[0]
+    for j in range(k):
+        if np.any(labels == j):
+            continue
+        dist = np.linalg.norm(x - centroids[labels], axis=1)
+        far = int(np.argmax(dist))
+        if dist[far] == 0.0:
+            continue
+        centroids[j] = x[far]
+        labels[far] = j
+
+
+def reference_lloyd_kmeans(
+    points: list[FeaturePoint],
+    seeds: list[FeaturePoint],
+    max_iters: int = DEFAULT_LLOYD_MAX_ITERS,
+) -> Clustering:
+    """Alternate nearest-centroid assignment and centroid means.
+
+    Stops when no assignment changes or after ``max_iters``; the SSE is
+    non-increasing across iterations, and the final assignment is always
+    computed against the final centroids.
+    """
+    if not points:
+        raise ValueError("no points to cluster")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    seed_ids = [s.learner_id for s in seeds]
+    if len(set(seed_ids)) != len(seed_ids):
+        raise ValueError("seeds must be distinct points")
+
+    x = np.array([p.coords for p in points], dtype=np.float64)
+    centroids = np.array([s.coords for s in seeds], dtype=np.float64)
+    k = centroids.shape[0]
+
+    labels = _reference_assign(x, centroids)
+    reference_repair_empty(x, labels, centroids)
+    trace = [_reference_sse(x, labels, centroids)]
+    for _ in range(max_iters):
+        prev = labels.copy()
+        for j in range(k):
+            mask = labels == j
+            if mask.any():
+                centroids[j] = x[mask].mean(axis=0)
+        labels = _reference_assign(x, centroids)
+        reference_repair_empty(x, labels, centroids)
+        trace.append(_reference_sse(x, labels, centroids))
+        if np.array_equal(labels, prev):
+            break
+
+    assignment = {p.learner_id: int(labels[i]) for i, p in enumerate(points)}
+    return Clustering(k=k, centroids=centroids, assignment=assignment,
+                      sse=trace[-1], sse_trace=trace)
+
+
+def reference_average_diameter(clustering: Clustering, points: list[FeaturePoint]) -> float:
+    """Mean over non-empty clusters of the max pairwise member distance."""
+    coords = {p.learner_id: p.coords for p in points}
+    members: dict[int, list[tuple[float, ...]]] = {}
+    for lid, j in clustering.assignment.items():
+        members.setdefault(j, []).append(coords[lid])
+    diameters = []
+    for j in sorted(members):
+        pts = members[j]
+        if len(pts) < 2:
+            diameters.append(0.0)
+        else:
+            diameters.append(float(pdist(np.array(pts)).max()))
+    return float(np.mean(diameters))
+
+
+def reference_select_k(
+    points: list[FeaturePoint],
+    k_max: int,
+    gamma: float,
+    seed: int,
+    max_iters: int = DEFAULT_LLOYD_MAX_ITERS,
+) -> KSelection:
+    """Sweep k downward and stop just before the first diameter jump.
+
+    Runs Lloyd for k = min(k_max, n) down to 1, seeded with the first k
+    seeds of one farthest-first traversal, and returns the clustering at
+    the smallest k reachable without the average diameter growing by
+    more than a factor of ``gamma`` in one step; a zero diameter at k
+    treats any positive diameter at k - 1 as a jump.
+    With no jump anywhere the sweep ends at k = 1.
+    """
+    if not points:
+        raise ValueError("no points to cluster")
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    if gamma <= 1:
+        raise ValueError(f"gamma must exceed 1, got {gamma}")
+
+    k_start = min(k_max, len(points))
+    clusterings: dict[int, Clustering] = {}
+    diameters: dict[int, float] = {}
+    trace = []
+    # Farthest-first picks do not depend on k, so the seeds for every k
+    # of the sweep are a prefix of one traversal.
+    seeds = reference_farthest_first_seeds(points, k_start, seed)
+    for k in range(k_start, 0, -1):
+        clusterings[k] = reference_lloyd_kmeans(points, seeds[:k], max_iters)
+        diameters[k] = reference_average_diameter(clusterings[k], points)
+        trace.append(KTraceEntry(k=k, sse=clusterings[k].sse, avg_diameter=diameters[k]))
+
+    chosen = 1
+    for k in range(k_start, 1, -1):
+        if diameters[k - 1] > gamma * diameters[k]:
+            chosen = k
+            break
+    return KSelection(clustering=clusterings[chosen], trace=trace)

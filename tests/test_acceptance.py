@@ -101,18 +101,17 @@ def test_criterion_3_kmeans_invariants():
         coords = np.array([p.coords for p in points])
         for k in (2, 4, 7):
             seeds = farthest_first_seeds(points, k, seed=inst)
-            picked = np.array([s.coords for s in seeds])
+            picked = coords[seeds]
             for j in range(1, k):
                 dmin = cdist(coords, picked[:j]).min(axis=1)
                 mine = cdist(picked[j:j + 1], picked[:j]).min()
                 if mine < dmin.max() - 1e-9:
                     failures.append(f"inst {inst} k={k}: seed {j} not max-min")
-            clustering = lloyd_kmeans(points, seeds)
+            clustering = lloyd_kmeans(coords, seeds)
             trace = np.asarray(clustering.sse_trace)
             if np.any(np.diff(trace) > 1e-9 * trace[0]):
                 failures.append(f"inst {inst} k={k}: SSE increased")
-            labels = np.array([clustering.assignment[p.learner_id]
-                               for p in points])
+            labels = clustering.labels
             dists = cdist(coords, clustering.centroids)
             gap = dists[np.arange(len(points)), labels] - dists.min(axis=1)
             if np.any(gap > 1e-9):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 
 import pytest
 
@@ -154,6 +155,31 @@ class TestRun:
                 assert best == pytest.approx(cloud.provenance.support)
                 checked += 1
         assert checked > 0
+
+    def test_each_learner_encoded_once(self, monkeypatch):
+        import learntags.pipeline as pipeline
+        from conftest import recover_clusters
+
+        records, profiles = self.small_corpus()
+        config = PipelineConfig(seed=5)
+        calls: Counter = Counter()
+        mined = []
+        encode, mine = pipeline.transaction_from_profile, pipeline.apriori
+
+        def counting(profile):
+            calls[profile.learner_id] += 1
+            return encode(profile)
+
+        monkeypatch.setattr(pipeline, "transaction_from_profile", counting)
+        monkeypatch.setattr(pipeline, "apriori", lambda t, sl: mined.append(t) or mine(t, sl))
+        store = run(config, records, profiles)
+        assert max(calls.values()) == 1
+        # The reused encodings equal fresh ones for every mined cluster.
+        clusters, _, _ = recover_clusters(records, profiles, config)
+        assert mined == [clusters[rid] for rid in sorted(clusters)]
+        # Learners sit in several mined clusters, so encoding per cluster
+        # member would have called the encoder more often.
+        assert sum(c.provenance.cluster_size or 0 for c in store.values()) > len(calls)
 
     def test_trace_hook_sees_every_clustered_resource(self):
         records, profiles = self.small_corpus()
