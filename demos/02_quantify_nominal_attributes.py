@@ -1,13 +1,17 @@
 """
-Quantifying a nominal attribute with NMF
-========================================
+Quantifying the nominal attributes with NMF
+===========================================
 
 Learning strategy ids 1..5 are categories with no inherent order.  This
 walks the chain that turns them into comparable numbers: co-occurrence
 counting over the high-rating subsets, non-negative factorization,
 feature-based orderings, symmetrization, and the final per-id values.
+One `quantify` call runs the chain for strategy and presentation alike,
+from one co-occurrence pass; the walk-through prints strategy, and the
+full report of both attributes goes to demos/out/quantify.json.
 """
 
+import json
 import os
 
 import numpy as np
@@ -18,7 +22,8 @@ from learntags import (
     export_values,
     extreme_pairs,
     generate_profiles,
-    quantify_attribute_detail,
+    quantification_report,
+    quantify,
 )
 from learntags.ingest import RatingRecord
 
@@ -33,7 +38,8 @@ records = [
 config = PipelineConfig(seed=8)
 subsets = build_all_subsets(records, config.delta0)
 ordered = [subsets[rid] for rid in sorted(subsets)]
-detail = quantify_attribute_detail(ordered, profiles, "strategy", config)
+details = quantify(ordered, profiles, config)
+detail = details["strategy"]
 
 print("co-occurrence of strategy ids across subset members:")
 print(detail.cooccurrence.entries.astype(int))
@@ -56,3 +62,8 @@ print(f"least similar strategies: {farthest}")
 os.makedirs("demos/out", exist_ok=True)
 export_values(detail.values, "strategy", "demos/out/strategy_values.svg")
 print("wrote demos/out/strategy_values.svg")
+
+# the same bytes `learntags quantify` prints for this corpus
+with open("demos/out/quantify.json", "w", encoding="utf-8") as fh:
+    fh.write(json.dumps(quantification_report(details), indent=2, sort_keys=True) + "\n")
+print("wrote demos/out/quantify.json")

@@ -16,7 +16,7 @@ from learntags import (
     build_all_subsets,
     generate_profiles,
     match_resources,
-    quantify_attribute,
+    quantify,
     render_report,
     run,
     save_store,
@@ -48,9 +48,9 @@ print("wrote demos/out/store.json")
 # rank the store against one learner's own attribute profile
 subsets = build_all_subsets(records, config.delta0)
 ordered = [subsets[rid] for rid in sorted(subsets)]
-strategy_values = quantify_attribute(ordered, profiles, "strategy", config)
-presentation_values = quantify_attribute(ordered, profiles, "presentation",
-                                         config)
+details = quantify(ordered, profiles, config)
+strategy_values = details["strategy"].values
+presentation_values = details["presentation"].values
 learner = profiles["u007"]
 print(f"\nbest matches for u007 (skill {learner.current_skill}->"
       f"{learner.target_skill}, strategy {learner.strategy}, "

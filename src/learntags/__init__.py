@@ -29,8 +29,7 @@ from .quantify import (
     derive_orderings,
     nmf,
     quantification_report,
-    quantify_attribute,
-    quantify_attribute_detail,
+    quantify,
     symmetrize,
 )
 from .cluster import (
@@ -83,7 +82,7 @@ __all__ = [
     "render_profiles", "render_ratings",
     "CooccurrenceMatrix", "FactorPair", "QuantifyDetail", "attribute_values",
     "build_cooccurrence", "derive_orderings", "nmf", "quantification_report",
-    "quantify_attribute", "quantify_attribute_detail", "symmetrize",
+    "quantify", "symmetrize",
     "Clustering", "FeaturePoint", "KSelection", "KTraceEntry", "LloydFit",
     "NormalizationSpec", "apply_normalization", "average_diameter",
     "farthest_first_seeds", "fit_normalization", "largest_cluster",

@@ -19,7 +19,7 @@ from .pipeline import (
     run,
     save_store,
 )
-from .quantify import quantify_attribute_detail, quantification_report
+from .quantify import quantification_report, quantify
 from .cluster import apply_normalization, fit_normalization, select_k, to_feature_points
 from .viz import export_parcoords, export_values  # re-exported CLI operations
 
@@ -194,11 +194,7 @@ def _quantify_details(args: argparse.Namespace, config: PipelineConfig,
     profiles = _assemble_profiles(args, records, parsed)
     subsets = ingest.build_all_subsets(records, config.delta0)
     ordered = [subsets[rid] for rid in sorted(subsets)]
-    details = {
-        attr: quantify_attribute_detail(ordered, profiles, attr, config)
-        for attr in ("presentation", "strategy")
-    }
-    return records, profiles, subsets, details
+    return records, profiles, subsets, quantify(ordered, profiles, config)
 
 
 def _cmd_quantify(args: argparse.Namespace) -> int:

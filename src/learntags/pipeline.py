@@ -23,7 +23,7 @@ from .cluster import (
 )
 from .ingest import LearnerProfile, RatingRecord, TimeBin, build_all_subsets
 from .mine import FrequentItemset, Item, Transaction, apriori, select_tag, transaction_from_profile
-from .quantify import AttributeValueMap, quantify_attribute
+from .quantify import AttributeValueMap, quantify
 
 logger = logging.getLogger(__name__)
 
@@ -159,8 +159,9 @@ def run(
     ordered_resources = sorted(subsets)
     all_subsets = [subsets[rid] for rid in ordered_resources]
 
-    strategy_values = quantify_attribute(all_subsets, by_id, "strategy", config)
-    presentation_values = quantify_attribute(all_subsets, by_id, "presentation", config)
+    details = quantify(all_subsets, by_id, config)
+    strategy_values = details["strategy"].values
+    presentation_values = details["presentation"].values
 
     store: dict[str, TagCloud] = {}
     encoded: dict[str, Transaction] = {}  # each learner's items, encoded once per run
@@ -235,7 +236,8 @@ def _tag_score(
         matched += tag.target_skill == profile.target_skill
     if tag.time_bin is not None:
         present += 1
-        matched += profile.hours in tag.time_bin
+        # Binned as the miner bins it: hours below 1 fall into [1-10].
+        matched += max(profile.hours, 1) in tag.time_bin
     if tag.strategy_value is not None:
         present += 1
         matched += _nearest_parameter(strategy_values, tag.strategy_value) == profile.strategy

@@ -2,16 +2,17 @@
 
 Learning strategy and presentation style have no inherent order, so
 Euclidean geometry cannot compare them directly.  This module assigns
-each of the five parameter values of a nominal attribute a numeric
+each of the five parameter values of each nominal attribute a numeric
 score in four steps:
 
 1. count, over all resource subsets, the unordered pairs of learners
    that share a subset, bucketed by the two learners' parameter values
-   (a symmetric 5x5 co-occurrence matrix).  The count is a sparse
-   product of the learner x subset incidence matrix with its transpose,
-   taken over blocks of learner rows so that memory is bounded by the
-   pair work of one block, not by the whole corpus;
-2. factor that matrix into non-negative weights x features with
+   (a symmetric 5x5 co-occurrence matrix per attribute).  Both
+   attributes come from one pass: a sparse product of the learner x
+   subset incidence matrix with its transpose, taken over blocks of
+   learner rows so that memory is bounded by the pair work of one
+   block, not by the whole corpus;
+2. factor each matrix into non-negative weights x features with
    multiplicative-update NMF;
 3. for each parameter pick its dominant feature row, stacking the picks
    into an ordering matrix;
@@ -36,8 +37,8 @@ if TYPE_CHECKING:
 
 N_PARAMS = 5
 
-# Attribute selectors and the LearnerProfile field each one reads.
-ATTRIBUTES = {"strategy": "strategy", "presentation": "presentation"}
+# The nominal attributes, each named by the LearnerProfile field it reads.
+ATTRIBUTES = ("strategy", "presentation")
 
 # Guards multiplicative-update denominators against division by zero.
 _EPS = 1e-12
@@ -86,52 +87,50 @@ class QuantifyDetail:
     values: AttributeValueMap
 
 
-def _seed_offset(attribute: str) -> int:
-    # The two attributes get independent derived seeds (seed, seed + 1).
-    return list(ATTRIBUTES).index(attribute)
-
-
 def build_cooccurrence(
     subsets: list[LearnerSubset],
     profiles: Mapping[str, LearnerProfile],
-    attribute: str,
-) -> CooccurrenceMatrix:
+) -> dict[str, CooccurrenceMatrix]:
     """Count learner pairs sharing a subset, bucketed by parameter values.
 
-    entry[i][j] is the number of unordered pairs of distinct learners
-    (u, v) that co-occur in at least one common subset where u carries
-    parameter i+1 and v carries parameter j+1.  Each pair is counted
-    once globally no matter how many subsets it shares, so the counts
-    are comparable across resources.
+    For each attribute, entry[i][j] is the number of unordered pairs of
+    distinct learners (u, v) that co-occur in at least one common subset
+    where u carries parameter i+1 and v carries parameter j+1.  Each
+    pair is counted once globally no matter how many subsets it shares,
+    so the counts are comparable across resources.
 
-    The learner x subset incidence matrix M is built once.  For each
-    block of learner rows, the nonzeros of ``M[block] @ M.T`` mark every
-    partner of every row, the row itself included; multiplying them by a
-    one-hot of the parameter values gives per-learner partner counts,
-    which fold into ordered pair counts.  Self pairs are subtracted and
-    the diagonal, where both orders land in one bucket, is halved.  A
-    block's product has at most one entry per unit of its rows' pair
-    work (the summed sizes of the subsets each row belongs to), and
-    blocks are cut at ``_BLOCK_PAIR_WORK`` units or the learner count,
-    whichever is larger, so the product's memory stays within a small
-    multiple of the input's and never approaches the corpus's total
-    pair count.
+    The learner x subset incidence matrix M is built once for both
+    attributes.  For each block of learner rows, the nonzeros of
+    ``M[block] @ M.T`` mark every partner of every row, the row itself
+    included; multiplying them by a stacked one-hot of both attributes'
+    values (five columns each) gives per-learner partner counts, which
+    fold into a 10x10 count of ordered pairs.  Each attribute's matrix
+    is its diagonal 5x5 block; the cross-attribute blocks are dropped.
+    Self pairs are subtracted and the diagonal, where both orders land
+    in one bucket, is halved.  A block's product has at most one entry
+    per unit of its rows' pair work (the summed sizes of the subsets
+    each row belongs to), and blocks are cut at ``_BLOCK_PAIR_WORK``
+    units or the learner count, whichever is larger, so the product's
+    memory stays within a small multiple of the input's and never
+    approaches the corpus's total pair count.
     """
-    if attribute not in ATTRIBUTES:
-        raise ValueError(f"unknown attribute {attribute!r}, expected one of {list(ATTRIBUTES)}")
-    field = ATTRIBUTES[attribute]
-
     ids = sorted({m for s in subsets for m in s.members})
     for lid in ids:
         if lid not in profiles:
             raise KeyError(f"no profile for learner {lid!r}")
     index = {lid: i for i, lid in enumerate(ids)}
-    params = np.array([getattr(profiles[lid], field) for lid in ids], dtype=np.int64)
+    # One row of values per attribute, one column per learner.
+    params = np.array(
+        [[getattr(profiles[lid], a) for lid in ids] for a in ATTRIBUTES], dtype=np.int64
+    )
     # A value outside 1..N_PARAMS would wrap or overrun the one-hot index.
-    bad = np.flatnonzero((params < 1) | (params > N_PARAMS))
+    # argwhere runs row by row, so every strategy value is checked first.
+    bad = np.argwhere((params < 1) | (params > N_PARAMS))
     if bad.size:
-        i = bad[0]
-        raise ValueError(f"learner {ids[i]!r} has {attribute} {params[i]}, expected 1..{N_PARAMS}")
+        a, i = bad[0]
+        raise ValueError(
+            f"learner {ids[i]!r} has {ATTRIBUTES[a]} {params[a, i]}, expected 1..{N_PARAMS}"
+        )
 
     sizes = np.fromiter((len(s.members) for s in subsets), dtype=np.int64, count=len(subsets))
     rows = np.fromiter(
@@ -142,8 +141,9 @@ def build_cooccurrence(
         (np.ones(rows.size, dtype=np.int32), (rows, cols)), shape=(len(ids), len(subsets))
     )
     incidence_t = incidence.T.tocsr()
-    onehot = np.zeros((len(ids), N_PARAMS), dtype=np.int64)
-    onehot[np.arange(len(ids)), params - 1] = 1
+    # Attribute a's value p sets column a * N_PARAMS + p - 1.
+    onehot = np.zeros((len(ids), len(ATTRIBUTES) * N_PARAMS), dtype=np.int64)
+    onehot[np.arange(len(ids)), params - 1 + N_PARAMS * np.arange(len(ATTRIBUTES))[:, None]] = 1
 
     # Rows whose work starts in the same window share a block, so a block
     # holds at most one window of work plus one row's.
@@ -151,7 +151,7 @@ def build_cooccurrence(
     window = (np.cumsum(work) - work) // max(_BLOCK_PAIR_WORK, len(ids))
     bounds = [0, *(np.flatnonzero(np.diff(window)) + 1), len(ids)]
 
-    counts = np.zeros((N_PARAMS, N_PARAMS), dtype=np.int64)
+    counts = np.zeros((onehot.shape[1], onehot.shape[1]), dtype=np.int64)
     for lo, hi in zip(bounds, bounds[1:]):
         partners = incidence[lo:hi] @ incidence_t
         partners.data[:] = 1  # shared-subset counts -> "shares at least one"
@@ -159,8 +159,13 @@ def build_cooccurrence(
     # Every learner is its own partner once; both orders of a same-value
     # pair land on the diagonal.
     counts -= np.diag(onehot.sum(axis=0))
-    counts[np.diag_indices(N_PARAMS)] //= 2
-    return CooccurrenceMatrix(entries=counts, attribute=attribute)
+    counts[np.diag_indices(len(counts))] //= 2
+    # Attribute a's pairs are the diagonal block (a, a).
+    blocks = counts.reshape(len(ATTRIBUTES), N_PARAMS, len(ATTRIBUTES), N_PARAMS)
+    return {
+        attribute: CooccurrenceMatrix(entries=blocks[a, :, a].copy(), attribute=attribute)
+        for a, attribute in enumerate(ATTRIBUTES)
+    }
 
 
 def nmf(
@@ -249,40 +254,36 @@ def attribute_values(D_sym: np.ndarray) -> AttributeValueMap:
     return {i + 1: float(d[i].mean()) for i in range(d.shape[0])}
 
 
-def quantify_attribute_detail(
+def quantify(
     subsets: list[LearnerSubset],
     profiles: Mapping[str, LearnerProfile],
-    attribute: str,
     config: "PipelineConfig",
-) -> QuantifyDetail:
-    """Run the full chain and keep every intermediate artifact."""
-    cooc = build_cooccurrence(subsets, profiles, attribute)
-    factors = nmf(
-        cooc,
-        k=config.nmf_k,
-        max_iters=config.nmf_max_iters,
-        tol=config.nmf_tol,
-        seed=config.seed + _seed_offset(attribute),
-    )
-    orderings = derive_orderings(factors)
-    similarity = symmetrize(orderings)
-    return QuantifyDetail(
-        cooccurrence=cooc,
-        factors=factors,
-        orderings=orderings,
-        similarity=similarity,
-        values=attribute_values(similarity),
-    )
+) -> dict[str, QuantifyDetail]:
+    """Run the full chain for both attributes from one co-occurrence pass.
 
-
-def quantify_attribute(
-    subsets: list[LearnerSubset],
-    profiles: Mapping[str, LearnerProfile],
-    attribute: str,
-    config: "PipelineConfig",
-) -> AttributeValueMap:
-    """Numeric value per parameter of one nominal attribute (pure in seed)."""
-    return quantify_attribute_detail(subsets, profiles, attribute, config).values
+    Keeps every intermediate artifact.  NMF seeds are derived per
+    attribute: ``config.seed`` for strategy, ``config.seed + 1`` for
+    presentation.
+    """
+    details = {}
+    for offset, (attribute, cooc) in enumerate(build_cooccurrence(subsets, profiles).items()):
+        factors = nmf(
+            cooc,
+            k=config.nmf_k,
+            max_iters=config.nmf_max_iters,
+            tol=config.nmf_tol,
+            seed=config.seed + offset,
+        )
+        orderings = derive_orderings(factors)
+        similarity = symmetrize(orderings)
+        details[attribute] = QuantifyDetail(
+            cooccurrence=cooc,
+            factors=factors,
+            orderings=orderings,
+            similarity=similarity,
+            values=attribute_values(similarity),
+        )
+    return details
 
 
 def quantification_report(details: Mapping[str, QuantifyDetail]) -> dict:

@@ -212,7 +212,7 @@ def recover_clusters(records, profiles, config):
         build_all_subsets,
         fit_normalization,
         largest_cluster,
-        quantify_attribute,
+        quantify,
         select_k,
         to_feature_points,
         transaction_from_profile,
@@ -220,8 +220,9 @@ def recover_clusters(records, profiles, config):
 
     subsets = build_all_subsets(records, config.delta0)
     ordered = [subsets[rid] for rid in sorted(subsets)]
-    strategy_values = quantify_attribute(ordered, profiles, "strategy", config)
-    presentation_values = quantify_attribute(ordered, profiles, "presentation", config)
+    details = quantify(ordered, profiles, config)
+    strategy_values = details["strategy"].values
+    presentation_values = details["presentation"].values
     clusters = {}
     for rid in sorted(subsets):
         subset = subsets[rid]

@@ -35,7 +35,7 @@ from learntags import (
     fit_normalization,
     lloyd_kmeans,
     nmf,
-    quantify_attribute,
+    quantify,
     render_report,
     run,
     save_store,
@@ -216,8 +216,8 @@ def test_criterion_7_determinism(tmp_path):
         subsets = build_all_subsets(records, 6)
         ordered = [subsets[rid] for rid in sorted(subsets)]
         config = PipelineConfig(seed=77)
-        sv = quantify_attribute(ordered, profiles, "strategy", config)
-        pv = quantify_attribute(ordered, profiles, "presentation", config)
+        details = quantify(ordered, profiles, config)
+        sv, pv = details["strategy"].values, details["presentation"].values
         values_doc = export_values(sv, "strategy", tmp_path / f"v_{name}.svg")
 
         biggest = max(sorted(subsets), key=lambda rid: len(subsets[rid]))
@@ -263,8 +263,7 @@ def test_criterion_9_similarity_report(tmp_path):
     subsets = build_all_subsets(records, 6)
     ordered = [subsets[rid] for rid in sorted(subsets)]
     config = PipelineConfig(seed=99)
-    for attribute in ("strategy", "presentation"):
-        cases.append(quantify_attribute(ordered, profiles, attribute, config))
+    cases.extend(d.values for d in quantify(ordered, profiles, config).values())
     rng = np.random.default_rng(90)
     for _ in range(20):
         cases.append({p: float(rng.integers(0, 12)) for p in range(1, 6)})

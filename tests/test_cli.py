@@ -7,6 +7,7 @@ geometry independently.
 """
 from __future__ import annotations
 
+import importlib
 import json
 import re
 import xml.etree.ElementTree as ET
@@ -344,6 +345,24 @@ class TestMatch:
         assert dispatch(["match", "--ratings", ratings, "--profiles", profiles,
                          "--store", str(store), "--learner", "u00"]) == 0
         assert calls == [profiles]
+
+    def test_builds_cooccurrence_once(self, tmp_path, capsys, monkeypatch):
+        quantify_module = importlib.import_module("learntags.quantify")
+        ratings, profiles = write_corpus(tmp_path)
+        store = tmp_path / "store.json"
+        dispatch(["tag", "--ratings", ratings, "--profiles", profiles,
+                  "--out", str(store)])
+        calls = []
+        build = quantify_module.build_cooccurrence
+
+        def counting(subsets, by_id):
+            calls.append(len(subsets))
+            return build(subsets, by_id)
+
+        monkeypatch.setattr(quantify_module, "build_cooccurrence", counting)
+        assert dispatch(["match", "--ratings", ratings, "--profiles", profiles,
+                         "--store", str(store), "--learner", "u00"]) == 0
+        assert len(calls) == 1
 
 
 class TestExportCommands:

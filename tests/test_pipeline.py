@@ -1,6 +1,7 @@
 """Pipeline tests: run(), rendering, matching, and the JSON store."""
 from __future__ import annotations
 
+import importlib
 import json
 import re
 from collections import Counter
@@ -181,6 +182,20 @@ class TestRun:
         # member would have called the encoder more often.
         assert sum(c.provenance.cluster_size or 0 for c in store.values()) > len(calls)
 
+    def test_cooccurrence_built_once(self, monkeypatch):
+        quantify_module = importlib.import_module("learntags.quantify")
+        records, profiles = self.small_corpus()
+        calls = []
+        build = quantify_module.build_cooccurrence
+
+        def counting(subsets, by_id):
+            calls.append(len(subsets))
+            return build(subsets, by_id)
+
+        monkeypatch.setattr(quantify_module, "build_cooccurrence", counting)
+        run(PipelineConfig(seed=5), records, profiles)
+        assert len(calls) == 1
+
     def test_trace_hook_sees_every_clustered_resource(self):
         records, profiles = self.small_corpus()
         config = PipelineConfig(seed=5)
@@ -246,6 +261,15 @@ class TestMatchResources:
         only = {"other": store["other"]}
         profile = LearnerProfile("u1", 1, 2, 1, 1, 1)
         assert match_resources(profile, only, sv, pv, top_n=5) == [("other", 0.0)]
+
+    def test_hours_below_one_match_the_first_bin(self):
+        # The miner puts hours < 1 into [1-10], so such a tag describes them.
+        store = {"r": TagCloud("r", [Tag(time_bin=TimeBin(1, 10))], Provenance(10, 1, 10, 1.0))}
+        sv, pv = self.build_store()[1:]
+        profile = LearnerProfile("u0", 1, 2, 1, 1, 0)
+        assert match_resources(profile, store, sv, pv, top_n=1) == [("r", 1.0)]
+        other = {"r": TagCloud("r", [Tag(time_bin=TimeBin(11, 20))], Provenance(10, 1, 10, 1.0))}
+        assert match_resources(profile, other, sv, pv, top_n=1) == [("r", 0.0)]
 
     def test_validation(self):
         store, sv, pv = self.build_store()

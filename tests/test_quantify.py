@@ -1,6 +1,7 @@
 """Quantify tests: co-occurrence counting, NMF, the ordering chain."""
 from __future__ import annotations
 
+import importlib
 from itertools import combinations
 from unittest import mock
 
@@ -17,13 +18,14 @@ from learntags import (
     derive_orderings,
     nmf,
     quantification_report,
-    quantify_attribute,
-    quantify_attribute_detail,
+    quantify,
     symmetrize,
 )
-from learntags import quantify
 from learntags.ingest import LearnerSubset
-from learntags.quantify import FactorPair
+from learntags.quantify import ATTRIBUTES, FactorPair
+
+# The package exports the function ``quantify`` under the module's name.
+quantify_module = importlib.import_module("learntags.quantify")
 
 
 def profile(lid: str, a3: int = 1, a4: int = 1) -> LearnerProfile:
@@ -80,9 +82,13 @@ def loop_cooccurrence(subsets, profiles, attribute) -> np.ndarray:
 
 
 def assert_matches_oracles(subsets, profiles) -> None:
-    """build_cooccurrence is int64, symmetric and equal to both oracles."""
-    for attribute in ("strategy", "presentation"):
-        got = build_cooccurrence(subsets, profiles, attribute).entries
+    """Both matrices of one build_cooccurrence call are int64, symmetric and
+    equal to both oracles."""
+    cooccurrence = build_cooccurrence(subsets, profiles)
+    assert list(cooccurrence) == list(ATTRIBUTES)
+    for attribute, cooc in cooccurrence.items():
+        assert cooc.attribute == attribute
+        got = cooc.entries
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, got.T)
         np.testing.assert_array_equal(got, brute_force_cooccurrence(subsets, profiles, attribute))
@@ -121,13 +127,13 @@ _NAMED_CASES = {
 class TestBuildCooccurrence:
     def test_single_learner_yields_zero_matrix(self):
         subsets = [LearnerSubset("r", frozenset({"u1"}))]
-        cooc = build_cooccurrence(subsets, {"u1": profile("u1")}, "strategy")
-        assert not cooc.entries.any()
+        cooccurrence = build_cooccurrence(subsets, {"u1": profile("u1")})
+        assert not any(c.entries.any() for c in cooccurrence.values())
 
     def test_single_pair(self):
         subsets = [LearnerSubset("r", frozenset({"u1", "u2"}))]
         profiles = {"u1": profile("u1", a3=1), "u2": profile("u2", a3=3)}
-        cooc = build_cooccurrence(subsets, profiles, "strategy")
+        cooc = build_cooccurrence(subsets, profiles)["strategy"]
         expected = np.zeros((5, 5), dtype=np.int64)
         expected[0, 2] = expected[2, 0] = 1
         np.testing.assert_array_equal(cooc.entries, expected)
@@ -138,18 +144,19 @@ class TestBuildCooccurrence:
             LearnerSubset("r2", frozenset({"u1", "u2"})),
         ]
         profiles = {"u1": profile("u1", a3=2), "u2": profile("u2", a3=2)}
-        cooc = build_cooccurrence(subsets, profiles, "strategy")
+        cooc = build_cooccurrence(subsets, profiles)["strategy"]
         assert cooc.entries[1, 1] == 1
         assert cooc.entries.sum() == 1
 
     def test_missing_profile_names_learner(self):
         subsets = [LearnerSubset("r", frozenset({"u1", "ghost"}))]
         with pytest.raises(KeyError, match="ghost"):
-            build_cooccurrence(subsets, {"u1": profile("u1")}, "strategy")
+            build_cooccurrence(subsets, {"u1": profile("u1")})
 
-    def test_unknown_attribute_rejected(self):
-        with pytest.raises(ValueError, match="unknown attribute"):
-            build_cooccurrence([], {}, "hours")
+    def test_missing_profile_checked_before_values(self):
+        subsets = [LearnerSubset("r", frozenset({"u1", "ghost"}))]
+        with pytest.raises(KeyError, match="ghost"):
+            build_cooccurrence(subsets, {"u1": profile("u1", a3=0, a4=0)})
 
     @pytest.mark.parametrize("attribute", ["strategy", "presentation"])
     @pytest.mark.parametrize("bad", [0, 6, -1])
@@ -160,9 +167,25 @@ class TestBuildCooccurrence:
             "u2": profile("u2", **{"a3" if attribute == "strategy" else "a4": bad}),
         }
         with pytest.raises(ValueError, match=f"'u2' has {attribute} {bad}, expected 1..5"):
-            build_cooccurrence(subsets, profiles, attribute)
+            build_cooccurrence(subsets, profiles)
 
-    @pytest.mark.parametrize("attribute", ["strategy", "presentation"])
+    def test_both_values_out_of_range_names_strategy(self):
+        subsets = [LearnerSubset("r", frozenset({"u1", "u2"}))]
+        profiles = {"u1": profile("u1", a3=2, a4=2), "u2": profile("u2", a3=6, a4=0)}
+        with pytest.raises(ValueError, match="'u2' has strategy 6, expected 1..5"):
+            build_cooccurrence(subsets, profiles)
+        # Every strategy is checked before any presentation.
+        profiles["u1"] = profile("u1", a3=2, a4=9)
+        with pytest.raises(ValueError, match="'u2' has strategy 6, expected 1..5"):
+            build_cooccurrence(subsets, profiles)
+
+    def test_bad_presentation_with_valid_strategy_names_presentation(self):
+        subsets = [LearnerSubset("r", frozenset({"u1", "u2"}))]
+        profiles = {"u1": profile("u1", a3=3, a4=7), "u2": profile("u2", a3=5, a4=1)}
+        with pytest.raises(ValueError, match="'u1' has presentation 7, expected 1..5"):
+            build_cooccurrence(subsets, profiles)
+
+    @pytest.mark.parametrize("attribute", ATTRIBUTES)
     def test_matches_brute_force_enumeration(self, attribute):
         """Seeded 200-learner, 20-subset instance against the pair oracle."""
         rng = np.random.default_rng(77)
@@ -177,23 +200,46 @@ class TestBuildCooccurrence:
             members = rng.choice(ids, size=size, replace=False)
             subsets.append(LearnerSubset(f"r{s}", frozenset(str(m) for m in members)))
 
-        cooc = build_cooccurrence(subsets, profiles, attribute)
+        cooc = build_cooccurrence(subsets, profiles)[attribute]
         expected = brute_force_cooccurrence(subsets, profiles, attribute)
         np.testing.assert_array_equal(cooc.entries, expected)
         np.testing.assert_array_equal(cooc.entries, cooc.entries.T)
+
+    @given(
+        groups=st.lists(st.frozensets(st.sampled_from(_IDS), max_size=len(_IDS)), max_size=8),
+        strategy=st.lists(st.integers(1, 5), min_size=len(_IDS), max_size=len(_IDS)),
+        presentation=st.lists(st.integers(1, 5), min_size=len(_IDS), max_size=len(_IDS)),
+        order=st.permutations(range(len(_IDS))),
+    )
+    def test_permuting_presentation_leaves_strategy_unchanged(
+        self, groups, strategy, presentation, order
+    ):
+        """The attributes share one pass but not their counts."""
+        subsets = _subsets(*groups)
+
+        def strategy_matrix(values):
+            profiles = {
+                lid: profile(lid, a3=a3, a4=a4)
+                for lid, a3, a4 in zip(_IDS, strategy, values)
+            }
+            return build_cooccurrence(subsets, profiles)["strategy"].entries
+
+        np.testing.assert_array_equal(
+            strategy_matrix([presentation[i] for i in order]), strategy_matrix(presentation)
+        )
 
     @pytest.mark.parametrize("case", sorted(_NAMED_CASES))
     def test_named_cases_match_oracles(self, case):
         subsets, profiles = _NAMED_CASES[case]
         if case == "crosses_block_edges":
-            assert sum(len(s) ** 2 for s in subsets) > 2 * quantify._BLOCK_PAIR_WORK
+            assert sum(len(s) ** 2 for s in subsets) > 2 * quantify_module._BLOCK_PAIR_WORK
         assert_matches_oracles(subsets, profiles)
 
     @given(
         groups=st.lists(st.frozensets(st.sampled_from(_IDS), max_size=len(_IDS)), max_size=8),
         strategy=st.lists(st.integers(1, 5), min_size=len(_IDS), max_size=len(_IDS)),
         presentation=st.lists(st.integers(1, 5), min_size=len(_IDS), max_size=len(_IDS)),
-        block=st.sampled_from([1, 17, quantify._BLOCK_PAIR_WORK]),
+        block=st.sampled_from([1, 17, quantify_module._BLOCK_PAIR_WORK]),
     )
     def test_matches_oracles_at_any_block_size(self, groups, strategy, presentation, block):
         """Random corpora, with blocks down to the smallest the learner count allows."""
@@ -201,7 +247,7 @@ class TestBuildCooccurrence:
             lid: profile(lid, a3=a3, a4=a4)
             for lid, a3, a4 in zip(_IDS, strategy, presentation)
         }
-        with mock.patch.object(quantify, "_BLOCK_PAIR_WORK", block):
+        with mock.patch.object(quantify_module, "_BLOCK_PAIR_WORK", block):
             assert_matches_oracles(_subsets(*groups), profiles)
 
 
@@ -335,40 +381,43 @@ class TestQuantifyAttribute:
 
     def test_one_learner_corpus_gives_zeros(self):
         subsets = [LearnerSubset("r", frozenset({"u1"}))]
-        values = quantify_attribute(
-            subsets, {"u1": profile("u1")}, "strategy", PipelineConfig()
-        )
-        assert values == {i: 0.0 for i in range(1, 6)}
+        details = quantify(subsets, {"u1": profile("u1")}, PipelineConfig())
+        assert list(details) == list(ATTRIBUTES)
+        for detail in details.values():
+            assert detail.values == {i: 0.0 for i in range(1, 6)}
 
     def test_deterministic(self):
         subsets, profiles = self.corpus()
         config = PipelineConfig(seed=4)
-        v1 = quantify_attribute(subsets, profiles, "strategy", config)
-        v2 = quantify_attribute(subsets, profiles, "strategy", config)
-        assert v1 == v2
+        d1 = quantify(subsets, profiles, config)
+        d2 = quantify(subsets, profiles, config)
+        assert {a: d.values for a, d in d1.items()} == {a: d.values for a, d in d2.items()}
 
     def test_attributes_use_derived_seeds(self):
         subsets, profiles = self.corpus()
         config = PipelineConfig(seed=4)
-        ds = quantify_attribute_detail(subsets, profiles, "strategy", config)
-        dp = quantify_attribute_detail(subsets, profiles, "presentation", config)
-        assert ds.factors.error_trace[0] != dp.factors.error_trace[0]
+        details = quantify(subsets, profiles, config)
+        assert (details["strategy"].factors.error_trace[0]
+                != details["presentation"].factors.error_trace[0])
+        for attribute, seed in (("strategy", 4), ("presentation", 5)):
+            detail = details[attribute]
+            expected = nmf(detail.cooccurrence, k=config.nmf_k, max_iters=config.nmf_max_iters,
+                           tol=config.nmf_tol, seed=seed)
+            assert detail.factors.error_trace == expected.error_trace
+            np.testing.assert_array_equal(detail.factors.weights, expected.weights)
 
     def test_values_are_similarity_row_means(self):
         subsets, profiles = self.corpus()
-        detail = quantify_attribute_detail(subsets, profiles, "strategy", PipelineConfig())
-        for i in range(5):
-            assert detail.values[i + 1] == float(np.mean(detail.similarity[i]))
+        for detail in quantify(subsets, profiles, PipelineConfig()).values():
+            for i in range(5):
+                assert detail.values[i + 1] == float(np.mean(detail.similarity[i]))
 
     def test_report_is_json_ready(self):
         import json
 
         subsets, profiles = self.corpus()
         config = PipelineConfig()
-        details = {
-            attr: quantify_attribute_detail(subsets, profiles, attr, config)
-            for attr in ("strategy", "presentation")
-        }
+        details = quantify(subsets, profiles, config)
         doc = json.loads(json.dumps(quantification_report(details)))
         assert set(doc) == {"strategy", "presentation"}
         for attr in doc:
