@@ -6,7 +6,7 @@ Learning strategy ids 1..5 are categories with no inherent order.  This
 walks the chain that turns them into comparable numbers: co-occurrence
 counting over the high-rating subsets, non-negative factorization,
 feature-based orderings, symmetrization, and the final per-id values.
-One `quantify` call runs the chain for strategy and presentation alike,
+One `quantify_nominal` call runs the chain for strategy and presentation alike,
 from one co-occurrence pass; the walk-through prints strategy, and the
 full report of both attributes goes to demos/out/quantify.json.
 """
@@ -23,7 +23,7 @@ from learntags import (
     extreme_pairs,
     generate_profiles,
     quantification_report,
-    quantify,
+    quantify_nominal,
 )
 from learntags.ingest import RatingRecord
 
@@ -38,7 +38,7 @@ records = [
 config = PipelineConfig(seed=8)
 subsets = build_all_subsets(records, config.delta0)
 ordered = [subsets[rid] for rid in sorted(subsets)]
-details = quantify(ordered, profiles, config)
+details = quantify_nominal(ordered, profiles, config)
 detail = details["strategy"]
 
 print("co-occurrence of strategy ids across subset members:")

@@ -2,45 +2,56 @@
 Mining frequent attribute itemsets into a tag
 =============================================
 
-Each learner in a cluster becomes one transaction of five attribute
-items.  The paper's Apriori step keeps the itemsets whose support clears
-the level sl; since a transaction supports only its own attribute
-subsets, `apriori` counts those subsets directly.  The winning tag is
-the largest frequent itemset, with ties kept as a multi-tag cloud.
+Each learner in a cluster is one row of five item codes, one per
+attribute, with learning time as its decade bin; `learner_table` builds
+these rows once per run.  The paper's Apriori step keeps the itemsets
+whose support clears the level sl; since a row supports only its own
+31 attribute subsets, `apriori` counts those directly.  An itemset is a
+five-field tuple with 0 for an absent attribute.  The winning tag is the
+largest frequent itemset, with ties kept as a multi-tag cloud.
 """
 
 from learntags import (
+    LearnerSubset,
+    Tag,
     apriori,
+    discretize_time,
     generate_profiles,
-    maximal_itemsets,
+    learner_table,
     render_tag,
     select_tag,
-    tag_from_itemset,
-    transaction_from_profile,
 )
-
-profiles = generate_profiles([f"u{i:02d}" for i in range(18)], seed=21)
-transactions = [transaction_from_profile(p) for p in profiles]
-print(f"{len(transactions)} transactions, e.g.:")
-for item in sorted(transactions[0].items, key=lambda i: i.attribute):
-    print(f"  a{item.attribute} = {item.value}")
-
-frequent = apriori(transactions, sl=0.1)
-by_size: dict[int, int] = {}
-for itemset in frequent:
-    by_size[len(itemset.items)] = by_size.get(len(itemset.items), 0) + 1
-print(f"\nfrequent itemsets at sl=0.1: {len(frequent)}")
-for size in sorted(by_size):
-    print(f"  size {size}: {by_size[size]}")
-print(f"maximal among them: {len(maximal_itemsets(frequent))}")
-
-winners = select_tag(frequent)
-print(f"\nwinning itemsets ({len(winners)}, support "
-      f"{winners[0].support:.2f}):")
 
 # quantified values would come from the NMF stage; fixed here for display
 strategy_values = {1: 0.9, 2: 1.4, 3: 2.2, 4: 1.1, 5: 0.5}
 presentation_values = {1: 1.8, 2: 0.7, 3: 1.2, 4: 2.5, 5: 0.9}
+
+profiles = {p.learner_id: p for p in generate_profiles([f"u{i:02d}" for i in range(18)], seed=21)}
+cluster = LearnerSubset("r", frozenset(profiles))
+table = learner_table([cluster], profiles, strategy_values, presentation_values)
+items = table.items[table.rows(cluster)]
+print(f"{len(items)} learners, e.g. u00 as (a1, a2, a3, a4, hours bin): "
+      f"{tuple(items[0].tolist())}")
+
+frequent = apriori(items, sl=0.1)
+by_size: dict[int, int] = {}
+for itemset in frequent:
+    size = sum(1 for v in itemset.fields if v)
+    by_size[size] = by_size.get(size, 0) + 1
+print(f"\nfrequent itemsets at sl=0.1: {len(frequent)}")
+for size in sorted(by_size):
+    print(f"  size {size}: {by_size[size]}")
+
+winners = select_tag(frequent)
+print(f"\nwinning itemsets ({len(winners)}, support "
+      f"{winners[0].support:.2f}):")
 for winner in winners:
-    tag = tag_from_itemset(winner.items, strategy_values, presentation_values)
-    print(f"  {render_tag(tag)}")
+    a1, a2, a3, a4, hours_bin = winner.fields
+    tag = Tag(
+        current_skill=a1 or None,
+        target_skill=a2 or None,
+        time_bin=discretize_time(10 * hours_bin) if hours_bin else None,
+        strategy_value=strategy_values[a3] if a3 else None,
+        presentation_value=presentation_values[a4] if a4 else None,
+    )
+    print(f"  {winner.fields} -> {render_tag(tag)}")

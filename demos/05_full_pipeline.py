@@ -16,7 +16,7 @@ from learntags import (
     build_all_subsets,
     generate_profiles,
     match_resources,
-    quantify,
+    quantify_nominal,
     render_report,
     run,
     save_store,
@@ -48,7 +48,7 @@ print("wrote demos/out/store.json")
 # rank the store against one learner's own attribute profile
 subsets = build_all_subsets(records, config.delta0)
 ordered = [subsets[rid] for rid in sorted(subsets)]
-details = quantify(ordered, profiles, config)
+details = quantify_nominal(ordered, profiles, config)
 strategy_values = details["strategy"].values
 presentation_values = details["presentation"].values
 learner = profiles["u007"]

@@ -29,47 +29,36 @@ from .quantify import (
     derive_orderings,
     nmf,
     quantification_report,
-    quantify,
+    quantify_nominal,
     symmetrize,
 )
 from .cluster import (
-    Clustering,
-    FeaturePoint,
+    Grouping,
     KSelection,
     KTraceEntry,
     LloydFit,
-    NormalizationSpec,
-    apply_normalization,
     average_diameter,
     farthest_first_seeds,
-    fit_normalization,
+    group_rows,
     largest_cluster,
     lloyd_kmeans,
-    select_k,
-    to_feature_points,
+    normalize,
+    sweep_k,
 )
-from .mine import (
-    FrequentItemset,
-    Item,
-    Transaction,
-    apriori,
-    itemset_key,
-    maximal_itemsets,
-    select_tag,
-    transaction_from_profile,
-)
+from .mine import FrequentItemset, apriori, select_tag
 from .pipeline import (
+    LearnerTable,
     PipelineConfig,
     Provenance,
     Tag,
     TagCloud,
+    learner_table,
     load_store,
     match_resources,
     render_report,
     render_tag,
     run,
     save_store,
-    tag_from_itemset,
 )
 from .viz import export_parcoords, export_values, extreme_pairs
 
@@ -82,16 +71,14 @@ __all__ = [
     "render_profiles", "render_ratings",
     "CooccurrenceMatrix", "FactorPair", "QuantifyDetail", "attribute_values",
     "build_cooccurrence", "derive_orderings", "nmf", "quantification_report",
-    "quantify", "symmetrize",
-    "Clustering", "FeaturePoint", "KSelection", "KTraceEntry", "LloydFit",
-    "NormalizationSpec", "apply_normalization", "average_diameter",
-    "farthest_first_seeds", "fit_normalization", "largest_cluster",
-    "lloyd_kmeans", "select_k", "to_feature_points",
-    "FrequentItemset", "Item", "Transaction", "apriori", "itemset_key",
-    "maximal_itemsets", "select_tag", "transaction_from_profile",
-    "PipelineConfig", "Provenance", "Tag", "TagCloud", "load_store",
-    "match_resources", "render_report", "render_tag", "run", "save_store",
-    "tag_from_itemset",
+    "quantify_nominal", "symmetrize",
+    "Grouping", "KSelection", "KTraceEntry", "LloydFit", "average_diameter",
+    "farthest_first_seeds", "group_rows", "largest_cluster", "lloyd_kmeans",
+    "normalize", "sweep_k",
+    "FrequentItemset", "apriori", "select_tag",
+    "LearnerTable", "PipelineConfig", "Provenance", "Tag", "TagCloud",
+    "learner_table", "load_store", "match_resources", "render_report",
+    "render_tag", "run", "save_store",
     "export_parcoords", "export_values", "extreme_pairs",
     "__version__",
 ]

@@ -16,11 +16,12 @@ from .pipeline import (
     match_resources,
     load_store,
     render_report,
+    learner_table,
     run,
     save_store,
 )
-from .quantify import quantification_report, quantify
-from .cluster import apply_normalization, fit_normalization, select_k, to_feature_points
+from .quantify import quantification_report, quantify_nominal
+from .cluster import group_rows
 from .viz import export_parcoords, export_values  # re-exported CLI operations
 
 _DEFAULTS = PipelineConfig()
@@ -194,7 +195,7 @@ def _quantify_details(args: argparse.Namespace, config: PipelineConfig,
     profiles = _assemble_profiles(args, records, parsed)
     subsets = ingest.build_all_subsets(records, config.delta0)
     ordered = [subsets[rid] for rid in sorted(subsets)]
-    return records, profiles, subsets, quantify(ordered, profiles, config)
+    return records, profiles, subsets, quantify_nominal(ordered, profiles, config)
 
 
 def _cmd_quantify(args: argparse.Namespace) -> int:
@@ -262,17 +263,10 @@ def _cmd_export_parcoords(args: argparse.Namespace) -> int:
     records, profiles, subsets, details = _quantify_details(args, config)
     if args.resource not in subsets:
         raise KeyError(f"resource {args.resource!r} has no high-rating subset")
-    points = to_feature_points(
-        subsets[args.resource], profiles,
-        details["strategy"].values, details["presentation"].values,
-    )
-    normalized = apply_normalization(points, fit_normalization(points))
-    if len(normalized) < 2:
-        assignment = {p.learner_id: 0 for p in normalized}
-    else:
-        selection = select_k(normalized, config.k_max, config.gamma, config.seed)
-        assignment = selection.clustering.assignment
-    export_parcoords(normalized, assignment, args.out)
+    table = learner_table([subsets[args.resource]], profiles,
+                          details["strategy"].values, details["presentation"].values)
+    group = group_rows(table.coords, config.k_max, config.gamma, config.seed)
+    export_parcoords(group.x, group.labels, args.out)
     return 0
 
 

@@ -1,43 +1,24 @@
 """Grouping subset learners in 5-D attribute space.
 
-Each learner becomes a point (current skill, target skill, quantified
-strategy, quantified presentation, hours).  Dimensions are min-max
+Each learner is one row of (current skill, target skill, quantified
+strategy, quantified presentation, hours), and a subset is the array of
+its members' rows in learner-id order, so a tie that goes to the
+smallest row goes to the smallest learner id.  Dimensions are min-max
 normalized so the raw-count-scale quantified values cannot dominate the
 Euclidean metric, seeding uses farthest-first traversal, Lloyd's
 iteration refines the clusters, and the cluster count is chosen by
 sweeping k downward until the average cluster diameter jumps by a large
 factor.  The largest cluster is the learner group that tags a resource.
-The k sweep works on one ``(n, dims)`` array per subset, with seeds as
-row indices and one Lloyd label per row.
+Seeds are row indices and Lloyd's result is one label per row.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
-from .ingest import LearnerProfile, LearnerSubset
-from .quantify import AttributeValueMap
-
 DEFAULT_LLOYD_MAX_ITERS = 100
-
-
-@dataclass(frozen=True, slots=True)
-class FeaturePoint:
-    """One subset member embedded in 5-D attribute space."""
-
-    learner_id: str
-    coords: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class NormalizationSpec:
-    """Per-dimension min and max captured from a point set."""
-
-    mins: tuple[float, ...]
-    maxs: tuple[float, ...]
 
 
 @dataclass
@@ -54,17 +35,6 @@ class LloydFit:
     sse_trace: list[float]
 
 
-@dataclass
-class Clustering:
-    """The k-means result ``select_k`` picks, keyed by learner id."""
-
-    k: int
-    centroids: np.ndarray            # (k, dims)
-    assignment: dict[str, int]       # learner_id -> cluster index
-    sse: float
-    sse_trace: list[float]
-
-
 @dataclass(frozen=True)
 class KTraceEntry:
     """One step of the k sweep used to pick the cluster count."""
@@ -76,70 +46,45 @@ class KTraceEntry:
 
 @dataclass
 class KSelection:
-    """The chosen clustering plus the (k, sse, avg_diameter) sweep trace."""
+    """The chosen k, Lloyd's fit at that k, and the (k, sse, avg_diameter)
+    sweep trace."""
 
-    clustering: Clustering
+    k: int
+    fit: LloydFit
     trace: list[KTraceEntry]
 
 
-def to_feature_points(
-    subset: LearnerSubset,
-    profiles: Mapping[str, LearnerProfile],
-    strategy_values: AttributeValueMap,
-    presentation_values: AttributeValueMap,
-) -> list[FeaturePoint]:
-    """Embed each subset member, ordered by learner id for determinism."""
-    points = []
-    for lid in sorted(subset.members):
-        if lid not in profiles:
-            raise KeyError(f"no profile for learner {lid!r}")
-        p = profiles[lid]
-        if p.strategy not in strategy_values:
-            raise KeyError(f"no quantified value for strategy parameter {p.strategy}")
-        if p.presentation not in presentation_values:
-            raise KeyError(f"no quantified value for presentation parameter {p.presentation}")
-        coords = (
-            float(p.current_skill),
-            float(p.target_skill),
-            strategy_values[p.strategy],
-            presentation_values[p.presentation],
-            float(p.hours),
-        )
-        points.append(FeaturePoint(lid, coords))
-    return points
+@dataclass
+class Grouping:
+    """One subset's rows after normalization, the k sweep and the pick of
+    the largest cluster."""
+
+    x: np.ndarray                    # (n, dims) normalized rows
+    k: int
+    labels: np.ndarray               # (n,) cluster index per row
+    largest: np.ndarray              # (n,) bool, rows of the largest cluster
+    trace: list[KTraceEntry]         # empty when no sweep ran
 
 
-def fit_normalization(points: list[FeaturePoint]) -> NormalizationSpec:
-    """Capture per-dimension ranges for min-max scaling."""
-    if not points:
-        raise ValueError("cannot fit normalization on an empty point set")
-    x = np.array([p.coords for p in points], dtype=np.float64)
-    return NormalizationSpec(
-        mins=tuple(float(v) for v in x.min(axis=0)),
-        maxs=tuple(float(v) for v in x.max(axis=0)),
-    )
+def normalize(x: np.ndarray) -> np.ndarray:
+    """Map each column to (x - min) / (max - min); degenerate columns to 0."""
+    if len(x) == 0:
+        raise ValueError("cannot normalize an empty point set")
+    mins = x.min(axis=0)
+    spans = x.max(axis=0) - mins
+    return np.where(spans == 0, 0.0, (x - mins) / np.where(spans > 0, spans, 1.0))
 
 
-def apply_normalization(points: list[FeaturePoint], spec: NormalizationSpec) -> list[FeaturePoint]:
-    """Map each coordinate to (x - min) / (max - min); degenerate dims to 0."""
-    mins = np.array(spec.mins)
-    spans = np.array(spec.maxs) - mins
-    x = np.array([p.coords for p in points], dtype=np.float64).reshape(len(points), len(mins))
-    frac = np.where(spans == 0, 0.0, (x - mins) / np.where(spans > 0, spans, 1.0))
-    return [FeaturePoint(p.learner_id, tuple(row)) for p, row in zip(points, frac.tolist())]
-
-
-def farthest_first_seeds(points: list[FeaturePoint], k: int, seed: int) -> list[int]:
-    """Pick k seeds by farthest-first traversal, as row indices into ``points``.
+def farthest_first_seeds(x: np.ndarray, k: int, seed: int) -> list[int]:
+    """Pick k seeds of the rows of ``x`` by farthest-first traversal.
 
     The first seed is drawn uniformly at random from ``seed``; every
-    later seed is the point maximizing its minimum distance to the seeds
-    already chosen, ties going to the smallest learner id.
+    later seed is the row maximizing its minimum distance to the seeds
+    already chosen, ties going to the smallest row.
     """
-    n = len(points)
+    n = len(x)
     if not 1 <= k <= n:
         raise ValueError(f"insufficient points: need 1 <= k <= {n}, got k={k}")
-    x = np.array([p.coords for p in points], dtype=np.float64)
     rng = np.random.default_rng(seed)
     first = int(rng.integers(n))
 
@@ -148,10 +93,8 @@ def farthest_first_seeds(points: list[FeaturePoint], k: int, seed: int) -> list[
     while len(chosen) < k:
         masked = min_dist.copy()
         masked[chosen] = -np.inf
-        best = masked.max()
-        candidates = np.flatnonzero(masked == best)
-        pick = min(candidates, key=lambda i: points[i].learner_id)
-        chosen.append(int(pick))
+        pick = int(np.argmax(masked))  # the first maximum is the smallest row
+        chosen.append(pick)
         min_dist = np.minimum(min_dist, np.linalg.norm(x - x[pick], axis=1))
     return chosen
 
@@ -236,37 +179,37 @@ def average_diameter(x: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean([pdist(m).max() if len(m) > 1 else 0.0 for m in clusters]))
 
 
-def select_k(
-    points: list[FeaturePoint],
+def sweep_k(
+    x: np.ndarray,
     k_max: int,
     gamma: float,
     seed: int,
     max_iters: int = DEFAULT_LLOYD_MAX_ITERS,
 ) -> KSelection:
-    """Sweep k downward and stop just before the first diameter jump.
+    """Sweep k downward over the rows of ``x`` and stop just before the
+    first diameter jump.
 
     Runs Lloyd for k = min(k_max, n) down to 1, seeded with the first k
-    seeds of one farthest-first traversal, and returns the clustering at
-    the smallest k reachable without the average diameter growing by
-    more than a factor of ``gamma`` in one step; a zero diameter at k
-    treats any positive diameter at k - 1 as a jump.
+    seeds of one farthest-first traversal, and returns the fit at the
+    smallest k reachable without the average diameter growing by more
+    than a factor of ``gamma`` in one step; a zero diameter at k treats
+    any positive diameter at k - 1 as a jump.
     With no jump anywhere the sweep ends at k = 1.
     """
-    if not points:
+    if len(x) == 0:
         raise ValueError("no points to cluster")
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     if gamma <= 1:
         raise ValueError(f"gamma must exceed 1, got {gamma}")
 
-    x = np.array([p.coords for p in points], dtype=np.float64)
-    k_start = min(k_max, len(points))
+    k_start = min(k_max, len(x))
     fits: dict[int, LloydFit] = {}
     diameters: dict[int, float] = {}
     trace = []
     # Farthest-first picks do not depend on k, so the seeds for every k
     # of the sweep are a prefix of one traversal.
-    seeds = farthest_first_seeds(points, k_start, seed)
+    seeds = farthest_first_seeds(x, k_start, seed)
     for k in range(k_start, 0, -1):
         fits[k] = lloyd_kmeans(x, seeds[:k], max_iters)
         diameters[k] = average_diameter(x, fits[k].labels)
@@ -277,18 +220,29 @@ def select_k(
         if diameters[k - 1] > gamma * diameters[k]:
             chosen = k
             break
-    fit = fits[chosen]
-    assignment = dict(zip((p.learner_id for p in points), fit.labels.tolist()))
-    return KSelection(Clustering(chosen, fit.centroids, assignment, fit.sse, fit.sse_trace), trace)
+    return KSelection(chosen, fits[chosen], trace)
 
 
-def largest_cluster(clustering: Clustering) -> set[str]:
-    """Members of the biggest cluster; ties go to the smallest learner id."""
-    if not clustering.assignment:
+def largest_cluster(labels: np.ndarray) -> np.ndarray:
+    """Row mask of the biggest cluster; of tied clusters, the one holding
+    the smallest row."""
+    if len(labels) == 0:
         raise ValueError("clustering has no points")
-    members: dict[int, set[str]] = {}
-    for lid, j in clustering.assignment.items():
-        members.setdefault(j, set()).add(lid)
-    max_size = max(len(m) for m in members.values())
-    tied = [m for m in members.values() if len(m) == max_size]
-    return set(min(tied, key=min))
+    sizes = np.bincount(labels)
+    first = np.argmax(sizes[labels] == sizes.max())
+    return labels == labels[first]
+
+
+def group_rows(coords: np.ndarray, k_max: int, gamma: float, seed: int) -> Grouping:
+    """Normalize one subset's rows, sweep k and pick the largest cluster.
+
+    With fewer than two rows there is nothing to cluster: no sweep runs
+    and the subset itself is the group, at k = 1.
+    """
+    x = normalize(coords)
+    if len(x) < 2:
+        labels = np.zeros(len(x), dtype=np.intp)
+        return Grouping(x, 1, labels, labels == 0, [])
+    selection = sweep_k(x, k_max, gamma, seed)
+    labels = selection.fit.labels
+    return Grouping(x, selection.k, labels, largest_cluster(labels), selection.trace)

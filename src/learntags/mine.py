@@ -1,133 +1,87 @@
 """Frequent-itemset mining over the largest cluster.
 
-Each learner in the chosen cluster becomes a transaction of five items,
-one per profile attribute; strategy and presentation stay categorical
-ids for counting and learning time is carried as its decade bin.
-Because a transaction holds one item per attribute, every itemset it
-supports is one of its at most 31 non-empty attribute subsets, so the
-frequent itemsets of the paper's Apriori step come from counting those
-subsets directly, with no level-wise candidate generation.  The tag for
-the resource is the maximal itemset of highest cardinality, then highest
-support, with all co-maximal itemsets returned when tied.
+Each learner in the chosen cluster is one row of five positive item
+codes, one per profile attribute: the two skill levels, the strategy
+and presentation ids, and the 1-based decade bin of learning time.  An
+itemset is a five-field tuple holding its item's code in each attribute
+it covers and 0 in the others.  Because a row holds one item per
+attribute, every itemset it supports is one of the 31 that its
+non-empty attribute masks cut out of it, so the frequent itemsets of the
+paper's Apriori step come from counting those directly, with no
+level-wise candidate generation.  The tag for the resource is the
+frequent itemset of highest cardinality, then highest support, with all
+ties returned.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 
-from .ingest import LearnerProfile, TimeBin, discretize_time
+import numpy as np
 
 N_ATTRIBUTES = 5
 
-
-@dataclass(frozen=True, slots=True)
-class Item:
-    """One attribute-value token: (attribute index 1..5, level/id/bin)."""
-
-    attribute: int
-    value: int | TimeBin
-
-    def sort_key(self) -> tuple[int, int]:
-        v = self.value.lower if isinstance(self.value, TimeBin) else self.value
-        return (self.attribute, v)
-
-
-@dataclass(frozen=True)
-class Transaction:
-    """One learner's five attribute items."""
-
-    learner_id: str
-    items: frozenset[Item]
+# Row r is the non-empty attribute mask r + 1, one 0/1 column per attribute.
+_MASKS = (np.arange(1, 2**N_ATTRIBUTES)[:, None] >> np.arange(N_ATTRIBUTES)) & 1
 
 
 @dataclass(frozen=True)
 class FrequentItemset:
-    items: frozenset[Item]
-    support: float
+    fields: tuple[int, ...]  # item code per attribute, 0 where absent
     count: int
+    support: float
 
 
-def transaction_from_profile(profile: LearnerProfile) -> Transaction:
-    """Build the five-item transaction for one learner.
+def _order(f: FrequentItemset) -> tuple[int, list[tuple[int, int]]]:
+    """Size, then the (attribute, code) pairs: the order itemsets are output in."""
+    pairs = [(a, v) for a, v in enumerate(f.fields) if v]
+    return len(pairs), pairs
 
-    Hours below 1 fall into the first bin [1-10]; the bins are 1-based.
+
+def apriori(items: np.ndarray, sl: float) -> list[FrequentItemset]:
+    """Every itemset with support >= sl among the rows of ``items``.
+
+    An itemset is coded as one mixed-radix integer whose digits are its
+    fields, so the codes of the 31 itemsets a row supports are one
+    product of the ``(m, 5)`` rows with the mask matrix scaled by each
+    attribute's place value, and one ``np.unique`` counts every code.
+    Only the codes whose count reaches ``sl * m`` are decoded.  Support
+    compares inclusively so an itemset exactly at the threshold counts
+    as frequent.  Output is sorted by size, then by the (attribute,
+    code) pairs, for reproducible files.
     """
-    items = frozenset(
-        {
-            Item(1, profile.current_skill),
-            Item(2, profile.target_skill),
-            Item(3, profile.strategy),
-            Item(4, profile.presentation),
-            Item(5, discretize_time(max(profile.hours, 1))),
-        }
-    )
-    return Transaction(profile.learner_id, items)
-
-
-def itemset_key(items: frozenset[Item]) -> tuple[tuple[int, int], ...]:
-    """Deterministic ordering key for an itemset."""
-    return tuple(sorted(i.sort_key() for i in items))
-
-
-def apriori(transactions: list[Transaction], sl: float) -> list[FrequentItemset]:
-    """Every itemset with support >= sl, counted subset by subset.
-
-    An itemset's support is the number of transactions that contain it,
-    and a transaction contains exactly its own subsets.  Adding each
-    distinct transaction's weight (how often it occurs) to every subset
-    of its items, interned as small ints for the call, therefore counts
-    every itemset a level-wise Apriori search can reach, with no
-    candidates to join or prune.  As in that search, subsets stop at
-    ``N_ATTRIBUTES`` items and itemsets never carry two items of the same
-    attribute.  Support compares inclusively so an itemset exactly at the
-    threshold counts as frequent.  Output is sorted by size then item key
-    for reproducible files.
-    """
-    if not transactions:
+    items = np.asarray(items, dtype=np.int64)
+    if len(items) == 0:
         raise ValueError("no transactions")
     if not 0 < sl <= 1:
         raise ValueError(f"support level must be in (0, 1], got {sl}")
-    n = len(transactions)
-    min_count = sl * n
+    if items.ndim != 2 or items.shape[1] != N_ATTRIBUTES or items.min() < 1:
+        raise ValueError(f"expected rows of {N_ATTRIBUTES} positive item codes")
+    radix = items.max(axis=0) + 1
+    if np.prod(radix.astype(np.float64)) >= 2.0**63:
+        raise ValueError("item codes too large to count")
+    place = np.cumprod(radix) // radix
+    m = len(items)
 
-    codes: dict[Item, int] = {}
-    counts: Counter[tuple[int, ...]] = Counter()
-    for items, weight in Counter(t.items for t in transactions).items():
-        coded = sorted(codes.setdefault(item, len(codes)) for item in items)
-        for size in range(1, min(len(coded), N_ATTRIBUTES) + 1):
-            for combo in combinations(coded, size):
-                counts[combo] += weight
-
-    decode = list(codes)
-    frequent = []
-    for combo, count in counts.items():
-        if count < min_count:
-            continue
-        itemset = frozenset(decode[c] for c in combo)
-        if len({i.attribute for i in itemset}) == len(combo):
-            frequent.append(FrequentItemset(itemset, count / n, count))
-    return sorted(frequent, key=lambda f: (len(f.items), itemset_key(f.items)))
-
-
-def maximal_itemsets(frequent: list[FrequentItemset]) -> list[FrequentItemset]:
-    """Drop every itemset that has a frequent proper superset."""
-    all_sets = [f.items for f in frequent]
-    return [
-        f
-        for f in frequent
-        if not any(f.items < other for other in all_sets)
+    codes, counts = np.unique(items @ (_MASKS * place).T, return_counts=True)
+    keep = counts >= sl * m
+    fields = codes[keep, None] // place % radix
+    frequent = [
+        FrequentItemset(tuple(f), c, c / m)
+        for f, c in zip(fields.tolist(), counts[keep].tolist())
     ]
+    return sorted(frequent, key=_order)
 
 
 def select_tag(frequent: list[FrequentItemset]) -> list[FrequentItemset]:
-    """The tag-cloud content: maximal itemsets of top cardinality, then
-    top support, all co-maximal ties included."""
+    """The tag-cloud content: itemsets of top cardinality, then top count,
+    all ties included.
+
+    A frequent itemset of top cardinality has no frequent proper
+    superset, so the winners are maximal without a check.
+    """
     if not frequent:
         return []
-    maximal = maximal_itemsets(frequent)
-    top_size = max(len(f.items) for f in maximal)
-    biggest = [f for f in maximal if len(f.items) == top_size]
-    top_support = max(f.support for f in biggest)
-    winners = [f for f in biggest if f.support == top_support]
-    return sorted(winners, key=lambda f: itemset_key(f.items))
+    top_size = max(_order(f)[0] for f in frequent)
+    biggest = [f for f in frequent if _order(f)[0] == top_size]
+    top_count = max(f.count for f in biggest)
+    return sorted((f for f in biggest if f.count == top_count), key=_order)

@@ -1,29 +1,36 @@
 """End-to-end tagging runs and the tag-cloud store.
 
-Per resource: build the high-rating learner subset, embed its members
-with the globally quantified nominal values, cluster, mine the largest
-cluster, and keep the winning itemsets as the resource's tags.  The
-store maps resource ids to tag clouds with provenance and round-trips
-through JSON byte-identically for a fixed seed.
+A run builds every resource's high-rating learner subset, quantifies the
+nominal attributes once over all of them, and then builds one learner
+table: each subset member once, as a row of clustering coordinates
+(with the quantified values) and a row of item codes, in learner-id
+order.  Per resource, the subset's rows are clustered, the largest
+cluster's item rows are mined, and the winning itemsets become the
+resource's tags.  The store maps resource ids to tag clouds with
+provenance and round-trips through JSON byte-identically for a fixed
+seed.
 """
 from __future__ import annotations
 
 import json
 import logging
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
-from .cluster import (
-    KTraceEntry,
-    fit_normalization,
-    apply_normalization,
-    largest_cluster,
-    select_k,
-    to_feature_points,
+import numpy as np
+
+from .cluster import KTraceEntry, group_rows
+from .ingest import (
+    LearnerProfile,
+    LearnerSubset,
+    RatingRecord,
+    TimeBin,
+    build_all_subsets,
+    discretize_time,
 )
-from .ingest import LearnerProfile, RatingRecord, TimeBin, build_all_subsets
-from .mine import FrequentItemset, Item, Transaction, apriori, select_tag, transaction_from_profile
-from .quantify import AttributeValueMap, quantify
+from .mine import apriori, select_tag
+from .quantify import AttributeValueMap, quantify_nominal
 
 logger = logging.getLogger(__name__)
 
@@ -95,20 +102,47 @@ class TagCloud:
     skipped: str | None = None
 
 
-def tag_from_itemset(
-    items: frozenset[Item],
+@dataclass
+class LearnerTable:
+    """Every subset member once, as one row each in learner-id order."""
+
+    row: dict[str, int]   # learner id -> row
+    coords: np.ndarray    # (n, 5) float64: a1, a2, strategy value, presentation value, hours
+    items: np.ndarray     # (n, 5) int64 item codes: a1, a2, a3, a4, hours bin
+
+    def rows(self, subset: LearnerSubset) -> np.ndarray:
+        """The subset's rows, ascending, so in learner-id order."""
+        return np.sort(np.fromiter((self.row[m] for m in subset.members),
+                                   dtype=np.intp, count=len(subset)))
+
+
+def learner_table(
+    subsets: Iterable[LearnerSubset],
+    profiles: Mapping[str, LearnerProfile],
     strategy_values: AttributeValueMap,
     presentation_values: AttributeValueMap,
-) -> Tag:
-    """Substitute quantified values for the nominal ids of an itemset."""
-    fields: dict[int, object] = {i.attribute: i.value for i in items}
-    return Tag(
-        current_skill=fields.get(1),
-        target_skill=fields.get(2),
-        time_bin=fields.get(5),
-        strategy_value=strategy_values[fields[3]] if 3 in fields else None,
-        presentation_value=presentation_values[fields[4]] if 4 in fields else None,
-    )
+) -> LearnerTable:
+    """Embed and code every member of ``subsets`` once.
+
+    ``coords`` carries the quantified values in place of the strategy and
+    presentation ids.  ``items`` bins hours into 1-based decades, hours
+    below 1 falling into the first, [1-10].
+    """
+    ids = sorted({m for s in subsets for m in s.members})
+    for lid in ids:
+        if lid not in profiles:
+            raise KeyError(f"no profile for learner {lid!r}")
+    attrs = np.array(
+        [(p.current_skill, p.target_skill, p.strategy, p.presentation, p.hours)
+         for p in map(profiles.__getitem__, ids)],
+        dtype=np.int64,
+    ).reshape(len(ids), 5)
+    coords = attrs.astype(np.float64)
+    for col, values in ((2, strategy_values), (3, presentation_values)):
+        coords[:, col] = [values[p] for p in attrs[:, col].tolist()]
+    items = attrs.copy()
+    items[:, 4] = (np.maximum(attrs[:, 4], 1) - 1) // 10 + 1
+    return LearnerTable({lid: i for i, lid in enumerate(ids)}, coords, items)
 
 
 def render_tag(tag: Tag) -> str:
@@ -159,12 +193,12 @@ def run(
     ordered_resources = sorted(subsets)
     all_subsets = [subsets[rid] for rid in ordered_resources]
 
-    details = quantify(all_subsets, by_id, config)
+    details = quantify_nominal(all_subsets, by_id, config)
     strategy_values = details["strategy"].values
     presentation_values = details["presentation"].values
+    table = learner_table(all_subsets, by_id, strategy_values, presentation_values)
 
     store: dict[str, TagCloud] = {}
-    encoded: dict[str, Transaction] = {}  # each learner's items, encoded once per run
     skipped = 0
     for rid in ordered_resources:
         subset = subsets[rid]
@@ -175,35 +209,31 @@ def run(
             skipped += 1
             continue
 
-        points = to_feature_points(subset, by_id, strategy_values, presentation_values)
-        if len(points) < 2:
-            # Too few points to cluster; the subset itself is the group.
-            chosen_k = 1
-            cluster_ids = set(subset.members)
-        else:
-            normalized = apply_normalization(points, fit_normalization(points))
-            selection = select_k(normalized, config.k_max, config.gamma, config.seed)
-            if trace_hook is not None:
-                trace_hook(rid, selection.trace)
-            chosen_k = selection.clustering.k
-            cluster_ids = largest_cluster(selection.clustering)
-
-        for lid in sorted(cluster_ids - encoded.keys()):
-            encoded[lid] = transaction_from_profile(by_id[lid])
-        transactions = [encoded[lid] for lid in sorted(cluster_ids)]
-        winners = select_tag(apriori(transactions, config.support_sl))
+        rows = table.rows(subset)
+        group = group_rows(table.coords[rows], config.k_max, config.gamma, config.seed)
+        if trace_hook is not None and group.trace:
+            trace_hook(rid, group.trace)
+        winners = select_tag(apriori(table.items[rows[group.largest]], config.support_sl))
         provenance = Provenance(
             subset_size=size,
-            chosen_k=chosen_k,
-            cluster_size=len(cluster_ids),
+            chosen_k=group.k,
+            cluster_size=int(group.largest.sum()),
             support=winners[0].support if winners else None,
         )
         if not winners:
             store[rid] = TagCloud(rid, [], provenance, skipped=SKIP_NO_ITEMSET)
             skipped += 1
             continue
-        tags = [tag_from_itemset(w.items, strategy_values, presentation_values)
-                for w in winners]
+        tags = [
+            Tag(
+                current_skill=a1 or None,
+                target_skill=a2 or None,
+                time_bin=discretize_time(10 * hours_bin) if hours_bin else None,
+                strategy_value=strategy_values[a3] if a3 else None,
+                presentation_value=presentation_values[a4] if a4 else None,
+            )
+            for a1, a2, a3, a4, hours_bin in (w.fields for w in winners)
+        ]
         store[rid] = TagCloud(rid, tags, provenance)
 
     empty = total_resources - len(subsets)
@@ -293,22 +323,48 @@ def _tag_to_json(tag: Tag) -> dict:
     }
 
 
-def _tag_from_json(obj: dict, where: str) -> Tag:
-    try:
-        bin_pair = obj["time_bin"]
-        return Tag(
-            current_skill=obj["current_skill"],
-            target_skill=obj["target_skill"],
-            time_bin=None if bin_pair is None else TimeBin(int(bin_pair[0]), int(bin_pair[1])),
-            strategy_value=obj["strategy_value"],
-            presentation_value=obj["presentation_value"],
-        )
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ValueError(f"malformed tag in {where}: {exc}") from exc
+def _int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _number(v) -> bool:
+    return _int(v) or isinstance(v, float)
+
+
+def _or_null(valid):
+    return lambda v: v is None or valid(v)
+
+
+# Field name -> (check, what the check accepts), for load_store.
+_TAG_FIELDS = {
+    "current_skill": (_or_null(_int), "an int or null"),
+    "target_skill": (_or_null(_int), "an int or null"),
+    "time_bin": (_or_null(lambda v: isinstance(v, list) and len(v) == 2 and all(map(_int, v))),
+                 "null or two ints"),
+    "strategy_value": (_or_null(_number), "a number or null"),
+    "presentation_value": (_or_null(_number), "a number or null"),
+}
+_PROVENANCE_FIELDS = {
+    "subset_size": (_int, "an int"),
+    "chosen_k": (_or_null(_int), "an int or null"),
+    "cluster_size": (_or_null(_int), "an int or null"),
+    "support": (_or_null(_number), "a number or null"),
+}
+
+
+def _validated(obj, fields: dict, where: str) -> dict:
+    """The ``fields`` of a JSON object, each checked for its type and shape."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"malformed {where}: expected an object, got {obj!r}")
+    for name, (valid, expected) in fields.items():
+        if not valid(obj[name]):
+            raise ValueError(f"malformed {where}: {name} must be {expected}, got {obj[name]!r}")
+    return {name: obj[name] for name in fields}
 
 
 def save_store(store: Mapping[str, TagCloud], path) -> None:
-    """Write the store as canonical JSON (sorted keys, stable bytes)."""
+    """Write the store as canonical JSON (sorted keys, stable bytes),
+    replacing ``path`` in one step."""
     doc = {}
     for rid in sorted(store):
         cloud = store[rid]
@@ -324,13 +380,27 @@ def save_store(store: Mapping[str, TagCloud], path) -> None:
         if cloud.skipped is not None:
             entry["skipped"] = cloud.skipped
         doc[rid] = entry
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # Written beside the target and moved over it, so a failed write
+    # leaves the previous store in place.
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_store(path) -> dict[str, TagCloud]:
-    """Read a store written by save_store; load o save is the identity."""
+    """Read a store written by save_store; load o save is the identity.
+
+    Every tag and provenance field is checked for its type and shape; a
+    ValueError names the resource and the field.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)  # a malformed file raises with line and column
     if not isinstance(doc, dict):
@@ -338,14 +408,14 @@ def load_store(path) -> dict[str, TagCloud]:
     store: dict[str, TagCloud] = {}
     for rid, entry in doc.items():
         try:
-            prov = entry["provenance"]
-            provenance = Provenance(
-                subset_size=prov["subset_size"],
-                chosen_k=prov["chosen_k"],
-                cluster_size=prov["cluster_size"],
-                support=prov["support"],
-            )
-            tags = [_tag_from_json(t, f"resource {rid!r}") for t in entry["tags"]]
+            provenance = Provenance(**_validated(
+                entry["provenance"], _PROVENANCE_FIELDS, f"provenance of resource {rid!r}"))
+            tags = []
+            for obj in entry["tags"]:
+                fields = _validated(obj, _TAG_FIELDS, f"tag in resource {rid!r}")
+                bin_pair = fields.pop("time_bin")
+                time_bin = None if bin_pair is None else TimeBin(*bin_pair)
+                tags.append(Tag(**fields, time_bin=time_bin))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed store entry for resource {rid!r}: {exc}") from exc
         store[rid] = TagCloud(rid, tags, provenance, skipped=entry.get("skipped"))

@@ -254,7 +254,7 @@ def attribute_values(D_sym: np.ndarray) -> AttributeValueMap:
     return {i + 1: float(d[i].mean()) for i in range(d.shape[0])}
 
 
-def quantify(
+def quantify_nominal(
     subsets: list[LearnerSubset],
     profiles: Mapping[str, LearnerProfile],
     config: "PipelineConfig",

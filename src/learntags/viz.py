@@ -7,12 +7,12 @@ in golden-file comparisons.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Mapping
 
-from .cluster import FeaturePoint
+import numpy as np
+
 from .quantify import AttributeValueMap
 
-# Dimension order matches FeaturePoint coords.
+# Dimension order matches the columns of the learner table's coords.
 DIMENSION_LABELS = ("current_skill", "target_skill", "strategy",
                     "presentation", "hours")
 
@@ -103,23 +103,25 @@ def export_values(values: AttributeValueMap, attribute_name: str, path) -> str:
     return doc
 
 
-def export_parcoords(
-    points: list[FeaturePoint],
-    assignment: Mapping[str, int],
-    path,
-) -> str:
-    """Parallel-coordinates plot: one polyline per learner over 5 axes.
+def export_parcoords(x: np.ndarray, labels: np.ndarray, path) -> str:
+    """Parallel-coordinates plot: one polyline per row of ``x`` over 5
+    axes, drawn in row order.
 
     Each axis is scaled so its minimum sits at the bottom and its
     maximum at the top; a degenerate axis (min == max) pins every
-    vertex to the bottom.  Polyline color follows the cluster index.
+    vertex to the bottom.  Polyline color follows the row's cluster
+    label.
     """
-    if not points:
+    rows = np.asarray(x, dtype=np.float64).tolist()
+    labels = np.asarray(labels).tolist()
+    if not rows:
         raise ValueError("no points to plot")
+    if len(labels) != len(rows):
+        raise ValueError(f"{len(labels)} cluster labels for {len(rows)} rows")
     n_dims = len(DIMENSION_LABELS)
     axis_x = [60.0 + i * 130.0 for i in range(n_dims)]
-    mins = [min(p.coords[i] for p in points) for i in range(n_dims)]
-    maxs = [max(p.coords[i] for p in points) for i in range(n_dims)]
+    mins = [min(row[i] for row in rows) for i in range(n_dims)]
+    maxs = [max(row[i] for row in rows) for i in range(n_dims)]
 
     def y_at(dim: int, v: float) -> float:
         span = maxs[dim] - mins[dim]
@@ -140,13 +142,10 @@ def export_parcoords(
             f'<text x="{_fmt(x)}" y="{_fmt(_PAR_Y_BOTTOM + 20.0)}" font-size="11" '
             f'text-anchor="middle">{DIMENSION_LABELS[i]}</text>'
         )
-    for point in sorted(points, key=lambda p: p.learner_id):
-        if point.learner_id not in assignment:
-            raise KeyError(f"no cluster assignment for learner {point.learner_id!r}")
-        color = _PALETTE[assignment[point.learner_id] % len(_PALETTE)]
+    for row, label in zip(rows, labels):
+        color = _PALETTE[label % len(_PALETTE)]
         vertices = " ".join(
-            f"{_fmt(axis_x[i])},{_fmt(y_at(i, point.coords[i]))}"
-            for i in range(n_dims)
+            f"{_fmt(axis_x[i])},{_fmt(y_at(i, row[i]))}" for i in range(n_dims)
         )
         parts.append(
             f'<polyline points="{vertices}" fill="none" stroke="{color}" '

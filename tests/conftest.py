@@ -2,13 +2,16 @@
 
 The oracle functions deliberately avoid the library's own algorithms:
 brute-force pair enumeration, exhaustive subset counting, level-wise
-Apriori candidate search, the point-by-point k sweep, and direct
-rescans, so test expectations are derived independently of the code
-under test.
+Apriori candidate search over item objects, the point-by-point k sweep
+keyed by learner id, and direct rescans, so test expectations are
+derived independently of the code under test.  The item and point types
+those oracles work on live here too; the library works on the integer
+arrays of its learner table.
 """
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -16,25 +19,15 @@ from hypothesis import HealthCheck, settings
 from scipy.spatial.distance import cdist, pdist
 
 from learntags import (
+    FrequentItemset,
     LearnerProfile,
     RatingRecord,
     Tag,
+    TimeBin,
     generate_profiles,
 )
-from learntags.cluster import (
-    DEFAULT_LLOYD_MAX_ITERS,
-    Clustering,
-    FeaturePoint,
-    KSelection,
-    KTraceEntry,
-)
-from learntags.mine import (
-    N_ATTRIBUTES,
-    FrequentItemset,
-    Item,
-    Transaction,
-    itemset_key,
-)
+from learntags.cluster import DEFAULT_LLOYD_MAX_ITERS, KTraceEntry
+from learntags.mine import N_ATTRIBUTES
 from learntags.ingest import discretize_time
 
 settings.register_profile(
@@ -75,6 +68,90 @@ def synth_corpus(
     return records, profiles
 
 
+@dataclass(frozen=True, slots=True)
+class Item:
+    """One attribute-value token: (attribute index 1..5, level/id/bin)."""
+
+    attribute: int
+    value: int | TimeBin
+
+    def sort_key(self) -> tuple[int, int]:
+        v = self.value.lower if isinstance(self.value, TimeBin) else self.value
+        return (self.attribute, v)
+
+
+@dataclass(frozen=True)
+class Transaction:
+    """One learner's attribute items."""
+
+    learner_id: str
+    items: frozenset[Item]
+
+
+@dataclass(frozen=True)
+class OracleItemset:
+    """A frequent itemset as the oracles report it."""
+
+    items: frozenset[Item]
+    support: float
+    count: int
+
+
+def transaction_from_profile(profile: LearnerProfile) -> Transaction:
+    """The five-item transaction of one learner; hours below 1 fall into
+    the first bin [1-10]."""
+    items = frozenset(
+        {
+            Item(1, profile.current_skill),
+            Item(2, profile.target_skill),
+            Item(3, profile.strategy),
+            Item(4, profile.presentation),
+            Item(5, discretize_time(max(profile.hours, 1))),
+        }
+    )
+    return Transaction(profile.learner_id, items)
+
+
+def itemset_key(items: frozenset[Item]) -> tuple[tuple[int, int], ...]:
+    """Deterministic ordering key for an itemset."""
+    return tuple(sorted(i.sort_key() for i in items))
+
+
+def items_array(transactions: list[Transaction]) -> np.ndarray:
+    """The miner's ``(m, 5)`` item codes for transactions of one item per
+    attribute: the value itself, or the 1-based index of a time bin."""
+    def code(item: Item) -> int:
+        v = item.value
+        return (v.lower - 1) // 10 + 1 if isinstance(v, TimeBin) else v
+
+    rows = [[code(i) for i in sorted(t.items, key=Item.sort_key)] for t in transactions]
+    assert all(len(r) == N_ATTRIBUTES for r in rows), "one item per attribute"
+    return np.array(rows, dtype=np.int64).reshape(len(rows), N_ATTRIBUTES)
+
+
+def itemset_of(fields: tuple[int, ...]) -> frozenset[Item]:
+    """The items a miner itemset's fields denote (0 = attribute absent)."""
+    return frozenset(
+        Item(a + 1, discretize_time(10 * v) if a == N_ATTRIBUTES - 1 else v)
+        for a, v in enumerate(fields) if v
+    )
+
+
+def as_oracle(frequent: list[FrequentItemset]) -> list[OracleItemset]:
+    """Miner output in the oracles' terms, order kept."""
+    return [OracleItemset(itemset_of(f.fields), f.support, f.count) for f in frequent]
+
+
+def maximal_itemsets(frequent: list[OracleItemset]) -> list[OracleItemset]:
+    """Drop every itemset that has a frequent proper superset."""
+    all_sets = [f.items for f in frequent]
+    return [
+        f
+        for f in frequent
+        if not any(f.items < other for other in all_sets)
+    ]
+
+
 def random_transactions(rng: np.random.Generator, n: int) -> list[Transaction]:
     """n transactions over a 15-item universe (5 attributes x 3 values)."""
     out = []
@@ -108,7 +185,7 @@ def brute_force_frequent(
     }
 
 
-def levelwise_apriori(transactions: list[Transaction], sl: float) -> list[FrequentItemset]:
+def levelwise_apriori(transactions: list[Transaction], sl: float) -> list[OracleItemset]:
     """Every itemset with support >= sl, mined level-wise.
 
     Candidates of size k are joined from frequent (k-1)-itemsets sharing
@@ -162,7 +239,7 @@ def levelwise_apriori(transactions: list[Transaction], sl: float) -> list[Freque
         size += 1
 
     ordered = sorted(frequent, key=lambda s: (len(s), itemset_key(s)))
-    return [FrequentItemset(s, frequent[s] / n, frequent[s]) for s in ordered]
+    return [OracleItemset(s, frequent[s] / n, frequent[s]) for s in ordered]
 
 
 def items_from_tag(
@@ -201,42 +278,31 @@ def items_from_tag(
 
 
 def recover_clusters(records, profiles, config):
-    """Replay the run() stages to recover each resource's mined cluster.
+    """Replay the run() stages to recover each resource's mined cluster,
+    as oracle transactions.
 
     Determinism of the pipeline makes the replay exact; the supports
     recounted from these transactions are computed directly in the
     tests, independent of the mining code.
     """
-    from learntags import (
-        apply_normalization,
-        build_all_subsets,
-        fit_normalization,
-        largest_cluster,
-        quantify,
-        select_k,
-        to_feature_points,
-        transaction_from_profile,
-    )
+    from learntags import build_all_subsets, group_rows, learner_table, quantify_nominal
 
     subsets = build_all_subsets(records, config.delta0)
     ordered = [subsets[rid] for rid in sorted(subsets)]
-    details = quantify(ordered, profiles, config)
+    details = quantify_nominal(ordered, profiles, config)
     strategy_values = details["strategy"].values
     presentation_values = details["presentation"].values
+    table = learner_table(ordered, profiles, strategy_values, presentation_values)
+    ids = sorted(table.row)
     clusters = {}
     for rid in sorted(subsets):
         subset = subsets[rid]
         if len(subset) < config.min_subset:
             continue
-        points = to_feature_points(subset, profiles, strategy_values,
-                                   presentation_values)
-        if len(points) < 2:
-            ids = set(subset.members)
-        else:
-            normalized = apply_normalization(points, fit_normalization(points))
-            selection = select_k(normalized, config.k_max, config.gamma, config.seed)
-            ids = largest_cluster(selection.clustering)
-        clusters[rid] = [transaction_from_profile(profiles[lid]) for lid in sorted(ids)]
+        rows = table.rows(subset)
+        group = group_rows(table.coords[rows], config.k_max, config.gamma, config.seed)
+        members = [ids[r] for r in rows[group.largest]]
+        clusters[rid] = [transaction_from_profile(profiles[lid]) for lid in members]
     return clusters, strategy_values, presentation_values
 
 
@@ -245,16 +311,33 @@ def make_blobs(
     per_blob: int,
     sigma: float,
     seed: int,
-) -> list[FeaturePoint]:
-    """Tight Gaussian blobs in 5-D for the k-selection tests."""
+) -> np.ndarray:
+    """Tight Gaussian blobs in 5-D for the k-selection tests, one row per
+    point, blob by blob."""
     rng = np.random.default_rng(seed)
-    points = []
-    for b, center in enumerate(centers):
-        offsets = rng.normal(0.0, sigma, size=(per_blob, len(center)))
-        for i in range(per_blob):
-            coords = tuple(float(c + o) for c, o in zip(center, offsets[i]))
-            points.append(FeaturePoint(f"u{b:02d}{i:03d}", coords))
-    return points
+    return np.concatenate([
+        np.asarray(center) + rng.normal(0.0, sigma, size=(per_blob, len(center)))
+        for center in centers
+    ])
+
+
+@dataclass(frozen=True, slots=True)
+class FeaturePoint:
+    """One learner embedded in 5-D attribute space, for the reference sweep."""
+
+    learner_id: str
+    coords: tuple[float, ...]
+
+
+@dataclass
+class Clustering:
+    """A reference k-means result, keyed by learner id."""
+
+    k: int
+    centroids: np.ndarray            # (k, dims)
+    assignment: dict[str, int]       # learner_id -> cluster index
+    sse: float
+    sse_trace: list[float]
 
 
 # Reference k sweep, point by point on tuples of FeaturePoint: the array
@@ -384,7 +467,7 @@ def reference_select_k(
     gamma: float,
     seed: int,
     max_iters: int = DEFAULT_LLOYD_MAX_ITERS,
-) -> KSelection:
+) -> tuple[Clustering, list[KTraceEntry]]:
     """Sweep k downward and stop just before the first diameter jump.
 
     Runs Lloyd for k = min(k_max, n) down to 1, seeded with the first k
@@ -418,4 +501,4 @@ def reference_select_k(
         if diameters[k - 1] > gamma * diameters[k]:
             chosen = k
             break
-    return KSelection(clustering=clusterings[chosen], trace=trace)
+    return clusterings[chosen], trace

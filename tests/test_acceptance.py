@@ -17,30 +17,30 @@ from scipy.spatial.distance import cdist
 
 from conftest import (
     brute_force_frequent,
+    items_array,
     items_from_tag,
+    itemset_of,
     make_blobs,
     random_transactions,
     recover_clusters,
     synth_corpus,
 )
 from learntags import (
-    FeaturePoint,
     PipelineConfig,
-    apply_normalization,
     apriori,
     build_all_subsets,
     export_parcoords,
     export_values,
     farthest_first_seeds,
-    fit_normalization,
+    group_rows,
+    learner_table,
     lloyd_kmeans,
     nmf,
-    quantify,
+    quantify_nominal,
     render_report,
     run,
     save_store,
-    select_k,
-    to_feature_points,
+    sweep_k,
 )
 
 _TAG = r"\[(?:\d+|-), (?:\d+|-), (?:\[\d+-\d+\]|-), (?:\d+|-), (?:\d+|-)\]"
@@ -59,7 +59,8 @@ def test_criterion_1_apriori_oracle():
     for i in range(200):
         transactions = random_transactions(rng, int(rng.integers(1, 13)))
         sl = float(rng.choice([0.05, 0.1, 0.25, 1 / 3, 0.5, 1.0]))
-        got = {f.items: (f.count, f.support) for f in apriori(transactions, sl)}
+        got = {itemset_of(f.fields): (f.count, f.support)
+               for f in apriori(items_array(transactions), sl)}
         want = brute_force_frequent(transactions, sl)
         if got != want:
             failures.append(f"instance {i} (sl={sl}) mismatches the oracle")
@@ -96,11 +97,9 @@ def test_criterion_3_kmeans_invariants():
     failures = []
     for inst in range(5):
         rng = np.random.default_rng(300 + inst)
-        points = [FeaturePoint(f"u{j:03d}", tuple(map(float, rng.random(5) * 10)))
-                  for j in range(100)]
-        coords = np.array([p.coords for p in points])
+        coords = rng.random((100, 5)) * 10
         for k in (2, 4, 7):
-            seeds = farthest_first_seeds(points, k, seed=inst)
+            seeds = farthest_first_seeds(coords, k, seed=inst)
             picked = coords[seeds]
             for j in range(1, k):
                 dmin = cdist(coords, picked[:j]).min(axis=1)
@@ -113,7 +112,7 @@ def test_criterion_3_kmeans_invariants():
                 failures.append(f"inst {inst} k={k}: SSE increased")
             labels = clustering.labels
             dists = cdist(coords, clustering.centroids)
-            gap = dists[np.arange(len(points)), labels] - dists.min(axis=1)
+            gap = dists[np.arange(len(coords)), labels] - dists.min(axis=1)
             if np.any(gap > 1e-9):
                 failures.append(f"inst {inst} k={k}: assignment not nearest")
     _report(3, "k-means invariants hold (SSE, nearest centroid, max-min seeds)",
@@ -127,17 +126,17 @@ def test_criterion_4_k_selection_blobs():
         (3, [(0.0,) * 5, (1.0,) * 5, (1.0, 0.0, 1.0, 0.0, 1.0)]),
     ]
     for blobs, centers in cases:
-        points = make_blobs(centers, per_blob=15, sigma=0.01, seed=40 + blobs)
-        selection = select_k(points, k_max=8, gamma=2.0, seed=1)
-        if selection.clustering.k != blobs:
-            failures.append(f"{blobs} blobs: chose k={selection.clustering.k}")
+        x = make_blobs(centers, per_blob=15, sigma=0.01, seed=40 + blobs)
+        selection = sweep_k(x, k_max=8, gamma=2.0, seed=1)
+        if selection.k != blobs:
+            failures.append(f"{blobs} blobs: chose k={selection.k}")
         diam = {e.k: e.avg_diameter for e in selection.trace}
         if not diam[blobs - 1] > 2.0 * diam[blobs]:
             failures.append(f"{blobs} blobs: no jump at the merge step")
         for k in range(8, blobs, -1):
             if diam[k - 1] > 2.0 * diam[k]:
                 failures.append(f"{blobs} blobs: spurious jump at k={k}")
-    _report(4, "select_k recovers the blob count with the jump at the merge",
+    _report(4, "sweep_k recovers the blob count with the jump at the merge",
             failures)
 
 
@@ -216,16 +215,14 @@ def test_criterion_7_determinism(tmp_path):
         subsets = build_all_subsets(records, 6)
         ordered = [subsets[rid] for rid in sorted(subsets)]
         config = PipelineConfig(seed=77)
-        details = quantify(ordered, profiles, config)
+        details = quantify_nominal(ordered, profiles, config)
         sv, pv = details["strategy"].values, details["presentation"].values
         values_doc = export_values(sv, "strategy", tmp_path / f"v_{name}.svg")
 
         biggest = max(sorted(subsets), key=lambda rid: len(subsets[rid]))
-        points = to_feature_points(subsets[biggest], profiles, sv, pv)
-        normalized = apply_normalization(points, fit_normalization(points))
-        selection = select_k(normalized, config.k_max, config.gamma, config.seed)
-        par_doc = export_parcoords(normalized, selection.clustering.assignment,
-                                   tmp_path / f"p_{name}.svg")
+        table = learner_table([subsets[biggest]], profiles, sv, pv)
+        group = group_rows(table.coords, config.k_max, config.gamma, config.seed)
+        par_doc = export_parcoords(group.x, group.labels, tmp_path / f"p_{name}.svg")
         blobs.append((path.read_bytes(), values_doc.encode(), par_doc.encode()))
     for label, first, second in zip(("store", "values SVG", "parcoords SVG"),
                                     blobs[0], blobs[1]):
@@ -263,7 +260,7 @@ def test_criterion_9_similarity_report(tmp_path):
     subsets = build_all_subsets(records, 6)
     ordered = [subsets[rid] for rid in sorted(subsets)]
     config = PipelineConfig(seed=99)
-    cases.extend(d.values for d in quantify(ordered, profiles, config).values())
+    cases.extend(d.values for d in quantify_nominal(ordered, profiles, config).values())
     rng = np.random.default_rng(90)
     for _ in range(20):
         cases.append({p: float(rng.integers(0, 12)) for p in range(1, 6)})

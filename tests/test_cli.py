@@ -13,10 +13,10 @@ import re
 import xml.etree.ElementTree as ET
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from learntags import (
-    FeaturePoint,
     PipelineConfig,
     RatingRecord,
     export_parcoords,
@@ -123,51 +123,47 @@ class TestExportValues:
 class TestExportParcoords:
     def test_single_point_sits_at_axis_bottoms(self, tmp_path):
         # min == max on every axis, so the scaled value is pinned to 0
-        points = [FeaturePoint("u1", (2.0, 5.0, 1.5, 3.5, 25.0))]
-        doc = export_parcoords(points, {"u1": 0}, tmp_path / "p.svg")
+        doc = export_parcoords(np.array([[2.0, 5.0, 1.5, 3.5, 25.0]]), [0], tmp_path / "p.svg")
         polys = list(ET.fromstring(doc).iter(f"{SVG_NS}polyline"))
         assert len(polys) == 1
         vertices = polys[0].get("points").split()
         assert vertices == [f"{60.0 + i * 130.0:.2f},350.00" for i in range(5)]
 
     def test_vertices_follow_min_max_scaling(self, tmp_path):
-        points = [
-            FeaturePoint("u1", (1.0, 4.0, 0.0, 2.0, 10.0)),
-            FeaturePoint("u2", (3.0, 4.0, 1.0, 6.0, 40.0)),
-            FeaturePoint("u3", (2.0, 4.0, 0.5, 4.0, 25.0)),
-        ]
-        doc = export_parcoords(points, {"u1": 0, "u2": 1, "u3": 0},
-                               tmp_path / "p.svg")
+        x = np.array([
+            (1.0, 4.0, 0.0, 2.0, 10.0),
+            (3.0, 4.0, 1.0, 6.0, 40.0),
+            (2.0, 4.0, 0.5, 4.0, 25.0),
+        ])
+        doc = export_parcoords(x, [0, 1, 0], tmp_path / "p.svg")
         polys = list(ET.fromstring(doc).iter(f"{SVG_NS}polyline"))
         assert len(polys) == 3
-        mins = [min(p.coords[i] for p in points) for i in range(5)]
-        maxs = [max(p.coords[i] for p in points) for i in range(5)]
-        for poly, point in zip(polys, points):  # polylines sorted by id
+        mins = x.min(axis=0)
+        maxs = x.max(axis=0)
+        for poly, row in zip(polys, x):  # polylines in row order
             for i, vertex in enumerate(poly.get("points").split()):
-                x, y = map(float, vertex.split(","))
+                px, py = map(float, vertex.split(","))
                 span = maxs[i] - mins[i]
-                scaled = 0.0 if span == 0.0 else (point.coords[i] - mins[i]) / span
-                assert x == pytest.approx(60.0 + i * 130.0, abs=0.005)
-                assert y == pytest.approx(350.0 - scaled * 310.0, abs=0.005)
+                scaled = 0.0 if span == 0.0 else (row[i] - mins[i]) / span
+                assert px == pytest.approx(60.0 + i * 130.0, abs=0.005)
+                assert py == pytest.approx(350.0 - scaled * 310.0, abs=0.005)
 
     def test_colors_track_cluster_assignment(self, tmp_path):
-        points = [FeaturePoint(f"u{i}", (float(i), 0.0, 0.0, 0.0, 0.0))
-                  for i in range(3)]
-        assignment = {"u0": 0, "u1": 1, "u2": 0}
-        doc = export_parcoords(points, assignment, tmp_path / "p.svg")
+        x = np.zeros((3, 5))
+        x[:, 0] = [0.0, 1.0, 2.0]
+        doc = export_parcoords(x, np.array([0, 1, 0]), tmp_path / "p.svg")
         polys = list(ET.fromstring(doc).iter(f"{SVG_NS}polyline"))
         strokes = [p.get("stroke") for p in polys]
         assert strokes[0] == strokes[2]
         assert strokes[0] != strokes[1]
 
     def test_missing_assignment_rejected(self, tmp_path):
-        points = [FeaturePoint("u1", (0.0,) * 5)]
-        with pytest.raises(KeyError, match="u1"):
-            export_parcoords(points, {}, tmp_path / "p.svg")
+        with pytest.raises(ValueError, match="0 cluster labels for 1 rows"):
+            export_parcoords(np.zeros((1, 5)), [], tmp_path / "p.svg")
 
     def test_empty_points_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no points"):
-            export_parcoords([], {}, tmp_path / "p.svg")
+            export_parcoords(np.zeros((0, 5)), [], tmp_path / "p.svg")
 
 
 class TestParserDefaults:

@@ -1,4 +1,5 @@
-"""Cluster tests: embedding, normalization, seeding, Lloyd, k selection."""
+"""Cluster tests: the learner table's coordinates, normalization,
+seeding, Lloyd, k selection and the largest cluster."""
 from __future__ import annotations
 
 import numpy as np
@@ -8,19 +9,20 @@ from scipy.spatial.distance import cdist
 
 from learntags import (
     LearnerProfile,
-    apply_normalization,
     average_diameter,
     farthest_first_seeds,
-    fit_normalization,
+    group_rows,
     largest_cluster,
+    learner_table,
     lloyd_kmeans,
-    select_k,
-    to_feature_points,
+    normalize,
+    sweep_k,
 )
-from learntags.cluster import Clustering, FeaturePoint, NormalizationSpec, _repair_empty
+from learntags.cluster import _repair_empty
 from learntags.ingest import LearnerSubset
 
 from conftest import (
+    FeaturePoint,
     reference_farthest_first_seeds,
     reference_lloyd_kmeans,
     reference_repair_empty,
@@ -31,27 +33,20 @@ FULL_VALUES = {1: 10.0, 2: 20.0, 3: 24240.0, 4: 40.0, 5: 50.0}
 PRES_VALUES = {1: 11.0, 2: 22.0, 3: 33.0, 4: 20549.0, 5: 55.0}
 
 
-def line_points(xs: list[float]) -> list[FeaturePoint]:
-    return [
-        FeaturePoint(f"u{i:02d}", (float(x), 0.0, 0.0, 0.0, 0.0))
-        for i, x in enumerate(xs)
-    ]
+def line(xs: list[float]) -> np.ndarray:
+    """Rows spread along the first axis."""
+    x = np.zeros((len(xs), 5))
+    x[:, 0] = xs
+    return x
 
 
 def coords_array(points: list[FeaturePoint]) -> np.ndarray:
     return np.array([p.coords for p in points])
 
 
-def clustering_of(points: list[FeaturePoint], seed_rows: list[int]) -> Clustering:
-    """Lloyd on the points' coordinates, keyed back to learner ids."""
-    fit = lloyd_kmeans(coords_array(points), seed_rows)
-    assignment = {p.learner_id: int(j) for p, j in zip(points, fit.labels)}
-    return Clustering(len(seed_rows), fit.centroids, assignment, fit.sse, fit.sse_trace)
-
-
 def grid_points(grid, reverse_ids: bool = False) -> list[FeaturePoint]:
     """Points from coordinate tuples; ``reverse_ids`` makes the learner ids
-    descend along the list, so id tie-breaks differ from row order."""
+    descend along the list, so id order differs from list order."""
     n = len(grid)
     return [
         FeaturePoint(f"u{n - 1 - i if reverse_ids else i:02d}", tuple(float(c) for c in coords))
@@ -70,253 +65,226 @@ def assert_lloyd_matches_reference(points: list[FeaturePoint], seed_rows: list[i
 
 
 def assert_sweep_matches_reference(points, k_max=8, gamma=2.0, seed=0):
-    """Every trace entry, float for float, and the chosen clustering equal
-    the point-by-point sweep's."""
-    got = select_k(points, k_max, gamma, seed)
-    want = reference_select_k(points, k_max, gamma, seed)
+    """Every trace entry, float for float, and the chosen fit equal the
+    point-by-point sweep's.  Rows go in learner-id order, as in the
+    learner table, so the row tie-breaks are the reference's id
+    tie-breaks."""
+    points = sorted(points, key=lambda p: p.learner_id)
+    got = sweep_k(coords_array(points), k_max, gamma, seed)
+    want, want_trace = reference_select_k(points, k_max, gamma, seed)
     assert [(e.k, repr(e.sse), repr(e.avg_diameter)) for e in got.trace] == [
-        (e.k, repr(e.sse), repr(e.avg_diameter)) for e in want.trace
+        (e.k, repr(e.sse), repr(e.avg_diameter)) for e in want_trace
     ]
-    assert got.clustering.k == want.clustering.k
-    assert got.clustering.assignment == want.clustering.assignment
-    np.testing.assert_array_equal(got.clustering.centroids, want.clustering.centroids)
-    assert repr(got.clustering.sse_trace) == repr(want.clustering.sse_trace)
+    assert got.k == want.k
+    assert dict(zip((p.learner_id for p in points), got.fit.labels.tolist())) == want.assignment
+    np.testing.assert_array_equal(got.fit.centroids, want.centroids)
+    assert repr(got.fit.sse_trace) == repr(want.sse_trace)
     return got
 
 
 class TestToFeaturePoints:
+    """The learner table's coords, which embed every subset member once."""
+
     def test_paper_scale_coordinates(self):
         profiles = {"u1": LearnerProfile("u1", 2, 5, 3, 4, 25)}
-        subset = LearnerSubset("r", frozenset({"u1"}))
-        (point,) = to_feature_points(subset, profiles, FULL_VALUES, PRES_VALUES)
-        assert point.coords == (2.0, 5.0, 24240.0, 20549.0, 25.0)
+        table = learner_table([LearnerSubset("r", frozenset({"u1"}))], profiles,
+                              FULL_VALUES, PRES_VALUES)
+        assert table.coords.tolist() == [[2.0, 5.0, 24240.0, 20549.0, 25.0]]
 
     def test_empty_subset(self):
-        assert to_feature_points(
-            LearnerSubset("r", frozenset()), {}, FULL_VALUES, PRES_VALUES
-        ) == []
+        subset = LearnerSubset("r", frozenset())
+        table = learner_table([subset], {}, FULL_VALUES, PRES_VALUES)
+        assert table.row == {}
+        assert table.coords.shape == table.items.shape == (0, 5)
+        assert table.rows(subset).tolist() == []
 
     def test_missing_profile_names_learner(self):
         subset = LearnerSubset("r", frozenset({"nobody"}))
         with pytest.raises(KeyError, match="nobody"):
-            to_feature_points(subset, {}, FULL_VALUES, PRES_VALUES)
+            learner_table([subset], {}, FULL_VALUES, PRES_VALUES)
 
     def test_bijective_on_members(self):
         ids = [f"u{i}" for i in range(40)]
         profiles = {lid: LearnerProfile(lid, 1, 2, 1, 1, 5) for lid in ids}
         subset = LearnerSubset("r", frozenset(ids))
-        points = to_feature_points(subset, profiles, FULL_VALUES, PRES_VALUES)
-        assert sorted(p.learner_id for p in points) == sorted(ids)
-        assert len(points) == len(subset.members)
+        table = learner_table([subset], profiles, FULL_VALUES, PRES_VALUES)
+        assert sorted(table.row) == sorted(ids)
+        assert table.rows(subset).tolist() == list(range(len(ids)))
+
+    def test_rows_follow_learner_ids_across_subsets(self):
+        profiles = {lid: LearnerProfile(lid, i % 5 + 1, 6, i % 5 + 1, 5 - i % 5, 10 * i)
+                    for i, lid in enumerate(["u3", "u1", "u4", "u0", "u2"])}
+        a = LearnerSubset("a", frozenset({"u4", "u1", "u2"}))
+        b = LearnerSubset("b", frozenset({"u0", "u3", "u2"}))
+        table = learner_table([a, b], profiles, FULL_VALUES, PRES_VALUES)
+        assert table.row == {f"u{i}": i for i in range(5)}
+        assert table.rows(a).tolist() == [1, 2, 4]
+        assert table.rows(b).tolist() == [0, 2, 3]
+        for lid, r in table.row.items():
+            p = profiles[lid]
+            assert table.coords[r].tolist() == [
+                p.current_skill, p.target_skill, FULL_VALUES[p.strategy],
+                PRES_VALUES[p.presentation], p.hours]
+            assert table.items[r, :4].tolist() == [
+                p.current_skill, p.target_skill, p.strategy, p.presentation]
 
 
 class TestNormalization:
     def test_single_point_maps_to_zero(self):
-        points = line_points([7.0])
-        out = apply_normalization(points, fit_normalization(points))
-        assert out[0].coords == (0.0, 0.0, 0.0, 0.0, 0.0)
+        assert normalize(line([7.0])).tolist() == [[0.0] * 5]
 
     def test_affine_map(self):
-        points = line_points([10.0, 20.0, 30.0])
-        out = apply_normalization(points, fit_normalization(points))
-        assert [p.coords[0] for p in out] == [0.0, 0.5, 1.0]
+        assert normalize(line([10.0, 20.0, 30.0]))[:, 0].tolist() == [0.0, 0.5, 1.0]
 
     def test_empty_fit_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            fit_normalization([])
+            normalize(np.zeros((0, 5)))
 
     def test_range_and_idempotence(self):
         rng = np.random.default_rng(8)
-        points = [
-            FeaturePoint(f"u{i}", tuple(rng.uniform(-50, 50, 5)))
-            for i in range(60)
-        ]
-        once = apply_normalization(points, fit_normalization(points))
-        x = coords_array(once)
-        assert np.all((x >= 0.0) & (x <= 1.0))
-        twice = apply_normalization(once, fit_normalization(once))
-        np.testing.assert_allclose(coords_array(twice), x, atol=1e-12)
+        once = normalize(rng.uniform(-50, 50, (60, 5)))
+        assert np.all((once >= 0.0) & (once <= 1.0))
+        np.testing.assert_allclose(normalize(once), once, atol=1e-12)
 
     def test_empty_point_list(self):
-        spec = NormalizationSpec(mins=(0.0,) * 5, maxs=(1.0,) * 5)
-        assert apply_normalization([], spec) == []
+        with pytest.raises(ValueError, match="empty"):
+            group_rows(np.zeros((0, 5)), k_max=8, gamma=2.0, seed=0)
 
     def test_degenerate_dimension_maps_to_zero(self):
-        points = [
-            FeaturePoint("a", (1.0, 4.0, 2.0, 3.0, 5.0)),
-            FeaturePoint("b", (3.0, 4.0, 2.0, 7.0, 5.0)),
-        ]
-        out = apply_normalization(points, fit_normalization(points))
-        assert [p.coords for p in out] == [(0.0,) * 5, (1.0, 0.0, 0.0, 1.0, 0.0)]
-        off_min = FeaturePoint("c", (3.0, 9.0, 0.0, 0.0, 0.0))
-        spec = NormalizationSpec(mins=(0.0, 5.0, 0.0, 0.0, 0.0), maxs=(10.0, 5.0, 1.0, 1.0, 1.0))
-        assert apply_normalization([off_min], spec)[0].coords == (0.3, 0.0, 0.0, 0.0, 0.0)
+        x = np.array([(1.0, 4.0, 2.0, 3.0, 5.0), (3.0, 4.0, 2.0, 7.0, 5.0)])
+        assert normalize(x).tolist() == [[0.0] * 5, [1.0, 0.0, 0.0, 1.0, 0.0]]
 
     @given(
         st.lists(
             st.tuples(*[st.floats(-1e6, 1e6, allow_nan=False)] * 5), min_size=1, max_size=20
         ),
-        st.integers(1, 20),
     )
-    def test_matches_point_by_point(self, coords, fit_on):
-        """The array map equals the per-point formula bit for bit, also for
-        points outside the range the spec was fitted on."""
-        points = grid_points(coords)
-        spec = fit_normalization(points[:fit_on])
-        mins = np.array(spec.mins)
-        spans = np.array(spec.maxs) - mins
+    def test_matches_point_by_point(self, coords):
+        """The array map equals the per-point formula bit for bit."""
+        x = np.array(coords, dtype=np.float64)
+        mins = x.min(axis=0)
+        spans = x.max(axis=0) - mins
         safe = np.where(spans > 0, spans, 1.0)
         expected = []
-        for p in points:
-            frac = (np.array(p.coords) - mins) / safe
+        for row in x:
+            frac = (row - mins) / safe
             frac[spans == 0] = 0.0
-            expected.append((p.learner_id, tuple(float(v) for v in frac)))
-        out = apply_normalization(points, spec)
-        assert repr([(p.learner_id, p.coords) for p in out]) == repr(expected)
+            expected.append([float(v) for v in frac])
+        assert repr(normalize(x).tolist()) == repr(expected)
 
 
 class TestFarthestFirstSeeds:
     @staticmethod
-    def seed_starting_at(points, index: int) -> int:
-        """A seed whose uniform first draw lands on ``index``."""
-        n = len(points)
+    def seed_starting_at(n: int, index: int) -> int:
+        """A seed whose uniform first draw over n rows lands on ``index``."""
         return next(
             s for s in range(1000)
             if int(np.random.default_rng(s).integers(n)) == index
         )
 
     def test_max_min_on_a_line(self):
-        points = line_points([0.0, 1.0, 10.0])
-        seed = self.seed_starting_at(points, 0)
-        seeds = farthest_first_seeds(points, k=2, seed=seed)
-        assert [points[i].coords[0] for i in seeds] == [0.0, 10.0]
+        x = line([0.0, 1.0, 10.0])
+        seeds = farthest_first_seeds(x, k=2, seed=self.seed_starting_at(3, 0))
+        assert [x[i, 0] for i in seeds] == [0.0, 10.0]
 
     def test_k_equals_n(self):
-        points = line_points([3.0, 1.0, 2.0])
-        seeds = farthest_first_seeds(points, k=3, seed=0)
-        assert {points[i].learner_id for i in seeds} == {p.learner_id for p in points}
+        seeds = farthest_first_seeds(line([3.0, 1.0, 2.0]), k=3, seed=0)
+        assert sorted(seeds) == [0, 1, 2]
 
     def test_k_out_of_range(self):
-        points = line_points([0.0, 1.0])
+        x = line([0.0, 1.0])
         with pytest.raises(ValueError, match="insufficient points"):
-            farthest_first_seeds(points, k=3, seed=0)
+            farthest_first_seeds(x, k=3, seed=0)
         with pytest.raises(ValueError, match="insufficient points"):
-            farthest_first_seeds(points, k=0, seed=0)
+            farthest_first_seeds(x, k=0, seed=0)
+
+    def test_ties_go_to_smallest_row(self):
+        # From row 1 (at 0), rows 0, 2 and 3 are all 1 away; row 0 wins.
+        x = line([-1.0, 0.0, 1.0, 1.0])
+        seeds = farthest_first_seeds(x, k=2, seed=self.seed_starting_at(4, 1))
+        assert seeds == [1, 0]
+        # Rows 2 and 3 then tie again, at distance 1; row 2 wins.
+        assert farthest_first_seeds(x, k=3, seed=self.seed_starting_at(4, 1)) == [1, 0, 2]
 
     def test_max_min_property_exhaustive(self):
         """Each seed's min-distance to prior seeds beats every alternative."""
-        rng = np.random.default_rng(123)
-        points = [
-            FeaturePoint(f"u{i:03d}", tuple(rng.uniform(0, 1, 5)))
-            for i in range(100)
-        ]
-        x = coords_array(points)
-        chosen = farthest_first_seeds(points, k=5, seed=42)
+        x = np.random.default_rng(123).uniform(0, 1, (100, 5))
+        chosen = farthest_first_seeds(x, k=5, seed=42)
         for t in range(1, len(chosen)):
-            prior = x[chosen[:t]]
-            min_dist = cdist(x, prior).min(axis=1)
+            min_dist = cdist(x, x[chosen[:t]]).min(axis=1)
             picked = min_dist[chosen[t]]
-            others = np.delete(np.arange(len(points)), chosen[:t])
+            others = np.delete(np.arange(len(x)), chosen[:t])
             assert picked >= min_dist[others].max() - 1e-12
 
     def test_deterministic(self):
-        points = line_points(list(np.random.default_rng(4).uniform(0, 9, 30)))
-        a = farthest_first_seeds(points, k=4, seed=7)
-        b = farthest_first_seeds(points, k=4, seed=7)
-        assert a == b
+        x = line(list(np.random.default_rng(4).uniform(0, 9, 30)))
+        assert farthest_first_seeds(x, k=4, seed=7) == farthest_first_seeds(x, k=4, seed=7)
 
     @given(
         st.lists(st.tuples(*[st.integers(0, 2)] * 5), min_size=1, max_size=15),
         st.integers(0, 2**32 - 1),
     )
     def test_seeds_for_k_prefix_seeds_for_larger_k(self, grid, seed):
-        """select_k relies on this to run one traversal per sweep; grid
+        """sweep_k relies on this to run one traversal per sweep; grid
         coordinates make many distance ties."""
-        points = [
-            FeaturePoint(f"u{i:02d}", tuple(float(c) for c in coords))
-            for i, coords in enumerate(grid)
-        ]
-        full = farthest_first_seeds(points, k=len(points), seed=seed)
-        for k in range(1, len(points)):
-            assert farthest_first_seeds(points, k=k, seed=seed) == full[:k]
+        x = np.array(grid, dtype=np.float64)
+        full = farthest_first_seeds(x, k=len(x), seed=seed)
+        for k in range(1, len(x)):
+            assert farthest_first_seeds(x, k=k, seed=seed) == full[:k]
 
 
 class TestLloydKmeans:
     def test_k1_centroid_is_mean(self):
-        points = line_points([0.0, 2.0, 4.0])
-        clustering = lloyd_kmeans(coords_array(points), [0])
+        clustering = lloyd_kmeans(line([0.0, 2.0, 4.0]), [0])
         np.testing.assert_allclose(clustering.centroids[0], [2.0, 0, 0, 0, 0])
         assert set(clustering.labels.tolist()) == {0}
 
     def test_separated_pairs(self):
-        coords = [
-            (0.0, 0.0), (0.01, 0.0), (1.0, 1.0), (0.99, 1.0),
-        ]
-        points = [
-            FeaturePoint(f"u{i}", c + (0.0, 0.0, 0.0)) for i, c in enumerate(coords)
-        ]
-        a = lloyd_kmeans(coords_array(points), [0, 2]).labels
+        x = np.zeros((4, 5))
+        x[:, :2] = [(0.0, 0.0), (0.01, 0.0), (1.0, 1.0), (0.99, 1.0)]
+        a = lloyd_kmeans(x, [0, 2]).labels
         assert a[0] == a[1]
         assert a[2] == a[3]
         assert a[0] != a[2]
 
     def test_sse_trace_monotone(self):
-        rng = np.random.default_rng(6)
-        points = [
-            FeaturePoint(f"u{i}", tuple(rng.uniform(0, 1, 5))) for i in range(8)
-        ]
-        seeds = farthest_first_seeds(points, k=2, seed=1)
-        clustering = lloyd_kmeans(coords_array(points), seeds)
+        x = np.random.default_rng(6).uniform(0, 1, (8, 5))
+        clustering = lloyd_kmeans(x, farthest_first_seeds(x, k=2, seed=1))
         trace = np.array(clustering.sse_trace)
         assert np.all(np.diff(trace) <= 1e-12)
         assert clustering.sse == trace[-1]
         assert clustering.sse <= trace[0]
 
     def test_final_assignment_is_nearest_centroid(self):
-        rng = np.random.default_rng(16)
-        points = [
-            FeaturePoint(f"u{i:02d}", tuple(rng.uniform(0, 1, 5))) for i in range(50)
-        ]
-        seeds = farthest_first_seeds(points, k=4, seed=3)
-        clustering = lloyd_kmeans(coords_array(points), seeds)
-        dist = cdist(coords_array(points), clustering.centroids)
-        expected = np.argmin(dist, axis=1)
+        x = np.random.default_rng(16).uniform(0, 1, (50, 5))
+        clustering = lloyd_kmeans(x, farthest_first_seeds(x, k=4, seed=3))
+        expected = np.argmin(cdist(x, clustering.centroids), axis=1)
         np.testing.assert_array_equal(clustering.labels, expected)
 
     def test_duplicate_points_terminate(self):
-        points = [FeaturePoint(f"u{i}", (1.0,) * 5) for i in range(6)]
-        clustering = lloyd_kmeans(coords_array(points), [0, 1])
-        assert clustering.sse == 0.0
+        assert lloyd_kmeans(np.ones((6, 5)), [0, 1]).sse == 0.0
 
     def test_duplicate_seeds_rejected(self):
-        points = line_points([0.0, 1.0])
         with pytest.raises(ValueError, match="distinct"):
-            lloyd_kmeans(coords_array(points), [0, 0])
+            lloyd_kmeans(line([0.0, 1.0]), [0, 0])
 
 
 class TestAverageDiameter:
     def test_all_singletons(self):
-        x = coords_array(line_points([0.0, 5.0, 9.0]))
-        clustering = lloyd_kmeans(x, [0, 1, 2])
-        assert average_diameter(x, clustering.labels) == 0.0
+        x = line([0.0, 5.0, 9.0])
+        assert average_diameter(x, lloyd_kmeans(x, [0, 1, 2]).labels) == 0.0
 
     def test_single_cluster_span(self):
-        x = coords_array(line_points([0.0, 3.0]))
-        clustering = lloyd_kmeans(x, [0])
-        assert average_diameter(x, clustering.labels) == pytest.approx(3.0)
+        x = line([0.0, 3.0])
+        assert average_diameter(x, lloyd_kmeans(x, [0]).labels) == pytest.approx(3.0)
 
     def test_matches_brute_force(self):
-        rng = np.random.default_rng(9)
-        points = [
-            FeaturePoint(f"u{i:02d}", tuple(rng.uniform(0, 1, 5))) for i in range(40)
-        ]
-        seeds = farthest_first_seeds(points, k=3, seed=2)
-        x = coords_array(points)
-        clustering = lloyd_kmeans(x, seeds)
+        x = np.random.default_rng(9).uniform(0, 1, (40, 5))
+        clustering = lloyd_kmeans(x, farthest_first_seeds(x, k=3, seed=2))
 
         by_cluster: dict[int, list] = {}
-        for p, label in zip(points, clustering.labels):
-            by_cluster.setdefault(label, []).append(np.array(p.coords))
+        for row, label in zip(x, clustering.labels):
+            by_cluster.setdefault(label, []).append(row)
         diams = []
         for members in by_cluster.values():
             best = 0.0
@@ -331,26 +299,21 @@ class TestAverageDiameter:
 
 class TestSelectK:
     def test_identical_points_select_one(self):
-        points = [FeaturePoint(f"u{i}", (2.0,) * 5) for i in range(12)]
-        selection = select_k(points, k_max=4, gamma=2.0, seed=0)
-        assert selection.clustering.k == 1
+        assert sweep_k(np.full((12, 5), 2.0), k_max=4, gamma=2.0, seed=0).k == 1
 
     def test_two_blobs(self):
         from conftest import make_blobs
 
-        points = make_blobs(
-            [(0.0,) * 5, (1.0,) * 5], per_blob=10, sigma=0.01, seed=5
-        )
-        selection = select_k(points, k_max=4, gamma=2.0, seed=1)
-        assert selection.clustering.k == 2
+        x = make_blobs([(0.0,) * 5, (1.0,) * 5], per_blob=10, sigma=0.01, seed=5)
+        assert sweep_k(x, k_max=4, gamma=2.0, seed=1).k == 2
 
     def test_three_blobs_with_jump_at_merge(self):
         from conftest import make_blobs
 
         centers = [(0.0,) * 5, (1.0,) * 5, (1.0, 0.0, 1.0, 0.0, 1.0)]
-        points = make_blobs(centers, per_blob=12, sigma=0.01, seed=6)
-        selection = select_k(points, k_max=8, gamma=2.0, seed=1)
-        assert selection.clustering.k == 3
+        x = make_blobs(centers, per_blob=12, sigma=0.01, seed=6)
+        selection = sweep_k(x, k_max=8, gamma=2.0, seed=1)
+        assert selection.k == 3
 
         diam = {e.k: e.avg_diameter for e in selection.trace}
         assert diam[2] > 2.0 * diam[3]
@@ -358,53 +321,73 @@ class TestSelectK:
             assert diam[k - 1] <= 2.0 * diam[k]
 
     def test_trace_covers_sweep(self):
-        points = line_points(list(range(10)))
-        selection = select_k(points, k_max=4, gamma=2.0, seed=0)
+        selection = sweep_k(line(list(range(10))), k_max=4, gamma=2.0, seed=0)
         assert [e.k for e in selection.trace] == [4, 3, 2, 1]
 
     def test_validation(self):
-        points = line_points([0.0, 1.0])
+        x = line([0.0, 1.0])
         with pytest.raises(ValueError, match="no points"):
-            select_k([], k_max=3, gamma=2.0, seed=0)
+            sweep_k(np.zeros((0, 5)), k_max=3, gamma=2.0, seed=0)
         with pytest.raises(ValueError, match="k_max"):
-            select_k(points, k_max=0, gamma=2.0, seed=0)
+            sweep_k(x, k_max=0, gamma=2.0, seed=0)
         with pytest.raises(ValueError, match="gamma"):
-            select_k(points, k_max=2, gamma=1.0, seed=0)
+            sweep_k(x, k_max=2, gamma=1.0, seed=0)
 
     def test_deterministic(self):
-        rng = np.random.default_rng(10)
-        points = [
-            FeaturePoint(f"u{i:02d}", tuple(rng.uniform(0, 1, 5))) for i in range(30)
-        ]
-        s1 = select_k(points, k_max=6, gamma=2.0, seed=9)
-        s2 = select_k(points, k_max=6, gamma=2.0, seed=9)
-        assert s1.clustering.assignment == s2.clustering.assignment
+        x = np.random.default_rng(10).uniform(0, 1, (30, 5))
+        s1 = sweep_k(x, k_max=6, gamma=2.0, seed=9)
+        s2 = sweep_k(x, k_max=6, gamma=2.0, seed=9)
+        assert s1.fit.labels.tolist() == s2.fit.labels.tolist()
         assert [e.avg_diameter for e in s1.trace] == [e.avg_diameter for e in s2.trace]
 
 
 class TestLargestCluster:
     def test_k1_returns_everyone(self):
-        points = line_points([0.0, 1.0, 2.0])
-        clustering = clustering_of(points, [0])
-        assert largest_cluster(clustering) == {"u00", "u01", "u02"}
+        labels = lloyd_kmeans(line([0.0, 1.0, 2.0]), [0]).labels
+        assert largest_cluster(labels).tolist() == [True] * 3
 
     def test_majority_cluster_wins(self):
-        points = line_points([0.0, 0.1, 0.2, 0.3, 0.4, 10.0, 10.1])
-        clustering = clustering_of(points, [0, 5])
-        assert largest_cluster(clustering) == {"u00", "u01", "u02", "u03", "u04"}
+        labels = lloyd_kmeans(line([0.0, 0.1, 0.2, 0.3, 0.4, 10.0, 10.1]), [0, 5]).labels
+        assert largest_cluster(labels).tolist() == [True] * 5 + [False] * 2
 
     def test_tie_breaks_to_smallest_learner_id(self):
-        points = line_points([0.0, 0.1, 10.0, 10.1])
-        for _ in range(5):
-            clustering = clustering_of(points, [2, 0])
-            winner = largest_cluster(clustering)
-            assert winner == {"u00", "u01"}
+        # Rows are in learner-id order, so the smallest id is the first row.
+        labels = lloyd_kmeans(line([0.0, 0.1, 10.0, 10.1]), [2, 0]).labels
+        assert labels.tolist() == [1, 1, 0, 0]
+        assert largest_cluster(labels).tolist() == [True, True, False, False]
+
+    def test_tie_goes_to_cluster_holding_first_row(self):
+        labels = np.array([2, 0, 0, 2, 1, 1])
+        assert largest_cluster(labels).tolist() == [True, False, False, True, False, False]
+        # The first row sits in a smaller cluster: the tied cluster whose
+        # first row comes first wins, empty cluster indexes aside.
+        labels = np.array([1, 3, 0, 0, 3])
+        assert largest_cluster(labels).tolist() == [False, True, False, False, True]
 
     def test_empty_rejected(self):
-        empty = Clustering(k=1, centroids=np.zeros((1, 5)), assignment={}, sse=0.0,
-                           sse_trace=[0.0])
         with pytest.raises(ValueError, match="no points"):
-            largest_cluster(empty)
+            largest_cluster(np.array([], dtype=np.intp))
+
+
+class TestGroupRows:
+    """The normalize -> sweep -> largest-cluster chain run() relies on."""
+
+    def test_equals_the_stages(self):
+        x = np.random.default_rng(12).uniform(0, 50, (30, 5))
+        group = group_rows(x, k_max=6, gamma=1.5, seed=4)
+        selection = sweep_k(normalize(x), 6, 1.5, 4)
+        np.testing.assert_array_equal(group.x, normalize(x))
+        assert group.k == selection.k
+        assert group.trace == selection.trace
+        np.testing.assert_array_equal(group.labels, selection.fit.labels)
+        np.testing.assert_array_equal(group.largest, largest_cluster(selection.fit.labels))
+
+    def test_one_row_is_its_own_group(self):
+        group = group_rows(np.array([[2.0, 5.0, 1.5, 3.5, 25.0]]), k_max=8, gamma=2.0, seed=0)
+        assert (group.k, group.trace) == (1, [])
+        assert group.x.tolist() == [[0.0] * 5]
+        assert group.labels.tolist() == [0]
+        assert group.largest.tolist() == [True]
 
 
 class TestSweepEdgeCases:
@@ -450,7 +433,7 @@ class TestSweepEdgeCases:
 
     def test_all_points_identical(self):
         selection = assert_sweep_matches_reference(grid_points([(2, 2, 2, 2, 2)] * 9), k_max=4)
-        assert selection.clustering.k == 1
+        assert selection.k == 1
         assert all(e.sse == 0.0 and e.avg_diameter == 0.0 for e in selection.trace)
 
 
@@ -469,8 +452,9 @@ class TestMatchesReference:
     def test_select_k(self, grid, reverse_ids, k_max, gamma, seed):
         points = grid_points(grid, reverse_ids)
         assert_sweep_matches_reference(points, k_max, gamma, seed)
+        points.sort(key=lambda p: p.learner_id)
         k = min(k_max, len(points))
-        assert [points[i] for i in farthest_first_seeds(points, k, seed)] == (
+        assert [points[i] for i in farthest_first_seeds(coords_array(points), k, seed)] == (
             reference_farthest_first_seeds(points, k, seed)
         )
 

@@ -1,6 +1,7 @@
-"""Mine tests: transactions, Apriori with oracle checks, tag selection."""
+"""Mine tests: item codes, Apriori with oracle checks, tag selection."""
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -9,76 +10,122 @@ from hypothesis import given, strategies as st
 
 from learntags import (
     LearnerProfile,
+    LearnerSubset,
     apriori,
-    maximal_itemsets,
+    learner_table,
     select_tag,
+)
+from learntags.ingest import discretize_time
+from learntags.mine import N_ATTRIBUTES, FrequentItemset
+
+from conftest import (
+    Item,
+    OracleItemset,
+    Transaction,
+    as_oracle,
+    itemset_key,
+    itemset_of,
+    items_array,
+    maximal_itemsets,
     transaction_from_profile,
 )
-from learntags.ingest import TimeBin, discretize_time
-from learntags.mine import N_ATTRIBUTES, FrequentItemset, Item, Transaction, itemset_key
+
+VALUES = {p: float(p) for p in range(1, 6)}
 
 
-def tx(lid: str, *items: Item) -> Transaction:
-    return Transaction(lid, frozenset(items))
+def table_items(profiles: list[LearnerProfile]) -> np.ndarray:
+    """The learner table's item codes, one row per profile in list order
+    (ids must ascend along the list)."""
+    ids = [p.learner_id for p in profiles]
+    assert ids == sorted(ids)
+    table = learner_table([LearnerSubset("r", frozenset(ids))],
+                          {p.learner_id: p for p in profiles}, VALUES, VALUES)
+    return table.items
+
+
+def mine(transactions: list[Transaction], sl: float) -> list[OracleItemset]:
+    """apriori on the transactions' item codes, reported as oracle itemsets."""
+    return as_oracle(apriori(items_array(transactions), sl))
 
 
 def as_comparable(frequent):
     return {f.items: (f.count, f.support) for f in frequent}
 
 
-@st.composite
-def mining_inputs(draw, full: bool = False):
-    """Transactions drawn with repeats from a small pool, plus a support level.
+def maximal_selection(frequent: list[OracleItemset]) -> list[OracleItemset]:
+    """The tag selection before maximal itemsets were implied: maximal
+    itemsets of top cardinality, then top support, in key order."""
+    if not frequent:
+        return []
+    maximal = maximal_itemsets(frequent)
+    top_size = max(len(f.items) for f in maximal)
+    biggest = [f for f in maximal if len(f.items) == top_size]
+    top_support = max(f.support for f in biggest)
+    winners = [f for f in biggest if f.support == top_support]
+    return sorted(winners, key=lambda f: itemset_key(f.items))
 
-    With ``full`` each transaction holds one item per attribute; otherwise
-    an attribute may be missing or carry two items.  Support levels are
-    either exactly at a count boundary c / n or anywhere in (0, 1].
-    """
-    values = st.frozensets(
-        st.integers(1, 3), min_size=1 if full else 0, max_size=1 if full else 2
-    )
-    pool = []
-    for _ in range(draw(st.integers(1, 5))):
-        items = set()
-        for attribute in range(1, N_ATTRIBUTES + 1):
-            for v in draw(values):
-                items.add(Item(attribute, discretize_time(v * 10) if attribute == 5 else v))
-        pool.append(frozenset(items))
-    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=12))
-    transactions = [Transaction(f"t{i:02d}", pool[j]) for i, j in enumerate(picks)]
-    n = len(transactions)
-    sl = draw(st.one_of(
+
+def support_levels(n: int):
+    """Exactly at a count boundary c / n, or anywhere in (0, 1]."""
+    return st.one_of(
         st.integers(1, n).map(lambda c: c / n),
         st.floats(0, 1, exclude_min=True),
-    ))
-    return transactions, sl
+    )
+
+
+@st.composite
+def mining_inputs(draw):
+    """Transactions of one item per attribute, drawn with repeats from a
+    small pool, plus a support level."""
+    pool = []
+    for _ in range(draw(st.integers(1, 5))):
+        values = [draw(st.integers(1, 3)) for _ in range(N_ATTRIBUTES)]
+        values[-1] = discretize_time(values[-1] * 10)
+        pool.append(frozenset(Item(a + 1, v) for a, v in enumerate(values)))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=12))
+    transactions = [Transaction(f"t{i:02d}", pool[j]) for i, j in enumerate(picks)]
+    return transactions, draw(support_levels(len(transactions)))
+
+
+@st.composite
+def profile_inputs(draw):
+    """Full learner profiles drawn with repeats from a small pool, with
+    hours on and around bin edges and far out, plus a support level."""
+    pool = [
+        LearnerProfile("", draw(st.integers(1, 3)), draw(st.integers(4, 6)),
+                       draw(st.integers(1, 5)), draw(st.integers(1, 5)),
+                       draw(st.sampled_from([0, 1, 10, 11, 45, 10**6])))
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=12))
+    profiles = [replace(pool[j], learner_id=f"t{i:02d}") for i, j in enumerate(picks)]
+    return profiles, draw(support_levels(len(profiles)))
 
 
 class TestTransactionFromProfile:
+    """The learner table's item codes: one per attribute, hours as bins."""
+
     def test_five_items_one_per_attribute(self):
-        t = transaction_from_profile(LearnerProfile("u1", 2, 5, 3, 4, 45))
-        assert t.items == frozenset(
-            {
-                Item(1, 2),
-                Item(2, 5),
-                Item(3, 3),
-                Item(4, 4),
-                Item(5, TimeBin(41, 50)),
-            }
-        )
+        profile = LearnerProfile("u1", 2, 5, 3, 4, 45)
+        assert table_items([profile]).tolist() == [[2, 5, 3, 4, 5]]
+        (full,) = [f for f in apriori(table_items([profile]), 1.0) if all(f.fields)]
+        assert itemset_of(full.fields) == transaction_from_profile(profile).items
 
     def test_zero_hours_fall_into_first_bin(self):
-        t = transaction_from_profile(LearnerProfile("u1", 1, 2, 1, 1, 0))
-        assert Item(5, TimeBin(1, 10)) in t.items
+        items = table_items([LearnerProfile("u1", 1, 2, 1, 1, 0),
+                             LearnerProfile("u2", 1, 2, 1, 1, 10),
+                             LearnerProfile("u3", 1, 2, 1, 1, 11),
+                             LearnerProfile("u4", 1, 2, 1, 1, 10**6)])
+        assert items[:, 4].tolist() == [1, 1, 2, 100_000]
+        assert itemset_of((0, 0, 0, 0, 1)) == {Item(5, discretize_time(1))}
 
 
 class TestApriori:
     def test_single_transaction_closure(self):
-        t = transaction_from_profile(LearnerProfile("u1", 2, 5, 3, 4, 45))
-        frequent = apriori([t], sl=1.0)
+        frequent = apriori(table_items([LearnerProfile("u1", 2, 5, 3, 4, 45)]), sl=1.0)
         assert len(frequent) == 31
         assert all(f.support == 1.0 and f.count == 1 for f in frequent)
-        sizes = sorted(len(f.items) for f in frequent)
+        sizes = sorted(sum(1 for v in f.fields if v) for f in frequent)
         assert sizes == sorted(
             len(c)
             for size in range(1, 6)
@@ -86,37 +133,37 @@ class TestApriori:
         )
 
     def test_infrequent_item_never_appears(self):
-        base = LearnerProfile("u", 1, 2, 1, 1, 5)
-        transactions = []
-        for i in range(10):
-            strategy = 5 if i < 4 else 1
-            transactions.append(
-                transaction_from_profile(
-                    LearnerProfile(f"u{i}", base.current_skill, base.target_skill,
-                                   strategy, base.presentation, base.hours)
-                )
-            )
-        frequent = apriori(transactions, sl=0.5)
-        rare = Item(3, 5)
-        assert all(rare not in f.items for f in frequent)
+        profiles = [
+            LearnerProfile(f"u{i}", 1, 2, 5 if i < 4 else 1, 1, 5) for i in range(10)
+        ]
+        frequent = apriori(table_items(profiles), sl=0.5)
+        assert all(f.fields[2] != 5 for f in frequent)
 
     def test_boundary_support_is_frequent(self):
-        transactions = [
-            transaction_from_profile(LearnerProfile(f"u{i}", 1, 2, (i % 5) + 1, 1, 5))
-            for i in range(10)
-        ]
-        frequent = apriori(transactions, sl=0.2)
-        supports = {f.items: f.support for f in frequent}
-        assert supports[frozenset({Item(3, 1)})] == pytest.approx(0.2)
+        profiles = [LearnerProfile(f"u{i}", 1, 2, (i % 5) + 1, 1, 5) for i in range(10)]
+        frequent = apriori(table_items(profiles), sl=0.2)
+        supports = {f.fields: f.support for f in frequent}
+        assert supports[(0, 0, 1, 0, 0)] == pytest.approx(0.2)
 
     def test_errors(self):
         with pytest.raises(ValueError, match="no transactions"):
-            apriori([], sl=0.1)
-        t = transaction_from_profile(LearnerProfile("u", 1, 2, 1, 1, 5))
+            apriori(np.zeros((0, 5), dtype=np.int64), sl=0.1)
+        items = table_items([LearnerProfile("u", 1, 2, 1, 1, 5)])
         with pytest.raises(ValueError, match="support level"):
-            apriori([t], sl=0.0)
+            apriori(items, sl=0.0)
         with pytest.raises(ValueError, match="support level"):
-            apriori([t], sl=1.5)
+            apriori(items, sl=1.5)
+
+    def test_rows_must_hold_five_positive_codes(self):
+        with pytest.raises(ValueError, match="positive item codes"):
+            apriori(np.array([[1, 2, 0, 1, 1]]), sl=0.5)
+        with pytest.raises(ValueError, match="positive item codes"):
+            apriori(np.array([[1, 2, 3, 1]]), sl=0.5)
+
+    def test_code_space_beyond_int64_rejected(self):
+        items = np.array([[6, 6, 5, 5, 2**58]])
+        with pytest.raises(ValueError, match="too large"):
+            apriori(items, sl=1.0)
 
     def test_matches_brute_force_on_seeded_instances(self):
         from conftest import brute_force_frequent, random_transactions
@@ -125,23 +172,28 @@ class TestApriori:
         for trial in range(20):
             transactions = random_transactions(rng, int(rng.integers(1, 13)))
             sl = float(rng.choice([0.1, 0.25, 0.5, 0.75, 1.0]))
-            got = as_comparable(apriori(transactions, sl))
+            got = as_comparable(mine(transactions, sl))
             want = brute_force_frequent(transactions, sl)
             assert got == want, f"trial {trial} diverged"
 
-    @given(mining_inputs())
+    @given(profile_inputs())
     def test_equals_levelwise_search(self, inputs):
-        from conftest import levelwise_apriori
+        """Learner-table rows, mined, equal both oracles on the profiles'
+        transactions, order included."""
+        from conftest import brute_force_frequent, levelwise_apriori
 
-        transactions, sl = inputs
-        assert apriori(transactions, sl) == levelwise_apriori(transactions, sl)
+        profiles, sl = inputs
+        transactions = [transaction_from_profile(p) for p in profiles]
+        got = as_oracle(apriori(table_items(profiles), sl))
+        assert got == levelwise_apriori(transactions, sl)
+        assert as_comparable(got) == brute_force_frequent(transactions, sl)
 
-    @given(mining_inputs(full=True))
+    @given(mining_inputs())
     def test_full_transactions_equal_both_oracles(self, inputs):
         from conftest import brute_force_frequent, levelwise_apriori
 
         transactions, sl = inputs
-        got = apriori(transactions, sl)
+        got = mine(transactions, sl)
         assert got == levelwise_apriori(transactions, sl)
         assert as_comparable(got) == brute_force_frequent(transactions, sl)
 
@@ -149,8 +201,7 @@ class TestApriori:
         from conftest import random_transactions
 
         rng = np.random.default_rng(21)
-        transactions = random_transactions(rng, 12)
-        frequent = apriori(transactions, sl=0.1)
+        frequent = mine(random_transactions(rng, 12), sl=0.1)
         supports = {f.items: f.support for f in frequent}
         for f in frequent:
             attrs = [i.attribute for i in f.items]
@@ -164,29 +215,31 @@ class TestApriori:
         from conftest import random_transactions
 
         rng = np.random.default_rng(33)
-        transactions = random_transactions(rng, 10)
-        a = apriori(transactions, sl=0.2)
-        b = apriori(list(transactions), sl=0.2)
-        assert [itemset_key(f.items) for f in a] == [itemset_key(f.items) for f in b]
-        keys = [(len(f.items), itemset_key(f.items)) for f in a]
+        items = items_array(random_transactions(rng, 10))
+        a = apriori(items, sl=0.2)
+        b = apriori(items[::-1], sl=0.2)
+        assert a == b
+        keys = [(len(f.items), itemset_key(f.items)) for f in as_oracle(a)]
         assert keys == sorted(keys)
 
 
 class TestMaximalItemsets:
+    """The maximal-itemset oracle behind the select_tag tests."""
+
     def test_subsets_pruned(self):
         a, b = Item(1, 1), Item(2, 2)
         frequent = [
-            FrequentItemset(frozenset({a}), 0.5, 5),
-            FrequentItemset(frozenset({b}), 0.5, 5),
-            FrequentItemset(frozenset({a, b}), 0.4, 4),
+            OracleItemset(frozenset({a}), 0.5, 5),
+            OracleItemset(frozenset({b}), 0.5, 5),
+            OracleItemset(frozenset({a, b}), 0.4, 4),
         ]
         kept = maximal_itemsets(frequent)
         assert [f.items for f in kept] == [frozenset({a, b})]
 
     def test_singletons_survive_without_pairs(self):
         frequent = [
-            FrequentItemset(frozenset({Item(1, 1)}), 0.5, 5),
-            FrequentItemset(frozenset({Item(2, 1)}), 0.6, 6),
+            OracleItemset(frozenset({Item(1, 1)}), 0.5, 5),
+            OracleItemset(frozenset({Item(2, 1)}), 0.6, 6),
         ]
         assert maximal_itemsets(frequent) == frequent
 
@@ -194,8 +247,7 @@ class TestMaximalItemsets:
         from conftest import random_transactions
 
         rng = np.random.default_rng(44)
-        transactions = random_transactions(rng, 12)
-        kept = maximal_itemsets(apriori(transactions, sl=0.2))
+        kept = maximal_itemsets(mine(random_transactions(rng, 12), sl=0.2))
         for f, g in combinations(kept, 2):
             assert not f.items < g.items
             assert not g.items < f.items
@@ -203,24 +255,21 @@ class TestMaximalItemsets:
 
 class TestSelectTag:
     def test_cardinality_beats_support(self):
-        five = frozenset(
-            {Item(1, 1), Item(2, 2), Item(3, 3), Item(4, 4), Item(5, TimeBin(1, 10))}
-        )
-        three = frozenset({Item(1, 2), Item(2, 3), Item(3, 1)})
+        five = (1, 2, 3, 4, 1)
+        three = (2, 3, 1, 0, 0)
         frequent = [
-            FrequentItemset(five, 0.6, 6),
-            FrequentItemset(three, 0.9, 9),
+            FrequentItemset(five, 6, 0.6),
+            FrequentItemset(three, 9, 0.9),
         ]
         winners = select_tag(frequent)
-        assert [w.items for w in winners] == [five]
+        assert [w.fields for w in winners] == [five]
 
     def test_equal_support_ties_all_returned(self):
-        a = frozenset({Item(1, 1), Item(2, 2), Item(3, 3), Item(4, 4)})
-        b = frozenset({Item(1, 2), Item(2, 3), Item(3, 4), Item(4, 5)})
-        frequent = [FrequentItemset(a, 0.5, 5), FrequentItemset(b, 0.5, 5)]
+        a = (1, 2, 3, 4, 0)
+        b = (2, 3, 4, 5, 0)
+        frequent = [FrequentItemset(b, 5, 0.5), FrequentItemset(a, 5, 0.5)]
         winners = select_tag(frequent)
-        assert {w.items for w in winners} == {a, b}
-        assert len(winners) == 2
+        assert [w.fields for w in winners] == [a, b]
 
     def test_empty_input_gives_empty_cloud(self):
         assert select_tag([]) == []
@@ -231,8 +280,7 @@ class TestSelectTag:
         rng = np.random.default_rng(66)
         for _ in range(10):
             transactions = random_transactions(rng, int(rng.integers(2, 13)))
-            frequent = apriori(transactions, sl=0.2)
-            winners = select_tag(frequent)
+            winners = as_oracle(select_tag(apriori(items_array(transactions), 0.2)))
 
             oracle = brute_force_frequent(transactions, 0.2)
             maximal = {
@@ -247,3 +295,9 @@ class TestSelectTag:
             top_support = max(sup for _, sup in sized.values())
             expected = {s for s, (_, sup) in sized.items() if sup == top_support}
             assert {w.items for w in winners} == expected
+
+    @given(profile_inputs())
+    def test_equals_maximal_itemset_selection(self, inputs):
+        profiles, sl = inputs
+        frequent = apriori(table_items(profiles), sl)
+        assert as_oracle(select_tag(frequent)) == maximal_selection(as_oracle(frequent))

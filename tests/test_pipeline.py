@@ -159,28 +159,29 @@ class TestRun:
 
     def test_each_learner_encoded_once(self, monkeypatch):
         import learntags.pipeline as pipeline
-        from conftest import recover_clusters
+        from conftest import items_array, recover_clusters
 
         records, profiles = self.small_corpus()
         config = PipelineConfig(seed=5)
-        calls: Counter = Counter()
+        tables = []
         mined = []
-        encode, mine = pipeline.transaction_from_profile, pipeline.apriori
-
-        def counting(profile):
-            calls[profile.learner_id] += 1
-            return encode(profile)
-
-        monkeypatch.setattr(pipeline, "transaction_from_profile", counting)
-        monkeypatch.setattr(pipeline, "apriori", lambda t, sl: mined.append(t) or mine(t, sl))
+        build, mine = pipeline.learner_table, pipeline.apriori
+        monkeypatch.setattr(pipeline, "learner_table",
+                            lambda *args: tables.append(build(*args)) or tables[-1])
+        monkeypatch.setattr(pipeline, "apriori",
+                            lambda items, sl: mined.append(items) or mine(items, sl))
         store = run(config, records, profiles)
-        assert max(calls.values()) == 1
-        # The reused encodings equal fresh ones for every mined cluster.
+        # One table per run, one row per subset member.
+        assert len(tables) == 1
+        members = {r.learner_id for r in records if r.rating >= config.delta0}
+        assert sorted(tables[0].row) == sorted(members)
+        # The table rows mined equal fresh encodings of every mined cluster.
         clusters, _, _ = recover_clusters(records, profiles, config)
-        assert mined == [clusters[rid] for rid in sorted(clusters)]
+        assert [m.tolist() for m in mined] == [
+            items_array(clusters[rid]).tolist() for rid in sorted(clusters)]
         # Learners sit in several mined clusters, so encoding per cluster
-        # member would have called the encoder more often.
-        assert sum(c.provenance.cluster_size or 0 for c in store.values()) > len(calls)
+        # member would have encoded more often.
+        assert sum(c.provenance.cluster_size or 0 for c in store.values()) > len(members)
 
     def test_cooccurrence_built_once(self, monkeypatch):
         quantify_module = importlib.import_module("learntags.quantify")
@@ -404,6 +405,78 @@ class TestStore:
         path.write_text('{"r9": {"tags": [{}], "provenance": {}}}')
         with pytest.raises(ValueError, match="r9"):
             load_store(path)
+
+    @staticmethod
+    def store_with(tmp_path, tag=None, provenance=None):
+        """A one-resource store file with some fields replaced."""
+        entry = {
+            "tags": [{"current_skill": 2, "target_skill": 5, "time_bin": [41, 50],
+                      "strategy_value": 12.5, "presentation_value": 3}],
+            "provenance": {"subset_size": 12, "chosen_k": 2, "cluster_size": 8,
+                           "support": 0.25},
+        }
+        entry["tags"][0].update(tag or {})
+        entry["provenance"].update(provenance or {})
+        path = tmp_path / "store.json"
+        path.write_text(json.dumps({"r7": entry}))
+        return path
+
+    def test_well_typed_fields_load(self, tmp_path):
+        (tag,) = load_store(self.store_with(tmp_path))["r7"].tags
+        assert tag == Tag(2, 5, TimeBin(41, 50), 12.5, 3)
+
+    def test_skill_given_as_string_rejected(self, tmp_path):
+        path = self.store_with(tmp_path, tag={"current_skill": "6"})
+        with pytest.raises(ValueError, match=r"resource 'r7'.*current_skill must be an int"):
+            load_store(path)
+
+    def test_skill_given_as_bool_rejected(self, tmp_path):
+        path = self.store_with(tmp_path, tag={"target_skill": True})
+        with pytest.raises(ValueError, match=r"resource 'r7'.*target_skill must be an int"):
+            load_store(path)
+
+    def test_value_given_as_string_rejected(self, tmp_path):
+        path = self.store_with(tmp_path, tag={"strategy_value": "12.5"})
+        with pytest.raises(ValueError, match=r"resource 'r7'.*strategy_value must be a number"):
+            load_store(path)
+
+    @pytest.mark.parametrize("bin_pair", [["a", 10], [41, 50, 60], [41], 41, [41.0, 50]])
+    def test_time_bin_not_two_ints_rejected(self, tmp_path, bin_pair):
+        path = self.store_with(tmp_path, tag={"time_bin": bin_pair})
+        with pytest.raises(ValueError, match=r"resource 'r7'.*time_bin must be null or two ints"):
+            load_store(path)
+
+    def test_tag_not_an_object_rejected(self, tmp_path):
+        path = tmp_path / "store.json"
+        path.write_text(json.dumps({"r7": {"tags": [[1, 2]], "provenance": {
+            "subset_size": 3, "chosen_k": None, "cluster_size": None, "support": None}}}))
+        with pytest.raises(ValueError, match=r"tag in resource 'r7': expected an object"):
+            load_store(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("subset_size", "12"), ("subset_size", None), ("chosen_k", 2.0),
+        ("cluster_size", "8"), ("support", "0.25"),
+    ])
+    def test_provenance_mistyped_rejected(self, tmp_path, field, value):
+        path = self.store_with(tmp_path, provenance={field: value})
+        with pytest.raises(ValueError, match=rf"provenance of resource 'r7': {field} must be"):
+            load_store(path)
+
+    def test_save_replaces_the_store_atomically(self, tmp_path, monkeypatch):
+        path = tmp_path / "store.json"
+        save_store({"r1": TagCloud("r1", [Tag(current_skill=1)], Provenance(10, 1, 5, 0.5))},
+                   path)
+        before = path.read_bytes()
+
+        def failing_dump(doc, fh, **kwargs):
+            fh.write('{"r2": {"tags": [')
+            raise RuntimeError("disk full")
+
+        monkeypatch.setattr(json, "dump", failing_dump)
+        with pytest.raises(RuntimeError, match="disk full"):
+            save_store({"r2": TagCloud("r2", [], Provenance(3))}, path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["store.json"]
 
 
 class TestRenderReport:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import importlib
+import types
 from itertools import combinations
 from unittest import mock
 
@@ -18,13 +19,12 @@ from learntags import (
     derive_orderings,
     nmf,
     quantification_report,
-    quantify,
+    quantify_nominal,
     symmetrize,
 )
 from learntags.ingest import LearnerSubset
 from learntags.quantify import ATTRIBUTES, FactorPair
 
-# The package exports the function ``quantify`` under the module's name.
 quantify_module = importlib.import_module("learntags.quantify")
 
 
@@ -381,7 +381,7 @@ class TestQuantifyAttribute:
 
     def test_one_learner_corpus_gives_zeros(self):
         subsets = [LearnerSubset("r", frozenset({"u1"}))]
-        details = quantify(subsets, {"u1": profile("u1")}, PipelineConfig())
+        details = quantify_nominal(subsets, {"u1": profile("u1")}, PipelineConfig())
         assert list(details) == list(ATTRIBUTES)
         for detail in details.values():
             assert detail.values == {i: 0.0 for i in range(1, 6)}
@@ -389,14 +389,14 @@ class TestQuantifyAttribute:
     def test_deterministic(self):
         subsets, profiles = self.corpus()
         config = PipelineConfig(seed=4)
-        d1 = quantify(subsets, profiles, config)
-        d2 = quantify(subsets, profiles, config)
+        d1 = quantify_nominal(subsets, profiles, config)
+        d2 = quantify_nominal(subsets, profiles, config)
         assert {a: d.values for a, d in d1.items()} == {a: d.values for a, d in d2.items()}
 
     def test_attributes_use_derived_seeds(self):
         subsets, profiles = self.corpus()
         config = PipelineConfig(seed=4)
-        details = quantify(subsets, profiles, config)
+        details = quantify_nominal(subsets, profiles, config)
         assert (details["strategy"].factors.error_trace[0]
                 != details["presentation"].factors.error_trace[0])
         for attribute, seed in (("strategy", 4), ("presentation", 5)):
@@ -408,7 +408,7 @@ class TestQuantifyAttribute:
 
     def test_values_are_similarity_row_means(self):
         subsets, profiles = self.corpus()
-        for detail in quantify(subsets, profiles, PipelineConfig()).values():
+        for detail in quantify_nominal(subsets, profiles, PipelineConfig()).values():
             for i in range(5):
                 assert detail.values[i + 1] == float(np.mean(detail.similarity[i]))
 
@@ -417,9 +417,34 @@ class TestQuantifyAttribute:
 
         subsets, profiles = self.corpus()
         config = PipelineConfig()
-        details = quantify(subsets, profiles, config)
+        details = quantify_nominal(subsets, profiles, config)
         doc = json.loads(json.dumps(quantification_report(details)))
         assert set(doc) == {"strategy", "presentation"}
         for attr in doc:
             assert set(doc[attr]["values"]) == {"1", "2", "3", "4", "5"}
             assert len(doc[attr]["cooccurrence"]) == 5
+
+
+class TestModuleName:
+    """``learntags.quantify`` names the module, not a function in it."""
+
+    def test_submodule_import_binds_the_module(self):
+        import learntags
+        import learntags.quantify as q
+
+        assert isinstance(q, types.ModuleType)
+        assert learntags.quantify is q is quantify_module
+
+    def test_dotted_patch_reaches_the_module(self, monkeypatch):
+        seeds = []
+        real = quantify_module.nmf
+
+        def recording(*args, **kwargs):
+            seeds.append(kwargs["seed"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr("learntags.quantify.nmf", recording)
+        subsets = [LearnerSubset("r", frozenset({"u1", "u2"}))]
+        quantify_nominal(subsets, {"u1": profile("u1"), "u2": profile("u2", 2, 3)},
+                         PipelineConfig(seed=7))
+        assert seeds == [7, 8]
