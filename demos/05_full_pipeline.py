@@ -4,7 +4,9 @@ The full tagging pipeline end to end
 
 Synthesizes a rating corpus, runs subsets -> quantification ->
 clustering -> mining in one call, prints the tag report, saves the
-store, and ranks the tagged resources against a single learner.
+store, and ranks the tagged resources against learners with the value
+maps the store carries, as `learntags match` does.  The rankings go to
+`demos/out/match.tsv`.
 """
 
 import os
@@ -13,10 +15,9 @@ import numpy as np
 
 from learntags import (
     PipelineConfig,
-    build_all_subsets,
     generate_profiles,
+    load_store,
     match_resources,
-    quantify_nominal,
     render_report,
     run,
     save_store,
@@ -45,16 +46,22 @@ os.makedirs("demos/out", exist_ok=True)
 save_store(store, "demos/out/store.json")
 print("wrote demos/out/store.json")
 
-# rank the store against one learner's own attribute profile
-subsets = build_all_subsets(records, config.delta0)
-ordered = [subsets[rid] for rid in sorted(subsets)]
-details = quantify_nominal(ordered, profiles, config)
-strategy_values = details["strategy"].values
-presentation_values = details["presentation"].values
+# rank the stored resources against learners, reading the saved store back:
+# it carries the quantified values that map tag values to parameter ids
+stored = load_store("demos/out/store.json")
+strategy_values = stored.value_maps["strategy"]
+presentation_values = stored.value_maps["presentation"]
 learner = profiles["u007"]
 print(f"\nbest matches for u007 (skill {learner.current_skill}->"
       f"{learner.target_skill}, strategy {learner.strategy}, "
       f"presentation {learner.presentation}, {learner.hours}h):")
-for rid, score in match_resources(learner, store, strategy_values,
+for rid, score in match_resources(learner, stored, strategy_values,
                                   presentation_values, top_n=5):
     print(f"  {rid}  score {score:.3f}")
+
+with open("demos/out/match.tsv", "w", encoding="utf-8") as fh:
+    for lid in learners[::20]:
+        for rid, score in match_resources(profiles[lid], stored, strategy_values,
+                                          presentation_values, top_n=5):
+            fh.write(f"{lid}\t{rid}\t{score:.3f}\n")
+print("wrote demos/out/match.tsv")

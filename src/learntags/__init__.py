@@ -52,6 +52,7 @@ from .pipeline import (
     Provenance,
     Tag,
     TagCloud,
+    TagStore,
     learner_table,
     load_store,
     match_resources,
@@ -77,7 +78,7 @@ __all__ = [
     "normalize", "sweep_k",
     "FrequentItemset", "apriori", "select_tag",
     "LearnerTable", "PipelineConfig", "Provenance", "Tag", "TagCloud",
-    "learner_table", "load_store", "match_resources", "render_report",
+    "TagStore", "learner_table", "load_store", "match_resources", "render_report",
     "render_tag", "run", "save_store",
     "export_parcoords", "export_values", "extreme_pairs",
     "__version__",

@@ -7,6 +7,7 @@ to stderr; data goes to --out or stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -51,6 +52,7 @@ def _add_input_flags(sp: argparse.ArgumentParser) -> None:
                     help="synthesize profiles for raters missing from --profiles")
 
 
+@functools.cache  # built once per process: a parse leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="learntags",
@@ -77,10 +79,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trace", help="write the per-resource k-sweep trace here")
 
     sp = sub.add_parser("match", help="rank stored resources against one learner")
-    _add_input_flags(sp)
-    _add_config_flags(sp)
     sp.add_argument("--store", required=True, help="store JSON from `tag`")
+    sp.add_argument("--profiles", required=True, help="learner profiles CSV path")
     sp.add_argument("--learner", required=True, help="learner id from --profiles")
+    sp.add_argument("--ratings", help="accepted for compatibility, not read: the store "
+                                      "carries the quantified values match needs")
     sp.add_argument("--top", type=int, default=5,
                     help="entries to print (default %(default)s)")
 
@@ -123,21 +126,19 @@ def _read_profiles(path: str) -> ingest.ProfilesResult:
         return ingest.parse_profiles(fh)
 
 
-def _assemble_profiles(
-    args: argparse.Namespace, records, parsed: ingest.ProfilesResult | None = None,
-) -> dict[str, ingest.LearnerProfile]:
-    """Profiles from --profiles, topped up synthetically when asked.
+def _profiles_from(path: str) -> dict[str, ingest.LearnerProfile]:
+    """The profiles of a --profiles file by learner id, warning of rejected rows."""
+    result = _read_profiles(path)
+    if result.rejected:
+        line, reason = result.rejected[0]
+        print(f"warning: {len(result.rejected)} profile rows rejected "
+              f"(first at line {line}: {reason})", file=sys.stderr)
+    return {p.learner_id: p for p in result.profiles}
 
-    ``parsed`` is the already parsed --profiles file, when the caller has it.
-    """
-    by_id: dict[str, ingest.LearnerProfile] = {}
-    if args.profiles:
-        result = parsed if parsed is not None else _read_profiles(args.profiles)
-        if result.rejected:
-            line, reason = result.rejected[0]
-            print(f"warning: {len(result.rejected)} profile rows rejected "
-                  f"(first at line {line}: {reason})", file=sys.stderr)
-        by_id.update({p.learner_id: p for p in result.profiles})
+
+def _assemble_profiles(args: argparse.Namespace, records) -> dict[str, ingest.LearnerProfile]:
+    """Profiles from --profiles, topped up synthetically when asked."""
+    by_id = _profiles_from(args.profiles) if args.profiles else {}
     if args.synth_seed is not None:
         rated = sorted({r.learner_id for r in records})
         missing = [lid for lid in rated if lid not in by_id]
@@ -187,12 +188,11 @@ def _cmd_synth_profiles(args: argparse.Namespace) -> int:
     return 0
 
 
-def _quantify_details(args: argparse.Namespace, config: PipelineConfig,
-                      parsed: ingest.ProfilesResult | None = None):
+def _quantify_details(args: argparse.Namespace, config: PipelineConfig):
     if args.ratings is None:
         raise ValueError("missing --ratings")
     records = _read_ratings(args.ratings).records
-    profiles = _assemble_profiles(args, records, parsed)
+    profiles = _assemble_profiles(args, records)
     subsets = ingest.build_all_subsets(records, config.delta0)
     ordered = [subsets[rid] for rid in sorted(subsets)]
     return records, profiles, subsets, quantify_nominal(ordered, profiles, config)
@@ -230,20 +230,13 @@ def _cmd_tag(args: argparse.Namespace) -> int:
 
 
 def _cmd_match(args: argparse.Namespace) -> int:
-    config = _config_from(args)
-    if args.profiles is None:
-        raise ValueError("missing --profiles")
     store = load_store(args.store)
-    parsed = _read_profiles(args.profiles)
-    profiles = {p.learner_id: p for p in parsed.profiles}
+    profiles = _profiles_from(args.profiles)
     if args.learner not in profiles:
         raise KeyError(f"no profile for learner {args.learner!r}")
-    if args.ratings is None:
-        raise ValueError("missing --ratings (needed to recover quantified values)")
-    *_, details = _quantify_details(args, config, parsed)
     ranked = match_resources(
         profiles[args.learner], store,
-        details["strategy"].values, details["presentation"].values,
+        store.value_maps["strategy"], store.value_maps["presentation"],
         top_n=args.top,
     )
     for rid, score in ranked:

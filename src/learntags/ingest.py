@@ -20,6 +20,10 @@ PROFILES_HEADER = ("learner_id", "a1", "a2", "a3", "a4", "a5_hours")
 SKILL_LEVELS = range(1, 7)       # a1, a2
 STRATEGY_IDS = range(1, 6)       # a3
 PRESENTATION_IDS = range(1, 6)   # a4
+# Largest a5 learning time accepted, in hours.  It keeps item codes small:
+# mine.apriori codes an itemset as one mixed-radix int64 whose hours
+# digit is the decade bin, so hours near 5e16 would overflow it.
+MAX_HOURS = 10**6
 
 
 class MalformedRowError(ValueError):
@@ -46,7 +50,8 @@ class LearnerProfile:
 
     current_skill/target_skill are 1..6 proficiency levels with
     target_skill strictly above current_skill; strategy and presentation
-    are categorical ids 1..5; hours is available learning time.
+    are categorical ids 1..5; hours is available learning time, at
+    most MAX_HOURS.
     """
 
     learner_id: str
@@ -110,6 +115,8 @@ def _profile_violation(p: LearnerProfile) -> str | None:
         return "a4 out of range 1..5"
     if p.hours < 0:
         return "a5 must be non-negative"
+    if p.hours > MAX_HOURS:
+        return f"a5 above the cap of {MAX_HOURS} hours"
     return None
 
 
@@ -176,7 +183,8 @@ def render_ratings(records: Iterable[RatingRecord]) -> str:
 def parse_profiles(stream: Iterable[str] | str) -> ProfilesResult:
     """Parse the comma-separated profiles file.
 
-    Rows violating the attribute constraints are rejected with a reason;
+    Rows violating the attribute constraints, hours above MAX_HOURS
+    included, are rejected with their line number and a reason;
     duplicate learner ids keep the last occurrence and bump ``duplicates``.
     """
     if isinstance(stream, str):

@@ -6,16 +6,22 @@ table: each subset member once, as a row of clustering coordinates
 (with the quantified values) and a row of item codes, in learner-id
 order.  Per resource, the subset's rows are clustered, the largest
 cluster's item rows are mined, and the winning itemsets become the
-resource's tags.  The store maps resource ids to tag clouds with
-provenance and round-trips through JSON byte-identically for a fixed
-seed.
+resource's tags.
+
+The run's result is a ``TagStore``: resource ids mapped to tag clouds
+with provenance, plus the ``PipelineConfig`` and the two quantified
+value maps of the run.  A tag carries quantified values, so ranking a
+learner against the store needs those maps to read the values back as
+parameter ids; with them in the store, ``match`` reads only the store
+and the profiles.  The store round-trips through canonical JSON
+(schema 2) byte-identically for a fixed seed.
 """
 from __future__ import annotations
 
 import json
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -24,18 +30,23 @@ from .cluster import KTraceEntry, group_rows
 from .ingest import (
     LearnerProfile,
     LearnerSubset,
+    MAX_HOURS,
     RatingRecord,
     TimeBin,
     build_all_subsets,
     discretize_time,
 )
 from .mine import apriori, select_tag
-from .quantify import AttributeValueMap, quantify_nominal
+from .quantify import ATTRIBUTES, AttributeValueMap, quantify_nominal
 
 logger = logging.getLogger(__name__)
 
 SKIP_SMALL_SUBSET = "subset below threshold"
 SKIP_NO_ITEMSET = "no itemset met the support level"
+
+# Version of the store file format that save_store writes and
+# load_store reads.  Stores without a header predate it.
+STORE_SCHEMA = 2
 
 
 @dataclass
@@ -103,6 +114,31 @@ class TagCloud:
 
 
 @dataclass
+class TagStore(Mapping[str, TagCloud]):
+    """The tag clouds of one run, with the config and value maps behind them.
+
+    As a mapping it holds the clouds only: iteration, ``len`` and ``[]``
+    give resource ids and clouds.  ``value_maps`` holds each nominal
+    attribute's quantified values, ``{"strategy": {1..5: float},
+    "presentation": {1..5: float}}``; the name keeps ``values()`` the
+    mapping's clouds.  Equality compares clouds, config and value maps.
+    """
+
+    clouds: dict[str, TagCloud]
+    config: PipelineConfig
+    value_maps: dict[str, AttributeValueMap]
+
+    def __getitem__(self, resource_id: str) -> TagCloud:
+        return self.clouds[resource_id]
+
+    def __iter__(self):
+        return iter(self.clouds)
+
+    def __len__(self) -> int:
+        return len(self.clouds)
+
+
+@dataclass
 class LearnerTable:
     """Every subset member once, as one row each in learner-id order."""
 
@@ -126,17 +162,19 @@ def learner_table(
 
     ``coords`` carries the quantified values in place of the strategy and
     presentation ids.  ``items`` bins hours into 1-based decades, hours
-    below 1 falling into the first, [1-10].
+    below 1 falling into the first, [1-10].  Hours above ``MAX_HOURS``
+    raise a ValueError naming the learner.
     """
     ids = sorted({m for s in subsets for m in s.members})
+    rows = []
     for lid in ids:
-        if lid not in profiles:
+        p = profiles.get(lid)
+        if p is None:
             raise KeyError(f"no profile for learner {lid!r}")
-    attrs = np.array(
-        [(p.current_skill, p.target_skill, p.strategy, p.presentation, p.hours)
-         for p in map(profiles.__getitem__, ids)],
-        dtype=np.int64,
-    ).reshape(len(ids), 5)
+        if p.hours > MAX_HOURS:
+            raise ValueError(f"learner {lid!r}: a5 hours {p.hours} above the cap of {MAX_HOURS}")
+        rows.append((p.current_skill, p.target_skill, p.strategy, p.presentation, p.hours))
+    attrs = np.array(rows, dtype=np.int64).reshape(len(ids), 5)
     coords = attrs.astype(np.float64)
     for col, values in ((2, strategy_values), (3, presentation_values)):
         coords[:, col] = [values[p] for p in attrs[:, col].tolist()]
@@ -173,11 +211,12 @@ def run(
     ratings: Iterable[RatingRecord],
     profiles: Iterable[LearnerProfile] | Mapping[str, LearnerProfile],
     trace_hook: Callable[[str, list[KTraceEntry]], None] | None = None,
-) -> dict[str, TagCloud]:
+) -> TagStore:
     """Tag every resource with a non-empty subset.
 
     Quantification of the nominal attributes happens once over all
-    subsets so tag values stay comparable across resources.  Resources
+    subsets so tag values stay comparable across resources; the store
+    keeps both value maps and ``config``.  Resources
     whose subset is smaller than ``min_subset`` are recorded as skipped
     rather than failing the batch.  ``trace_hook``, when given, receives
     each resource's (k, sse, avg_diameter) sweep trace.
@@ -198,14 +237,14 @@ def run(
     presentation_values = details["presentation"].values
     table = learner_table(all_subsets, by_id, strategy_values, presentation_values)
 
-    store: dict[str, TagCloud] = {}
+    clouds: dict[str, TagCloud] = {}
     skipped = 0
     for rid in ordered_resources:
         subset = subsets[rid]
         size = len(subset)
         if size < config.min_subset:
-            store[rid] = TagCloud(rid, [], Provenance(subset_size=size),
-                                  skipped=SKIP_SMALL_SUBSET)
+            clouds[rid] = TagCloud(rid, [], Provenance(subset_size=size),
+                                   skipped=SKIP_SMALL_SUBSET)
             skipped += 1
             continue
 
@@ -221,7 +260,7 @@ def run(
             support=winners[0].support if winners else None,
         )
         if not winners:
-            store[rid] = TagCloud(rid, [], provenance, skipped=SKIP_NO_ITEMSET)
+            clouds[rid] = TagCloud(rid, [], provenance, skipped=SKIP_NO_ITEMSET)
             skipped += 1
             continue
         tags = [
@@ -234,15 +273,16 @@ def run(
             )
             for a1, a2, a3, a4, hours_bin in (w.fields for w in winners)
         ]
-        store[rid] = TagCloud(rid, tags, provenance)
+        clouds[rid] = TagCloud(rid, tags, provenance)
 
     empty = total_resources - len(subsets)
     logger.info(
         "tagged %d of %d resources (%d skipped: %s; %d with no rating >= %d)",
-        len(store) - skipped, total_resources, skipped,
+        len(clouds) - skipped, total_resources, skipped,
         SKIP_SMALL_SUBSET, empty, config.delta0,
     )
-    return store
+    return TagStore(clouds, config, {"strategy": strategy_values,
+                                     "presentation": presentation_values})
 
 
 def _nearest_parameter(values: AttributeValueMap, target: float) -> int:
@@ -352,34 +392,91 @@ _PROVENANCE_FIELDS = {
 }
 
 
-def _validated(obj, fields: dict, where: str) -> dict:
-    """The ``fields`` of a JSON object, each checked for its type and shape."""
+# Config field name -> (check, what the check accepts): an int where the
+# default is one, else any number.
+_CONFIG_FIELDS = {
+    f.name: (_int, "an int") if isinstance(f.default, int) else (_number, "a number")
+    for f in fields(PipelineConfig)
+}
+
+
+def _validated(obj, checks: dict, where: str) -> dict:
+    """The ``checks`` fields of a JSON object, each checked for its type and shape."""
     if not isinstance(obj, dict):
         raise ValueError(f"malformed {where}: expected an object, got {obj!r}")
-    for name, (valid, expected) in fields.items():
+    for name, (valid, expected) in checks.items():
+        if name not in obj:
+            raise ValueError(f"malformed {where}: no {name} field")
         if not valid(obj[name]):
             raise ValueError(f"malformed {where}: {name} must be {expected}, got {obj[name]!r}")
-    return {name: obj[name] for name in fields}
+    return {name: obj[name] for name in checks}
 
 
-def save_store(store: Mapping[str, TagCloud], path) -> None:
+def _config_from_json(obj) -> PipelineConfig:
+    known = _validated(obj, _CONFIG_FIELDS, "store config")
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise ValueError(f"malformed store config: unknown fields {unknown}")
+    try:
+        return PipelineConfig(**known)
+    except ValueError as exc:
+        raise ValueError(f"malformed store config: {exc}") from None
+
+
+def _value_map_from_json(obj, attribute: str) -> AttributeValueMap:
+    if (not isinstance(obj, dict) or sorted(obj) != ["1", "2", "3", "4", "5"]
+            or not all(map(_number, obj.values()))):
+        raise ValueError(f"malformed store values: {attribute} must map the ids "
+                         f"1..5 to numbers, got {obj!r}")
+    return {int(p): v for p, v in sorted(obj.items())}
+
+
+def _cloud_to_json(cloud: TagCloud) -> dict:
+    entry = {
+        "tags": [_tag_to_json(t) for t in cloud.tags],
+        "provenance": {
+            "subset_size": cloud.provenance.subset_size,
+            "chosen_k": cloud.provenance.chosen_k,
+            "cluster_size": cloud.provenance.cluster_size,
+            "support": cloud.provenance.support,
+        },
+    }
+    if cloud.skipped is not None:
+        entry["skipped"] = cloud.skipped
+    return entry
+
+
+def _cloud_from_json(rid: str, entry) -> TagCloud:
+    try:
+        provenance = Provenance(**_validated(
+            entry["provenance"], _PROVENANCE_FIELDS, f"provenance of resource {rid!r}"))
+        tags = []
+        for obj in entry["tags"]:
+            checked = _validated(obj, _TAG_FIELDS, f"tag in resource {rid!r}")
+            bin_pair = checked.pop("time_bin")
+            time_bin = None if bin_pair is None else TimeBin(*bin_pair)
+            tags.append(Tag(**checked, time_bin=time_bin))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed store entry for resource {rid!r}: {exc}") from exc
+    return TagCloud(rid, tags, provenance, skipped=entry.get("skipped"))
+
+
+def save_store(store: TagStore, path) -> None:
     """Write the store as canonical JSON (sorted keys, stable bytes),
-    replacing ``path`` in one step."""
-    doc = {}
-    for rid in sorted(store):
-        cloud = store[rid]
-        entry = {
-            "tags": [_tag_to_json(t) for t in cloud.tags],
-            "provenance": {
-                "subset_size": cloud.provenance.subset_size,
-                "chosen_k": cloud.provenance.chosen_k,
-                "cluster_size": cloud.provenance.cluster_size,
-                "support": cloud.provenance.support,
-            },
-        }
-        if cloud.skipped is not None:
-            entry["skipped"] = cloud.skipped
-        doc[rid] = entry
+    replacing ``path`` in one step.
+
+    The document is ``{"schema": 2, "config": {...}, "values":
+    {"presentation": {"1": v, ..., "5": v}, "strategy": {...}},
+    "resources": {resource id: {"tags": [...], "provenance": {...}}}}``;
+    a skipped resource also has a ``"skipped"`` reason.  An OSError
+    names ``path``.
+    """
+    doc = {
+        "schema": STORE_SCHEMA,
+        "config": asdict(store.config),
+        "values": store.value_maps,
+        "resources": {rid: _cloud_to_json(store[rid]) for rid in sorted(store)},
+    }
     # Written beside the target and moved over it, so a failed write
     # leaves the previous store in place.
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
@@ -389,34 +486,45 @@ def save_store(store: Mapping[str, TagCloud], path) -> None:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.remove(tmp)
+        if isinstance(exc, OSError):  # name the store, not the temp file
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
 
 
-def load_store(path) -> dict[str, TagCloud]:
+def load_store(path) -> TagStore:
     """Read a store written by save_store; load o save is the identity.
 
-    Every tag and provenance field is checked for its type and shape; a
-    ValueError names the resource and the field.
+    The header is checked first: the schema version, the config (rebuilt
+    as a ``PipelineConfig``, so out-of-range knobs fail as they would in
+    code) and both value maps (the ids 1..5, numbers only).  A store
+    without a header predates schema 2 and must be rewritten by
+    re-running ``learntags tag``.  Then every tag and provenance field
+    is checked for its type and shape.  Each failure is a ValueError
+    naming the field, and the resource where there is one.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)  # a malformed file raises with line and column
     if not isinstance(doc, dict):
         raise ValueError("store document must be a JSON object")
-    store: dict[str, TagCloud] = {}
-    for rid, entry in doc.items():
-        try:
-            provenance = Provenance(**_validated(
-                entry["provenance"], _PROVENANCE_FIELDS, f"provenance of resource {rid!r}"))
-            tags = []
-            for obj in entry["tags"]:
-                fields = _validated(obj, _TAG_FIELDS, f"tag in resource {rid!r}")
-                bin_pair = fields.pop("time_bin")
-                time_bin = None if bin_pair is None else TimeBin(*bin_pair)
-                tags.append(Tag(**fields, time_bin=time_bin))
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed store entry for resource {rid!r}: {exc}") from exc
-        store[rid] = TagCloud(rid, tags, provenance, skipped=entry.get("skipped"))
-    return store
+    if "schema" not in doc:
+        raise ValueError(f"store {os.fspath(path)!r} has no schema header: it predates "
+                         f"schema {STORE_SCHEMA}; re-run `learntags tag` to rewrite it")
+    if not _int(doc["schema"]) or doc["schema"] != STORE_SCHEMA:
+        raise ValueError(f"store schema {doc['schema']!r} is not supported (this version "
+                         f"reads schema {STORE_SCHEMA}); re-run `learntags tag`")
+    for name in ("config", "values", "resources"):
+        if name not in doc:
+            raise ValueError(f"malformed store: no {name} field")
+    config = _config_from_json(doc["config"])
+    values = doc["values"]
+    if not isinstance(values, dict) or sorted(values) != sorted(ATTRIBUTES):
+        raise ValueError(f"malformed store values: expected maps for {sorted(ATTRIBUTES)}, "
+                         f"got {values!r}")
+    value_maps = {a: _value_map_from_json(values[a], a) for a in ATTRIBUTES}
+    if not isinstance(doc["resources"], dict):
+        raise ValueError("malformed store resources: expected an object")
+    clouds = {rid: _cloud_from_json(rid, entry) for rid, entry in doc["resources"].items()}
+    return TagStore(clouds, config, value_maps)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import importlib
 import json
+import os
 import re
 import xml.etree.ElementTree as ET
 from itertools import combinations
@@ -19,12 +20,15 @@ import pytest
 from learntags import (
     PipelineConfig,
     RatingRecord,
+    build_all_subsets,
     export_parcoords,
     export_values,
     extreme_pairs,
     generate_profiles,
     load_store,
+    match_resources,
     parse_profiles,
+    quantify_nominal,
     render_profiles,
     render_ratings,
 )
@@ -296,6 +300,30 @@ class TestTag:
                          "--out", str(out)]) == 0
         assert "b1" in load_store(str(out))
 
+    def test_missing_out_directory_names_store_path(self, tmp_path, capsys):
+        ratings, profiles = write_corpus(tmp_path)
+        out = str(tmp_path / "missing" / "store.json")
+        assert dispatch(["tag", "--ratings", ratings, "--profiles", profiles,
+                         "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot access {out}: " in err
+        assert ".tmp" not in err
+
+    def test_hours_above_cap_exit_one(self, tmp_path, capsys):
+        ratings = tmp_path / "ratings.csv"
+        ratings.write_text(render_ratings(
+            [RatingRecord(lid, "b1", 9) for lid in ("u1", "u2", "u3")]), encoding="latin-1")
+        profiles = tmp_path / "profiles.csv"
+        profiles.write_text("learner_id,a1,a2,a3,a4,a5_hours\n"
+                            "u1,1,2,1,1,100000000000000000000\nu2,1,2,1,1,5\n"
+                            "u3,2,3,1,1,7\n", encoding="utf-8")
+        assert dispatch(["tag", "--ratings", str(ratings), "--profiles", str(profiles),
+                         "--min-subset", "1"]) == 1
+        err = capsys.readouterr().err
+        assert f"first at line 2: a5 above the cap of {ingest.MAX_HOURS} hours" in err
+        assert "no profile for learner 'u1'" in err
+        assert "Traceback" not in err
+
 
 class TestMatch:
     def test_ranks_against_store(self, tmp_path, capsys):
@@ -342,23 +370,112 @@ class TestMatch:
                          "--store", str(store), "--learner", "u00"]) == 0
         assert calls == [profiles]
 
-    def test_builds_cooccurrence_once(self, tmp_path, capsys, monkeypatch):
+    def test_reads_no_ratings_and_builds_no_cooccurrence(self, tmp_path, capsys,
+                                                          monkeypatch):
         quantify_module = importlib.import_module("learntags.quantify")
         ratings, profiles = write_corpus(tmp_path)
         store = tmp_path / "store.json"
         dispatch(["tag", "--ratings", ratings, "--profiles", profiles,
                   "--out", str(store)])
         calls = []
-        build = quantify_module.build_cooccurrence
 
-        def counting(subsets, by_id):
-            calls.append(len(subsets))
-            return build(subsets, by_id)
+        def counting(name, fn):
+            return lambda *args: calls.append(name) or fn(*args)
 
-        monkeypatch.setattr(quantify_module, "build_cooccurrence", counting)
+        monkeypatch.setattr(quantify_module, "build_cooccurrence",
+                            counting("build_cooccurrence", quantify_module.build_cooccurrence))
+        monkeypatch.setattr(ingest, "parse_ratings",
+                            counting("parse_ratings", ingest.parse_ratings))
         assert dispatch(["match", "--ratings", ratings, "--profiles", profiles,
                          "--store", str(store), "--learner", "u00"]) == 0
-        assert len(calls) == 1
+        assert calls.count("build_cooccurrence") == 0
+        assert calls.count("parse_ratings") == 0
+
+    def test_succeeds_after_ratings_deleted(self, tmp_path, capsys):
+        ratings, profiles = write_corpus(tmp_path)
+        store = tmp_path / "store.json"
+        dispatch(["tag", "--ratings", ratings, "--profiles", profiles,
+                  "--out", str(store)])
+        query = ["match", "--profiles", profiles, "--store", str(store), "--learner", "u03"]
+        capsys.readouterr()
+        assert dispatch(query + ["--ratings", ratings]) == 0
+        before = capsys.readouterr().out
+        os.remove(ratings)
+        assert dispatch(query + ["--ratings", ratings]) == 0
+        assert capsys.readouterr().out == before
+        assert dispatch(query) == 0
+        assert capsys.readouterr().out == before
+
+    def test_help_says_ratings_not_read(self, capsys):
+        assert dispatch(["match", "--help"]) == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "--ratings RATINGS accepted for compatibility, not read" in help_text
+        assert "--seed" not in help_text and "--synth-seed" not in help_text
+
+    def test_profiles_flag_required(self, tmp_path, capsys):
+        assert dispatch(["match", "--store", str(tmp_path / "s.json"),
+                         "--learner", "u00"]) == 1
+        assert "--profiles" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corpus_seed, config_seed", [(2, 3), (7, 0), (11, 5)])
+    def test_matches_requantified_ranking(self, tmp_path, capsys, corpus_seed, config_seed):
+        """Oracle: the ranking from values quantified again from the ratings."""
+        from conftest import synth_corpus
+
+        records, by_id = synth_corpus(200, 12, 4000, seed=corpus_seed)
+        ratings, profiles = tmp_path / "ratings.csv", tmp_path / "profiles.csv"
+        ratings.write_text(render_ratings(records), encoding="latin-1")
+        profiles.write_text(render_profiles(by_id.values()), encoding="utf-8")
+        store_path = tmp_path / "store.json"
+        assert dispatch(["tag", "--ratings", str(ratings), "--profiles", str(profiles),
+                         "--seed", str(config_seed), "--out", str(store_path)]) == 0
+        config = PipelineConfig(seed=config_seed)
+        subsets = build_all_subsets(records, config.delta0)
+        details = quantify_nominal([subsets[rid] for rid in sorted(subsets)], by_id, config)
+        store = load_store(str(store_path))
+        for lid in sorted(by_id)[::10]:
+            capsys.readouterr()
+            assert dispatch(["match", "--profiles", str(profiles), "--store", str(store_path),
+                             "--learner", lid, "--top", "12"]) == 0
+            expected = match_resources(by_id[lid], store, details["strategy"].values,
+                                       details["presentation"].values, top_n=12)
+            assert capsys.readouterr().out == "".join(
+                f"{rid}\t{score:.3f}\n" for rid, score in expected)
+
+    @staticmethod
+    def broken_store(tmp_path, breakage: str) -> str:
+        ratings, profiles = write_corpus(tmp_path)
+        path = tmp_path / "store.json"
+        dispatch(["tag", "--ratings", ratings, "--profiles", profiles, "--out", str(path)])
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        if breakage == "headerless":
+            doc = doc["resources"]
+        elif breakage == "schema":
+            doc["schema"] = 3
+        elif breakage == "missing id":
+            del doc["values"]["strategy"]["5"]
+        elif breakage == "not a number":
+            doc["values"]["presentation"]["2"] = "4.0"
+        elif breakage == "config":
+            doc["config"]["k_max"] = 0
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return profiles
+
+    @pytest.mark.parametrize("breakage, message", [
+        ("headerless", "no schema header"),
+        ("schema", "store schema 3 is not supported"),
+        ("missing id", "strategy must map the ids 1..5"),
+        ("not a number", "presentation must map the ids 1..5"),
+        ("config", "malformed store config: k_max must be >= 1"),
+    ])
+    def test_bad_store_header_exits_one(self, tmp_path, capsys, breakage, message):
+        profiles = self.broken_store(tmp_path, breakage)
+        capsys.readouterr()
+        assert dispatch(["match", "--profiles", profiles, "--store",
+                         str(tmp_path / "store.json"), "--learner", "u00"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
 
 
 class TestExportCommands:

@@ -17,7 +17,8 @@ from learntags import (
     render_profiles,
     render_ratings,
 )
-from learntags.ingest import TimeBin
+from learntags.ingest import MAX_HOURS, TimeBin
+from learntags.mine import apriori
 
 RATINGS_HEADER_LINE = '"User-ID";"ISBN";"Book-Rating"\n'
 
@@ -152,6 +153,20 @@ class TestParseProfiles:
         result = parse_profiles(self.HEADER + row + "\n")
         assert result.profiles == []
         assert result.rejected == [(2, reason)]
+
+    def test_hours_above_cap_rejected_with_line(self):
+        stream = (self.HEADER + f"u1,2,5,3,4,{MAX_HOURS}\n"
+                  f"u2,2,5,3,4,{MAX_HOURS + 1}\nu3,1,2,1,1,{10**20}\n")
+        result = parse_profiles(stream)
+        assert [(p.learner_id, p.hours) for p in result.profiles] == [("u1", MAX_HOURS)]
+        reason = f"a5 above the cap of {MAX_HOURS} hours"
+        assert result.rejected == [(3, reason), (4, reason)]
+
+    def test_hours_cap_fits_the_mining_code_space(self):
+        # The largest item codes a capped profile yields still count in apriori.
+        top = (6, 6, 5, 5, (MAX_HOURS - 1) // 10 + 1)
+        assert apriori(np.array([top]), 1.0)[-1].fields == top
+        assert MAX_HOURS >= 10**6
 
     def test_duplicates_keep_last(self):
         stream = self.HEADER + "u1,2,5,3,4,25\nu1,1,6,2,2,40\n"

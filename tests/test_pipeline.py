@@ -4,9 +4,13 @@ from __future__ import annotations
 import importlib
 import json
 import re
+import tempfile
 from collections import Counter
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from learntags import (
     LearnerProfile,
@@ -15,6 +19,8 @@ from learntags import (
     RatingRecord,
     Tag,
     TagCloud,
+    TagStore,
+    learner_table,
     load_store,
     match_resources,
     render_report,
@@ -22,8 +28,28 @@ from learntags import (
     run,
     save_store,
 )
-from learntags.ingest import TimeBin
-from learntags.pipeline import SKIP_SMALL_SUBSET
+from learntags.ingest import MAX_HOURS, LearnerSubset, TimeBin
+from learntags.pipeline import SKIP_SMALL_SUBSET, STORE_SCHEMA
+
+VALUE_MAPS = {
+    "strategy": {1: 5.0, 2: 10.0, 3: 15.0, 4: 20.0, 5: 25.0},
+    "presentation": {1: 2.0, 2: 4.0, 3: 6.0, 4: 8.0, 5: 10.0},
+}
+
+
+def tag_store(clouds: dict) -> TagStore:
+    """Clouds built in a test, with the default config and fixed value maps."""
+    return TagStore(clouds, PipelineConfig(), VALUE_MAPS)
+
+
+def store_doc(resources: dict) -> dict:
+    """A schema-2 store document around ``resources``, as save_store writes it."""
+    return {
+        "schema": STORE_SCHEMA,
+        "config": asdict(PipelineConfig()),
+        "values": {a: {str(p): v for p, v in m.items()} for a, m in VALUE_MAPS.items()},
+        "resources": resources,
+    }
 
 TAG_FIELD = r"(?:\d+|-)"
 TAG_BIN = r"(?:\[\d+-\d+\]|-)"
@@ -93,7 +119,9 @@ class TestRun:
         profiles = {
             f"u{i}": LearnerProfile(f"u{i}", 1, 2, 1, 1, 5) for i in range(30)
         }
-        assert run(PipelineConfig(), records, profiles) == {}
+        store = run(PipelineConfig(), records, profiles)
+        assert dict(store) == {}
+        assert store.config == PipelineConfig()
 
     def test_thin_subsets_recorded_as_skipped(self):
         records = [RatingRecord(f"u{i}", "r1", 9) for i in range(4)]
@@ -209,6 +237,31 @@ class TestRun:
         assert set(seen) == clustered
         for rid, trace in seen.items():
             assert [e.k for e in trace][-1] == 1
+
+    def test_store_carries_config_and_value_maps(self):
+        from learntags import build_all_subsets, quantify_nominal
+
+        records, profiles = self.small_corpus()
+        config = PipelineConfig(seed=5)
+        store = run(config, records, profiles)
+        subsets = build_all_subsets(records, config.delta0)
+        details = quantify_nominal([subsets[rid] for rid in sorted(subsets)], profiles, config)
+        assert store.config == config
+        assert store.value_maps == {a: details[a].values for a in ("strategy", "presentation")}
+        # The mapping side holds resource ids and clouds only.
+        assert sorted(store) == sorted(subsets) == sorted(store.clouds)
+        assert all(isinstance(c, TagCloud) for c in store.values())
+
+    def test_hours_above_cap_name_the_learner(self):
+        subset = LearnerSubset("r1", frozenset({"u1", "u2"}))
+        profiles = {"u1": LearnerProfile("u1", 1, 2, 1, 1, 5),
+                    "u2": LearnerProfile("u2", 1, 2, 1, 1, MAX_HOURS + 1)}
+        with pytest.raises(ValueError, match=rf"learner 'u2'.*{MAX_HOURS}"):
+            learner_table([subset], profiles, VALUE_MAPS["strategy"],
+                          VALUE_MAPS["presentation"])
+        huge = dict(profiles, u2=LearnerProfile("u2", 1, 2, 1, 1, 10**20))
+        with pytest.raises(ValueError, match="learner 'u2'"):
+            run(PipelineConfig(min_subset=1), [RatingRecord(lid, "r1", 9) for lid in huge], huge)
 
 
 class TestRenderTag:
@@ -344,16 +397,17 @@ class TestMatchResources:
 class TestStore:
     def test_empty_store_round_trips(self, tmp_path):
         path = tmp_path / "store.json"
-        save_store({}, path)
-        assert path.read_text() == "{}\n"
-        assert load_store(path) == {}
+        store = tag_store({})
+        save_store(store, path)
+        assert path.read_text() == json.dumps(store_doc({}), indent=2, sort_keys=True) + "\n"
+        assert load_store(path) == store
 
     def test_multi_tag_order_preserved(self, tmp_path):
         tags = [
             Tag(1, 2, TimeBin(1, 10), 5.0, 6.0),
             Tag(2, 3, None, None, 7.0),
         ]
-        store = {"r1": TagCloud("r1", tags, Provenance(12, 2, 8, 0.25))}
+        store = tag_store({"r1": TagCloud("r1", tags, Provenance(12, 2, 8, 0.25))})
         path = tmp_path / "store.json"
         save_store(store, path)
         loaded = load_store(path)
@@ -362,7 +416,7 @@ class TestStore:
         assert loaded["r1"].skipped is None
 
     def test_skip_reason_round_trips(self, tmp_path):
-        store = {"r1": TagCloud("r1", [], Provenance(3), skipped=SKIP_SMALL_SUBSET)}
+        store = tag_store({"r1": TagCloud("r1", [], Provenance(3), skipped=SKIP_SMALL_SUBSET)})
         path = tmp_path / "store.json"
         save_store(store, path)
         assert load_store(path)["r1"].skipped == SKIP_SMALL_SUBSET
@@ -386,6 +440,7 @@ class TestStore:
                 Provenance(int(rng.integers(10, 99)), int(rng.integers(1, 9)),
                            int(rng.integers(2, 60)), float(rng.uniform(0.1, 1.0))),
             )
+        store = tag_store(store)
         path = tmp_path / "store.json"
         save_store(store, path)
         loaded = load_store(path)
@@ -402,7 +457,7 @@ class TestStore:
 
     def test_malformed_entry_names_resource(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text('{"r9": {"tags": [{}], "provenance": {}}}')
+        path.write_text(json.dumps(store_doc({"r9": {"tags": [{}], "provenance": {}}})))
         with pytest.raises(ValueError, match="r9"):
             load_store(path)
 
@@ -418,7 +473,7 @@ class TestStore:
         entry["tags"][0].update(tag or {})
         entry["provenance"].update(provenance or {})
         path = tmp_path / "store.json"
-        path.write_text(json.dumps({"r7": entry}))
+        path.write_text(json.dumps(store_doc({"r7": entry})))
         return path
 
     def test_well_typed_fields_load(self, tmp_path):
@@ -448,8 +503,8 @@ class TestStore:
 
     def test_tag_not_an_object_rejected(self, tmp_path):
         path = tmp_path / "store.json"
-        path.write_text(json.dumps({"r7": {"tags": [[1, 2]], "provenance": {
-            "subset_size": 3, "chosen_k": None, "cluster_size": None, "support": None}}}))
+        path.write_text(json.dumps(store_doc({"r7": {"tags": [[1, 2]], "provenance": {
+            "subset_size": 3, "chosen_k": None, "cluster_size": None, "support": None}}})))
         with pytest.raises(ValueError, match=r"tag in resource 'r7': expected an object"):
             load_store(path)
 
@@ -464,8 +519,8 @@ class TestStore:
 
     def test_save_replaces_the_store_atomically(self, tmp_path, monkeypatch):
         path = tmp_path / "store.json"
-        save_store({"r1": TagCloud("r1", [Tag(current_skill=1)], Provenance(10, 1, 5, 0.5))},
-                   path)
+        save_store(tag_store({"r1": TagCloud("r1", [Tag(current_skill=1)],
+                                             Provenance(10, 1, 5, 0.5))}), path)
         before = path.read_bytes()
 
         def failing_dump(doc, fh, **kwargs):
@@ -474,9 +529,128 @@ class TestStore:
 
         monkeypatch.setattr(json, "dump", failing_dump)
         with pytest.raises(RuntimeError, match="disk full"):
-            save_store({"r2": TagCloud("r2", [], Provenance(3))}, path)
+            save_store(tag_store({"r2": TagCloud("r2", [], Provenance(3))}), path)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["store.json"]
+
+
+stored_value_maps = st.fixed_dictionaries({
+    attribute: st.fixed_dictionaries({
+        p: st.floats(allow_nan=False, allow_infinity=False) for p in range(1, 6)})
+    for attribute in ("strategy", "presentation")
+})
+configs = st.builds(
+    PipelineConfig,
+    delta0=st.integers(1, 10),
+    support_sl=st.floats(0, 1, exclude_min=True),
+    nmf_k=st.integers(1, 64),
+    nmf_max_iters=st.integers(1, 10**6),
+    nmf_tol=st.floats(0, 1),
+    k_max=st.integers(1, 32),
+    gamma=st.floats(1, 1e9, exclude_min=True),
+    seed=st.integers(-2**40, 2**40),
+    min_subset=st.integers(1, 10**4),
+)
+
+
+class TestStoreHeader:
+    """The schema-2 header: schema version, config and value maps."""
+
+    @given(configs, stored_value_maps)
+    def test_header_round_trips(self, config, value_maps):
+        store = TagStore({"r1": TagCloud("r1", [Tag(1, 2, None, value_maps["strategy"][3], None)],
+                                         Provenance(12, 2, 8, 0.25))},
+                         config, value_maps)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "store.json"
+            save_store(store, path)
+            loaded = load_store(path)
+            assert loaded == store
+            assert (loaded.config, loaded.value_maps) == (config, value_maps)
+            save_store(loaded, Path(tmp) / "again.json")
+            assert (Path(tmp) / "again.json").read_bytes() == path.read_bytes()
+
+    def test_run_store_round_trips(self, tmp_path):
+        from conftest import synth_corpus
+
+        store = run(PipelineConfig(seed=5), *synth_corpus(200, 12, 4000, seed=2))
+        save_store(store, tmp_path / "store.json")
+        loaded = load_store(tmp_path / "store.json")
+        assert loaded == store
+        assert sorted(loaded) == sorted(store.clouds)
+
+    def test_equality_compares_config_and_value_maps(self):
+        store = tag_store({"r1": TagCloud("r1", [], Provenance(3), skipped=SKIP_SMALL_SUBSET)})
+        assert store == tag_store(dict(store.clouds))
+        assert store != TagStore(store.clouds, PipelineConfig(seed=1), VALUE_MAPS)
+        moved = {**VALUE_MAPS, "strategy": {**VALUE_MAPS["strategy"], 3: 15.5}}
+        assert store != TagStore(store.clouds, PipelineConfig(), moved)
+        assert store != tag_store({})
+
+    @staticmethod
+    def write(tmp_path, doc) -> Path:
+        path = tmp_path / "store.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_headerless_store_asks_for_a_rerun(self, tmp_path):
+        old = {"r1": {"tags": [], "provenance": {"subset_size": 3, "chosen_k": None,
+                                                 "cluster_size": None, "support": None}}}
+        with pytest.raises(ValueError, match=r"no schema header.*re-run `learntags tag`"):
+            load_store(self.write(tmp_path, old))
+
+    @pytest.mark.parametrize("schema", [1, 3, "2", 2.0, True])
+    def test_unknown_schema_rejected(self, tmp_path, schema):
+        doc = dict(store_doc({}), schema=schema)
+        with pytest.raises(ValueError, match=rf"store schema {re.escape(repr(schema))} is not"):
+            load_store(self.write(tmp_path, doc))
+
+    @pytest.mark.parametrize("field", ["config", "values", "resources"])
+    def test_missing_header_field_named(self, tmp_path, field):
+        doc = store_doc({})
+        del doc[field]
+        with pytest.raises(ValueError, match=rf"no {field} field"):
+            load_store(self.write(tmp_path, doc))
+
+    def test_value_map_missing_an_id_rejected(self, tmp_path):
+        doc = store_doc({})
+        del doc["values"]["strategy"]["4"]
+        with pytest.raises(ValueError, match=r"strategy must map the ids 1\.\.5 to numbers"):
+            load_store(self.write(tmp_path, doc))
+
+    @pytest.mark.parametrize("value", ["6.0", None, True, [6.0]])
+    def test_value_not_a_number_rejected(self, tmp_path, value):
+        doc = store_doc({})
+        doc["values"]["presentation"]["3"] = value
+        with pytest.raises(ValueError, match=r"presentation must map the ids 1\.\.5 to numbers"):
+            load_store(self.write(tmp_path, doc))
+
+    def test_value_maps_for_other_attributes_rejected(self, tmp_path):
+        doc = store_doc({})
+        doc["values"]["hours"] = doc["values"].pop("presentation")
+        with pytest.raises(ValueError, match=r"malformed store values: expected maps"):
+            load_store(self.write(tmp_path, doc))
+
+    @pytest.mark.parametrize("change, message", [
+        ({"gamma": 1.0}, "gamma must exceed 1"),
+        ({"delta0": 0}, "delta0 must be in 1..10"),
+        ({"delta0": "6"}, "delta0 must be an int"),
+        ({"k_max": 8.0}, "k_max must be an int"),
+        ({"support_sl": None}, "support_sl must be a number"),
+        ({"nmf_k": None, "features": 10}, "nmf_k must be an int"),
+        ({"colour": "red"}, r"unknown fields \['colour'\]"),
+    ])
+    def test_invalid_config_rejected(self, tmp_path, change, message):
+        doc = store_doc({})
+        doc["config"].update(change)
+        with pytest.raises(ValueError, match=rf"malformed store config: {message}"):
+            load_store(self.write(tmp_path, doc))
+
+    def test_missing_config_field_named(self, tmp_path):
+        doc = store_doc({})
+        del doc["config"]["seed"]
+        with pytest.raises(ValueError, match="malformed store config: no seed field"):
+            load_store(self.write(tmp_path, doc))
 
 
 class TestRenderReport:
