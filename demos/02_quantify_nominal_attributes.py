@@ -6,9 +6,10 @@ Learning strategy ids 1..5 are categories with no inherent order.  This
 walks the chain that turns them into comparable numbers: co-occurrence
 counting over the high-rating subsets, non-negative factorization,
 feature-based orderings, symmetrization, and the final per-id values.
-One `quantify_nominal` call runs the chain for strategy and presentation alike,
-from one co-occurrence pass; the walk-through prints strategy, and the
-full report of both attributes goes to demos/out/quantify.json.
+`learner_table` codes every subset member once; one `quantify_nominal`
+call reads that table and runs the chain for strategy and presentation
+alike, from one co-occurrence pass.  The walk-through prints strategy,
+and the full report of both attributes goes to demos/out/quantify.json.
 """
 
 import json
@@ -22,6 +23,7 @@ from learntags import (
     export_values,
     extreme_pairs,
     generate_profiles,
+    learner_table,
     quantification_report,
     quantify_nominal,
 )
@@ -38,11 +40,12 @@ records = [
 config = PipelineConfig(seed=8)
 subsets = build_all_subsets(records, config.delta0)
 ordered = [subsets[rid] for rid in sorted(subsets)]
-details = quantify_nominal(ordered, profiles, config)
+table = learner_table(ordered, profiles)
+details = quantify_nominal(table, config)
 detail = details["strategy"]
 
 print("co-occurrence of strategy ids across subset members:")
-print(detail.cooccurrence.entries.astype(int))
+print(detail.cooccurrence)
 
 trace = detail.factors.error_trace
 print(f"\nNMF error: {trace[0]:.2f} -> {trace[-1]:.2f} "

@@ -3,12 +3,13 @@ Mining frequent attribute itemsets into a tag
 =============================================
 
 Each learner in a cluster is one row of five item codes, one per
-attribute, with learning time as its decade bin; `learner_table` builds
-these rows once per run.  The paper's Apriori step keeps the itemsets
-whose support clears the level sl; since a row supports only its own
-31 attribute subsets, `apriori` counts those directly.  An itemset is a
-five-field tuple with 0 for an absent attribute.  The winning tag is the
-largest frequent itemset, with ties kept as a multi-tag cloud.
+attribute, with learning time as its decade bin; `learner_table` codes
+these rows once per run, and quantification reads the same table.  The
+paper's Apriori step keeps the itemsets whose support clears the level
+sl; since a row supports only its own 31 attribute subsets, `apriori`
+counts those directly.  An itemset is a five-field tuple with 0 for an
+absent attribute.  The winning tag is the largest frequent itemset, with
+ties kept as a multi-tag cloud.
 """
 
 from learntags import (
@@ -28,8 +29,8 @@ presentation_values = {1: 1.8, 2: 0.7, 3: 1.2, 4: 2.5, 5: 0.9}
 
 profiles = {p.learner_id: p for p in generate_profiles([f"u{i:02d}" for i in range(18)], seed=21)}
 cluster = LearnerSubset("r", frozenset(profiles))
-table = learner_table([cluster], profiles, strategy_values, presentation_values)
-items = table.items[table.rows(cluster)]
+table = learner_table([cluster], profiles)
+items = table.items[table.members[0]]
 print(f"{len(items)} learners, e.g. u00 as (a1, a2, a3, a4, hours bin): "
       f"{tuple(items[0].tolist())}")
 

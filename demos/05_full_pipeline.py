@@ -49,19 +49,15 @@ print("wrote demos/out/store.json")
 # rank the stored resources against learners, reading the saved store back:
 # it carries the quantified values that map tag values to parameter ids
 stored = load_store("demos/out/store.json")
-strategy_values = stored.value_maps["strategy"]
-presentation_values = stored.value_maps["presentation"]
 learner = profiles["u007"]
 print(f"\nbest matches for u007 (skill {learner.current_skill}->"
       f"{learner.target_skill}, strategy {learner.strategy}, "
       f"presentation {learner.presentation}, {learner.hours}h):")
-for rid, score in match_resources(learner, stored, strategy_values,
-                                  presentation_values, top_n=5):
+for rid, score in match_resources(learner, stored, top_n=5):
     print(f"  {rid}  score {score:.3f}")
 
 with open("demos/out/match.tsv", "w", encoding="utf-8") as fh:
     for lid in learners[::20]:
-        for rid, score in match_resources(profiles[lid], stored, strategy_values,
-                                          presentation_values, top_n=5):
+        for rid, score in match_resources(profiles[lid], stored, top_n=5):
             fh.write(f"{lid}\t{rid}\t{score:.3f}\n")
 print("wrote demos/out/match.tsv")

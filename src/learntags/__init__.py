@@ -1,27 +1,27 @@
 """Tag learning resources with the profile attributes of their high raters.
 
-Pipeline: high-rating subsets -> NMF quantification of the nominal
-attributes -> k-means grouping of each subset -> Apriori mining of the
-largest group.  Every stage is importable on its own; ``pipeline.run``
-chains them.
+Pipeline: high-rating subsets -> one learner table coding every subset
+member -> NMF quantification of the nominal attributes -> k-means
+grouping of each subset -> Apriori mining of the largest group.  Every
+stage is importable on its own; ``pipeline.run`` chains them.
 """
 from .ingest import (
     LearnerProfile,
     LearnerSubset,
+    LearnerTable,
     MalformedRowError,
     RatingRecord,
     TimeBin,
     build_all_subsets,
-    build_subset,
     discretize_time,
     generate_profiles,
+    learner_table,
     parse_profiles,
     parse_ratings,
     render_profiles,
     render_ratings,
 )
 from .quantify import (
-    CooccurrenceMatrix,
     FactorPair,
     QuantifyDetail,
     attribute_values,
@@ -47,13 +47,11 @@ from .cluster import (
 )
 from .mine import FrequentItemset, apriori, select_tag
 from .pipeline import (
-    LearnerTable,
     PipelineConfig,
     Provenance,
     Tag,
     TagCloud,
     TagStore,
-    learner_table,
     load_store,
     match_resources,
     render_report,
@@ -66,19 +64,19 @@ from .viz import export_parcoords, export_values, extreme_pairs
 __version__ = "0.1.0"
 
 __all__ = [
-    "LearnerProfile", "LearnerSubset", "MalformedRowError", "RatingRecord",
-    "TimeBin", "build_all_subsets", "build_subset", "discretize_time",
-    "generate_profiles", "parse_profiles", "parse_ratings",
+    "LearnerProfile", "LearnerSubset", "LearnerTable", "MalformedRowError",
+    "RatingRecord", "TimeBin", "build_all_subsets", "discretize_time",
+    "generate_profiles", "learner_table", "parse_profiles", "parse_ratings",
     "render_profiles", "render_ratings",
-    "CooccurrenceMatrix", "FactorPair", "QuantifyDetail", "attribute_values",
+    "FactorPair", "QuantifyDetail", "attribute_values",
     "build_cooccurrence", "derive_orderings", "nmf", "quantification_report",
     "quantify_nominal", "symmetrize",
     "Grouping", "KSelection", "KTraceEntry", "LloydFit", "average_diameter",
     "farthest_first_seeds", "group_rows", "largest_cluster", "lloyd_kmeans",
     "normalize", "sweep_k",
     "FrequentItemset", "apriori", "select_tag",
-    "LearnerTable", "PipelineConfig", "Provenance", "Tag", "TagCloud",
-    "TagStore", "learner_table", "load_store", "match_resources", "render_report",
+    "PipelineConfig", "Provenance", "Tag", "TagCloud",
+    "TagStore", "load_store", "match_resources", "render_report",
     "render_tag", "run", "save_store",
     "export_parcoords", "export_values", "extreme_pairs",
     "__version__",

@@ -17,7 +17,6 @@ from .pipeline import (
     match_resources,
     load_store,
     render_report,
-    learner_table,
     run,
     save_store,
 )
@@ -90,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("export-values", help="strip chart of quantified values")
     _add_input_flags(sp)
     _add_config_flags(sp)
-    sp.add_argument("--attribute", choices=sorted(("strategy", "presentation")),
+    sp.add_argument("--attribute", choices=sorted(ingest.ATTRIBUTES),
                     default="strategy", help="attribute to plot (default %(default)s)")
     sp.add_argument("--out", required=True, help="SVG path")
 
@@ -189,13 +188,15 @@ def _cmd_synth_profiles(args: argparse.Namespace) -> int:
 
 
 def _quantify_details(args: argparse.Namespace, config: PipelineConfig):
+    """The resource ids in subset order, their learner table and its quantification."""
     if args.ratings is None:
         raise ValueError("missing --ratings")
     records = _read_ratings(args.ratings).records
     profiles = _assemble_profiles(args, records)
     subsets = ingest.build_all_subsets(records, config.delta0)
-    ordered = [subsets[rid] for rid in sorted(subsets)]
-    return records, profiles, subsets, quantify_nominal(ordered, profiles, config)
+    resources = sorted(subsets)
+    table = ingest.learner_table([subsets[rid] for rid in resources], profiles)
+    return resources, table, quantify_nominal(table, config)
 
 
 def _cmd_quantify(args: argparse.Namespace) -> int:
@@ -234,11 +235,7 @@ def _cmd_match(args: argparse.Namespace) -> int:
     profiles = _profiles_from(args.profiles)
     if args.learner not in profiles:
         raise KeyError(f"no profile for learner {args.learner!r}")
-    ranked = match_resources(
-        profiles[args.learner], store,
-        store.value_maps["strategy"], store.value_maps["presentation"],
-        top_n=args.top,
-    )
+    ranked = match_resources(profiles[args.learner], store, top_n=args.top)
     for rid, score in ranked:
         print(f"{rid}\t{score:.3f}")
     return 0
@@ -253,12 +250,12 @@ def _cmd_export_values(args: argparse.Namespace) -> int:
 
 def _cmd_export_parcoords(args: argparse.Namespace) -> int:
     config = _config_from(args)
-    records, profiles, subsets, details = _quantify_details(args, config)
-    if args.resource not in subsets:
+    resources, table, details = _quantify_details(args, config)
+    if args.resource not in resources:
         raise KeyError(f"resource {args.resource!r} has no high-rating subset")
-    table = learner_table([subsets[args.resource]], profiles,
-                          details["strategy"].values, details["presentation"].values)
-    group = group_rows(table.coords, config.k_max, config.gamma, config.seed)
+    rows = table.members[resources.index(args.resource)]
+    coords = table.coords({a: details[a].values for a in ingest.ATTRIBUTES})
+    group = group_rows(coords[rows], config.k_max, config.gamma, config.seed)
     export_parcoords(group.x, group.labels, args.out)
     return 0
 

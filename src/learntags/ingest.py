@@ -2,15 +2,17 @@
 
 Parses the semicolon-delimited ratings file and the comma-separated
 profiles file, synthesizes missing profiles with a seeded generator,
-discretizes learning time into decade bins, and builds per-resource
-subsets of learners who rated a resource at or above a threshold.
+discretizes learning time into decade bins, builds per-resource subsets
+of learners who rated a resource at or above a threshold, and codes
+every subset member once into the learner table that quantification,
+clustering and mining all read.
 """
 from __future__ import annotations
 
 import csv
 import io
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -20,6 +22,11 @@ PROFILES_HEADER = ("learner_id", "a1", "a2", "a3", "a4", "a5_hours")
 SKILL_LEVELS = range(1, 7)       # a1, a2
 STRATEGY_IDS = range(1, 6)       # a3
 PRESENTATION_IDS = range(1, 6)   # a4
+# The nominal attributes, each named by its LearnerProfile field; they
+# are columns 2 and 3 of the learner table's attrs.  Each has the
+# parameter ids 1..N_PARAMS.
+ATTRIBUTES = ("strategy", "presentation")
+N_PARAMS = 5
 # Largest a5 learning time accepted, in hours.  It keeps item codes small:
 # mine.apriori codes an itemset as one mixed-radix int64 whose hours
 # digit is the decade bin, so hours near 5e16 would overflow it.
@@ -271,26 +278,12 @@ def discretize_time(hours: int) -> TimeBin:
     return TimeBin(lower, lower + 9)
 
 
-def build_subset(ratings: Iterable[RatingRecord], resource_id: str, delta0: int) -> LearnerSubset:
-    """Collect the learners who rated ``resource_id`` at or above ``delta0``.
+def build_all_subsets(ratings: Iterable[RatingRecord], delta0: int) -> dict[str, LearnerSubset]:
+    """Collect, per resource, the learners who rated it at or above ``delta0``.
 
     A learner qualifies if any of their ratings for the resource meets
-    the threshold; an absent resource yields an empty subset.
-    """
-    if not 1 <= delta0 <= 10:
-        raise ValueError(f"delta0 must be in 1..10, got {delta0}")
-    members = frozenset(
-        r.learner_id for r in ratings if r.resource_id == resource_id and r.rating >= delta0
-    )
-    return LearnerSubset(resource_id, members)
-
-
-def build_all_subsets(ratings: Iterable[RatingRecord], delta0: int) -> dict[str, LearnerSubset]:
-    """Single-pass variant of build_subset over every rated resource.
-
-    Only resources with at least one qualifying learner appear in the
-    result; equivalent to calling build_subset per resource, but linear
-    in the number of ratings.
+    the threshold.  Only resources with at least one qualifying learner
+    appear in the result, which takes one pass over the ratings.
     """
     if not 1 <= delta0 <= 10:
         raise ValueError(f"delta0 must be in 1..10, got {delta0}")
@@ -302,3 +295,67 @@ def build_all_subsets(ratings: Iterable[RatingRecord], delta0: int) -> dict[str,
         rid: LearnerSubset(rid, frozenset(learners))
         for rid, learners in members.items()
     }
+
+
+@dataclass
+class LearnerTable:
+    """Every subset member once, as one row each in learner-id order."""
+
+    ids: list[str]              # learner id of each row, ascending
+    attrs: np.ndarray           # (n, 5) int64: a1, a2, a3, a4, hours
+    items: np.ndarray           # (n, 5) int64 item codes: a1, a2, a3, a4, hours bin
+    members: list[np.ndarray]   # per subset, its rows ascending
+
+    def coords(self, value_maps: Mapping[str, Mapping[int, float]]) -> np.ndarray:
+        """(n, 5) float64 clustering coordinates: ``attrs`` with each
+        nominal id replaced by its quantified value from ``value_maps``."""
+        coords = self.attrs.astype(np.float64)
+        for col, attribute in enumerate(ATTRIBUTES, start=2):
+            values = value_maps[attribute]
+            coords[:, col] = [values[p] for p in self.attrs[:, col].tolist()]
+        return coords
+
+
+def learner_table(
+    subsets: Iterable[LearnerSubset],
+    profiles: Mapping[str, LearnerProfile],
+) -> LearnerTable:
+    """Code every member of ``subsets`` once, rows in learner-id order.
+
+    ``items`` bins hours into 1-based decades, hours below 1 falling into
+    the first, [1-10].  The members' profiles are checked in this order:
+    a missing profile raises a KeyError, then every strategy and then
+    every presentation outside 1..5, then hours above ``MAX_HOURS``
+    raise a ValueError; each names the learner.
+    """
+    subsets = list(subsets)
+    ids = sorted({m for s in subsets for m in s.members})
+    rows = []
+    for lid in ids:
+        p = profiles.get(lid)
+        if p is None:
+            raise KeyError(f"no profile for learner {lid!r}")
+        # Clipped so that any hours fit int64; the cap is checked below.
+        rows.append((p.current_skill, p.target_skill, p.strategy, p.presentation,
+                     min(p.hours, MAX_HOURS + 1)))
+    attrs = np.array(rows, dtype=np.int64).reshape(len(ids), 5)
+    # A nominal id outside 1..N_PARAMS has no quantified value and would
+    # overrun the co-occurrence one-hot.  argwhere runs row by row, so
+    # every strategy is checked first.
+    nominal = attrs[:, 2:4].T
+    bad = np.argwhere((nominal < 1) | (nominal > N_PARAMS))
+    if bad.size:
+        a, i = bad[0]
+        raise ValueError(f"learner {ids[i]!r} has {ATTRIBUTES[a]} {nominal[a, i]}, "
+                         f"expected 1..{N_PARAMS}")
+    over = np.flatnonzero(attrs[:, 4] > MAX_HOURS)
+    if over.size:
+        lid = ids[over[0]]
+        raise ValueError(f"learner {lid!r}: a5 hours {profiles[lid].hours} "
+                         f"above the cap of {MAX_HOURS}")
+    items = attrs.copy()
+    items[:, 4] = (np.maximum(attrs[:, 4], 1) - 1) // 10 + 1
+    index = {lid: i for i, lid in enumerate(ids)}
+    members = [np.sort(np.fromiter((index[m] for m in s.members), dtype=np.intp, count=len(s)))
+               for s in subsets]
+    return LearnerTable(ids, attrs, items, members)

@@ -1,12 +1,13 @@
 """End-to-end tagging runs and the tag-cloud store.
 
-A run builds every resource's high-rating learner subset, quantifies the
-nominal attributes once over all of them, and then builds one learner
-table: each subset member once, as a row of clustering coordinates
-(with the quantified values) and a row of item codes, in learner-id
-order.  Per resource, the subset's rows are clustered, the largest
-cluster's item rows are mined, and the winning itemsets become the
-resource's tags.
+A run builds every resource's high-rating learner subset and codes each
+subset member once into the learner table (``ingest.learner_table``):
+its raw attributes and item codes as one row, in learner-id order, and
+each subset as an array of rows.  Quantification reads that table once
+for both nominal attributes; the clustering coordinates are its
+attributes with the quantified values in place of the nominal ids.  Per
+resource, the subset's rows are clustered, the largest cluster's item
+rows are mined, and the winning itemsets become the resource's tags.
 
 The run's result is a ``TagStore``: resource ids mapped to tag clouds
 with provenance, plus the ``PipelineConfig`` and the two quantified
@@ -20,24 +21,23 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Iterable, Mapping
 
-import numpy as np
-
 from .cluster import KTraceEntry, group_rows
 from .ingest import (
+    ATTRIBUTES,
     LearnerProfile,
-    LearnerSubset,
-    MAX_HOURS,
     RatingRecord,
     TimeBin,
     build_all_subsets,
     discretize_time,
+    learner_table,
 )
 from .mine import apriori, select_tag
-from .quantify import ATTRIBUTES, AttributeValueMap, quantify_nominal
+from .quantify import AttributeValueMap, quantify_nominal
 
 logger = logging.getLogger(__name__)
 
@@ -64,6 +64,10 @@ class PipelineConfig:
     min_subset: int = 10        # resources with smaller subsets are skipped
 
     def __post_init__(self):
+        for name in ("support_sl", "nmf_tol", "gamma"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not 1 <= self.delta0 <= 10:
             raise ValueError(f"delta0 must be in 1..10, got {self.delta0}")
         if not 0 < self.support_sl <= 1:
@@ -138,51 +142,6 @@ class TagStore(Mapping[str, TagCloud]):
         return len(self.clouds)
 
 
-@dataclass
-class LearnerTable:
-    """Every subset member once, as one row each in learner-id order."""
-
-    row: dict[str, int]   # learner id -> row
-    coords: np.ndarray    # (n, 5) float64: a1, a2, strategy value, presentation value, hours
-    items: np.ndarray     # (n, 5) int64 item codes: a1, a2, a3, a4, hours bin
-
-    def rows(self, subset: LearnerSubset) -> np.ndarray:
-        """The subset's rows, ascending, so in learner-id order."""
-        return np.sort(np.fromiter((self.row[m] for m in subset.members),
-                                   dtype=np.intp, count=len(subset)))
-
-
-def learner_table(
-    subsets: Iterable[LearnerSubset],
-    profiles: Mapping[str, LearnerProfile],
-    strategy_values: AttributeValueMap,
-    presentation_values: AttributeValueMap,
-) -> LearnerTable:
-    """Embed and code every member of ``subsets`` once.
-
-    ``coords`` carries the quantified values in place of the strategy and
-    presentation ids.  ``items`` bins hours into 1-based decades, hours
-    below 1 falling into the first, [1-10].  Hours above ``MAX_HOURS``
-    raise a ValueError naming the learner.
-    """
-    ids = sorted({m for s in subsets for m in s.members})
-    rows = []
-    for lid in ids:
-        p = profiles.get(lid)
-        if p is None:
-            raise KeyError(f"no profile for learner {lid!r}")
-        if p.hours > MAX_HOURS:
-            raise ValueError(f"learner {lid!r}: a5 hours {p.hours} above the cap of {MAX_HOURS}")
-        rows.append((p.current_skill, p.target_skill, p.strategy, p.presentation, p.hours))
-    attrs = np.array(rows, dtype=np.int64).reshape(len(ids), 5)
-    coords = attrs.astype(np.float64)
-    for col, values in ((2, strategy_values), (3, presentation_values)):
-        coords[:, col] = [values[p] for p in attrs[:, col].tolist()]
-    items = attrs.copy()
-    items[:, 4] = (np.maximum(attrs[:, 4], 1) - 1) // 10 + 1
-    return LearnerTable({lid: i for i, lid in enumerate(ids)}, coords, items)
-
-
 def render_tag(tag: Tag) -> str:
     """Bracketed five-field line, e.g. ``[6, 6, [41-50], 24240, 20549]``."""
     fields = [
@@ -214,11 +173,11 @@ def run(
 ) -> TagStore:
     """Tag every resource with a non-empty subset.
 
-    Quantification of the nominal attributes happens once over all
-    subsets so tag values stay comparable across resources; the store
-    keeps both value maps and ``config``.  Resources
-    whose subset is smaller than ``min_subset`` are recorded as skipped
-    rather than failing the batch.  ``trace_hook``, when given, receives
+    Every subset member is coded once, into one learner table, and the
+    nominal attributes are quantified once over all subsets so tag values
+    stay comparable across resources; the store keeps both value maps
+    and ``config``.  Resources whose subset is smaller than
+    ``min_subset`` are recorded as skipped rather than failing the batch.  ``trace_hook``, when given, receives
     each resource's (k, sse, avg_diameter) sweep trace.
     """
     if isinstance(profiles, Mapping):
@@ -232,24 +191,23 @@ def run(
     ordered_resources = sorted(subsets)
     all_subsets = [subsets[rid] for rid in ordered_resources]
 
-    details = quantify_nominal(all_subsets, by_id, config)
-    strategy_values = details["strategy"].values
-    presentation_values = details["presentation"].values
-    table = learner_table(all_subsets, by_id, strategy_values, presentation_values)
+    table = learner_table(all_subsets, by_id)
+    details = quantify_nominal(table, config)
+    value_maps = {a: details[a].values for a in ATTRIBUTES}
+    strategy_values, presentation_values = value_maps["strategy"], value_maps["presentation"]
+    coords = table.coords(value_maps)
 
     clouds: dict[str, TagCloud] = {}
     skipped = 0
-    for rid in ordered_resources:
-        subset = subsets[rid]
-        size = len(subset)
+    for rid, rows in zip(ordered_resources, table.members):
+        size = len(rows)
         if size < config.min_subset:
             clouds[rid] = TagCloud(rid, [], Provenance(subset_size=size),
                                    skipped=SKIP_SMALL_SUBSET)
             skipped += 1
             continue
 
-        rows = table.rows(subset)
-        group = group_rows(table.coords[rows], config.k_max, config.gamma, config.seed)
+        group = group_rows(coords[rows], config.k_max, config.gamma, config.seed)
         if trace_hook is not None and group.trace:
             trace_hook(rid, group.trace)
         winners = select_tag(apriori(table.items[rows[group.largest]], config.support_sl))
@@ -281,8 +239,7 @@ def run(
         len(clouds) - skipped, total_resources, skipped,
         SKIP_SMALL_SUBSET, empty, config.delta0,
     )
-    return TagStore(clouds, config, {"strategy": strategy_values,
-                                     "presentation": presentation_values})
+    return TagStore(clouds, config, value_maps)
 
 
 def _nearest_parameter(values: AttributeValueMap, target: float) -> int:
@@ -320,25 +277,22 @@ def _tag_score(
     return matched / present if present else 0.0
 
 
-def match_resources(
-    profile: LearnerProfile,
-    store: Mapping[str, TagCloud],
-    strategy_values: AttributeValueMap,
-    presentation_values: AttributeValueMap,
-    top_n: int,
-) -> list[tuple[str, float]]:
+def match_resources(profile: LearnerProfile, store: TagStore,
+                    top_n: int) -> list[tuple[str, float]]:
     """Rank resources by how well their best tag matches a profile.
 
     The score is the fraction of present tag fields the profile matches:
     skill levels exactly, the time bin by containment, and the nominal
     fields by mapping the stored quantified value back to its nearest
-    parameter id.  Skipped clouds are not candidates.  Ties rank by
-    resource id.
+    parameter id under the store's own ``value_maps``.  Skipped clouds
+    are not candidates.  Ties rank by resource id.
     """
     if top_n <= 0:
         raise ValueError(f"top_n must be positive, got {top_n}")
     if not store:
         raise ValueError("store is empty")
+    strategy_values = store.value_maps["strategy"]
+    presentation_values = store.value_maps["presentation"]
     scored = []
     for rid in sorted(store):
         cloud = store[rid]
@@ -368,7 +322,14 @@ def _int(v) -> bool:
 
 
 def _number(v) -> bool:
-    return _int(v) or isinstance(v, float)
+    """An int or a finite float: json.load also reads NaN and Infinity."""
+    return _int(v) or (isinstance(v, float) and math.isfinite(v))
+
+
+def _decade_bin(v) -> bool:
+    """Two ints [10j + 1, 10j + 10], as ``discretize_time`` bins hours."""
+    return (isinstance(v, list) and len(v) == 2 and all(map(_int, v))
+            and v[0] >= 1 and v[0] % 10 == 1 and v[1] == v[0] + 9)
 
 
 def _or_null(valid):
@@ -379,8 +340,7 @@ def _or_null(valid):
 _TAG_FIELDS = {
     "current_skill": (_or_null(_int), "an int or null"),
     "target_skill": (_or_null(_int), "an int or null"),
-    "time_bin": (_or_null(lambda v: isinstance(v, list) and len(v) == 2 and all(map(_int, v))),
-                 "null or two ints"),
+    "time_bin": (_or_null(_decade_bin), "null or two ints [10j+1, 10j+10]"),
     "strategy_value": (_or_null(_number), "a number or null"),
     "presentation_value": (_or_null(_number), "a number or null"),
 }
@@ -458,7 +418,11 @@ def _cloud_from_json(rid: str, entry) -> TagCloud:
             tags.append(Tag(**checked, time_bin=time_bin))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed store entry for resource {rid!r}: {exc}") from exc
-    return TagCloud(rid, tags, provenance, skipped=entry.get("skipped"))
+    skipped = entry.get("skipped")
+    if "skipped" in entry and not isinstance(skipped, str):
+        raise ValueError(f"malformed store entry for resource {rid!r}: skipped must be "
+                         f"a string, got {skipped!r}")
+    return TagCloud(rid, tags, provenance, skipped=skipped)
 
 
 def save_store(store: TagStore, path) -> None:
@@ -499,11 +463,12 @@ def load_store(path) -> TagStore:
 
     The header is checked first: the schema version, the config (rebuilt
     as a ``PipelineConfig``, so out-of-range knobs fail as they would in
-    code) and both value maps (the ids 1..5, numbers only).  A store
-    without a header predates schema 2 and must be rewritten by
+    code) and both value maps (the ids 1..5, finite numbers only).  A
+    store without a header predates schema 2 and must be rewritten by
     re-running ``learntags tag``.  Then every tag and provenance field
-    is checked for its type and shape.  Each failure is a ValueError
-    naming the field, and the resource where there is one.
+    is checked for its type and shape: numbers must be finite, a time
+    bin must be a decade bin and a skip reason a string.  Each failure is
+    a ValueError naming the field, and the resource where there is one.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)  # a malformed file raises with line and column

@@ -7,11 +7,12 @@ score in four steps:
 
 1. count, over all resource subsets, the unordered pairs of learners
    that share a subset, bucketed by the two learners' parameter values
-   (a symmetric 5x5 co-occurrence matrix per attribute).  Both
-   attributes come from one pass: a sparse product of the learner x
-   subset incidence matrix with its transpose, taken over blocks of
-   learner rows so that memory is bounded by the pair work of one
-   block, not by the whole corpus;
+   (a symmetric 5x5 co-occurrence matrix per attribute).  The counts
+   read the learner table: each subset's member rows and the strategy
+   and presentation columns of its attrs.  Both attributes come from one
+   pass: a sparse product of the learner x subset incidence matrix with
+   its transpose, taken over blocks of learner rows so that memory is
+   bounded by the pair work of one block, not by the whole corpus;
 2. factor each matrix into non-negative weights x features with
    multiplicative-update NMF;
 3. for each parameter pick its dominant feature row, stacking the picks
@@ -30,15 +31,10 @@ from typing import TYPE_CHECKING, Mapping
 import numpy as np
 from scipy import sparse
 
-from .ingest import LearnerProfile, LearnerSubset
+from .ingest import ATTRIBUTES, N_PARAMS, LearnerTable
 
 if TYPE_CHECKING:
     from .pipeline import PipelineConfig
-
-N_PARAMS = 5
-
-# The nominal attributes, each named by the LearnerProfile field it reads.
-ATTRIBUTES = ("strategy", "presentation")
 
 # Guards multiplicative-update denominators against division by zero.
 _EPS = 1e-12
@@ -51,14 +47,6 @@ _EPS = 1e-12
 _BLOCK_PAIR_WORK = 1 << 16
 
 AttributeValueMap = dict[int, float]
-
-
-@dataclass
-class CooccurrenceMatrix:
-    """Symmetric 5x5 pair counts for one nominal attribute."""
-
-    entries: np.ndarray  # (5, 5) non-negative ints
-    attribute: str       # "strategy" or "presentation"
 
 
 @dataclass
@@ -80,24 +68,22 @@ class FactorPair:
 class QuantifyDetail:
     """Every intermediate artifact of the quantification chain."""
 
-    cooccurrence: CooccurrenceMatrix
+    cooccurrence: np.ndarray   # A, (5, 5) int64 symmetric pair counts
     factors: FactorPair
     orderings: np.ndarray      # D, one dominant feature row per parameter
     similarity: np.ndarray     # symmetrized D
     values: AttributeValueMap
 
 
-def build_cooccurrence(
-    subsets: list[LearnerSubset],
-    profiles: Mapping[str, LearnerProfile],
-) -> dict[str, CooccurrenceMatrix]:
+def build_cooccurrence(table: LearnerTable) -> dict[str, np.ndarray]:
     """Count learner pairs sharing a subset, bucketed by parameter values.
 
-    For each attribute, entry[i][j] is the number of unordered pairs of
-    distinct learners (u, v) that co-occur in at least one common subset
-    where u carries parameter i+1 and v carries parameter j+1.  Each
-    pair is counted once globally no matter how many subsets it shares,
-    so the counts are comparable across resources.
+    For each attribute, entry[i][j] of its (5, 5) int64 matrix is the
+    number of unordered pairs of distinct learners (u, v) that co-occur
+    in at least one common subset of ``table.members`` where u carries
+    parameter i+1 and v carries parameter j+1.  Each pair is counted
+    once globally no matter how many subsets it shares, so the counts
+    are comparable across resources.
 
     The learner x subset incidence matrix M is built once for both
     attributes.  For each block of learner rows, the nonzeros of
@@ -114,42 +100,25 @@ def build_cooccurrence(
     memory stays within a small multiple of the input's and never
     approaches the corpus's total pair count.
     """
-    ids = sorted({m for s in subsets for m in s.members})
-    for lid in ids:
-        if lid not in profiles:
-            raise KeyError(f"no profile for learner {lid!r}")
-    index = {lid: i for i, lid in enumerate(ids)}
-    # One row of values per attribute, one column per learner.
-    params = np.array(
-        [[getattr(profiles[lid], a) for lid in ids] for a in ATTRIBUTES], dtype=np.int64
-    )
-    # A value outside 1..N_PARAMS would wrap or overrun the one-hot index.
-    # argwhere runs row by row, so every strategy value is checked first.
-    bad = np.argwhere((params < 1) | (params > N_PARAMS))
-    if bad.size:
-        a, i = bad[0]
-        raise ValueError(
-            f"learner {ids[i]!r} has {ATTRIBUTES[a]} {params[a, i]}, expected 1..{N_PARAMS}"
-        )
-
-    sizes = np.fromiter((len(s.members) for s in subsets), dtype=np.int64, count=len(subsets))
-    rows = np.fromiter(
-        (index[m] for s in subsets for m in s.members), dtype=np.int64, count=int(sizes.sum())
-    )
-    cols = np.repeat(np.arange(len(subsets), dtype=np.int64), sizes)
+    n, n_subsets = len(table.ids), len(table.members)
+    # One row of parameter ids per attribute, one column per learner.
+    params = table.attrs[:, 2:4].T
+    sizes = np.fromiter((m.size for m in table.members), dtype=np.int64, count=n_subsets)
+    rows = np.concatenate([np.empty(0, dtype=np.intp), *table.members])
+    cols = np.repeat(np.arange(n_subsets, dtype=np.int64), sizes)
     incidence = sparse.csr_matrix(
-        (np.ones(rows.size, dtype=np.int32), (rows, cols)), shape=(len(ids), len(subsets))
+        (np.ones(rows.size, dtype=np.int32), (rows, cols)), shape=(n, n_subsets)
     )
     incidence_t = incidence.T.tocsr()
     # Attribute a's value p sets column a * N_PARAMS + p - 1.
-    onehot = np.zeros((len(ids), len(ATTRIBUTES) * N_PARAMS), dtype=np.int64)
-    onehot[np.arange(len(ids)), params - 1 + N_PARAMS * np.arange(len(ATTRIBUTES))[:, None]] = 1
+    onehot = np.zeros((n, len(ATTRIBUTES) * N_PARAMS), dtype=np.int64)
+    onehot[np.arange(n), params - 1 + N_PARAMS * np.arange(len(ATTRIBUTES))[:, None]] = 1
 
     # Rows whose work starts in the same window share a block, so a block
     # holds at most one window of work plus one row's.
     work = incidence @ sizes
-    window = (np.cumsum(work) - work) // max(_BLOCK_PAIR_WORK, len(ids))
-    bounds = [0, *(np.flatnonzero(np.diff(window)) + 1), len(ids)]
+    window = (np.cumsum(work) - work) // max(_BLOCK_PAIR_WORK, n)
+    bounds = [0, *(np.flatnonzero(np.diff(window)) + 1), n]
 
     counts = np.zeros((onehot.shape[1], onehot.shape[1]), dtype=np.int64)
     for lo, hi in zip(bounds, bounds[1:]):
@@ -162,14 +131,11 @@ def build_cooccurrence(
     counts[np.diag_indices(len(counts))] //= 2
     # Attribute a's pairs are the diagonal block (a, a).
     blocks = counts.reshape(len(ATTRIBUTES), N_PARAMS, len(ATTRIBUTES), N_PARAMS)
-    return {
-        attribute: CooccurrenceMatrix(entries=blocks[a, :, a].copy(), attribute=attribute)
-        for a, attribute in enumerate(ATTRIBUTES)
-    }
+    return {attribute: blocks[a, :, a].copy() for a, attribute in enumerate(ATTRIBUTES)}
 
 
 def nmf(
-    A: CooccurrenceMatrix | np.ndarray,
+    A: np.ndarray,
     k: int,
     max_iters: int,
     tol: float,
@@ -183,7 +149,7 @@ def nmf(
     error improvement drops below ``tol`` or after ``max_iters``.
     An all-zero input short-circuits to zero factors with zero error.
     """
-    a = np.asarray(A.entries if isinstance(A, CooccurrenceMatrix) else A, dtype=np.float64)
+    a = np.asarray(A, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
     if np.any(a < 0):
@@ -254,19 +220,16 @@ def attribute_values(D_sym: np.ndarray) -> AttributeValueMap:
     return {i + 1: float(d[i].mean()) for i in range(d.shape[0])}
 
 
-def quantify_nominal(
-    subsets: list[LearnerSubset],
-    profiles: Mapping[str, LearnerProfile],
-    config: "PipelineConfig",
-) -> dict[str, QuantifyDetail]:
-    """Run the full chain for both attributes from one co-occurrence pass.
+def quantify_nominal(table: LearnerTable, config: "PipelineConfig") -> dict[str, QuantifyDetail]:
+    """Run the full chain for both attributes from one co-occurrence pass
+    over the learner table.
 
     Keeps every intermediate artifact.  NMF seeds are derived per
     attribute: ``config.seed`` for strategy, ``config.seed + 1`` for
     presentation.
     """
     details = {}
-    for offset, (attribute, cooc) in enumerate(build_cooccurrence(subsets, profiles).items()):
+    for offset, (attribute, cooc) in enumerate(build_cooccurrence(table).items()):
         factors = nmf(
             cooc,
             k=config.nmf_k,
@@ -292,7 +255,7 @@ def quantification_report(details: Mapping[str, QuantifyDetail]) -> dict:
     for attribute in sorted(details):
         d = details[attribute]
         report[attribute] = {
-            "cooccurrence": d.cooccurrence.entries.tolist(),
+            "cooccurrence": d.cooccurrence.tolist(),
             "weights": d.factors.weights.tolist(),
             "features": d.factors.features.tolist(),
             "orderings": d.orderings.tolist(),

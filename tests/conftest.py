@@ -3,7 +3,8 @@
 The oracle functions deliberately avoid the library's own algorithms:
 brute-force pair enumeration, exhaustive subset counting, level-wise
 Apriori candidate search over item objects, the point-by-point k sweep
-keyed by learner id, and direct rescans, so test expectations are
+keyed by learner id, and direct rescans (``build_subset`` scans the
+ratings once per resource), so test expectations are
 derived independently of the code under test.  The item and point types
 those oracles work on live here too; the library works on the integer
 arrays of its learner table.
@@ -21,6 +22,7 @@ from scipy.spatial.distance import cdist, pdist
 from learntags import (
     FrequentItemset,
     LearnerProfile,
+    LearnerSubset,
     RatingRecord,
     Tag,
     TimeBin,
@@ -66,6 +68,13 @@ def synth_corpus(
     ]
     profiles = {p.learner_id: p for p in generate_profiles(learner_ids, seed + 1)}
     return records, profiles
+
+
+def build_subset(ratings, resource_id: str, delta0: int) -> LearnerSubset:
+    """Rescan oracle for ``build_all_subsets``: the learners who rated
+    ``resource_id`` at or above ``delta0``, found by scanning every rating."""
+    return LearnerSubset(resource_id, frozenset(
+        r.learner_id for r in ratings if r.resource_id == resource_id and r.rating >= delta0))
 
 
 @dataclass(frozen=True, slots=True)
@@ -288,20 +297,18 @@ def recover_clusters(records, profiles, config):
     from learntags import build_all_subsets, group_rows, learner_table, quantify_nominal
 
     subsets = build_all_subsets(records, config.delta0)
-    ordered = [subsets[rid] for rid in sorted(subsets)]
-    details = quantify_nominal(ordered, profiles, config)
+    resources = sorted(subsets)
+    table = learner_table([subsets[rid] for rid in resources], profiles)
+    details = quantify_nominal(table, config)
     strategy_values = details["strategy"].values
     presentation_values = details["presentation"].values
-    table = learner_table(ordered, profiles, strategy_values, presentation_values)
-    ids = sorted(table.row)
+    coords = table.coords({"strategy": strategy_values, "presentation": presentation_values})
     clusters = {}
-    for rid in sorted(subsets):
-        subset = subsets[rid]
-        if len(subset) < config.min_subset:
+    for rid, rows in zip(resources, table.members):
+        if len(rows) < config.min_subset:
             continue
-        rows = table.rows(subset)
-        group = group_rows(table.coords[rows], config.k_max, config.gamma, config.seed)
-        members = [ids[r] for r in rows[group.largest]]
+        group = group_rows(coords[rows], config.k_max, config.gamma, config.seed)
+        members = [table.ids[r] for r in rows[group.largest]]
         clusters[rid] = [transaction_from_profile(profiles[lid]) for lid in members]
     return clusters, strategy_values, presentation_values
 

@@ -215,13 +215,15 @@ def test_criterion_7_determinism(tmp_path):
         subsets = build_all_subsets(records, 6)
         ordered = [subsets[rid] for rid in sorted(subsets)]
         config = PipelineConfig(seed=77)
-        details = quantify_nominal(ordered, profiles, config)
+        table = learner_table(ordered, profiles)
+        details = quantify_nominal(table, config)
         sv, pv = details["strategy"].values, details["presentation"].values
         values_doc = export_values(sv, "strategy", tmp_path / f"v_{name}.svg")
 
-        biggest = max(sorted(subsets), key=lambda rid: len(subsets[rid]))
-        table = learner_table([subsets[biggest]], profiles, sv, pv)
-        group = group_rows(table.coords, config.k_max, config.gamma, config.seed)
+        biggest = max(range(len(ordered)), key=lambda i: len(ordered[i]))
+        coords = table.coords({"strategy": sv, "presentation": pv})
+        group = group_rows(coords[table.members[biggest]], config.k_max, config.gamma,
+                           config.seed)
         par_doc = export_parcoords(group.x, group.labels, tmp_path / f"p_{name}.svg")
         blobs.append((path.read_bytes(), values_doc.encode(), par_doc.encode()))
     for label, first, second in zip(("store", "values SVG", "parcoords SVG"),
@@ -260,7 +262,8 @@ def test_criterion_9_similarity_report(tmp_path):
     subsets = build_all_subsets(records, 6)
     ordered = [subsets[rid] for rid in sorted(subsets)]
     config = PipelineConfig(seed=99)
-    cases.extend(d.values for d in quantify_nominal(ordered, profiles, config).values())
+    details = quantify_nominal(learner_table(ordered, profiles), config)
+    cases.extend(d.values for d in details.values())
     rng = np.random.default_rng(90)
     for _ in range(20):
         cases.append({p: float(rng.integers(0, 12)) for p in range(1, 6)})

@@ -25,6 +25,8 @@ from learntags import (
     export_values,
     extreme_pairs,
     generate_profiles,
+    TagStore,
+    learner_table,
     load_store,
     match_resources,
     parse_profiles,
@@ -324,6 +326,16 @@ class TestTag:
         assert "no profile for learner 'u1'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flag", ["--support", "--gamma"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_flag_exit_one(self, tmp_path, capsys, flag, value):
+        ratings, profiles = write_corpus(tmp_path)
+        assert dispatch(["tag", "--ratings", ratings, "--profiles", profiles,
+                         flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"must be finite, got {value}" in err
+        assert "Traceback" not in err
+
 
 class TestMatch:
     def test_ranks_against_store(self, tmp_path, capsys):
@@ -431,14 +443,15 @@ class TestMatch:
                          "--seed", str(config_seed), "--out", str(store_path)]) == 0
         config = PipelineConfig(seed=config_seed)
         subsets = build_all_subsets(records, config.delta0)
-        details = quantify_nominal([subsets[rid] for rid in sorted(subsets)], by_id, config)
-        store = load_store(str(store_path))
+        table = learner_table([subsets[rid] for rid in sorted(subsets)], by_id)
+        details = quantify_nominal(table, config)
+        loaded = load_store(str(store_path))
+        store = TagStore(loaded.clouds, config, {a: details[a].values for a in details})
         for lid in sorted(by_id)[::10]:
             capsys.readouterr()
             assert dispatch(["match", "--profiles", str(profiles), "--store", str(store_path),
                              "--learner", lid, "--top", "12"]) == 0
-            expected = match_resources(by_id[lid], store, details["strategy"].values,
-                                       details["presentation"].values, top_n=12)
+            expected = match_resources(by_id[lid], store, top_n=12)
             assert capsys.readouterr().out == "".join(
                 f"{rid}\t{score:.3f}\n" for rid, score in expected)
 
@@ -473,6 +486,42 @@ class TestMatch:
         capsys.readouterr()
         assert dispatch(["match", "--profiles", profiles, "--store",
                          str(tmp_path / "store.json"), "--learner", "u00"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+    # Edits of a tagged store that put in what no `learntags tag` run writes;
+    # json writes the floats as NaN and Infinity, which json.load reads.
+    UNWRITTEN = {
+        "nan value": (lambda doc: doc["values"]["strategy"].update({"1": float("nan")}),
+                      "strategy must map the ids 1..5 to numbers"),
+        "infinite tag value": (
+            lambda doc: doc["resources"]["b1"]["tags"][0].update(strategy_value=float("inf")),
+            "strategy_value must be a number or null"),
+        "nan support": (
+            lambda doc: doc["resources"]["b1"]["provenance"].update(support=float("nan")),
+            "support must be a number or null"),
+        "numeric skip reason": (lambda doc: doc["resources"]["b2"].update(skipped=5),
+                                "skipped must be a string, got 5"),
+        "reversed bin": (lambda doc: doc["resources"]["b1"]["tags"][0].update(time_bin=[50, 41]),
+                         "time_bin must be null or two ints [10j+1, 10j+10], got [50, 41]"),
+        "nan tolerance": (lambda doc: doc["config"].update(nmf_tol=float("nan")),
+                          "nmf_tol must be a number, got nan"),
+    }
+
+    @pytest.mark.parametrize("edit", sorted(UNWRITTEN))
+    def test_unwritten_store_values_exit_one(self, tmp_path, capsys, edit):
+        ratings, profiles = write_corpus(tmp_path)
+        path = tmp_path / "store.json"
+        assert dispatch(["tag", "--ratings", ratings, "--profiles", profiles,
+                         "--out", str(path)]) == 0
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        change, message = self.UNWRITTEN[edit]
+        change(doc)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert dispatch(["match", "--profiles", profiles, "--store", str(path),
+                         "--learner", "u00"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err

@@ -83,46 +83,51 @@ def assert_sweep_matches_reference(points, k_max=8, gamma=2.0, seed=0):
 
 
 class TestToFeaturePoints:
-    """The learner table's coords, which embed every subset member once."""
+    """The learner table's coordinates, which embed every subset member once."""
+
+    VALUE_MAPS = {"strategy": FULL_VALUES, "presentation": PRES_VALUES}
 
     def test_paper_scale_coordinates(self):
         profiles = {"u1": LearnerProfile("u1", 2, 5, 3, 4, 25)}
-        table = learner_table([LearnerSubset("r", frozenset({"u1"}))], profiles,
-                              FULL_VALUES, PRES_VALUES)
-        assert table.coords.tolist() == [[2.0, 5.0, 24240.0, 20549.0, 25.0]]
+        table = learner_table([LearnerSubset("r", frozenset({"u1"}))], profiles)
+        assert table.attrs.tolist() == [[2, 5, 3, 4, 25]]
+        assert table.coords(self.VALUE_MAPS).tolist() == [[2.0, 5.0, 24240.0, 20549.0, 25.0]]
 
     def test_empty_subset(self):
         subset = LearnerSubset("r", frozenset())
-        table = learner_table([subset], {}, FULL_VALUES, PRES_VALUES)
-        assert table.row == {}
-        assert table.coords.shape == table.items.shape == (0, 5)
-        assert table.rows(subset).tolist() == []
+        table = learner_table([subset], {})
+        assert table.ids == []
+        assert table.attrs.shape == table.items.shape == (0, 5)
+        assert table.coords(self.VALUE_MAPS).shape == (0, 5)
+        assert [m.tolist() for m in table.members] == [[]]
 
     def test_missing_profile_names_learner(self):
         subset = LearnerSubset("r", frozenset({"nobody"}))
         with pytest.raises(KeyError, match="nobody"):
-            learner_table([subset], {}, FULL_VALUES, PRES_VALUES)
+            learner_table([subset], {})
 
     def test_bijective_on_members(self):
         ids = [f"u{i}" for i in range(40)]
         profiles = {lid: LearnerProfile(lid, 1, 2, 1, 1, 5) for lid in ids}
         subset = LearnerSubset("r", frozenset(ids))
-        table = learner_table([subset], profiles, FULL_VALUES, PRES_VALUES)
-        assert sorted(table.row) == sorted(ids)
-        assert table.rows(subset).tolist() == list(range(len(ids)))
+        table = learner_table([subset], profiles)
+        assert table.ids == sorted(ids)
+        assert [m.tolist() for m in table.members] == [list(range(len(ids)))]
 
     def test_rows_follow_learner_ids_across_subsets(self):
         profiles = {lid: LearnerProfile(lid, i % 5 + 1, 6, i % 5 + 1, 5 - i % 5, 10 * i)
                     for i, lid in enumerate(["u3", "u1", "u4", "u0", "u2"])}
         a = LearnerSubset("a", frozenset({"u4", "u1", "u2"}))
         b = LearnerSubset("b", frozenset({"u0", "u3", "u2"}))
-        table = learner_table([a, b], profiles, FULL_VALUES, PRES_VALUES)
-        assert table.row == {f"u{i}": i for i in range(5)}
-        assert table.rows(a).tolist() == [1, 2, 4]
-        assert table.rows(b).tolist() == [0, 2, 3]
-        for lid, r in table.row.items():
+        table = learner_table([a, b], profiles)
+        assert table.ids == [f"u{i}" for i in range(5)]
+        assert [m.tolist() for m in table.members] == [[1, 2, 4], [0, 2, 3]]
+        coords = table.coords(self.VALUE_MAPS)
+        for r, lid in enumerate(table.ids):
             p = profiles[lid]
-            assert table.coords[r].tolist() == [
+            assert table.attrs[r].tolist() == [
+                p.current_skill, p.target_skill, p.strategy, p.presentation, p.hours]
+            assert coords[r].tolist() == [
                 p.current_skill, p.target_skill, FULL_VALUES[p.strategy],
                 PRES_VALUES[p.presentation], p.hours]
             assert table.items[r, :4].tolist() == [

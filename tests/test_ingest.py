@@ -1,4 +1,5 @@
-"""Ingest tests: file parsing, profile synthesis, time bins, subsets."""
+"""Ingest tests: file parsing, profile synthesis, time bins, subsets and
+the learner table's profile checks."""
 from __future__ import annotations
 
 import numpy as np
@@ -6,12 +7,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from learntags import (
+    LearnerProfile,
+    LearnerSubset,
     MalformedRowError,
     RatingRecord,
     build_all_subsets,
-    build_subset,
     discretize_time,
     generate_profiles,
+    learner_table,
     parse_profiles,
     parse_ratings,
     render_profiles,
@@ -233,6 +236,8 @@ class TestDiscretizeTime:
 
 
 class TestBuildSubset:
+    """``build_all_subsets``, against the per-resource rescan in conftest."""
+
     RATINGS = [
         RatingRecord("u1", "r", 7),
         RatingRecord("u2", "r", 6),
@@ -240,19 +245,20 @@ class TestBuildSubset:
     ]
 
     def test_threshold_boundary_inclusive(self):
-        subset = build_subset(self.RATINGS, "r", delta0=6)
-        assert subset.members == {"u1", "u2"}
+        subsets = build_all_subsets(self.RATINGS, delta0=6)
+        assert subsets["r"].members == {"u1", "u2"}
 
     def test_empty_ratings(self):
-        assert build_subset([], "r", delta0=6).members == frozenset()
+        assert build_all_subsets([], delta0=6) == {}
 
     def test_absent_resource(self):
-        assert build_subset(self.RATINGS, "other", delta0=6).members == frozenset()
+        subsets = build_all_subsets(self.RATINGS + [RatingRecord("u1", "low", 3)], delta0=6)
+        assert sorted(subsets) == ["r"]
 
     @pytest.mark.parametrize("delta0", [0, 11])
     def test_delta0_bounds(self, delta0):
         with pytest.raises(ValueError, match="delta0"):
-            build_subset(self.RATINGS, "r", delta0)
+            build_all_subsets(self.RATINGS, delta0)
 
     def test_matches_independent_rescan(self):
         from conftest import synth_corpus
@@ -267,13 +273,48 @@ class TestBuildSubset:
         assert {rid: set(s.members) for rid, s in subsets.items()} == oracle
 
     def test_all_subsets_equals_per_resource(self):
-        from conftest import synth_corpus
+        from conftest import build_subset, synth_corpus
 
         records, _ = synth_corpus(100, 15, 800, seed=3)
         subsets = build_all_subsets(records, delta0=6)
         for rid in {r.resource_id for r in records}:
             single = build_subset(records, rid, delta0=6)
             if single.members:
-                assert subsets[rid].members == single.members
+                assert subsets[rid] == single
             else:
                 assert rid not in subsets
+
+
+class TestLearnerTableChecks:
+    """``learner_table`` is the one place that checks subset members' profiles."""
+
+    def test_check_order(self):
+        """A missing profile, then every strategy, then every presentation,
+        then the hours cap: each fix exposes the next failure."""
+        subset = LearnerSubset("r", frozenset({"u1", "u2", "u3", "u4"}))
+        profiles = {
+            "u1": LearnerProfile("u1", 1, 2, 1, 1, MAX_HOURS + 1),
+            "u2": LearnerProfile("u2", 1, 2, 1, 0, 5),
+            "u3": LearnerProfile("u3", 1, 2, 9, 1, 5),
+        }
+        with pytest.raises(KeyError, match="no profile for learner 'u4'"):
+            learner_table([subset], profiles)
+        profiles["u4"] = LearnerProfile("u4", 1, 2, 1, 1, 5)
+        with pytest.raises(ValueError, match="learner 'u3' has strategy 9, expected 1..5"):
+            learner_table([subset], profiles)
+        profiles["u3"] = LearnerProfile("u3", 1, 2, 2, 1, 5)
+        with pytest.raises(ValueError, match="learner 'u2' has presentation 0, expected 1..5"):
+            learner_table([subset], profiles)
+        profiles["u2"] = LearnerProfile("u2", 1, 2, 1, 2, 5)
+        with pytest.raises(ValueError, match=rf"learner 'u1': a5 hours {MAX_HOURS + 1} above"):
+            learner_table([subset], profiles)
+        profiles["u1"] = LearnerProfile("u1", 1, 2, 1, 1, MAX_HOURS)
+        assert learner_table([subset], profiles).ids == ["u1", "u2", "u3", "u4"]
+
+    def test_profiles_of_non_members_are_not_read(self):
+        subset = LearnerSubset("r", frozenset({"u1"}))
+        profiles = {"u1": LearnerProfile("u1", 1, 2, 1, 1, 5),
+                    "other": LearnerProfile("other", 1, 2, 7, 7, 10**20)}
+        table = learner_table([subset], profiles)
+        assert table.ids == ["u1"]
+        assert [m.tolist() for m in table.members] == [[0]]

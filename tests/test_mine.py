@@ -30,8 +30,6 @@ from conftest import (
     transaction_from_profile,
 )
 
-VALUES = {p: float(p) for p in range(1, 6)}
-
 
 def table_items(profiles: list[LearnerProfile]) -> np.ndarray:
     """The learner table's item codes, one row per profile in list order
@@ -39,7 +37,7 @@ def table_items(profiles: list[LearnerProfile]) -> np.ndarray:
     ids = [p.learner_id for p in profiles]
     assert ids == sorted(ids)
     table = learner_table([LearnerSubset("r", frozenset(ids))],
-                          {p.learner_id: p for p in profiles}, VALUES, VALUES)
+                          {p.learner_id: p for p in profiles})
     return table.items
 
 

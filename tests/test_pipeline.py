@@ -101,6 +101,11 @@ class TestPipelineConfig:
             {"k_max": 0},
             {"gamma": 1.0},
             {"min_subset": 0},
+            {"support_sl": float("nan")},
+            {"nmf_tol": float("nan")},
+            {"nmf_tol": float("inf")},
+            {"gamma": float("nan")},
+            {"gamma": float("inf")},
         ],
     )
     def test_bad_values_rejected(self, kwargs):
@@ -202,7 +207,7 @@ class TestRun:
         # One table per run, one row per subset member.
         assert len(tables) == 1
         members = {r.learner_id for r in records if r.rating >= config.delta0}
-        assert sorted(tables[0].row) == sorted(members)
+        assert tables[0].ids == sorted(members)
         # The table rows mined equal fresh encodings of every mined cluster.
         clusters, _, _ = recover_clusters(records, profiles, config)
         assert [m.tolist() for m in mined] == [
@@ -212,18 +217,24 @@ class TestRun:
         assert sum(c.provenance.cluster_size or 0 for c in store.values()) > len(members)
 
     def test_cooccurrence_built_once(self, monkeypatch):
+        """One co-occurrence pass, over the one table the run coded."""
+        import learntags.pipeline as pipeline
+
         quantify_module = importlib.import_module("learntags.quantify")
         records, profiles = self.small_corpus()
-        calls = []
-        build = quantify_module.build_cooccurrence
+        tables, calls = [], []
+        build_table, build = pipeline.learner_table, quantify_module.build_cooccurrence
 
-        def counting(subsets, by_id):
-            calls.append(len(subsets))
-            return build(subsets, by_id)
+        def counting(table):
+            calls.append(table)
+            return build(table)
 
+        monkeypatch.setattr(pipeline, "learner_table",
+                            lambda *args: tables.append(build_table(*args)) or tables[-1])
         monkeypatch.setattr(quantify_module, "build_cooccurrence", counting)
         run(PipelineConfig(seed=5), records, profiles)
-        assert len(calls) == 1
+        assert len(tables) == len(calls) == 1
+        assert calls[0] is tables[0]
 
     def test_trace_hook_sees_every_clustered_resource(self):
         records, profiles = self.small_corpus()
@@ -245,7 +256,8 @@ class TestRun:
         config = PipelineConfig(seed=5)
         store = run(config, records, profiles)
         subsets = build_all_subsets(records, config.delta0)
-        details = quantify_nominal([subsets[rid] for rid in sorted(subsets)], profiles, config)
+        table = learner_table([subsets[rid] for rid in sorted(subsets)], profiles)
+        details = quantify_nominal(table, config)
         assert store.config == config
         assert store.value_maps == {a: details[a].values for a in ("strategy", "presentation")}
         # The mapping side holds resource ids and clouds only.
@@ -257,8 +269,7 @@ class TestRun:
         profiles = {"u1": LearnerProfile("u1", 1, 2, 1, 1, 5),
                     "u2": LearnerProfile("u2", 1, 2, 1, 1, MAX_HOURS + 1)}
         with pytest.raises(ValueError, match=rf"learner 'u2'.*{MAX_HOURS}"):
-            learner_table([subset], profiles, VALUE_MAPS["strategy"],
-                          VALUE_MAPS["presentation"])
+            learner_table([subset], profiles)
         huge = dict(profiles, u2=LearnerProfile("u2", 1, 2, 1, 1, 10**20))
         with pytest.raises(ValueError, match="learner 'u2'"):
             run(PipelineConfig(min_subset=1), [RatingRecord(lid, "r1", 9) for lid in huge], huge)
@@ -292,46 +303,53 @@ class TestRenderTag:
 
 
 class TestMatchResources:
-    def build_store(self):
-        strategy_values = {1: 5.0, 2: 10.0, 3: 15.0, 4: 20.0, 5: 25.0}
-        presentation_values = {1: 2.0, 2: 4.0, 3: 6.0, 4: 8.0, 5: 10.0}
+    def build_store(self) -> TagStore:
+        """Two resources ranked with VALUE_MAPS: strategy 3 is 15.0 and
+        presentation 4 is 8.0."""
         full = Tag(2, 5, TimeBin(21, 30), 15.0, 8.0)
-        store = {
+        return tag_store({
             "match": TagCloud("match", [full], Provenance(20, 2, 12, 0.5)),
             "other": TagCloud(
                 "other", [Tag(6, None, None, None, None)], Provenance(15, 1, 15, 0.4)
             ),
-        }
-        return store, strategy_values, presentation_values
+        })
 
     def test_exact_match_scores_one(self):
-        store, sv, pv = self.build_store()
         profile = LearnerProfile("u1", 2, 5, 3, 4, 25)
-        ranked = match_resources(profile, store, sv, pv, top_n=2)
+        ranked = match_resources(profile, self.build_store(), top_n=2)
         assert ranked[0] == ("match", 1.0)
 
     def test_single_resource_always_returned(self):
-        store, sv, pv = self.build_store()
-        only = {"other": store["other"]}
+        only = tag_store({"other": self.build_store()["other"]})
         profile = LearnerProfile("u1", 1, 2, 1, 1, 1)
-        assert match_resources(profile, only, sv, pv, top_n=5) == [("other", 0.0)]
+        assert match_resources(profile, only, top_n=5) == [("other", 0.0)]
 
     def test_hours_below_one_match_the_first_bin(self):
         # The miner puts hours < 1 into [1-10], so such a tag describes them.
-        store = {"r": TagCloud("r", [Tag(time_bin=TimeBin(1, 10))], Provenance(10, 1, 10, 1.0))}
-        sv, pv = self.build_store()[1:]
+        store = tag_store({"r": TagCloud("r", [Tag(time_bin=TimeBin(1, 10))],
+                                         Provenance(10, 1, 10, 1.0))})
         profile = LearnerProfile("u0", 1, 2, 1, 1, 0)
-        assert match_resources(profile, store, sv, pv, top_n=1) == [("r", 1.0)]
-        other = {"r": TagCloud("r", [Tag(time_bin=TimeBin(11, 20))], Provenance(10, 1, 10, 1.0))}
-        assert match_resources(profile, other, sv, pv, top_n=1) == [("r", 0.0)]
+        assert match_resources(profile, store, top_n=1) == [("r", 1.0)]
+        other = tag_store({"r": TagCloud("r", [Tag(time_bin=TimeBin(11, 20))],
+                                         Provenance(10, 1, 10, 1.0))})
+        assert match_resources(profile, other, top_n=1) == [("r", 0.0)]
 
     def test_validation(self):
-        store, sv, pv = self.build_store()
         profile = LearnerProfile("u1", 1, 2, 1, 1, 1)
         with pytest.raises(ValueError, match="top_n"):
-            match_resources(profile, store, sv, pv, top_n=0)
+            match_resources(profile, self.build_store(), top_n=0)
         with pytest.raises(ValueError, match="empty"):
-            match_resources(profile, {}, sv, pv, top_n=3)
+            match_resources(profile, tag_store({}), top_n=3)
+
+    def test_ranks_with_the_stores_value_maps(self):
+        """The same clouds rank differently under another run's value maps."""
+        store = self.build_store()
+        profile = LearnerProfile("u1", 2, 5, 3, 4, 25)
+        assert match_resources(profile, store, top_n=1) == [("match", 1.0)]
+        swapped = {"strategy": {**VALUE_MAPS["strategy"], 2: 15.0, 3: 10.0},
+                   "presentation": VALUE_MAPS["presentation"]}
+        moved = TagStore(store.clouds, store.config, swapped)
+        assert match_resources(profile, moved, top_n=1) == [("match", 0.8)]
 
     def test_matches_independent_scoring(self):
         """20-resource seeded store against a second formula implementation."""
@@ -343,7 +361,7 @@ class TestMatchResources:
         def maybe(value, p=0.7):
             return value if rng.random() < p else None
 
-        store = {}
+        clouds = {}
         for i in range(20):
             tags = []
             for _ in range(int(rng.integers(1, 3))):
@@ -362,7 +380,8 @@ class TestMatchResources:
                 ):
                     tag = Tag(1, None, None, None, None)
                 tags.append(tag)
-            store[f"r{i:02d}"] = TagCloud(f"r{i:02d}", tags, Provenance(10, 1, 10, 0.2))
+            clouds[f"r{i:02d}"] = TagCloud(f"r{i:02d}", tags, Provenance(10, 1, 10, 0.2))
+        store = TagStore(clouds, PipelineConfig(), {"strategy": sv, "presentation": pv})
         profile = LearnerProfile("u1", 3, 5, 2, 4, 33)
 
         def nearest(values, target):
@@ -391,7 +410,7 @@ class TestMatchResources:
             ((rid, max(score_tag(t) for t in cloud.tags)) for rid, cloud in store.items()),
             key=lambda rs: (-rs[1], rs[0]),
         )[:7]
-        assert match_resources(profile, store, sv, pv, top_n=7) == expected
+        assert match_resources(profile, store, top_n=7) == expected
 
 
 class TestStore:
@@ -495,10 +514,26 @@ class TestStore:
         with pytest.raises(ValueError, match=r"resource 'r7'.*strategy_value must be a number"):
             load_store(path)
 
-    @pytest.mark.parametrize("bin_pair", [["a", 10], [41, 50, 60], [41], 41, [41.0, 50]])
+    @pytest.mark.parametrize("bin_pair", [["a", 10], [41, 50, 60], [41], 41, [41.0, 50],
+                                          [50, 41], [41, 51], [40, 49], [0, 9], [-9, 0]])
     def test_time_bin_not_two_ints_rejected(self, tmp_path, bin_pair):
         path = self.store_with(tmp_path, tag={"time_bin": bin_pair})
         with pytest.raises(ValueError, match=r"resource 'r7'.*time_bin must be null or two ints"):
+            load_store(path)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["strategy_value", "presentation_value"])
+    def test_non_finite_tag_value_rejected(self, tmp_path, field, value):
+        path = self.store_with(tmp_path, tag={field: value})
+        with pytest.raises(ValueError, match=rf"resource 'r7'.*{field} must be a number"):
+            load_store(path)
+
+    @pytest.mark.parametrize("skipped", [5, None, ["subset below threshold"]])
+    def test_skip_reason_not_a_string_rejected(self, tmp_path, skipped):
+        path = tmp_path / "store.json"
+        path.write_text(json.dumps(store_doc({"r7": {"tags": [], "skipped": skipped, "provenance": {
+            "subset_size": 3, "chosen_k": None, "cluster_size": None, "support": None}}})))
+        with pytest.raises(ValueError, match=r"resource 'r7': skipped must be a string"):
             load_store(path)
 
     def test_tag_not_an_object_rejected(self, tmp_path):
@@ -510,7 +545,8 @@ class TestStore:
 
     @pytest.mark.parametrize("field, value", [
         ("subset_size", "12"), ("subset_size", None), ("chosen_k", 2.0),
-        ("cluster_size", "8"), ("support", "0.25"),
+        ("cluster_size", "8"), ("support", "0.25"), ("support", float("nan")),
+        ("support", float("inf")),
     ])
     def test_provenance_mistyped_rejected(self, tmp_path, field, value):
         path = self.store_with(tmp_path, provenance={field: value})
@@ -618,7 +654,8 @@ class TestStoreHeader:
         with pytest.raises(ValueError, match=r"strategy must map the ids 1\.\.5 to numbers"):
             load_store(self.write(tmp_path, doc))
 
-    @pytest.mark.parametrize("value", ["6.0", None, True, [6.0]])
+    @pytest.mark.parametrize("value", ["6.0", None, True, [6.0], float("nan"), float("inf"),
+                                       float("-inf")])
     def test_value_not_a_number_rejected(self, tmp_path, value):
         doc = store_doc({})
         doc["values"]["presentation"]["3"] = value
@@ -639,6 +676,8 @@ class TestStoreHeader:
         ({"support_sl": None}, "support_sl must be a number"),
         ({"nmf_k": None, "features": 10}, "nmf_k must be an int"),
         ({"colour": "red"}, r"unknown fields \['colour'\]"),
+        ({"nmf_tol": float("nan")}, "nmf_tol must be a number, got nan"),
+        ({"gamma": float("inf")}, "gamma must be a number, got inf"),
     ])
     def test_invalid_config_rejected(self, tmp_path, change, message):
         doc = store_doc({})

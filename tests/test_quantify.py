@@ -17,6 +17,7 @@ from learntags import (
     build_all_subsets,
     build_cooccurrence,
     derive_orderings,
+    learner_table,
     nmf,
     quantification_report,
     quantify_nominal,
@@ -81,15 +82,18 @@ def loop_cooccurrence(subsets, profiles, attribute) -> np.ndarray:
     return counts
 
 
+def cooccurrence_of(subsets, profiles) -> dict[str, np.ndarray]:
+    """build_cooccurrence over the learner table of ``subsets``."""
+    return build_cooccurrence(learner_table(subsets, profiles))
+
+
 def assert_matches_oracles(subsets, profiles) -> None:
-    """Both matrices of one build_cooccurrence call are int64, symmetric and
-    equal to both oracles."""
-    cooccurrence = build_cooccurrence(subsets, profiles)
+    """Both matrices of one build_cooccurrence call are (5, 5) int64,
+    symmetric and equal to both oracles."""
+    cooccurrence = cooccurrence_of(subsets, profiles)
     assert list(cooccurrence) == list(ATTRIBUTES)
-    for attribute, cooc in cooccurrence.items():
-        assert cooc.attribute == attribute
-        got = cooc.entries
-        assert got.dtype == np.int64
+    for attribute, got in cooccurrence.items():
+        assert got.shape == (5, 5) and got.dtype == np.int64
         np.testing.assert_array_equal(got, got.T)
         np.testing.assert_array_equal(got, brute_force_cooccurrence(subsets, profiles, attribute))
         np.testing.assert_array_equal(got, loop_cooccurrence(subsets, profiles, attribute))
@@ -127,16 +131,16 @@ _NAMED_CASES = {
 class TestBuildCooccurrence:
     def test_single_learner_yields_zero_matrix(self):
         subsets = [LearnerSubset("r", frozenset({"u1"}))]
-        cooccurrence = build_cooccurrence(subsets, {"u1": profile("u1")})
-        assert not any(c.entries.any() for c in cooccurrence.values())
+        cooccurrence = cooccurrence_of(subsets, {"u1": profile("u1")})
+        assert not any(c.any() for c in cooccurrence.values())
 
     def test_single_pair(self):
         subsets = [LearnerSubset("r", frozenset({"u1", "u2"}))]
         profiles = {"u1": profile("u1", a3=1), "u2": profile("u2", a3=3)}
-        cooc = build_cooccurrence(subsets, profiles)["strategy"]
+        cooc = cooccurrence_of(subsets, profiles)["strategy"]
         expected = np.zeros((5, 5), dtype=np.int64)
         expected[0, 2] = expected[2, 0] = 1
-        np.testing.assert_array_equal(cooc.entries, expected)
+        np.testing.assert_array_equal(cooc, expected)
 
     def test_pair_counted_once_across_subsets(self):
         subsets = [
@@ -144,19 +148,19 @@ class TestBuildCooccurrence:
             LearnerSubset("r2", frozenset({"u1", "u2"})),
         ]
         profiles = {"u1": profile("u1", a3=2), "u2": profile("u2", a3=2)}
-        cooc = build_cooccurrence(subsets, profiles)["strategy"]
-        assert cooc.entries[1, 1] == 1
-        assert cooc.entries.sum() == 1
+        cooc = cooccurrence_of(subsets, profiles)["strategy"]
+        assert cooc[1, 1] == 1
+        assert cooc.sum() == 1
 
     def test_missing_profile_names_learner(self):
         subsets = [LearnerSubset("r", frozenset({"u1", "ghost"}))]
         with pytest.raises(KeyError, match="ghost"):
-            build_cooccurrence(subsets, {"u1": profile("u1")})
+            cooccurrence_of(subsets, {"u1": profile("u1")})
 
     def test_missing_profile_checked_before_values(self):
         subsets = [LearnerSubset("r", frozenset({"u1", "ghost"}))]
         with pytest.raises(KeyError, match="ghost"):
-            build_cooccurrence(subsets, {"u1": profile("u1", a3=0, a4=0)})
+            cooccurrence_of(subsets, {"u1": profile("u1", a3=0, a4=0)})
 
     @pytest.mark.parametrize("attribute", ["strategy", "presentation"])
     @pytest.mark.parametrize("bad", [0, 6, -1])
@@ -167,23 +171,23 @@ class TestBuildCooccurrence:
             "u2": profile("u2", **{"a3" if attribute == "strategy" else "a4": bad}),
         }
         with pytest.raises(ValueError, match=f"'u2' has {attribute} {bad}, expected 1..5"):
-            build_cooccurrence(subsets, profiles)
+            cooccurrence_of(subsets, profiles)
 
     def test_both_values_out_of_range_names_strategy(self):
         subsets = [LearnerSubset("r", frozenset({"u1", "u2"}))]
         profiles = {"u1": profile("u1", a3=2, a4=2), "u2": profile("u2", a3=6, a4=0)}
         with pytest.raises(ValueError, match="'u2' has strategy 6, expected 1..5"):
-            build_cooccurrence(subsets, profiles)
+            cooccurrence_of(subsets, profiles)
         # Every strategy is checked before any presentation.
         profiles["u1"] = profile("u1", a3=2, a4=9)
         with pytest.raises(ValueError, match="'u2' has strategy 6, expected 1..5"):
-            build_cooccurrence(subsets, profiles)
+            cooccurrence_of(subsets, profiles)
 
     def test_bad_presentation_with_valid_strategy_names_presentation(self):
         subsets = [LearnerSubset("r", frozenset({"u1", "u2"}))]
         profiles = {"u1": profile("u1", a3=3, a4=7), "u2": profile("u2", a3=5, a4=1)}
         with pytest.raises(ValueError, match="'u1' has presentation 7, expected 1..5"):
-            build_cooccurrence(subsets, profiles)
+            cooccurrence_of(subsets, profiles)
 
     @pytest.mark.parametrize("attribute", ATTRIBUTES)
     def test_matches_brute_force_enumeration(self, attribute):
@@ -200,10 +204,10 @@ class TestBuildCooccurrence:
             members = rng.choice(ids, size=size, replace=False)
             subsets.append(LearnerSubset(f"r{s}", frozenset(str(m) for m in members)))
 
-        cooc = build_cooccurrence(subsets, profiles)[attribute]
+        cooc = cooccurrence_of(subsets, profiles)[attribute]
         expected = brute_force_cooccurrence(subsets, profiles, attribute)
-        np.testing.assert_array_equal(cooc.entries, expected)
-        np.testing.assert_array_equal(cooc.entries, cooc.entries.T)
+        np.testing.assert_array_equal(cooc, expected)
+        np.testing.assert_array_equal(cooc, cooc.T)
 
     @given(
         groups=st.lists(st.frozensets(st.sampled_from(_IDS), max_size=len(_IDS)), max_size=8),
@@ -222,7 +226,7 @@ class TestBuildCooccurrence:
                 lid: profile(lid, a3=a3, a4=a4)
                 for lid, a3, a4 in zip(_IDS, strategy, values)
             }
-            return build_cooccurrence(subsets, profiles)["strategy"].entries
+            return cooccurrence_of(subsets, profiles)["strategy"]
 
         np.testing.assert_array_equal(
             strategy_matrix([presentation[i] for i in order]), strategy_matrix(presentation)
@@ -240,15 +244,19 @@ class TestBuildCooccurrence:
         strategy=st.lists(st.integers(1, 5), min_size=len(_IDS), max_size=len(_IDS)),
         presentation=st.lists(st.integers(1, 5), min_size=len(_IDS), max_size=len(_IDS)),
         block=st.sampled_from([1, 17, quantify_module._BLOCK_PAIR_WORK]),
+        data=st.data(),
     )
-    def test_matches_oracles_at_any_block_size(self, groups, strategy, presentation, block):
-        """Random corpora, with blocks down to the smallest the learner count allows."""
+    def test_matches_oracles_at_any_block_size(self, groups, strategy, presentation, block,
+                                               data):
+        """Random corpora in any subset order, with blocks down to the
+        smallest the learner count allows."""
         profiles = {
             lid: profile(lid, a3=a3, a4=a4)
             for lid, a3, a4 in zip(_IDS, strategy, presentation)
         }
+        shuffled = data.draw(st.permutations(_subsets(*groups)))
         with mock.patch.object(quantify_module, "_BLOCK_PAIR_WORK", block):
-            assert_matches_oracles(_subsets(*groups), profiles)
+            assert_matches_oracles(shuffled, profiles)
 
 
 class TestNMF:
@@ -376,27 +384,26 @@ class TestQuantifyAttribute:
 
         records, profiles = synth_corpus(150, 12, 2500, seed=seed)
         subsets = build_all_subsets(records, delta0=6)
-        ordered = [subsets[rid] for rid in sorted(subsets)]
-        return ordered, profiles
+        return learner_table([subsets[rid] for rid in sorted(subsets)], profiles)
 
     def test_one_learner_corpus_gives_zeros(self):
         subsets = [LearnerSubset("r", frozenset({"u1"}))]
-        details = quantify_nominal(subsets, {"u1": profile("u1")}, PipelineConfig())
+        details = quantify_nominal(learner_table(subsets, {"u1": profile("u1")}),
+                                   PipelineConfig())
         assert list(details) == list(ATTRIBUTES)
         for detail in details.values():
             assert detail.values == {i: 0.0 for i in range(1, 6)}
 
     def test_deterministic(self):
-        subsets, profiles = self.corpus()
+        table = self.corpus()
         config = PipelineConfig(seed=4)
-        d1 = quantify_nominal(subsets, profiles, config)
-        d2 = quantify_nominal(subsets, profiles, config)
+        d1 = quantify_nominal(table, config)
+        d2 = quantify_nominal(table, config)
         assert {a: d.values for a, d in d1.items()} == {a: d.values for a, d in d2.items()}
 
     def test_attributes_use_derived_seeds(self):
-        subsets, profiles = self.corpus()
         config = PipelineConfig(seed=4)
-        details = quantify_nominal(subsets, profiles, config)
+        details = quantify_nominal(self.corpus(), config)
         assert (details["strategy"].factors.error_trace[0]
                 != details["presentation"].factors.error_trace[0])
         for attribute, seed in (("strategy", 4), ("presentation", 5)):
@@ -407,17 +414,14 @@ class TestQuantifyAttribute:
             np.testing.assert_array_equal(detail.factors.weights, expected.weights)
 
     def test_values_are_similarity_row_means(self):
-        subsets, profiles = self.corpus()
-        for detail in quantify_nominal(subsets, profiles, PipelineConfig()).values():
+        for detail in quantify_nominal(self.corpus(), PipelineConfig()).values():
             for i in range(5):
                 assert detail.values[i + 1] == float(np.mean(detail.similarity[i]))
 
     def test_report_is_json_ready(self):
         import json
 
-        subsets, profiles = self.corpus()
-        config = PipelineConfig()
-        details = quantify_nominal(subsets, profiles, config)
+        details = quantify_nominal(self.corpus(), PipelineConfig())
         doc = json.loads(json.dumps(quantification_report(details)))
         assert set(doc) == {"strategy", "presentation"}
         for attr in doc:
@@ -445,6 +449,6 @@ class TestModuleName:
 
         monkeypatch.setattr("learntags.quantify.nmf", recording)
         subsets = [LearnerSubset("r", frozenset({"u1", "u2"}))]
-        quantify_nominal(subsets, {"u1": profile("u1"), "u2": profile("u2", 2, 3)},
-                         PipelineConfig(seed=7))
+        profiles = {"u1": profile("u1"), "u2": profile("u2", 2, 3)}
+        quantify_nominal(learner_table(subsets, profiles), PipelineConfig(seed=7))
         assert seeds == [7, 8]
