@@ -42,6 +42,7 @@ from .cluster import (
     group_rows,
     largest_cluster,
     lloyd_kmeans,
+    lockstep_lloyd,
     normalize,
     sweep_k,
 )
@@ -73,7 +74,7 @@ __all__ = [
     "quantify_nominal", "symmetrize",
     "Grouping", "KSelection", "KTraceEntry", "LloydFit", "average_diameter",
     "farthest_first_seeds", "group_rows", "largest_cluster", "lloyd_kmeans",
-    "normalize", "sweep_k",
+    "lockstep_lloyd", "normalize", "sweep_k",
     "FrequentItemset", "apriori", "select_tag",
     "PipelineConfig", "Provenance", "Tag", "TagCloud",
     "TagStore", "load_store", "match_resources", "render_report",

@@ -433,7 +433,8 @@ def save_store(store: TagStore, path) -> None:
     {"presentation": {"1": v, ..., "5": v}, "strategy": {...}},
     "resources": {resource id: {"tags": [...], "provenance": {...}}}}``;
     a skipped resource also has a ``"skipped"`` reason.  An OSError
-    names ``path``.
+    names ``path``; a NaN or infinite number, which ``load_store`` would
+    reject, raises ValueError and leaves the previous store in place.
     """
     doc = {
         "schema": STORE_SCHEMA,
@@ -447,7 +448,7 @@ def save_store(store: TagStore, path) -> None:
                        f".{os.path.basename(path)}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
+            json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
         os.replace(tmp, path)
     except BaseException as exc:

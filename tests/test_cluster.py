@@ -2,6 +2,8 @@
 seeding, Lloyd, k selection and the largest cluster."""
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -15,14 +17,18 @@ from learntags import (
     largest_cluster,
     learner_table,
     lloyd_kmeans,
+    lockstep_lloyd,
     normalize,
     sweep_k,
 )
+import learntags.cluster as cluster_module
 from learntags.cluster import _repair_empty
 from learntags.ingest import LearnerSubset
 
 from conftest import (
+    Clustering,
     FeaturePoint,
+    reference_average_diameter,
     reference_farthest_first_seeds,
     reference_lloyd_kmeans,
     reference_repair_empty,
@@ -64,14 +70,27 @@ def assert_lloyd_matches_reference(points: list[FeaturePoint], seed_rows: list[i
     return fit
 
 
-def assert_sweep_matches_reference(points, k_max=8, gamma=2.0, seed=0):
+def assert_lockstep_matches_reference(points: list[FeaturePoint], seed_rows: list[int],
+                                      ks: list[int], max_iters: int = 100):
+    """Each lockstep fit equals the point-by-point Lloyd's from its seed
+    prefix, run alone."""
+    fits = lockstep_lloyd(coords_array(points), seed_rows, ks, max_iters)
+    for k, fit in zip(ks, fits):
+        want = reference_lloyd_kmeans(points, [points[i] for i in seed_rows[:k]], max_iters)
+        assert {p.learner_id: j for p, j in zip(points, fit.labels.tolist())} == want.assignment
+        np.testing.assert_array_equal(fit.centroids, want.centroids)
+        assert repr(fit.sse_trace) == repr(want.sse_trace)
+    return fits
+
+
+def assert_sweep_matches_reference(points, k_max=8, gamma=2.0, seed=0, max_iters=100):
     """Every trace entry, float for float, and the chosen fit equal the
     point-by-point sweep's.  Rows go in learner-id order, as in the
     learner table, so the row tie-breaks are the reference's id
     tie-breaks."""
     points = sorted(points, key=lambda p: p.learner_id)
-    got = sweep_k(coords_array(points), k_max, gamma, seed)
-    want, want_trace = reference_select_k(points, k_max, gamma, seed)
+    got = sweep_k(coords_array(points), k_max, gamma, seed, max_iters)
+    want, want_trace = reference_select_k(points, k_max, gamma, seed, max_iters)
     assert [(e.k, repr(e.sse), repr(e.avg_diameter)) for e in got.trace] == [
         (e.k, repr(e.sse), repr(e.avg_diameter)) for e in want_trace
     ]
@@ -442,21 +461,93 @@ class TestSweepEdgeCases:
         assert all(e.sse == 0.0 and e.avg_diameter == 0.0 for e in selection.trace)
 
 
-points_strategy = st.one_of(
+class TestLockstep:
+    """Named corner cases of running every k's Lloyd in one loop, each
+    fit checked against the point-by-point Lloyd's run alone."""
+
+    def test_repair_in_the_round_another_fit_converges(self, monkeypatch):
+        # Seed rows 0 and 3 coincide.  In round 1 the k = 3 fit reseeds an
+        # empty cluster while the k = 4 fit stops.
+        points = grid_points([(3, 1, 0, 0, 0), (0, 2, 0, 0, 0), (0, 2, 0, 0, 0),
+                              (3, 1, 0, 0, 0), (3, 2, 0, 0, 0)])
+        rounds, reseeds = [0], []
+        update, repair = cluster_module._update, cluster_module._repair_empty
+
+        def counting_update(*args):
+            rounds[0] += 1
+            update(*args)
+
+        def logging_repair(x, labels, centroids):
+            before = labels.copy()
+            repair(x, labels, centroids)
+            if not np.array_equal(before, labels):
+                reseeds.append((rounds[0], len(centroids)))
+
+        monkeypatch.setattr(cluster_module, "_update", counting_update)
+        monkeypatch.setattr(cluster_module, "_repair_empty", logging_repair)
+        fits = assert_lockstep_matches_reference(points, [0, 3, 4, 2], [4, 3, 2, 1])
+        assert (1, 3) in reseeds
+        assert len(fits[0].sse_trace) == 2  # the k = 4 fit stops after round 1
+        assert len(fits[1].sse_trace) > 2
+
+    def test_duplicate_rows_leave_clusters_empty(self):
+        # Every reseed would be at distance 0, so each fit keeps one cluster.
+        points = grid_points([(1, 1, 1, 1, 1)] * 6)
+        fits = assert_lockstep_matches_reference(points, [0, 1, 2, 3], [4, 3, 2, 1])
+        for fit in fits:
+            assert set(fit.labels.tolist()) == {0}
+            assert fit.sse_trace == [0.0, 0.0]
+
+    @pytest.mark.parametrize("max_iters", [1, 100])
+    def test_fewer_rows_than_k_max(self, max_iters):
+        # The widest fit seeds every row, so its clusters are the rows.
+        points = grid_points([(0, 0, 0, 0, 0), (2, 0, 0, 0, 0), (2, 1, 0, 0, 0)])
+        selection = assert_sweep_matches_reference(points, k_max=8, max_iters=max_iters)
+        assert [e.k for e in selection.trace] == [3, 2, 1]
+        assert selection.trace[0].sse == selection.trace[0].avg_diameter == 0.0
+
+    @pytest.mark.parametrize("max_iters", [1, 2, 3])
+    def test_capped_fits_beside_converged_ones(self, max_iters):
+        # Uncapped, the fits for k = 8..1 stop after 1, 1, 2, 2, 2, 2, 5
+        # and 1 rounds, so every cap here stops some fits and not others.
+        points = grid_points(np.random.default_rng(5).uniform(0, 1, (20, 5)).tolist())
+        x, ks = coords_array(points), list(range(8, 0, -1))
+        seeds = farthest_first_seeds(x, 8, 0)
+        capped = [len(fit.sse_trace) > max_iters + 1 for fit in lockstep_lloyd(x, seeds, ks)]
+        assert any(capped) and not all(capped)
+        fits = assert_lockstep_matches_reference(points, seeds, ks, max_iters)
+        assert max(len(fit.sse_trace) for fit in fits) == max_iters + 1
+        assert_sweep_matches_reference(points, seed=0, max_iters=max_iters)
+
+    @pytest.mark.parametrize("ks", [[], [0], [3, 1]])
+    def test_k_out_of_range_rejected(self, ks):
+        with pytest.raises(ValueError, match="each k"):
+            lockstep_lloyd(line([0.0, 1.0, 2.0]), [0, 1], ks)
+
+    @pytest.mark.parametrize("second", [(0, 0, 0, 0, 0), (1, 2, 0, 0, 0)])
+    def test_two_rows(self, second):
+        points = grid_points([(0, 0, 0, 0, 0), second])
+        selection = assert_sweep_matches_reference(points)
+        assert [e.k for e in selection.trace] == [2, 1]
+        assert_lockstep_matches_reference(points, [1, 0], [2, 1])
+
+
+row_strategies = (
     # tie-heavy grid coordinates
-    st.lists(st.tuples(*[st.integers(0, 2)] * 5), min_size=1, max_size=25),
-    st.lists(
-        st.tuples(*[st.floats(-100, 100, allow_nan=False)] * 5), min_size=1, max_size=25
-    ),
+    st.tuples(*[st.integers(0, 2)] * 5),
+    st.tuples(*[st.floats(-100, 100, allow_nan=False)] * 5),
 )
+points_strategy = st.one_of(*(st.lists(row, min_size=1, max_size=25) for row in row_strategies))
 
 
 class TestMatchesReference:
     @given(points_strategy, st.booleans(), st.integers(1, 8),
-           st.floats(1.0, 4.0, exclude_min=True), st.integers(0, 2**32 - 1))
-    def test_select_k(self, grid, reverse_ids, k_max, gamma, seed):
+           st.floats(1.0, 4.0, exclude_min=True), st.integers(0, 2**32 - 1),
+           st.sampled_from([1, 2, 3, 100]))
+    def test_select_k(self, grid, reverse_ids, k_max, gamma, seed, max_iters):
+        """Small ``max_iters`` caps some lockstep fits while others converge."""
         points = grid_points(grid, reverse_ids)
-        assert_sweep_matches_reference(points, k_max, gamma, seed)
+        assert_sweep_matches_reference(points, k_max, gamma, seed, max_iters)
         points.sort(key=lambda p: p.learner_id)
         k = min(k_max, len(points))
         assert [points[i] for i in farthest_first_seeds(coords_array(points), k, seed)] == (
@@ -470,3 +561,16 @@ class TestMatchesReference:
         rows = data.draw(st.lists(st.integers(0, len(points) - 1), min_size=1,
                                   max_size=min(len(points), 8), unique=True))
         assert_lloyd_matches_reference(points, rows)
+
+    @given(st.lists(st.tuples(st.integers(0, 4), st.one_of(*row_strategies)),
+                    min_size=1, max_size=25),
+           st.sampled_from([1, 3, cluster_module._DIAMETER_BLOCK_ROWS]))
+    def test_average_diameter(self, labelled_rows, block):
+        """Row blocks of 1 and 3 run the multi-block path on small clusters."""
+        labels = [j for j, _ in labelled_rows]
+        points = grid_points([row for _, row in labelled_rows])
+        clustering = Clustering(k=5, centroids=np.zeros((5, 5)), sse=0.0, sse_trace=[],
+                                assignment={p.learner_id: j for p, j in zip(points, labels)})
+        with mock.patch.object(cluster_module, "_DIAMETER_BLOCK_ROWS", block):
+            got = average_diameter(coords_array(points), np.array(labels))
+        assert repr(got) == repr(reference_average_diameter(clustering, points))

@@ -569,6 +569,21 @@ class TestStore:
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["store.json"]
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_value_not_saved(self, tmp_path, value):
+        """save_store refuses what load_store would reject, and the
+        previous store stays byte-identical."""
+        path = tmp_path / "store.json"
+        save_store(tag_store({"r1": TagCloud("r1", [Tag(current_skill=1)],
+                                             Provenance(10, 1, 5, 0.5))}), path)
+        before = path.read_bytes()
+        bad = tag_store({"r2": TagCloud("r2", [Tag(strategy_value=value)],
+                                        Provenance(10, 1, 5, 0.5))})
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_store(bad, path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["store.json"]
+
 
 stored_value_maps = st.fixed_dictionaries({
     attribute: st.fixed_dictionaries({
