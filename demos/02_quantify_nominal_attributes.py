@@ -6,10 +6,11 @@ Learning strategy ids 1..5 are categories with no inherent order.  This
 walks the chain that turns them into comparable numbers: co-occurrence
 counting over the high-rating subsets, non-negative factorization,
 feature-based orderings, symmetrization, and the final per-id values.
-`learner_table` codes every subset member once; one `quantify_nominal`
-call reads that table and runs the chain for strategy and presentation
-alike, from one co-occurrence pass.  The walk-through prints strategy,
-and the full report of both attributes goes to demos/out/quantify.json.
+`learner_table` codes every subset member once, in the pass over the
+ratings that finds the subsets; one `quantify_nominal` call reads that
+table and runs the chain for strategy and presentation alike, from one
+co-occurrence pass.  The walk-through prints strategy, and the full
+report of both attributes goes to demos/out/quantify.json.
 """
 
 import json
@@ -19,7 +20,6 @@ import numpy as np
 
 from learntags import (
     PipelineConfig,
-    build_all_subsets,
     export_values,
     extreme_pairs,
     generate_profiles,
@@ -38,9 +38,7 @@ records = [
 ]
 
 config = PipelineConfig(seed=8)
-subsets = build_all_subsets(records, config.delta0)
-ordered = [subsets[rid] for rid in sorted(subsets)]
-table = learner_table(ordered, profiles)
+table = learner_table(records, profiles, config.delta0)
 details = quantify_nominal(table, config)
 detail = details["strategy"]
 

@@ -13,7 +13,6 @@ ties kept as a multi-tag cloud.
 """
 
 from learntags import (
-    LearnerSubset,
     Tag,
     apriori,
     discretize_time,
@@ -22,14 +21,15 @@ from learntags import (
     render_tag,
     select_tag,
 )
+from learntags.ingest import RatingRecord
 
 # quantified values would come from the NMF stage; fixed here for display
 strategy_values = {1: 0.9, 2: 1.4, 3: 2.2, 4: 1.1, 5: 0.5}
 presentation_values = {1: 1.8, 2: 0.7, 3: 1.2, 4: 2.5, 5: 0.9}
 
 profiles = {p.learner_id: p for p in generate_profiles([f"u{i:02d}" for i in range(18)], seed=21)}
-cluster = LearnerSubset("r", frozenset(profiles))
-table = learner_table([cluster], profiles)
+# every learner rates resource "r" highly, so the cluster is all of them
+table = learner_table([RatingRecord(lid, "r", 10) for lid in profiles], profiles, delta0=6)
 items = table.items[table.members[0]]
 print(f"{len(items)} learners, e.g. u00 as (a1, a2, a3, a4, hours bin): "
       f"{tuple(items[0].tolist())}")

@@ -1,18 +1,16 @@
 """Tag learning resources with the profile attributes of their high raters.
 
-Pipeline: high-rating subsets -> one learner table coding every subset
-member -> NMF quantification of the nominal attributes -> k-means
-grouping of each subset -> Apriori mining of the largest group.  Every
-stage is importable on its own; ``pipeline.run`` chains them.
+Pipeline: one learner table coding every high rater and each resource's
+high-rating subset -> NMF quantification of the nominal attributes ->
+k-means grouping of each subset -> Apriori mining of the largest group.
+Every stage is importable on its own; ``pipeline.run`` chains them.
 """
 from .ingest import (
     LearnerProfile,
-    LearnerSubset,
     LearnerTable,
     MalformedRowError,
     RatingRecord,
     TimeBin,
-    build_all_subsets,
     discretize_time,
     generate_profiles,
     learner_table,
@@ -65,8 +63,8 @@ from .viz import export_parcoords, export_values, extreme_pairs
 __version__ = "0.1.0"
 
 __all__ = [
-    "LearnerProfile", "LearnerSubset", "LearnerTable", "MalformedRowError",
-    "RatingRecord", "TimeBin", "build_all_subsets", "discretize_time",
+    "LearnerProfile", "LearnerTable", "MalformedRowError",
+    "RatingRecord", "TimeBin", "discretize_time",
     "generate_profiles", "learner_table", "parse_profiles", "parse_ratings",
     "render_profiles", "render_ratings",
     "FactorPair", "QuantifyDetail", "attribute_values",

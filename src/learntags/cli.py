@@ -188,20 +188,18 @@ def _cmd_synth_profiles(args: argparse.Namespace) -> int:
 
 
 def _quantify_details(args: argparse.Namespace, config: PipelineConfig):
-    """The resource ids in subset order, their learner table and its quantification."""
+    """The learner table of the input files and its quantification."""
     if args.ratings is None:
         raise ValueError("missing --ratings")
     records = _read_ratings(args.ratings).records
     profiles = _assemble_profiles(args, records)
-    subsets = ingest.build_all_subsets(records, config.delta0)
-    resources = sorted(subsets)
-    table = ingest.learner_table([subsets[rid] for rid in resources], profiles)
-    return resources, table, quantify_nominal(table, config)
+    table = ingest.learner_table(records, profiles, config.delta0)
+    return table, quantify_nominal(table, config)
 
 
 def _cmd_quantify(args: argparse.Namespace) -> int:
     config = _config_from(args)
-    *_, details = _quantify_details(args, config)
+    _, details = _quantify_details(args, config)
     doc = json.dumps(quantification_report(details), indent=2, sort_keys=True) + "\n"
     _write_text(doc, args.out)
     return 0
@@ -243,17 +241,17 @@ def _cmd_match(args: argparse.Namespace) -> int:
 
 def _cmd_export_values(args: argparse.Namespace) -> int:
     config = _config_from(args)
-    *_, details = _quantify_details(args, config)
+    _, details = _quantify_details(args, config)
     export_values(details[args.attribute].values, args.attribute, args.out)
     return 0
 
 
 def _cmd_export_parcoords(args: argparse.Namespace) -> int:
     config = _config_from(args)
-    resources, table, details = _quantify_details(args, config)
-    if args.resource not in resources:
+    table, details = _quantify_details(args, config)
+    if args.resource not in table.resources:
         raise KeyError(f"resource {args.resource!r} has no high-rating subset")
-    rows = table.members[resources.index(args.resource)]
+    rows = table.members[table.resources.index(args.resource)]
     coords = table.coords({a: details[a].values for a in ingest.ATTRIBUTES})
     group = group_rows(coords[rows], config.k_max, config.gamma, config.seed)
     export_parcoords(group.x, group.labels, args.out)

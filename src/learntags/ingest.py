@@ -2,17 +2,18 @@
 
 Parses the semicolon-delimited ratings file and the comma-separated
 profiles file, synthesizes missing profiles with a seeded generator,
-discretizes learning time into decade bins, builds per-resource subsets
-of learners who rated a resource at or above a threshold, and codes
-every subset member once into the learner table that quantification,
-clustering and mining all read.
+discretizes learning time into decade bins, and in one pass over the
+ratings builds the learner table that quantification, clustering and
+mining all read: every learner who rated some resource at or above a
+threshold, coded once, and each resource's high-rating subset as an
+array of the table's rows.
 """
 from __future__ import annotations
 
 import csv
 import io
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -34,7 +35,8 @@ MAX_HOURS = 10**6
 
 
 class MalformedRowError(ValueError):
-    """A data row that cannot be parsed, raised only in strict mode."""
+    """A data row that the CSV reader cannot split, such as one holding
+    a field over the reader's size limit."""
 
     def __init__(self, line: int, reason: str):
         super().__init__(f"line {line}: {reason}")
@@ -83,17 +85,6 @@ class TimeBin:
         return f"[{self.lower}-{self.upper}]"
 
 
-@dataclass(frozen=True)
-class LearnerSubset:
-    """Learners who rated one resource at or above the threshold."""
-
-    resource_id: str
-    members: frozenset[str]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
 @dataclass
 class RatingsResult:
     records: list[RatingRecord]
@@ -127,27 +118,36 @@ def _profile_violation(p: LearnerProfile) -> str | None:
     return None
 
 
-def parse_ratings(stream: Iterable[str] | str, strict: bool = False) -> RatingsResult:
+def _data_rows(reader, header: tuple[str, ...], name: str) -> Iterator[list[str]]:
+    """The rows of a csv ``reader`` after its header row, which must be ``header``.
+
+    A row the reader cannot split, such as one holding a field over the
+    csv module's size limit, raises MalformedRowError with its line.
+    """
+    try:
+        first = next(reader, None)
+        if first is None:
+            raise ValueError(f"{name} stream is empty, expected a header row")
+        if tuple(first) != header:
+            raise ValueError(f"unexpected {name} header {first!r}, expected {list(header)!r}")
+        yield from reader
+    except csv.Error as exc:
+        raise MalformedRowError(reader.line_num, str(exc)) from None
+
+
+def parse_ratings(stream: Iterable[str] | str) -> RatingsResult:
     """Parse a semicolon-delimited, fully quoted ratings file.
 
     Rows carrying rating 0 are implicit interactions and are dropped
-    (counted in ``dropped_zero``).  Malformed rows abort with their line
-    number when ``strict`` is set, otherwise they are skipped and counted.
+    (counted in ``dropped_zero``).  Malformed rows are skipped and
+    counted in ``malformed``; a row the CSV reader cannot split raises
+    MalformedRowError.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
     reader = csv.reader(stream, delimiter=";", quotechar='"')
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("ratings stream is empty, expected a header row") from None
-    if tuple(header) != RATINGS_HEADER:
-        raise ValueError(
-            f"unexpected ratings header {header!r}, expected {list(RATINGS_HEADER)!r}"
-        )
-
     result = RatingsResult(records=[])
-    for row in reader:
+    for row in _data_rows(reader, RATINGS_HEADER, "ratings"):
         if not row:
             continue
         reason = None
@@ -166,8 +166,6 @@ def parse_ratings(stream: Iterable[str] | str, strict: bool = False) -> RatingsR
                     if not 0 <= rating <= 10:
                         reason = f"rating {rating} outside 0..10"
         if reason is not None:
-            if strict:
-                raise MalformedRowError(reader.line_num, reason)
             result.malformed += 1
             continue
         if rating == 0:
@@ -193,22 +191,14 @@ def parse_profiles(stream: Iterable[str] | str) -> ProfilesResult:
     Rows violating the attribute constraints, hours above MAX_HOURS
     included, are rejected with their line number and a reason;
     duplicate learner ids keep the last occurrence and bump ``duplicates``.
+    A row the CSV reader cannot split raises MalformedRowError.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
     reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("profiles stream is empty, expected a header row") from None
-    if tuple(header) != PROFILES_HEADER:
-        raise ValueError(
-            f"unexpected profiles header {header!r}, expected {list(PROFILES_HEADER)!r}"
-        )
-
     result = ProfilesResult(profiles=[])
     by_id: dict[str, LearnerProfile] = {}
-    for row in reader:
+    for row in _data_rows(reader, PROFILES_HEADER, "profiles"):
         if not row:
             continue
         line = reader.line_num
@@ -278,33 +268,16 @@ def discretize_time(hours: int) -> TimeBin:
     return TimeBin(lower, lower + 9)
 
 
-def build_all_subsets(ratings: Iterable[RatingRecord], delta0: int) -> dict[str, LearnerSubset]:
-    """Collect, per resource, the learners who rated it at or above ``delta0``.
-
-    A learner qualifies if any of their ratings for the resource meets
-    the threshold.  Only resources with at least one qualifying learner
-    appear in the result, which takes one pass over the ratings.
-    """
-    if not 1 <= delta0 <= 10:
-        raise ValueError(f"delta0 must be in 1..10, got {delta0}")
-    members: dict[str, set[str]] = {}
-    for r in ratings:
-        if r.rating >= delta0:
-            members.setdefault(r.resource_id, set()).add(r.learner_id)
-    return {
-        rid: LearnerSubset(rid, frozenset(learners))
-        for rid, learners in members.items()
-    }
-
-
 @dataclass
 class LearnerTable:
-    """Every subset member once, as one row each in learner-id order."""
+    """Every high rater once, as one row each in learner-id order, and
+    each resource's high-rating subset as an array of rows."""
 
     ids: list[str]              # learner id of each row, ascending
+    resources: list[str]        # resources with a non-empty subset, ascending
     attrs: np.ndarray           # (n, 5) int64: a1, a2, a3, a4, hours
     items: np.ndarray           # (n, 5) int64 item codes: a1, a2, a3, a4, hours bin
-    members: list[np.ndarray]   # per subset, its rows ascending
+    members: list[np.ndarray]   # per resource, its subset's rows ascending
 
     def coords(self, value_maps: Mapping[str, Mapping[int, float]]) -> np.ndarray:
         """(n, 5) float64 clustering coordinates: ``attrs`` with each
@@ -317,19 +290,29 @@ class LearnerTable:
 
 
 def learner_table(
-    subsets: Iterable[LearnerSubset],
+    ratings: Iterable[RatingRecord],
     profiles: Mapping[str, LearnerProfile],
+    delta0: int,
 ) -> LearnerTable:
-    """Code every member of ``subsets`` once, rows in learner-id order.
+    """Code, in one pass over ``ratings``, every learner who rated some
+    resource at or above ``delta0``, rows in learner-id order.
 
-    ``items`` bins hours into 1-based decades, hours below 1 falling into
-    the first, [1-10].  The members' profiles are checked in this order:
-    a missing profile raises a KeyError, then every strategy and then
-    every presentation outside 1..5, then hours above ``MAX_HOURS``
-    raise a ValueError; each names the learner.
+    A learner joins a resource's subset if any of their ratings for it
+    meets the threshold; only resources with a non-empty subset are in
+    ``resources``.  ``items`` bins hours into 1-based decades, hours
+    below 1 falling into the first, [1-10].  The members' profiles are
+    checked in this order: a missing profile raises a KeyError, then
+    every strategy and then every presentation outside 1..5, then hours
+    above ``MAX_HOURS`` raise a ValueError; each names the learner.
     """
-    subsets = list(subsets)
-    ids = sorted({m for s in subsets for m in s.members})
+    if not 1 <= delta0 <= 10:
+        raise ValueError(f"delta0 must be in 1..10, got {delta0}")
+    high: dict[str, set[str]] = {}
+    for r in ratings:
+        if r.rating >= delta0:
+            high.setdefault(r.resource_id, set()).add(r.learner_id)
+    resources = sorted(high)
+    ids = sorted(set().union(*high.values()))
     rows = []
     for lid in ids:
         p = profiles.get(lid)
@@ -356,6 +339,7 @@ def learner_table(
     items = attrs.copy()
     items[:, 4] = (np.maximum(attrs[:, 4], 1) - 1) // 10 + 1
     index = {lid: i for i, lid in enumerate(ids)}
-    members = [np.sort(np.fromiter((index[m] for m in s.members), dtype=np.intp, count=len(s)))
-               for s in subsets]
-    return LearnerTable(ids, attrs, items, members)
+    members = [np.sort(np.fromiter((index[m] for m in high[rid]), dtype=np.intp,
+                                   count=len(high[rid])))
+               for rid in resources]
+    return LearnerTable(ids, resources, attrs, items, members)

@@ -1,9 +1,9 @@
 """End-to-end tagging runs and the tag-cloud store.
 
-A run builds every resource's high-rating learner subset and codes each
-subset member once into the learner table (``ingest.learner_table``):
-its raw attributes and item codes as one row, in learner-id order, and
-each subset as an array of rows.  Quantification reads that table once
+A run reads the ratings once into the learner table
+(``ingest.learner_table``): every high rater's raw attributes and item
+codes as one row, in learner-id order, and each resource's high-rating
+subset as an array of rows.  Quantification reads that table once
 for both nominal attributes; the clustering coordinates are its
 attributes with the quantified values in place of the nominal ids.  Per
 resource, the subset's rows are clustered, the largest cluster's item
@@ -32,7 +32,6 @@ from .ingest import (
     LearnerProfile,
     RatingRecord,
     TimeBin,
-    build_all_subsets,
     discretize_time,
     learner_table,
 )
@@ -168,7 +167,7 @@ def render_report(store: Mapping[str, TagCloud]) -> str:
 def run(
     config: PipelineConfig,
     ratings: Iterable[RatingRecord],
-    profiles: Iterable[LearnerProfile] | Mapping[str, LearnerProfile],
+    profiles: Mapping[str, LearnerProfile],
     trace_hook: Callable[[str, list[KTraceEntry]], None] | None = None,
 ) -> TagStore:
     """Tag every resource with a non-empty subset.
@@ -177,21 +176,13 @@ def run(
     nominal attributes are quantified once over all subsets so tag values
     stay comparable across resources; the store keeps both value maps
     and ``config``.  Resources whose subset is smaller than
-    ``min_subset`` are recorded as skipped rather than failing the batch.  ``trace_hook``, when given, receives
-    each resource's (k, sse, avg_diameter) sweep trace.
+    ``min_subset`` are recorded as skipped rather than failing the
+    batch.  ``trace_hook``, when given, receives each resource's (k,
+    sse, avg_diameter) sweep trace.
     """
-    if isinstance(profiles, Mapping):
-        by_id = dict(profiles)
-    else:
-        by_id = {p.learner_id: p for p in profiles}
-
     records = ratings if isinstance(ratings, list) else list(ratings)
     total_resources = len({r.resource_id for r in records})
-    subsets = build_all_subsets(records, config.delta0)
-    ordered_resources = sorted(subsets)
-    all_subsets = [subsets[rid] for rid in ordered_resources]
-
-    table = learner_table(all_subsets, by_id)
+    table = learner_table(records, profiles, config.delta0)
     details = quantify_nominal(table, config)
     value_maps = {a: details[a].values for a in ATTRIBUTES}
     strategy_values, presentation_values = value_maps["strategy"], value_maps["presentation"]
@@ -199,7 +190,7 @@ def run(
 
     clouds: dict[str, TagCloud] = {}
     skipped = 0
-    for rid, rows in zip(ordered_resources, table.members):
+    for rid, rows in zip(table.resources, table.members):
         size = len(rows)
         if size < config.min_subset:
             clouds[rid] = TagCloud(rid, [], Provenance(subset_size=size),
@@ -233,7 +224,7 @@ def run(
         ]
         clouds[rid] = TagCloud(rid, tags, provenance)
 
-    empty = total_resources - len(subsets)
+    empty = total_resources - len(table.resources)
     logger.info(
         "tagged %d of %d resources (%d skipped: %s; %d with no rating >= %d)",
         len(clouds) - skipped, total_resources, skipped,

@@ -22,7 +22,6 @@ from scipy.spatial.distance import cdist, pdist
 from learntags import (
     FrequentItemset,
     LearnerProfile,
-    LearnerSubset,
     RatingRecord,
     Tag,
     TimeBin,
@@ -70,11 +69,19 @@ def synth_corpus(
     return records, profiles
 
 
-def build_subset(ratings, resource_id: str, delta0: int) -> LearnerSubset:
-    """Rescan oracle for ``build_all_subsets``: the learners who rated
-    ``resource_id`` at or above ``delta0``, found by scanning every rating."""
-    return LearnerSubset(resource_id, frozenset(
-        r.learner_id for r in ratings if r.resource_id == resource_id and r.rating >= delta0))
+def build_subset(ratings, resource_id: str, delta0: int) -> frozenset[str]:
+    """Rescan oracle for ``learner_table``'s subsets: the learners who
+    rated ``resource_id`` at or above ``delta0``, found by scanning every
+    rating."""
+    return frozenset(
+        r.learner_id for r in ratings if r.resource_id == resource_id and r.rating >= delta0)
+
+
+def high_ratings(subsets) -> list[RatingRecord]:
+    """Ratings whose high-rating subsets, at any delta0, are ``subsets``
+    (resource id -> learner ids): each member rates its resource 10."""
+    return [RatingRecord(lid, rid, 10) for rid, members in subsets.items()
+            for lid in sorted(members)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -294,17 +301,15 @@ def recover_clusters(records, profiles, config):
     recounted from these transactions are computed directly in the
     tests, independent of the mining code.
     """
-    from learntags import build_all_subsets, group_rows, learner_table, quantify_nominal
+    from learntags import group_rows, learner_table, quantify_nominal
 
-    subsets = build_all_subsets(records, config.delta0)
-    resources = sorted(subsets)
-    table = learner_table([subsets[rid] for rid in resources], profiles)
+    table = learner_table(records, profiles, config.delta0)
     details = quantify_nominal(table, config)
     strategy_values = details["strategy"].values
     presentation_values = details["presentation"].values
     coords = table.coords({"strategy": strategy_values, "presentation": presentation_values})
     clusters = {}
-    for rid, rows in zip(resources, table.members):
+    for rid, rows in zip(table.resources, table.members):
         if len(rows) < config.min_subset:
             continue
         group = group_rows(coords[rows], config.k_max, config.gamma, config.seed)

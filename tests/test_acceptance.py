@@ -8,7 +8,6 @@ structural property; nothing is copied from pipeline output.  Run with
 from __future__ import annotations
 
 import re
-from collections import defaultdict
 from itertools import combinations
 from time import perf_counter
 
@@ -17,6 +16,7 @@ from scipy.spatial.distance import cdist
 
 from conftest import (
     brute_force_frequent,
+    build_subset,
     items_array,
     items_from_tag,
     itemset_of,
@@ -28,7 +28,6 @@ from conftest import (
 from learntags import (
     PipelineConfig,
     apriori,
-    build_all_subsets,
     export_parcoords,
     export_values,
     farthest_first_seeds,
@@ -141,21 +140,21 @@ def test_criterion_4_k_selection_blobs():
 
 
 def test_criterion_5_subset_rescan():
-    records, _ = synth_corpus(2000, 300, 50_000, seed=55)
-    subsets = build_all_subsets(records, delta0=6)
+    records, profiles = synth_corpus(2000, 300, 50_000, seed=55)
+    table = learner_table(records, profiles, delta0=6)
     failures = []
-    want: dict[str, set[str]] = defaultdict(set)
+    want = {rid: build_subset(records, rid, delta0=6)
+            for rid in {r.resource_id for r in records}}
     best: dict[tuple[str, str], int] = {}
     for r in records:
-        if r.rating >= 6:
-            want[r.resource_id].add(r.learner_id)
         key = (r.learner_id, r.resource_id)
         best[key] = max(best.get(key, 0), r.rating)
-    got = {rid: set(s.members) for rid, s in subsets.items()}
-    if got != dict(want):
+    got = {rid: [table.ids[i] for i in rows]
+           for rid, rows in zip(table.resources, table.members)}
+    if got != {rid: sorted(m) for rid, m in want.items() if m}:
         failures.append("membership differs from the rescan")
-    for rid, subset in subsets.items():
-        low = [lid for lid in subset.members if best[(lid, rid)] < 6]
+    for rid, members in got.items():
+        low = [lid for lid in members if best[(lid, rid)] < 6]
         if low:
             failures.append(f"{rid}: members below threshold: {low[:3]}")
     _report(5, "subset membership matches an independent 50,000-rating rescan",
@@ -212,18 +211,15 @@ def test_criterion_7_determinism(tmp_path):
         path = tmp_path / f"store_{name}.json"
         save_store(store, str(path))
 
-        subsets = build_all_subsets(records, 6)
-        ordered = [subsets[rid] for rid in sorted(subsets)]
         config = PipelineConfig(seed=77)
-        table = learner_table(ordered, profiles)
+        table = learner_table(records, profiles, config.delta0)
         details = quantify_nominal(table, config)
         sv, pv = details["strategy"].values, details["presentation"].values
         values_doc = export_values(sv, "strategy", tmp_path / f"v_{name}.svg")
 
-        biggest = max(range(len(ordered)), key=lambda i: len(ordered[i]))
+        biggest = max(table.members, key=len)
         coords = table.coords({"strategy": sv, "presentation": pv})
-        group = group_rows(coords[table.members[biggest]], config.k_max, config.gamma,
-                           config.seed)
+        group = group_rows(coords[biggest], config.k_max, config.gamma, config.seed)
         par_doc = export_parcoords(group.x, group.labels, tmp_path / f"p_{name}.svg")
         blobs.append((path.read_bytes(), values_doc.encode(), par_doc.encode()))
     for label, first, second in zip(("store", "values SVG", "parcoords SVG"),
@@ -259,10 +255,8 @@ def test_criterion_9_similarity_report(tmp_path):
     failures = []
     cases = []
     records, profiles = synth_corpus(300, 30, 6000, seed=99)
-    subsets = build_all_subsets(records, 6)
-    ordered = [subsets[rid] for rid in sorted(subsets)]
     config = PipelineConfig(seed=99)
-    details = quantify_nominal(learner_table(ordered, profiles), config)
+    details = quantify_nominal(learner_table(records, profiles, config.delta0), config)
     cases.extend(d.values for d in details.values())
     rng = np.random.default_rng(90)
     for _ in range(20):

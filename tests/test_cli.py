@@ -20,7 +20,6 @@ import pytest
 from learntags import (
     PipelineConfig,
     RatingRecord,
-    build_all_subsets,
     export_parcoords,
     export_values,
     extreme_pairs,
@@ -203,6 +202,15 @@ class TestIngestCheck:
         assert dispatch(["ingest-check", "--ratings", str(path)]) == 1
         assert "1 malformed" in capsys.readouterr().out
 
+    def test_oversized_profile_field_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "profiles.csv"
+        path.write_text("learner_id,a1,a2,a3,a4,a5_hours\n" + "u" * 200_000 + ",1,2,1,1,5\n",
+                        encoding="utf-8")
+        assert dispatch(["ingest-check", "--profiles", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: field larger than field limit")
+        assert "Traceback" not in err
+
     def test_no_inputs_is_a_usage_problem(self, capsys):
         assert dispatch(["ingest-check"]) == 1
         assert "error:" in capsys.readouterr().err
@@ -310,6 +318,16 @@ class TestTag:
         err = capsys.readouterr().err
         assert f"error: cannot access {out}: " in err
         assert ".tmp" not in err
+
+    def test_oversized_ratings_field_exits_one(self, tmp_path, capsys):
+        _, profiles = write_corpus(tmp_path)
+        ratings = tmp_path / "big.csv"
+        ratings.write_text('"User-ID";"ISBN";"Book-Rating"\n"u00";"' + "9" * 200_000 + '";"8"\n',
+                           encoding="latin-1")
+        assert dispatch(["tag", "--ratings", str(ratings), "--profiles", profiles]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: field larger than field limit")
+        assert "Traceback" not in err
 
     def test_hours_above_cap_exit_one(self, tmp_path, capsys):
         ratings = tmp_path / "ratings.csv"
@@ -442,9 +460,7 @@ class TestMatch:
         assert dispatch(["tag", "--ratings", str(ratings), "--profiles", str(profiles),
                          "--seed", str(config_seed), "--out", str(store_path)]) == 0
         config = PipelineConfig(seed=config_seed)
-        subsets = build_all_subsets(records, config.delta0)
-        table = learner_table([subsets[rid] for rid in sorted(subsets)], by_id)
-        details = quantify_nominal(table, config)
+        details = quantify_nominal(learner_table(records, by_id, config.delta0), config)
         loaded = load_store(str(store_path))
         store = TagStore(loaded.clouds, config, {a: details[a].values for a in details})
         for lid in sorted(by_id)[::10]:

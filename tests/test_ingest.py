@@ -1,5 +1,5 @@
-"""Ingest tests: file parsing, profile synthesis, time bins, subsets and
-the learner table's profile checks."""
+"""Ingest tests: file parsing, profile synthesis, time bins, and the
+learner table's subsets and profile checks."""
 from __future__ import annotations
 
 import numpy as np
@@ -8,10 +8,8 @@ from hypothesis import given, strategies as st
 
 from learntags import (
     LearnerProfile,
-    LearnerSubset,
     MalformedRowError,
     RatingRecord,
-    build_all_subsets,
     discretize_time,
     generate_profiles,
     learner_table,
@@ -22,6 +20,8 @@ from learntags import (
 )
 from learntags.ingest import MAX_HOURS, TimeBin
 from learntags.mine import apriori
+
+from conftest import build_subset, high_ratings
 
 RATINGS_HEADER_LINE = '"User-ID";"ISBN";"Book-Rating"\n'
 
@@ -56,10 +56,10 @@ class TestParseRatings:
         with pytest.raises(ValueError, match="empty"):
             parse_ratings("")
 
-    def test_strict_mode_reports_line(self):
-        stream = RATINGS_HEADER_LINE + '"u1";"b1";"5"\n"u2";"b2";"eleven"\n'
-        with pytest.raises(MalformedRowError, match="line 3"):
-            parse_ratings(stream, strict=True)
+    def test_unsplittable_row_reports_line(self):
+        stream = RATINGS_HEADER_LINE + '"u1";"b1";"5"\n"u2";"' + "b" * 200_000 + '";"5"\n'
+        with pytest.raises(MalformedRowError, match="line 3: field larger than field limit"):
+            parse_ratings(stream)
 
     def test_seeded_malformed_rows_counted(self):
         """1000 data rows, 37 malformed; counts match a line validator."""
@@ -235,54 +235,91 @@ class TestDiscretizeTime:
         assert hours in b
 
 
+def subsets_of(table) -> dict[str, set[str]]:
+    """The learner table's subsets as learner-id sets by resource."""
+    return {rid: {table.ids[i] for i in rows}
+            for rid, rows in zip(table.resources, table.members)}
+
+
 class TestBuildSubset:
-    """``build_all_subsets``, against the per-resource rescan in conftest."""
+    """The subsets of ``learner_table``, against the per-resource rescan in conftest."""
 
     RATINGS = [
         RatingRecord("u1", "r", 7),
         RatingRecord("u2", "r", 6),
         RatingRecord("u3", "r", 5),
     ]
+    PROFILES = {lid: LearnerProfile(lid, 1, 2, 1, 1, 5) for lid in ("u1", "u2", "u3")}
 
     def test_threshold_boundary_inclusive(self):
-        subsets = build_all_subsets(self.RATINGS, delta0=6)
-        assert subsets["r"].members == {"u1", "u2"}
+        table = learner_table(self.RATINGS, self.PROFILES, delta0=6)
+        assert subsets_of(table) == {"r": {"u1", "u2"}}
+
+    def test_any_rating_qualifies(self):
+        ratings = [RatingRecord("u1", "r", 2), RatingRecord("u1", "r", 9),
+                   RatingRecord("u1", "r", 4), RatingRecord("u2", "r", 5)]
+        table = learner_table(ratings, self.PROFILES, delta0=6)
+        assert table.ids == ["u1"]
+        assert subsets_of(table) == {"r": {"u1"}}
 
     def test_empty_ratings(self):
-        assert build_all_subsets([], delta0=6) == {}
+        table = learner_table([], {}, delta0=6)
+        assert table.ids == [] and table.resources == [] and table.members == []
+        assert table.attrs.shape == (0, 5)
 
     def test_absent_resource(self):
-        subsets = build_all_subsets(self.RATINGS + [RatingRecord("u1", "low", 3)], delta0=6)
-        assert sorted(subsets) == ["r"]
+        table = learner_table(self.RATINGS + [RatingRecord("u1", "low", 3)], self.PROFILES,
+                              delta0=6)
+        assert table.resources == ["r"]
 
     @pytest.mark.parametrize("delta0", [0, 11])
     def test_delta0_bounds(self, delta0):
-        with pytest.raises(ValueError, match="delta0"):
-            build_all_subsets(self.RATINGS, delta0)
+        with pytest.raises(ValueError, match=f"delta0 must be in 1..10, got {delta0}"):
+            learner_table(self.RATINGS, self.PROFILES, delta0)
 
     def test_matches_independent_rescan(self):
         from conftest import synth_corpus
 
-        records, _ = synth_corpus(300, 40, 5000, seed=11)
-        subsets = build_all_subsets(records, delta0=6)
+        records, profiles = synth_corpus(300, 40, 5000, seed=11)
+        table = learner_table(records, profiles, delta0=6)
 
         oracle: dict[str, set] = {}
         for r in records:
             if r.rating >= 6:
                 oracle.setdefault(r.resource_id, set()).add(r.learner_id)
-        assert {rid: set(s.members) for rid, s in subsets.items()} == oracle
+        assert subsets_of(table) == oracle
 
     def test_all_subsets_equals_per_resource(self):
-        from conftest import build_subset, synth_corpus
+        from conftest import synth_corpus
 
-        records, _ = synth_corpus(100, 15, 800, seed=3)
-        subsets = build_all_subsets(records, delta0=6)
+        records, profiles = synth_corpus(100, 15, 800, seed=3)
+        subsets = subsets_of(learner_table(records, profiles, delta0=6))
         for rid in {r.resource_id for r in records}:
             single = build_subset(records, rid, delta0=6)
-            if single.members:
+            if single:
                 assert subsets[rid] == single
             else:
                 assert rid not in subsets
+
+    @given(
+        records=st.lists(
+            st.builds(RatingRecord, st.sampled_from([f"u{i}" for i in range(8)]),
+                      st.sampled_from([f"r{i}" for i in range(6)]), st.integers(1, 10)),
+            max_size=60,
+        ),
+        delta0=st.integers(1, 10),
+    )
+    def test_rescan_property(self, records, delta0):
+        """Repeated (learner, resource) pairs mixing low and high ratings,
+        resources rated low only, any delta0: the table holds the rescan."""
+        profiles = {f"u{i}": LearnerProfile(f"u{i}", 1, 2, 1, 1, 5) for i in range(8)}
+        table = learner_table(records, profiles, delta0)
+        rescan = {rid: build_subset(records, rid, delta0)
+                  for rid in {r.resource_id for r in records}}
+        assert table.resources == sorted(rid for rid, m in rescan.items() if m)
+        for rid, rows in zip(table.resources, table.members):
+            assert [table.ids[i] for i in rows] == sorted(rescan[rid])
+        assert table.ids == sorted(set().union(*rescan.values()))
 
 
 class TestLearnerTableChecks:
@@ -291,30 +328,29 @@ class TestLearnerTableChecks:
     def test_check_order(self):
         """A missing profile, then every strategy, then every presentation,
         then the hours cap: each fix exposes the next failure."""
-        subset = LearnerSubset("r", frozenset({"u1", "u2", "u3", "u4"}))
+        ratings = high_ratings({"r": {"u1", "u2", "u3", "u4"}})
         profiles = {
             "u1": LearnerProfile("u1", 1, 2, 1, 1, MAX_HOURS + 1),
             "u2": LearnerProfile("u2", 1, 2, 1, 0, 5),
             "u3": LearnerProfile("u3", 1, 2, 9, 1, 5),
         }
         with pytest.raises(KeyError, match="no profile for learner 'u4'"):
-            learner_table([subset], profiles)
+            learner_table(ratings, profiles, 10)
         profiles["u4"] = LearnerProfile("u4", 1, 2, 1, 1, 5)
         with pytest.raises(ValueError, match="learner 'u3' has strategy 9, expected 1..5"):
-            learner_table([subset], profiles)
+            learner_table(ratings, profiles, 10)
         profiles["u3"] = LearnerProfile("u3", 1, 2, 2, 1, 5)
         with pytest.raises(ValueError, match="learner 'u2' has presentation 0, expected 1..5"):
-            learner_table([subset], profiles)
+            learner_table(ratings, profiles, 10)
         profiles["u2"] = LearnerProfile("u2", 1, 2, 1, 2, 5)
         with pytest.raises(ValueError, match=rf"learner 'u1': a5 hours {MAX_HOURS + 1} above"):
-            learner_table([subset], profiles)
+            learner_table(ratings, profiles, 10)
         profiles["u1"] = LearnerProfile("u1", 1, 2, 1, 1, MAX_HOURS)
-        assert learner_table([subset], profiles).ids == ["u1", "u2", "u3", "u4"]
+        assert learner_table(ratings, profiles, 10).ids == ["u1", "u2", "u3", "u4"]
 
     def test_profiles_of_non_members_are_not_read(self):
-        subset = LearnerSubset("r", frozenset({"u1"}))
         profiles = {"u1": LearnerProfile("u1", 1, 2, 1, 1, 5),
                     "other": LearnerProfile("other", 1, 2, 7, 7, 10**20)}
-        table = learner_table([subset], profiles)
+        table = learner_table(high_ratings({"r": {"u1"}}), profiles, 10)
         assert table.ids == ["u1"]
         assert [m.tolist() for m in table.members] == [[0]]

@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 
 from learntags import (
     LearnerProfile,
-    LearnerSubset,
     apriori,
     learner_table,
     select_tag,
@@ -23,6 +22,7 @@ from conftest import (
     OracleItemset,
     Transaction,
     as_oracle,
+    high_ratings,
     itemset_key,
     itemset_of,
     items_array,
@@ -36,8 +36,7 @@ def table_items(profiles: list[LearnerProfile]) -> np.ndarray:
     (ids must ascend along the list)."""
     ids = [p.learner_id for p in profiles]
     assert ids == sorted(ids)
-    table = learner_table([LearnerSubset("r", frozenset(ids))],
-                          {p.learner_id: p for p in profiles})
+    table = learner_table(high_ratings({"r": ids}), {p.learner_id: p for p in profiles}, 10)
     return table.items
 
 

@@ -28,7 +28,7 @@ from learntags import (
     run,
     save_store,
 )
-from learntags.ingest import MAX_HOURS, LearnerSubset, TimeBin
+from learntags.ingest import MAX_HOURS, TimeBin
 from learntags.pipeline import SKIP_SMALL_SUBSET, STORE_SCHEMA
 
 VALUE_MAPS = {
@@ -250,26 +250,26 @@ class TestRun:
             assert [e.k for e in trace][-1] == 1
 
     def test_store_carries_config_and_value_maps(self):
-        from learntags import build_all_subsets, quantify_nominal
+        from learntags import quantify_nominal
 
         records, profiles = self.small_corpus()
         config = PipelineConfig(seed=5)
         store = run(config, records, profiles)
-        subsets = build_all_subsets(records, config.delta0)
-        table = learner_table([subsets[rid] for rid in sorted(subsets)], profiles)
+        table = learner_table(records, profiles, config.delta0)
         details = quantify_nominal(table, config)
         assert store.config == config
         assert store.value_maps == {a: details[a].values for a in ("strategy", "presentation")}
         # The mapping side holds resource ids and clouds only.
-        assert sorted(store) == sorted(subsets) == sorted(store.clouds)
+        assert sorted(store) == table.resources == sorted(store.clouds)
         assert all(isinstance(c, TagCloud) for c in store.values())
 
     def test_hours_above_cap_name_the_learner(self):
-        subset = LearnerSubset("r1", frozenset({"u1", "u2"}))
+        from conftest import high_ratings
+
         profiles = {"u1": LearnerProfile("u1", 1, 2, 1, 1, 5),
                     "u2": LearnerProfile("u2", 1, 2, 1, 1, MAX_HOURS + 1)}
         with pytest.raises(ValueError, match=rf"learner 'u2'.*{MAX_HOURS}"):
-            learner_table([subset], profiles)
+            learner_table(high_ratings({"r1": {"u1", "u2"}}), profiles, 10)
         huge = dict(profiles, u2=LearnerProfile("u2", 1, 2, 1, 1, 10**20))
         with pytest.raises(ValueError, match="learner 'u2'"):
             run(PipelineConfig(min_subset=1), [RatingRecord(lid, "r1", 9) for lid in huge], huge)

@@ -14,7 +14,6 @@ from learntags import (
     LearnerProfile,
     PipelineConfig,
     attribute_values,
-    build_all_subsets,
     build_cooccurrence,
     derive_orderings,
     learner_table,
@@ -23,8 +22,9 @@ from learntags import (
     quantify_nominal,
     symmetrize,
 )
-from learntags.ingest import LearnerSubset
 from learntags.quantify import ATTRIBUTES, FactorPair
+
+from conftest import high_ratings
 
 quantify_module = importlib.import_module("learntags.quantify")
 
@@ -37,8 +37,8 @@ def brute_force_cooccurrence(subsets, profiles, attribute) -> np.ndarray:
     """O(n^2) oracle: enumerate unordered learner pairs per shared subset."""
     field = {"strategy": "strategy", "presentation": "presentation"}[attribute]
     pairs = set()
-    for s in subsets:
-        for u, v in combinations(sorted(s.members), 2):
+    for members in subsets.values():
+        for u, v in combinations(sorted(members), 2):
             pairs.add((u, v))
     counts = np.zeros((5, 5), dtype=np.int64)
     for u, v in pairs:
@@ -54,12 +54,12 @@ def loop_cooccurrence(subsets, profiles, attribute) -> np.ndarray:
     """Per-learner oracle: deduplicate each learner's partners with np.unique
     and count the partners with a larger index, one learner at a time."""
     field = {"strategy": "strategy", "presentation": "presentation"}[attribute]
-    ids = sorted({m for s in subsets for m in s.members})
+    ids = sorted({m for members in subsets.values() for m in members})
     index = {lid: i for i, lid in enumerate(ids)}
     params = np.array([getattr(profiles[lid], field) for lid in ids], dtype=np.int64)
     subset_arrays = [
-        np.fromiter(sorted(index[m] for m in s.members), dtype=np.int64, count=len(s.members))
-        for s in subsets
+        np.fromiter(sorted(index[m] for m in members), dtype=np.int64, count=len(members))
+        for members in subsets.values()
     ]
     containing: list[list[int]] = [[] for _ in ids]
     for si, arr in enumerate(subset_arrays):
@@ -83,8 +83,9 @@ def loop_cooccurrence(subsets, profiles, attribute) -> np.ndarray:
 
 
 def cooccurrence_of(subsets, profiles) -> dict[str, np.ndarray]:
-    """build_cooccurrence over the learner table of ``subsets``."""
-    return build_cooccurrence(learner_table(subsets, profiles))
+    """build_cooccurrence over the learner table of ``subsets``
+    (resource id -> learner ids)."""
+    return build_cooccurrence(learner_table(high_ratings(subsets), profiles, 10))
 
 
 def assert_matches_oracles(subsets, profiles) -> None:
@@ -99,14 +100,14 @@ def assert_matches_oracles(subsets, profiles) -> None:
         np.testing.assert_array_equal(got, loop_cooccurrence(subsets, profiles, attribute))
 
 
-def _subsets(*groups) -> list[LearnerSubset]:
-    return [LearnerSubset(f"r{i}", frozenset(g)) for i, g in enumerate(groups)]
+def _subsets(*groups) -> dict[str, set[str]]:
+    return {f"r{i}": set(g) for i, g in enumerate(groups)}
 
 
 _IDS = [f"u{i:02d}" for i in range(12)]
 _BIG = [f"u{i:03d}" for i in range(400)]
 _NAMED_CASES = {
-    "empty_subset_list": ([], {}),
+    "empty_subset_list": ({}, {}),
     "one_learner_subsets": (
         _subsets({"u00"}, {"u01"}, {"u00"}),
         {lid: profile(lid, a3=2, a4=4) for lid in _IDS[:2]},
@@ -130,12 +131,12 @@ _NAMED_CASES = {
 
 class TestBuildCooccurrence:
     def test_single_learner_yields_zero_matrix(self):
-        subsets = [LearnerSubset("r", frozenset({"u1"}))]
+        subsets = {"r": {"u1"}}
         cooccurrence = cooccurrence_of(subsets, {"u1": profile("u1")})
         assert not any(c.any() for c in cooccurrence.values())
 
     def test_single_pair(self):
-        subsets = [LearnerSubset("r", frozenset({"u1", "u2"}))]
+        subsets = {"r": {"u1", "u2"}}
         profiles = {"u1": profile("u1", a3=1), "u2": profile("u2", a3=3)}
         cooc = cooccurrence_of(subsets, profiles)["strategy"]
         expected = np.zeros((5, 5), dtype=np.int64)
@@ -143,29 +144,26 @@ class TestBuildCooccurrence:
         np.testing.assert_array_equal(cooc, expected)
 
     def test_pair_counted_once_across_subsets(self):
-        subsets = [
-            LearnerSubset("r1", frozenset({"u1", "u2"})),
-            LearnerSubset("r2", frozenset({"u1", "u2"})),
-        ]
+        subsets = {"r1": {"u1", "u2"}, "r2": {"u1", "u2"}}
         profiles = {"u1": profile("u1", a3=2), "u2": profile("u2", a3=2)}
         cooc = cooccurrence_of(subsets, profiles)["strategy"]
         assert cooc[1, 1] == 1
         assert cooc.sum() == 1
 
     def test_missing_profile_names_learner(self):
-        subsets = [LearnerSubset("r", frozenset({"u1", "ghost"}))]
+        subsets = {"r": {"u1", "ghost"}}
         with pytest.raises(KeyError, match="ghost"):
             cooccurrence_of(subsets, {"u1": profile("u1")})
 
     def test_missing_profile_checked_before_values(self):
-        subsets = [LearnerSubset("r", frozenset({"u1", "ghost"}))]
+        subsets = {"r": {"u1", "ghost"}}
         with pytest.raises(KeyError, match="ghost"):
             cooccurrence_of(subsets, {"u1": profile("u1", a3=0, a4=0)})
 
     @pytest.mark.parametrize("attribute", ["strategy", "presentation"])
     @pytest.mark.parametrize("bad", [0, 6, -1])
     def test_out_of_range_value_names_learner(self, attribute, bad):
-        subsets = [LearnerSubset("r", frozenset({"u1", "u2"}))]
+        subsets = {"r": {"u1", "u2"}}
         profiles = {
             "u1": profile("u1", a3=5, a4=5),
             "u2": profile("u2", **{"a3" if attribute == "strategy" else "a4": bad}),
@@ -174,7 +172,7 @@ class TestBuildCooccurrence:
             cooccurrence_of(subsets, profiles)
 
     def test_both_values_out_of_range_names_strategy(self):
-        subsets = [LearnerSubset("r", frozenset({"u1", "u2"}))]
+        subsets = {"r": {"u1", "u2"}}
         profiles = {"u1": profile("u1", a3=2, a4=2), "u2": profile("u2", a3=6, a4=0)}
         with pytest.raises(ValueError, match="'u2' has strategy 6, expected 1..5"):
             cooccurrence_of(subsets, profiles)
@@ -184,7 +182,7 @@ class TestBuildCooccurrence:
             cooccurrence_of(subsets, profiles)
 
     def test_bad_presentation_with_valid_strategy_names_presentation(self):
-        subsets = [LearnerSubset("r", frozenset({"u1", "u2"}))]
+        subsets = {"r": {"u1", "u2"}}
         profiles = {"u1": profile("u1", a3=3, a4=7), "u2": profile("u2", a3=5, a4=1)}
         with pytest.raises(ValueError, match="'u1' has presentation 7, expected 1..5"):
             cooccurrence_of(subsets, profiles)
@@ -198,11 +196,10 @@ class TestBuildCooccurrence:
             lid: profile(lid, a3=int(rng.integers(1, 6)), a4=int(rng.integers(1, 6)))
             for lid in ids
         }
-        subsets = []
+        subsets = {}
         for s in range(20):
             size = int(rng.integers(2, 40))
-            members = rng.choice(ids, size=size, replace=False)
-            subsets.append(LearnerSubset(f"r{s}", frozenset(str(m) for m in members)))
+            subsets[f"r{s}"] = {str(m) for m in rng.choice(ids, size=size, replace=False)}
 
         cooc = cooccurrence_of(subsets, profiles)[attribute]
         expected = brute_force_cooccurrence(subsets, profiles, attribute)
@@ -236,7 +233,7 @@ class TestBuildCooccurrence:
     def test_named_cases_match_oracles(self, case):
         subsets, profiles = _NAMED_CASES[case]
         if case == "crosses_block_edges":
-            assert sum(len(s) ** 2 for s in subsets) > 2 * quantify_module._BLOCK_PAIR_WORK
+            assert sum(len(m) ** 2 for m in subsets.values()) > 2 * quantify_module._BLOCK_PAIR_WORK
         assert_matches_oracles(subsets, profiles)
 
     @given(
@@ -254,7 +251,7 @@ class TestBuildCooccurrence:
             lid: profile(lid, a3=a3, a4=a4)
             for lid, a3, a4 in zip(_IDS, strategy, presentation)
         }
-        shuffled = data.draw(st.permutations(_subsets(*groups)))
+        shuffled = _subsets(*data.draw(st.permutations(groups)))
         with mock.patch.object(quantify_module, "_BLOCK_PAIR_WORK", block):
             assert_matches_oracles(shuffled, profiles)
 
@@ -383,13 +380,11 @@ class TestQuantifyAttribute:
         from conftest import synth_corpus
 
         records, profiles = synth_corpus(150, 12, 2500, seed=seed)
-        subsets = build_all_subsets(records, delta0=6)
-        return learner_table([subsets[rid] for rid in sorted(subsets)], profiles)
+        return learner_table(records, profiles, delta0=6)
 
     def test_one_learner_corpus_gives_zeros(self):
-        subsets = [LearnerSubset("r", frozenset({"u1"}))]
-        details = quantify_nominal(learner_table(subsets, {"u1": profile("u1")}),
-                                   PipelineConfig())
+        table = learner_table(high_ratings({"r": {"u1"}}), {"u1": profile("u1")}, 10)
+        details = quantify_nominal(table, PipelineConfig())
         assert list(details) == list(ATTRIBUTES)
         for detail in details.values():
             assert detail.values == {i: 0.0 for i in range(1, 6)}
@@ -448,7 +443,7 @@ class TestModuleName:
             return real(*args, **kwargs)
 
         monkeypatch.setattr("learntags.quantify.nmf", recording)
-        subsets = [LearnerSubset("r", frozenset({"u1", "u2"}))]
         profiles = {"u1": profile("u1"), "u2": profile("u2", 2, 3)}
-        quantify_nominal(learner_table(subsets, profiles), PipelineConfig(seed=7))
+        table = learner_table(high_ratings({"r": {"u1", "u2"}}), profiles, 10)
+        quantify_nominal(table, PipelineConfig(seed=7))
         assert seeds == [7, 8]
