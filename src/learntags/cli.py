@@ -7,6 +7,7 @@ to stderr; data goes to --out or stdout.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -120,8 +121,28 @@ def _read_ratings(path: str) -> ingest.RatingsResult:
         return ingest.parse_ratings(fh)
 
 
+@contextlib.contextmanager
+def _naming_undecodable(path: str):
+    """Give a UnicodeDecodeError raised while reading ``path`` the file's
+    name, as ``filename``, and its offset in the whole file, for
+    ``dispatch`` to print."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        # A text stream decodes chunk by chunk, so exc.start counts from
+        # the chunk; decoding the whole file again counts from its start.
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        try:
+            raw.decode(exc.encoding)
+        except UnicodeDecodeError as whole:
+            exc = whole
+        exc.filename = path
+        raise exc from None
+
+
 def _read_profiles(path: str) -> ingest.ProfilesResult:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _naming_undecodable(path), open(path, "r", encoding="utf-8", newline="") as fh:
         return ingest.parse_profiles(fh)
 
 
@@ -229,7 +250,8 @@ def _cmd_tag(args: argparse.Namespace) -> int:
 
 
 def _cmd_match(args: argparse.Namespace) -> int:
-    store = load_store(args.store)
+    with _naming_undecodable(args.store):
+        store = load_store(args.store)
     profiles = _profiles_from(args.profiles)
     if args.learner not in profiles:
         raise KeyError(f"no profile for learner {args.learner!r}")
@@ -282,6 +304,11 @@ def dispatch(argv: list[str]) -> int:
         name = exc.filename if exc.filename else exc
         print(f"error: cannot access {name}: {exc.strerror or exc}", file=sys.stderr)
         return 2
+    except UnicodeDecodeError as exc:  # a ValueError whose first argument is the codec
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        print(f"error: {getattr(exc, 'filename', 'input')}: byte {exc.start} (line {line}) "
+              f"is not valid {exc.encoding}: {exc.reason}", file=sys.stderr)
+        return 1
     except (ValueError, KeyError) as exc:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)

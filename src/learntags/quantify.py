@@ -10,9 +10,13 @@ score in four steps:
    (a symmetric 5x5 co-occurrence matrix per attribute).  The counts
    read the learner table: each subset's member rows and the strategy
    and presentation columns of its attrs.  Both attributes come from one
-   pass: a sparse product of the learner x subset incidence matrix with
-   its transpose, taken over blocks of learner rows so that memory is
-   bounded by the pair work of one block, not by the whole corpus;
+   pass over the learner x subset incidence matrix, by one of two exact
+   counters chosen per corpus by cost: inclusion-exclusion over the
+   families of each learner's subsets, which costs at most
+   ``sum(2**deg - 1)``, or the incidence matrix's product with its
+   transpose over blocks of learner rows, which costs the pair work
+   ``sum(|s|**2)`` and keeps memory bounded by the pair work of one
+   block;
 2. factor each matrix into non-negative weights x features with
    multiplicative-update NMF;
 3. for each parameter pick its dominant feature row, stacking the picks
@@ -45,6 +49,12 @@ _EPS = 1e-12
 # also fills scratch arrays as long as the learner count, so blocks grow
 # to that count on corpora with more learners than this.
 _BLOCK_PAIR_WORK = 1 << 16
+
+# Cost of one subset family under inclusion-exclusion, in units of the
+# product's pair work: ``build_cooccurrence`` counts by inclusion-exclusion
+# when this many times the family count, ``sum(2**deg - 1)``, is at most
+# the pair work, ``sum(|s|**2)``.
+_FAMILY_COST = 16
 
 AttributeValueMap = dict[int, float]
 
@@ -85,34 +95,146 @@ def build_cooccurrence(table: LearnerTable) -> dict[str, np.ndarray]:
     once globally no matter how many subsets it shares, so the counts
     are comparable across resources.
 
-    The learner x subset incidence matrix M is built once for both
-    attributes.  For each block of learner rows, the nonzeros of
-    ``M[block] @ M.T`` mark every partner of every row, the row itself
-    included; multiplying them by a stacked one-hot of both attributes'
-    values (five columns each) gives per-learner partner counts, which
-    fold into a 10x10 count of ordered pairs.  Each attribute's matrix
-    is its diagonal 5x5 block; the cross-attribute blocks are dropped.
-    Self pairs are subtracted and the diagonal, where both orders land
-    in one bucket, is halved.  A block's product has at most one entry
-    per unit of its rows' pair work (the summed sizes of the subsets
-    each row belongs to), and blocks are cut at ``_BLOCK_PAIR_WORK``
-    units or the learner count, whichever is larger, so the product's
-    memory stays within a small multiple of the input's and never
-    approaches the corpus's total pair count.
+    Two exact counters give both attributes' counts of ordered pairs,
+    self pairs included, from one pass over the learner x subset
+    incidence matrix, and one of them is chosen for the whole corpus by
+    cost.  Inclusion-exclusion over each learner's subsets costs at most
+    one unit per subset family, ``sum(2**deg - 1)`` over the learners'
+    degrees; the blocked product costs one unit per unit of pair work,
+    ``sum(|s|**2)`` over the subsets.  Inclusion-exclusion runs when
+    ``_FAMILY_COST`` times its cost is at most the pair work.  Neither
+    wins everywhere, so both stay: a few heavily shared subsets (skewed
+    popularity) make the pair work grow with the square of their sizes,
+    while learners in many subsets make their families grow as a power
+    of two.  Then self pairs are subtracted and the diagonal, where both
+    orders land in one bucket, is halved.
     """
     n, n_subsets = len(table.ids), len(table.members)
-    # One row of parameter ids per attribute, one column per learner.
-    params = table.attrs[:, 2:4].T
     sizes = np.fromiter((m.size for m in table.members), dtype=np.int64, count=n_subsets)
-    rows = np.concatenate([np.empty(0, dtype=np.intp), *table.members])
-    cols = np.repeat(np.arange(n_subsets, dtype=np.int64), sizes)
+    incidence = _incidence(table.members, n, sizes)
+    # Each learner's 0-based parameter index, one column per attribute.
+    values = table.attrs[:, 2:4] - 1
+
+    degrees = np.diff(incidence.indptr)
+    families = sum(int(c) << d for d, c in enumerate(np.bincount(degrees))) - n
+    if _FAMILY_COST * families <= int(sizes @ sizes):
+        counts = _inclusion_exclusion_counts(incidence, values)
+    else:
+        counts = _product_counts(incidence, values, sizes)
+    # Every learner is its own partner once; both orders of a same-value
+    # pair land on the diagonal.
+    diagonal = np.arange(N_PARAMS)
+    for a in range(len(ATTRIBUTES)):
+        counts[a, diagonal, diagonal] -= np.bincount(values[:, a], minlength=N_PARAMS)
+    counts[:, diagonal, diagonal] //= 2
+    return {attribute: counts[a].copy() for a, attribute in enumerate(ATTRIBUTES)}
+
+
+def _incidence(members: list[np.ndarray], n: int, sizes: np.ndarray) -> sparse.csr_matrix:
+    """The n x len(members) learner x subset incidence matrix, each row's
+    subsets in ascending order."""
+    rows = np.concatenate([np.empty(0, dtype=np.intp), *members])
+    cols = np.repeat(np.arange(len(members), dtype=np.int64), sizes)
     incidence = sparse.csr_matrix(
-        (np.ones(rows.size, dtype=np.int32), (rows, cols)), shape=(n, n_subsets)
+        (np.ones(rows.size, dtype=np.int32), (rows, cols)), shape=(n, len(members))
     )
+    incidence.sort_indices()
+    return incidence
+
+
+def _inclusion_exclusion_counts(incidence: sparse.csr_matrix, values: np.ndarray) -> np.ndarray:
+    """Ordered pair counts, self pairs included, of learners sharing a subset.
+
+    Let N(u) be the subsets of learner u, the row of ``incidence``, and
+    for a non-empty family F of subsets let T_F be the one-hot histogram
+    of the learners v whose N(v) contains F.  Two learners share a
+    subset exactly when the alternating sum of (-1)**(|F|+1) over the
+    non-empty F inside N(u) & N(v) is 1 rather than 0, so the counts are
+    the sum of (-1)**(|F|+1) * T_F.T @ T_F over every family of some
+    learner's subsets.
+
+    Families are walked one size at a time, each as an entry per learner
+    that holds it, with subsets in ascending order.  An entry grows by
+    each later subset of its learner, and a family is keyed by its
+    prefix's rank among the previous size's families and its last
+    subset, so that learners of every degree holding the same family
+    share one key.  A family held by one learner u has only u's families
+    above it, 2**r of them counting itself when u has r subsets after
+    its last one, and their terms are all T_u.T @ T_u with alternating
+    signs.  They cancel unless r is 0, when the family adds its one
+    term; either way it is never grown.  Memory is bounded by the entries
+    of one size, and lone families make the walk far cheaper than its
+    bound ``sum(2**deg - 1)`` wherever few learners share many subsets.
+    """
+    n = incidence.shape[0]
+    degrees = np.diff(incidence.indptr)
+    diagonal = np.arange(N_PARAMS)
+    counts = np.zeros((len(ATTRIBUTES), N_PARAMS, N_PARAMS), dtype=np.int64)
+    # Size 1: one entry per (learner, subset), keyed by the subset.
+    learner = np.repeat(np.arange(n, dtype=np.int32), degrees)
+    position = np.arange(learner.size, dtype=np.int32) - incidence.indptr[learner]
+    key = incidence.indices.astype(np.int64)
+    sign = 1
+    while key.size:
+        _, rank, holders = np.unique(key, return_inverse=True, return_counts=True)
+        later = degrees[learner] - 1 - position
+        # A lone family adds its learner's self term if it cannot grow
+        # and nothing otherwise; only shared families go on.
+        family_shared = holders > 1
+        shared = family_shared[rank]
+        last = learner[~shared & (later == 0)]
+        learner, position, later = learner[shared], position[shared], later[shared]
+        # The shared families, numbered from 0 in key order.
+        rank = (np.cumsum(family_shared) - 1)[rank[shared]]
+        width = int(family_shared.sum()) * N_PARAMS
+        for a in range(len(ATTRIBUTES)):
+            counts[a, diagonal, diagonal] += sign * np.bincount(values[last, a],
+                                                                minlength=N_PARAMS)
+            hist = np.bincount(rank * N_PARAMS + values[learner, a], minlength=width)
+            hist = hist.reshape(-1, N_PARAMS)
+            counts[a] += sign * (hist.T @ hist)
+        sign = -sign
+        learner, position, key = _grown(incidence, learner, position, later, rank)
+        del rank, later, last  # freed before the next size's np.unique
+    return counts
+
+
+def _grown(incidence: sparse.csr_matrix, learner: np.ndarray, position: np.ndarray,
+           later: np.ndarray, rank: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries of the next family size: each entry (``learner``, family
+    ``rank``, last subset at ``position`` in the learner's row) grows by
+    each of its ``later`` subsets."""
+    parent = np.repeat(np.arange(rank.size), later)
+    offset = np.arange(parent.size, dtype=np.int32) - np.repeat(np.cumsum(later) - later, later)
+    position = (position[parent] + 1 + offset).astype(np.int32)
+    learner = learner[parent]
+    subset = incidence.indices[incidence.indptr[learner] + position]
+    return learner, position, rank[parent] * incidence.shape[1] + subset
+
+
+def _product_counts(incidence: sparse.csr_matrix, values: np.ndarray,
+                    sizes: np.ndarray) -> np.ndarray:
+    """Ordered pair counts, self pairs included, of learners sharing a subset.
+
+    For each block of learner rows, the nonzeros of ``M[block] @ M.T``
+    mark every partner of every row, the row itself included;
+    multiplying them by a stacked one-hot of both attributes' ``values``
+    (five columns each) gives per-learner partner counts, which fold
+    into a 10x10 count of ordered pairs.  Each attribute's counts are its
+    diagonal 5x5 block; the cross-attribute blocks are dropped.  A
+    block's product has at most one entry per unit of its rows' pair
+    work (the summed sizes of the subsets each row belongs to), and
+    blocks are cut at ``_BLOCK_PAIR_WORK`` units or the learner count,
+    whichever is larger, so the product's memory stays within a small
+    multiple of the input's and never approaches the corpus's total pair
+    count.
+    """
+    n = incidence.shape[0]
     incidence_t = incidence.T.tocsr()
-    # Attribute a's value p sets column a * N_PARAMS + p - 1.
+    # Attribute a's value index p sets column a * N_PARAMS + p.
+    attributes = np.arange(len(ATTRIBUTES))
     onehot = np.zeros((n, len(ATTRIBUTES) * N_PARAMS), dtype=np.int64)
-    onehot[np.arange(n), params - 1 + N_PARAMS * np.arange(len(ATTRIBUTES))[:, None]] = 1
+    onehot[np.arange(n)[:, None], values + N_PARAMS * attributes] = 1
 
     # Rows whose work starts in the same window share a block, so a block
     # holds at most one window of work plus one row's.
@@ -125,13 +247,8 @@ def build_cooccurrence(table: LearnerTable) -> dict[str, np.ndarray]:
         partners = incidence[lo:hi] @ incidence_t
         partners.data[:] = 1  # shared-subset counts -> "shares at least one"
         counts += onehot[lo:hi].T @ (partners @ onehot)
-    # Every learner is its own partner once; both orders of a same-value
-    # pair land on the diagonal.
-    counts -= np.diag(onehot.sum(axis=0))
-    counts[np.diag_indices(len(counts))] //= 2
-    # Attribute a's pairs are the diagonal block (a, a).
     blocks = counts.reshape(len(ATTRIBUTES), N_PARAMS, len(ATTRIBUTES), N_PARAMS)
-    return {attribute: blocks[a, :, a].copy() for a, attribute in enumerate(ATTRIBUTES)}
+    return blocks[attributes, :, attributes]
 
 
 def nmf(

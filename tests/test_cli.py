@@ -211,6 +211,25 @@ class TestIngestCheck:
         assert err.startswith("error: line 2: field larger than field limit")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["ingest-check", "tag"])
+    def test_undecodable_profiles_name_file_and_byte(self, tmp_path, capsys, command):
+        ratings, _ = write_corpus(tmp_path)
+        path = tmp_path / "profiles.csv"
+        path.write_bytes(b"learner_id,a1,a2,a3,a4,a5_hours\nu00,1,2,1,1,5\n\xff\xfeu01,1,2,1,1,5\n")
+        argv = [command, "--profiles", str(path)]
+        assert dispatch(argv + (["--ratings", ratings] if command == "tag" else [])) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: byte 46 (line 3) is not valid utf-8: invalid start byte\n"
+
+    def test_undecodable_byte_offset_counts_from_file_start(self, tmp_path, capsys):
+        """The text layer decodes in chunks; the offset is still the file's."""
+        path = tmp_path / "profiles.csv"
+        rows = b"".join(b"u%05d,1,2,1,1,5\n" % i for i in range(3000))
+        path.write_bytes(b"learner_id,a1,a2,a3,a4,a5_hours\n" + rows + b"u9,1,2,1,1,\xe9\n")
+        assert dispatch(["ingest-check", "--profiles", str(path)]) == 1
+        offset = 32 + len(rows) + len(b"u9,1,2,1,1,")
+        assert f"{path}: byte {offset} (line 3002) is not valid utf-8" in capsys.readouterr().err
+
     def test_no_inputs_is_a_usage_problem(self, capsys):
         assert dispatch(["ingest-check"]) == 1
         assert "error:" in capsys.readouterr().err
@@ -380,6 +399,15 @@ class TestMatch:
         assert dispatch(["match", "--ratings", ratings, "--profiles", profiles,
                          "--store", str(store), "--learner", "ghost"]) == 1
         assert "ghost" in capsys.readouterr().err
+
+    def test_undecodable_store_names_file_and_byte(self, tmp_path, capsys):
+        _, profiles = write_corpus(tmp_path)
+        store = tmp_path / "store.json"
+        store.write_bytes(b'{\n  "schema": \xff}')
+        assert dispatch(["match", "--profiles", profiles, "--store", str(store),
+                         "--learner", "u00"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {store}: byte 14 (line 2) is not valid utf-8: invalid start byte\n"
 
     def test_store_flag_required(self, capsys):
         assert dispatch(["match", "--learner", "u00"]) == 1

@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 from learntags import (
     LearnerProfile,
     PipelineConfig,
+    RatingRecord,
     attribute_values,
     build_cooccurrence,
     derive_orderings,
@@ -88,16 +89,30 @@ def cooccurrence_of(subsets, profiles) -> dict[str, np.ndarray]:
     return build_cooccurrence(learner_table(high_ratings(subsets), profiles, 10))
 
 
+# _FAMILY_COST values that send every non-empty corpus down one path of
+# build_cooccurrence.
+_PATHS = {"inclusion_exclusion": 0, "product": 1 << 62}
+
+
+def on_path(path: str):
+    """Patch the routing constant so that build_cooccurrence takes ``path``."""
+    return mock.patch.object(quantify_module, "_FAMILY_COST", _PATHS[path])
+
+
 def assert_matches_oracles(subsets, profiles) -> None:
-    """Both matrices of one build_cooccurrence call are (5, 5) int64,
-    symmetric and equal to both oracles."""
-    cooccurrence = cooccurrence_of(subsets, profiles)
-    assert list(cooccurrence) == list(ATTRIBUTES)
-    for attribute, got in cooccurrence.items():
-        assert got.shape == (5, 5) and got.dtype == np.int64
-        np.testing.assert_array_equal(got, got.T)
-        np.testing.assert_array_equal(got, brute_force_cooccurrence(subsets, profiles, attribute))
-        np.testing.assert_array_equal(got, loop_cooccurrence(subsets, profiles, attribute))
+    """On each path, both matrices of one build_cooccurrence call are
+    (5, 5) int64, symmetric and equal to both oracles."""
+    for path in _PATHS:
+        with on_path(path):
+            cooccurrence = cooccurrence_of(subsets, profiles)
+        assert list(cooccurrence) == list(ATTRIBUTES)
+        for attribute, got in cooccurrence.items():
+            assert got.shape == (5, 5) and got.dtype == np.int64
+            np.testing.assert_array_equal(got, got.T)
+            np.testing.assert_array_equal(
+                got, brute_force_cooccurrence(subsets, profiles, attribute), err_msg=path)
+            np.testing.assert_array_equal(
+                got, loop_cooccurrence(subsets, profiles, attribute), err_msg=path)
 
 
 def _subsets(*groups) -> dict[str, set[str]]:
@@ -125,6 +140,30 @@ _NAMED_CASES = {
     "crosses_block_edges": (
         _subsets(set(_BIG), set(_BIG[::7]), set(_BIG[390:]) | {"u000"}),
         {lid: profile(lid, a3=i % 5 + 1, a4=(i * i) % 5 + 1) for i, lid in enumerate(_BIG)},
+    ),
+    "all_degree_one": (
+        _subsets(set(_IDS[:5]), set(_IDS[5:9]), {"u09"}, set(_IDS[10:])),
+        {lid: profile(lid, a3=i % 5 + 1, a4=(3 * i) % 5 + 1) for i, lid in enumerate(_IDS)},
+    ),
+    "one_learner_in_every_subset": (
+        _subsets(*({"u00", _IDS[i], _IDS[i + 1]} for i in range(1, 11, 2))),
+        {lid: profile(lid, a3=i % 5 + 1, a4=(i + 2) % 5 + 1) for i, lid in enumerate(_IDS)},
+    ),
+    # A family such as {r0, r1} is held by learners of degree 2, 3, 4 and
+    # 5; counting each degree's families apart would miss their pairs.
+    "families_across_degrees": (
+        _subsets(
+            {"u00", "u01", "u02", "u04"},
+            {"u00", "u01", "u02", "u03", "u04"},
+            {"u01", "u02", "u03", "u04", "u05"},
+            {"u02", "u03", "u04", "u06"},
+            {"u03", "u04", "u06"},
+        ),
+        {lid: profile(lid, a3=i % 5 + 1, a4=(2 * i + 1) % 5 + 1) for i, lid in enumerate(_IDS)},
+    ),
+    "one_learner_subset": (
+        _subsets(set(_IDS[:4]), {"u02"}, {"u07"}, set(_IDS[3:6])),
+        {lid: profile(lid, a3=i % 3 + 1, a4=i % 5 + 1) for i, lid in enumerate(_IDS)},
     ),
 }
 
@@ -254,6 +293,59 @@ class TestBuildCooccurrence:
         shuffled = _subsets(*data.draw(st.permutations(groups)))
         with mock.patch.object(quantify_module, "_BLOCK_PAIR_WORK", block):
             assert_matches_oracles(shuffled, profiles)
+
+    def test_empty_table_gives_zeros_on_each_path(self):
+        ratings = [RatingRecord("u1", "r", 3), RatingRecord("u2", "r", 3)]
+        table = learner_table(ratings, {"u1": profile("u1"), "u2": profile("u2")}, 10)
+        assert not table.ids and not table.members
+        for path in _PATHS:
+            with on_path(path):
+                cooccurrence = build_cooccurrence(table)
+            for got in cooccurrence.values():
+                assert got.dtype == np.int64
+                np.testing.assert_array_equal(got, np.zeros((5, 5), dtype=np.int64))
+
+    @pytest.mark.parametrize("offset, path", [
+        (-1, "product"), (0, "inclusion_exclusion"), (1, "inclusion_exclusion"),
+    ])
+    def test_routes_at_threshold(self, offset, path):
+        """One subset of s degree-1 learners holds s families and s * s units
+        of pair work, so s = _FAMILY_COST sits exactly at the threshold, where
+        inclusion-exclusion runs."""
+        size = quantify_module._FAMILY_COST + offset
+        subsets = {"r": set(_BIG[:size])}
+        profiles = {lid: profile(lid, a3=i % 5 + 1, a4=i % 4 + 1)
+                    for i, lid in enumerate(_BIG[:size])}
+        spies = {
+            name: mock.patch.object(quantify_module, f"_{name}_counts",
+                                    wraps=getattr(quantify_module, f"_{name}_counts"))
+            for name in _PATHS
+        }
+        with spies["inclusion_exclusion"] as ie, spies["product"] as product:
+            cooccurrence = cooccurrence_of(subsets, profiles)
+        assert (ie.call_count, product.call_count) == (
+            (1, 0) if path == "inclusion_exclusion" else (0, 1))
+        for attribute, got in cooccurrence.items():
+            np.testing.assert_array_equal(
+                got, brute_force_cooccurrence(subsets, profiles, attribute))
+
+    def test_paths_agree_on_skewed_corpus(self):
+        """20,000 learners with zipf-0.9 popularity: the largest subsets
+        hold over 1,000 learners each, so the default routing takes
+        inclusion-exclusion, and the product must give the same matrices."""
+        from conftest import synth_corpus
+
+        records, profiles = synth_corpus(20_000, 200, 100_000, seed=1, skew=0.9)
+        table = learner_table(records, profiles, delta0=6)
+        with mock.patch.object(quantify_module, "_inclusion_exclusion_counts",
+                               wraps=quantify_module._inclusion_exclusion_counts) as ie:
+            routed = build_cooccurrence(table)
+        assert ie.call_count == 1
+        with on_path("product"):
+            product = build_cooccurrence(table)
+        for attribute in ATTRIBUTES:
+            np.testing.assert_array_equal(routed[attribute], product[attribute])
+        assert routed["strategy"].sum() > 10**6
 
 
 class TestNMF:
