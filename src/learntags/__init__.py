@@ -39,7 +39,6 @@ from .cluster import (
     farthest_first_seeds,
     group_rows,
     largest_cluster,
-    lloyd_kmeans,
     lockstep_lloyd,
     normalize,
     sweep_k,
@@ -71,8 +70,8 @@ __all__ = [
     "build_cooccurrence", "derive_orderings", "nmf", "quantification_report",
     "quantify_nominal", "symmetrize",
     "Grouping", "KSelection", "KTraceEntry", "LloydFit", "average_diameter",
-    "farthest_first_seeds", "group_rows", "largest_cluster", "lloyd_kmeans",
-    "lockstep_lloyd", "normalize", "sweep_k",
+    "farthest_first_seeds", "group_rows", "largest_cluster", "lockstep_lloyd",
+    "normalize", "sweep_k",
     "FrequentItemset", "apriori", "select_tag",
     "PipelineConfig", "Provenance", "Tag", "TagCloud",
     "TagStore", "load_store", "match_resources", "render_report",

@@ -14,9 +14,11 @@ Seeds are row indices and Lloyd's result is one label per row.
 The sweep runs the Lloyd fits of every k in lockstep: each round labels
 the rows against the centroids of all fits still moving with one
 distance call, and a fit leaves the round once its labels stop changing,
-so every fit equals the one run alone.  A cluster's diameter is the max
-of distance blocks over its rows, so no temporary exceeds one row block
-by the cluster size.
+so every fit equals the one run alone.  One distance pass then serves
+every fit's diameters: the rows are grouped into atoms, the rows that
+share a cluster in every fit, and each block of rows against the rows
+after it is reduced to atom-pair maxima, so no distance temporary
+exceeds one row block by the subset size.
 """
 from __future__ import annotations
 
@@ -96,13 +98,13 @@ def farthest_first_seeds(x: np.ndarray, k: int, seed: int) -> list[int]:
     first = int(rng.integers(n))
 
     chosen = [first]
-    min_dist = np.linalg.norm(x - x[first], axis=1)
+    min_dist = cdist(x, x[first:first + 1])[:, 0]
+    min_dist[first] = -np.inf  # a chosen row stays at -inf, so it is never picked again
     while len(chosen) < k:
-        masked = min_dist.copy()
-        masked[chosen] = -np.inf
-        pick = int(np.argmax(masked))  # the first maximum is the smallest row
+        pick = int(np.argmax(min_dist))  # the first maximum is the smallest row
         chosen.append(pick)
-        min_dist = np.minimum(min_dist, np.linalg.norm(x - x[pick], axis=1))
+        np.minimum(min_dist, cdist(x, x[pick:pick + 1])[:, 0], out=min_dist)
+        min_dist[pick] = -np.inf
     return chosen
 
 
@@ -221,45 +223,67 @@ def lockstep_lloyd(
             a[moving] for a in (ids, ks, centroids, labels, counts))
 
 
-def lloyd_kmeans(
-    x: np.ndarray,
-    seed_rows: list[int],
-    max_iters: int = DEFAULT_LLOYD_MAX_ITERS,
-) -> LloydFit:
-    """Alternate nearest-centroid assignment and centroid means on the rows
-    of ``x``, starting from centroids at ``seed_rows``: the one-fit case of
-    ``lockstep_lloyd``.
-
-    Stops when no label changes or after ``max_iters``; the final labels
-    are always computed against the final centroids.
-    """
-    return lockstep_lloyd(x, seed_rows, [len(seed_rows)], max_iters)[0]
-
-
 # Rows per distance block in average_diameter: no distance temporary
-# exceeds _DIAMETER_BLOCK_ROWS x cluster size.  Of 16 to 256 rows, 64
-# was fastest on clusters of 300-415 rows.
+# exceeds _DIAMETER_BLOCK_ROWS x n, and no per-fit mask of a block's
+# atom pairs exceeds that block's distances.  On sweeps of 30 to 7,574
+# rows, blocks of 16 to 256 rows timed within noise of 64.
 _DIAMETER_BLOCK_ROWS = 64
 
 
-def average_diameter(x: np.ndarray, labels: np.ndarray) -> float:
-    """Mean over non-empty clusters, in label order, of the max row distance.
+def average_diameter(x: np.ndarray, labels: np.ndarray) -> list[float]:
+    """Each fit's mean over its non-empty clusters, in label order, of the
+    max row distance, for the ``(fits, n)`` labels of the rows of ``x``.
 
-    One stable sort groups the rows by label; each cluster's max is taken
-    over blocks of its rows against the rows from the block on.
+    The rows fall into atoms, the rows that share a cluster in every fit,
+    which one lexsort of the label rows makes contiguous.  One pass over
+    blocks of the sorted rows against the rows from the block on reduces
+    each block's distances to atom-pair maxima; a fit's cluster diameter
+    is the largest of those over the atom pairs its labels put together.
     """
-    sizes = np.bincount(labels)
-    grouped = x[np.argsort(labels, kind="stable")]
-    diameters = []
-    end = 0
-    for size in sizes[sizes > 0].tolist():
-        m = grouped[end:end + size]
-        end += size
-        diameter = 0.0
-        for i in range(0, size - 1, _DIAMETER_BLOCK_ROWS):
-            diameter = max(diameter, cdist(m[i:i + _DIAMETER_BLOCK_ROWS], m[i:]).max())
-        diameters.append(diameter)
-    return float(np.mean(diameters))
+    labels = np.asarray(labels)
+    n = len(x)
+    if n == 0:
+        raise ValueError("no points to measure")
+    if labels.ndim != 2 or len(labels) == 0 or labels.shape[1] != n:
+        raise ValueError(f"labels must be (fits, {n}), got shape {labels.shape}")
+    if labels.min() < 0:
+        raise ValueError("labels must be non-negative")
+
+    order = np.lexsort(labels)
+    xs, sorted_labels = x[order], labels[:, order]
+    new_atom = np.ones(n, dtype=bool)
+    new_atom[1:] = (sorted_labels[:, 1:] != sorted_labels[:, :-1]).any(axis=0)
+    starts = np.flatnonzero(new_atom)
+    atom_of = np.cumsum(new_atom) - 1
+    atom_labels = sorted_labels[:, starts]            # (fits, atoms)
+
+    # best[f, a]: the largest distance from a row of atom a to itself or a
+    # later row of its cluster in fit f, so every pair is counted once.
+    best = np.zeros(atom_labels.shape)
+    for i in range(0, n - 1, _DIAMETER_BLOCK_ROWS):
+        block = cdist(xs[i:i + _DIAMETER_BLOCK_ROWS], xs[i:])
+        first, last = atom_of[i], atom_of[i + len(block) - 1]
+        # Where each atom from ``first`` on starts among the block's columns.
+        cuts = starts[first:] - i
+        cuts[0] = 0
+        pair_max = np.maximum.reduceat(
+            np.maximum.reduceat(block, cuts, axis=1), cuts[:last - first + 1], axis=0)
+        row_labels = atom_labels[:, first:last + 1, None]
+        # Fits in groups whose masks are no larger than the block.
+        step = block.size // pair_max.size
+        for f in range(0, len(labels), step):
+            same = row_labels[f:f + step] == atom_labels[f:f + step, None, first:]
+            np.maximum(best[f:f + step, first:last + 1],
+                       np.where(same, pair_max, 0.0).max(axis=2),
+                       out=best[f:f + step, first:last + 1])
+
+    width = int(atom_labels.max()) + 1
+    diameters = np.zeros((len(labels), width))
+    filled = np.zeros(diameters.shape, dtype=bool)
+    fit_rows = np.arange(len(labels))[:, None]
+    np.maximum.at(diameters, (fit_rows, atom_labels), best)
+    filled[fit_rows, atom_labels] = True
+    return [float(np.mean(d[f])) for d, f in zip(diameters, filled)]
 
 
 def sweep_k(
@@ -292,7 +316,7 @@ def sweep_k(
     # of the sweep are a prefix of one traversal.
     seeds = farthest_first_seeds(x, k_start, seed)
     fits = dict(zip(ks, lockstep_lloyd(x, seeds, ks, max_iters)))
-    diameters = {k: average_diameter(x, fits[k].labels) for k in ks}
+    diameters = dict(zip(ks, average_diameter(x, np.array([fits[k].labels for k in ks]))))
     trace = [KTraceEntry(k=k, sse=fits[k].sse, avg_diameter=diameters[k]) for k in ks]
 
     chosen = 1

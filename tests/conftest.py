@@ -27,7 +27,7 @@ from learntags import (
     TimeBin,
     generate_profiles,
 )
-from learntags.cluster import DEFAULT_LLOYD_MAX_ITERS, KTraceEntry
+from learntags.cluster import DEFAULT_LLOYD_MAX_ITERS, KTraceEntry, LloydFit, lockstep_lloyd
 from learntags.mine import N_ATTRIBUTES
 from learntags.ingest import discretize_time
 
@@ -331,6 +331,16 @@ def make_blobs(
         np.asarray(center) + rng.normal(0.0, sigma, size=(per_blob, len(center)))
         for center in centers
     ])
+
+
+def lloyd_kmeans(
+    x: np.ndarray,
+    seed_rows: list[int],
+    max_iters: int = DEFAULT_LLOYD_MAX_ITERS,
+) -> LloydFit:
+    """Lloyd's iteration on the rows of ``x`` from centroids at
+    ``seed_rows``: the one-fit case of ``lockstep_lloyd``."""
+    return lockstep_lloyd(x, seed_rows, [len(seed_rows)], max_iters)[0]
 
 
 @dataclass(frozen=True, slots=True)

@@ -20,6 +20,7 @@ from conftest import (
     items_array,
     items_from_tag,
     itemset_of,
+    lloyd_kmeans,
     make_blobs,
     random_transactions,
     recover_clusters,
@@ -33,7 +34,6 @@ from learntags import (
     farthest_first_seeds,
     group_rows,
     learner_table,
-    lloyd_kmeans,
     nmf,
     quantify_nominal,
     render_report,

@@ -16,7 +16,6 @@ from learntags import (
     group_rows,
     largest_cluster,
     learner_table,
-    lloyd_kmeans,
     lockstep_lloyd,
     normalize,
     sweep_k,
@@ -29,6 +28,8 @@ from conftest import (
     Clustering,
     FeaturePoint,
     high_ratings,
+    lloyd_kmeans,
+    make_blobs,
     reference_average_diameter,
     reference_farthest_first_seeds,
     reference_lloyd_kmeans,
@@ -213,6 +214,12 @@ class TestFarthestFirstSeeds:
         seeds = farthest_first_seeds(line([3.0, 1.0, 2.0]), k=3, seed=0)
         assert sorted(seeds) == [0, 1, 2]
 
+    def test_identical_rows_picked_in_row_order(self):
+        # Every distance is 0, so after the random first row the ties go
+        # to the smallest rows not yet picked.
+        seeds = farthest_first_seeds(np.ones((6, 5)), k=6, seed=self.seed_starting_at(6, 3))
+        assert seeds == [3, 0, 1, 2, 4, 5]
+
     def test_k_out_of_range(self):
         x = line([0.0, 1.0])
         with pytest.raises(ValueError, match="insufficient points"):
@@ -291,14 +298,31 @@ class TestLloydKmeans:
             lloyd_kmeans(line([0.0, 1.0]), [0, 0])
 
 
+def reference_diameters(points: list[FeaturePoint], labels) -> list[float]:
+    """Each fit's average diameter by the point-by-point oracle."""
+    return [
+        reference_average_diameter(
+            Clustering(k=max(fit) + 1, centroids=np.zeros((max(fit) + 1, 5)), sse=0.0,
+                       sse_trace=[], assignment={p.learner_id: int(j) for p, j in zip(points, fit)}),
+            points)
+        for fit in labels
+    ]
+
+
+def assert_diameters_match_reference(points: list[FeaturePoint], labels):
+    got = average_diameter(coords_array(points), np.array(labels))
+    assert repr(got) == repr(reference_diameters(points, labels))
+    return got
+
+
 class TestAverageDiameter:
     def test_all_singletons(self):
         x = line([0.0, 5.0, 9.0])
-        assert average_diameter(x, lloyd_kmeans(x, [0, 1, 2]).labels) == 0.0
+        assert average_diameter(x, [lloyd_kmeans(x, [0, 1, 2]).labels]) == [0.0]
 
     def test_single_cluster_span(self):
         x = line([0.0, 3.0])
-        assert average_diameter(x, lloyd_kmeans(x, [0]).labels) == pytest.approx(3.0)
+        assert average_diameter(x, [lloyd_kmeans(x, [0]).labels]) == [pytest.approx(3.0)]
 
     def test_matches_brute_force(self):
         x = np.random.default_rng(9).uniform(0, 1, (40, 5))
@@ -314,9 +338,56 @@ class TestAverageDiameter:
                 for j in range(i + 1, len(members)):
                     best = max(best, float(np.linalg.norm(members[i] - members[j])))
             diams.append(best)
-        assert average_diameter(x, clustering.labels) == pytest.approx(
-            float(np.mean(diams))
-        )
+        assert average_diameter(x, [clustering.labels]) == [pytest.approx(float(np.mean(diams)))]
+
+    def test_one_atom(self):
+        # Every fit puts all 150 rows in one cluster, under different labels,
+        # so the single atom spans three row blocks.
+        points = grid_points(np.random.default_rng(2).uniform(0, 1, (150, 5)).tolist())
+        got = assert_diameters_match_reference(points, [[0] * 150, [4] * 150])
+        assert got[0] == got[1] > 0.0
+
+    def test_identical_rows(self):
+        points = grid_points([(0.5, 1.0, 0.0, 0.0, 2.0)] * 9)
+        assert assert_diameters_match_reference(points, [[0] * 9, [0, 1, 2] * 3]) == [0.0, 0.0]
+
+    def test_every_row_its_own_atom(self):
+        rows = np.random.default_rng(3).uniform(0, 1, (150, 5))
+        points = grid_points(rows.tolist())
+        got = assert_diameters_match_reference(
+            points, [list(range(150)), [r % 7 for r in range(150)], [0] * 150])
+        assert got[0] == 0.0
+
+    def test_two_rows(self):
+        x = line([1.0, 4.0])
+        assert average_diameter(x, [[0, 0], [0, 1], [1, 0]]) == [3.0, 0.0, 0.0]
+
+    def test_one_distance_pass_in_bounded_blocks(self):
+        x = np.random.default_rng(4).uniform(0, 1, (200, 5))
+        labels = [lloyd_kmeans(x, farthest_first_seeds(x, k, 0)).labels for k in (8, 5, 2, 1)]
+        shapes = []
+
+        def spy(a, b):
+            shapes.append((len(a), len(b)))
+            return cdist(a, b)
+
+        with mock.patch.object(cluster_module, "cdist", spy):
+            average_diameter(x, labels)
+        block = cluster_module._DIAMETER_BLOCK_ROWS
+        assert shapes == [(min(block, 200 - i), 200 - i) for i in range(0, 199, block)]
+
+    def test_empty_rows_rejected(self):
+        with pytest.raises(ValueError, match="no points"):
+            average_diameter(np.zeros((0, 5)), np.zeros((1, 0), dtype=np.intp))
+
+    def test_negative_label_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            average_diameter(line([0.0, 1.0]), [[0, 0], [-1, 0]])
+
+    @pytest.mark.parametrize("labels", [[[0, 0]], [0, 0, 1], [[0, 0, 1, 1]], np.zeros((0, 3))])
+    def test_labels_not_fits_by_rows_rejected(self, labels):
+        with pytest.raises(ValueError, match=r"labels must be \(fits, 3\)"):
+            average_diameter(line([0.0, 1.0, 2.0]), np.asarray(labels, dtype=np.intp))
 
 
 class TestSelectK:
@@ -361,6 +432,12 @@ class TestSelectK:
         s2 = sweep_k(x, k_max=6, gamma=2.0, seed=9)
         assert s1.fit.labels.tolist() == s2.fit.labels.tolist()
         assert [e.avg_diameter for e in s1.trace] == [e.avg_diameter for e in s2.trace]
+
+    def test_k_max_twelve_matches_reference(self):
+        centers = [tuple(np.random.default_rng(c).uniform(0, 10, 5)) for c in range(14)]
+        x = make_blobs(centers, per_blob=6, sigma=0.2, seed=4)
+        selection = assert_sweep_matches_reference(grid_points(x.tolist()), k_max=12)
+        assert [e.k for e in selection.trace] == list(range(12, 0, -1))
 
 
 class TestLargestCluster:
@@ -563,15 +640,15 @@ class TestMatchesReference:
                                   max_size=min(len(points), 8), unique=True))
         assert_lloyd_matches_reference(points, rows)
 
-    @given(st.lists(st.tuples(st.integers(0, 4), st.one_of(*row_strategies)),
-                    min_size=1, max_size=25),
-           st.sampled_from([1, 3, cluster_module._DIAMETER_BLOCK_ROWS]))
-    def test_average_diameter(self, labelled_rows, block):
-        """Row blocks of 1 and 3 run the multi-block path on small clusters."""
-        labels = [j for j, _ in labelled_rows]
-        points = grid_points([row for _, row in labelled_rows])
-        clustering = Clustering(k=5, centroids=np.zeros((5, 5)), sse=0.0, sse_trace=[],
-                                assignment={p.learner_id: j for p, j in zip(points, labels)})
+    @given(st.data(), st.sampled_from([1, 3, cluster_module._DIAMETER_BLOCK_ROWS]))
+    def test_average_diameter(self, data, block):
+        """Rows drawn from a small pool repeat, labels up to 5 leave
+        clusters empty, and row blocks of 1 and 3 cut atoms at block edges."""
+        pool = data.draw(st.one_of(*(st.lists(row, min_size=1, max_size=25)
+                                     for row in row_strategies)))
+        points = grid_points(data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30)))
+        labels = data.draw(st.lists(
+            st.lists(st.integers(0, 5), min_size=len(points), max_size=len(points)),
+            min_size=1, max_size=4))
         with mock.patch.object(cluster_module, "_DIAMETER_BLOCK_ROWS", block):
-            got = average_diameter(coords_array(points), np.array(labels))
-        assert repr(got) == repr(reference_average_diameter(clustering, points))
+            assert_diameters_match_reference(points, labels)
