@@ -12,6 +12,7 @@ from .ingest import (
     RatingRecord,
     TimeBin,
     discretize_time,
+    find_profile,
     generate_profiles,
     learner_table,
     parse_profiles,
@@ -63,7 +64,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "LearnerProfile", "LearnerTable", "MalformedRowError",
-    "RatingRecord", "TimeBin", "discretize_time",
+    "RatingRecord", "TimeBin", "discretize_time", "find_profile",
     "generate_profiles", "learner_table", "parse_profiles", "parse_ratings",
     "render_profiles", "render_ratings",
     "FactorPair", "QuantifyDetail", "attribute_values",

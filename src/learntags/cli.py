@@ -117,15 +117,18 @@ def _config_from(args: argparse.Namespace) -> PipelineConfig:
 
 def _read_ratings(path: str) -> ingest.RatingsResult:
     # latin-1 is 8-bit transparent, matching the dataset's encoding
-    with open(path, "r", encoding="latin-1", newline="") as fh:
+    with _naming_file(path), open(path, "r", encoding="latin-1", newline="") as fh:
         return ingest.parse_ratings(fh)
 
 
 @contextlib.contextmanager
-def _naming_undecodable(path: str):
-    """Give a UnicodeDecodeError raised while reading ``path`` the file's
-    name, as ``filename``, and its offset in the whole file, for
-    ``dispatch`` to print."""
+def _naming_file(path: str):
+    """Name ``path`` in the errors a bad byte or row of it raises while read.
+
+    A UnicodeDecodeError gets the file's name, as ``filename``, and its
+    offset in the whole file, for ``dispatch`` to print; a
+    MalformedRowError gets the file's name after its reason.
+    """
     try:
         yield
     except UnicodeDecodeError as exc:
@@ -139,20 +142,26 @@ def _naming_undecodable(path: str):
             exc = whole
         exc.filename = path
         raise exc from None
+    except ingest.MalformedRowError as exc:
+        raise ingest.MalformedRowError(exc.line, f"{exc.reason}, in {path}") from None
 
 
 def _read_profiles(path: str) -> ingest.ProfilesResult:
-    with _naming_undecodable(path), open(path, "r", encoding="utf-8", newline="") as fh:
+    with _naming_file(path), open(path, "r", encoding="utf-8", newline="") as fh:
         return ingest.parse_profiles(fh)
+
+
+def _warn_rejected(result: ingest.ProfilesResult) -> None:
+    if result.rejected:
+        line, reason = result.rejected[0]
+        print(f"warning: {len(result.rejected)} profile rows rejected "
+              f"(first at line {line}: {reason})", file=sys.stderr)
 
 
 def _profiles_from(path: str) -> dict[str, ingest.LearnerProfile]:
     """The profiles of a --profiles file by learner id, warning of rejected rows."""
     result = _read_profiles(path)
-    if result.rejected:
-        line, reason = result.rejected[0]
-        print(f"warning: {len(result.rejected)} profile rows rejected "
-              f"(first at line {line}: {reason})", file=sys.stderr)
+    _warn_rejected(result)
     return {p.learner_id: p for p in result.profiles}
 
 
@@ -250,12 +259,19 @@ def _cmd_tag(args: argparse.Namespace) -> int:
 
 
 def _cmd_match(args: argparse.Namespace) -> int:
-    with _naming_undecodable(args.store):
+    with _naming_file(args.store):
         store = load_store(args.store)
-    profiles = _profiles_from(args.profiles)
-    if args.learner not in profiles:
-        raise KeyError(f"no profile for learner {args.learner!r}")
-    ranked = match_resources(profiles[args.learner], store, top_n=args.top)
+    path = args.profiles
+    with _naming_file(path), open(path, "r", encoding="utf-8", newline="") as fh:
+        result = ingest.find_profile(fh, args.learner)
+    _warn_rejected(result)
+    if not result.profiles:
+        message = f"no profile for learner {args.learner!r}"
+        if result.learner_rejected is not None:
+            line, reason = result.learner_rejected
+            message += f": its last row, line {line}, was rejected ({reason})"
+        raise KeyError(message)
+    ranked = match_resources(result.profiles[0], store, top_n=args.top)
     for rid, score in ranked:
         print(f"{rid}\t{score:.3f}")
     return 0

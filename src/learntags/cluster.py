@@ -22,6 +22,7 @@ exceeds one row block by the subset size.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +85,12 @@ def normalize(x: np.ndarray) -> np.ndarray:
     return np.where(spans == 0, 0.0, (x - mins) / np.where(spans > 0, spans, 1.0))
 
 
+@functools.lru_cache(maxsize=256)  # a run draws from one seed for every subset size
+def _first_seed(seed: int, n: int) -> int:
+    """The first farthest-first seed of ``n`` rows, drawn uniformly from ``seed``."""
+    return int(np.random.default_rng(seed).integers(n))
+
+
 def farthest_first_seeds(x: np.ndarray, k: int, seed: int) -> list[int]:
     """Pick k seeds of the rows of ``x`` by farthest-first traversal.
 
@@ -94,8 +101,7 @@ def farthest_first_seeds(x: np.ndarray, k: int, seed: int) -> list[int]:
     n = len(x)
     if not 1 <= k <= n:
         raise ValueError(f"insufficient points: need 1 <= k <= {n}, got k={k}")
-    rng = np.random.default_rng(seed)
-    first = int(rng.integers(n))
+    first = _first_seed(seed, n)
 
     chosen = [first]
     min_dist = cdist(x, x[first:first + 1])[:, 0]
@@ -283,7 +289,10 @@ def average_diameter(x: np.ndarray, labels: np.ndarray) -> list[float]:
     fit_rows = np.arange(len(labels))[:, None]
     np.maximum.at(diameters, (fit_rows, atom_labels), best)
     filled[fit_rows, atom_labels] = True
-    return [float(np.mean(d[f])) for d, f in zip(diameters, filled)]
+    # np.add.reduce over a float64 vector, divided by its length, is the
+    # arithmetic np.mean runs, without its Python wrapper.
+    return [float(np.add.reduce(v) / len(v))
+            for v in (d[f] for d, f in zip(diameters, filled))]
 
 
 def sweep_k(

@@ -1,12 +1,12 @@
 """Rating and profile ingestion.
 
 Parses the semicolon-delimited ratings file and the comma-separated
-profiles file, synthesizes missing profiles with a seeded generator,
-discretizes learning time into decade bins, and in one pass over the
-ratings builds the learner table that quantification, clustering and
-mining all read: every learner who rated some resource at or above a
-threshold, coded once, and each resource's high-rating subset as an
-array of the table's rows.
+profiles file, or finds one learner's profile in it, synthesizes
+missing profiles with a seeded generator, discretizes learning time
+into decade bins, and in one pass over the ratings builds the learner
+table that quantification, clustering and mining all read: every
+learner who rated some resource at or above a threshold, coded once,
+and each resource's high-rating subset as an array of the table's rows.
 """
 from __future__ import annotations
 
@@ -97,6 +97,7 @@ class ProfilesResult:
     profiles: list[LearnerProfile]
     rejected: list[tuple[int, str]] = field(default_factory=list)  # (line, reason)
     duplicates: int = 0
+    learner_rejected: tuple[int, str] | None = None  # set by find_profile only
 
 
 def _profile_violation(p: LearnerProfile) -> str | None:
@@ -185,6 +186,33 @@ def render_ratings(records: Iterable[RatingRecord]) -> str:
     return out.getvalue()
 
 
+def _checked_values(row: list[str]) -> tuple[int, ...] | str:
+    """The five attribute values of a non-blank profiles data row, or the
+    reason the row is rejected."""
+    if len(row) != 6:
+        return f"expected 6 fields, got {len(row)}"
+    if not row[0]:
+        return "empty learner id"
+    try:
+        values = tuple(map(int, row[1:]))
+    except ValueError:
+        return "non-integer attribute value"
+    a1, a2, a3, a4, a5 = values
+    # The ranges _profile_violation checks, in one comparison; it runs
+    # only on a row that fails, to name the first range the row breaks.
+    if 1 <= a1 < a2 <= 6 and 1 <= a3 <= 5 and 1 <= a4 <= 5 and 0 <= a5 <= MAX_HOURS:
+        return values
+    return _profile_violation(LearnerProfile(row[0], *values))
+
+
+def _profiles_reader(stream: Iterable[str] | str):
+    """A csv reader of a profiles file, for its ``line_num``, and its data rows."""
+    if isinstance(stream, str):
+        stream = io.StringIO(stream)
+    reader = csv.reader(stream)
+    return reader, _data_rows(reader, PROFILES_HEADER, "profiles")
+
+
 def parse_profiles(stream: Iterable[str] | str) -> ProfilesResult:
     """Parse the comma-separated profiles file.
 
@@ -193,36 +221,50 @@ def parse_profiles(stream: Iterable[str] | str) -> ProfilesResult:
     duplicate learner ids keep the last occurrence and bump ``duplicates``.
     A row the CSV reader cannot split raises MalformedRowError.
     """
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
-    reader = csv.reader(stream)
     result = ProfilesResult(profiles=[])
-    by_id: dict[str, LearnerProfile] = {}
-    for row in _data_rows(reader, PROFILES_HEADER, "profiles"):
+    by_id: dict[str, tuple[int, ...]] = {}
+    reader, rows = _profiles_reader(stream)
+    for row in rows:
         if not row:
             continue
-        line = reader.line_num
-        if len(row) != 6:
-            result.rejected.append((line, f"expected 6 fields, got {len(row)}"))
+        checked = _checked_values(row)
+        if isinstance(checked, str):
+            result.rejected.append((reader.line_num, checked))
             continue
-        learner_id = row[0]
-        if not learner_id:
-            result.rejected.append((line, "empty learner id"))
-            continue
-        try:
-            a1, a2, a3, a4, a5 = (int(v) for v in row[1:])
-        except ValueError:
-            result.rejected.append((line, "non-integer attribute value"))
-            continue
-        profile = LearnerProfile(learner_id, a1, a2, a3, a4, a5)
-        reason = _profile_violation(profile)
-        if reason is not None:
-            result.rejected.append((line, reason))
-            continue
-        if learner_id in by_id:
+        if row[0] in by_id:
             result.duplicates += 1
-        by_id[learner_id] = profile
-    result.profiles = list(by_id.values())
+        by_id[row[0]] = checked
+    result.profiles = [LearnerProfile(lid, *values) for lid, values in by_id.items()]
+    return result
+
+
+def find_profile(stream: Iterable[str] | str, learner_id: str) -> ProfilesResult:
+    """``parse_profiles`` of the profiles file with ``profiles`` cut to
+    ``learner_id``'s, built from its last valid row.
+
+    Every row is still split and checked, so ``rejected`` and
+    ``duplicates`` are those of the whole file; ``learner_rejected`` is
+    the learner's last rejected row, if any.
+    """
+    result = ProfilesResult(profiles=[])
+    valid_ids: list[str] = []
+    found = None
+    reader, rows = _profiles_reader(stream)
+    for row in rows:
+        if not row:
+            continue
+        checked = _checked_values(row)
+        if isinstance(checked, str):
+            result.rejected.append((reader.line_num, checked))
+            if row[0] == learner_id:
+                result.learner_rejected = result.rejected[-1]
+            continue
+        valid_ids.append(row[0])
+        if row[0] == learner_id:
+            found = checked
+    result.duplicates = len(valid_ids) - len(set(valid_ids))
+    if found is not None:
+        result.profiles.append(LearnerProfile(learner_id, *found))
     return result
 
 

@@ -23,6 +23,7 @@ from learntags import (
     export_parcoords,
     export_values,
     extreme_pairs,
+    find_profile,
     generate_profiles,
     TagStore,
     learner_table,
@@ -419,14 +420,70 @@ class TestMatch:
                   "--out", str(store)])
         calls = []
 
-        def counting(fh):
-            calls.append(fh.name)
-            return parse_profiles(fh)
+        def counting(name, fn):
+            return lambda fh, *args: calls.append((name, fh.name)) or fn(fh, *args)
 
-        monkeypatch.setattr(ingest, "parse_profiles", counting)
+        monkeypatch.setattr(ingest, "find_profile", counting("find_profile", find_profile))
+        monkeypatch.setattr(ingest, "parse_profiles",
+                            counting("parse_profiles", parse_profiles))
         assert dispatch(["match", "--ratings", ratings, "--profiles", profiles,
                          "--store", str(store), "--learner", "u00"]) == 0
-        assert calls == [profiles]
+        assert calls == [("find_profile", profiles)]
+
+    @staticmethod
+    def tagged_store(tmp_path) -> str:
+        ratings, profiles = write_corpus(tmp_path)
+        store = tmp_path / "store.json"
+        assert dispatch(["tag", "--ratings", ratings, "--profiles", profiles,
+                         "--out", str(store)]) == 0
+        return str(store)
+
+    def test_learner_with_only_rejected_rows_names_its_last_one(self, tmp_path, capsys):
+        store = self.tagged_store(tmp_path)
+        path = tmp_path / "bad.csv"
+        path.write_text("learner_id,a1,a2,a3,a4,a5_hours\n"
+                        "u01,3,3,1,1,5\nu00,1,2,1,1,5\nu02,1,2,9,1,5\n"
+                        "u01,1,2,1,1,x\nu00,1,2,1,1,5\n", encoding="utf-8")
+        capsys.readouterr()
+        assert dispatch(["match", "--store", store, "--profiles", str(path),
+                         "--learner", "u01"]) == 1
+        assert capsys.readouterr().err == (
+            "warning: 3 profile rows rejected (first at line 2: a2 must exceed a1)\n"
+            "error: no profile for learner 'u01': its last row, line 5, was rejected "
+            "(non-integer attribute value)\n")
+
+    def test_learner_without_rows_keeps_the_plain_error(self, tmp_path, capsys):
+        store = self.tagged_store(tmp_path)
+        path = tmp_path / "bad.csv"
+        path.write_text("learner_id,a1,a2,a3,a4,a5_hours\nu01,3,3,1,1,5\n",
+                        encoding="utf-8")
+        capsys.readouterr()
+        assert dispatch(["match", "--store", store, "--profiles", str(path),
+                         "--learner", "u00"]) == 1
+        assert capsys.readouterr().err.splitlines()[1:] == [
+            "error: no profile for learner 'u00'"]
+
+    def test_undecodable_profiles_name_file_and_byte(self, tmp_path, capsys):
+        store = self.tagged_store(tmp_path)
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"learner_id,a1,a2,a3,a4,a5_hours\nu00,1,2,1,1,5\n\xff\xfeu01,1,2,1,1,5\n")
+        capsys.readouterr()
+        assert dispatch(["match", "--store", store, "--profiles", str(path),
+                         "--learner", "u00"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: byte 46 (line 3) is not valid utf-8: invalid start byte\n"
+
+    def test_oversized_profile_field_names_file_and_line(self, tmp_path, capsys):
+        store = self.tagged_store(tmp_path)
+        path = tmp_path / "big.csv"
+        path.write_text("learner_id,a1,a2,a3,a4,a5_hours\nu00,1,2,1,1,5\n"
+                        + "u" * 131_073 + ",1,2,1,1,5\n", encoding="utf-8")
+        capsys.readouterr()
+        assert dispatch(["match", "--store", store, "--profiles", str(path),
+                         "--learner", "u00"]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: line 3: field larger than field limit (131072), "
+                       f"in {path}\n")
 
     def test_reads_no_ratings_and_builds_no_cooccurrence(self, tmp_path, capsys,
                                                           monkeypatch):

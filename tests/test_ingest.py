@@ -2,6 +2,8 @@
 learner table's subsets and profile checks."""
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +13,7 @@ from learntags import (
     MalformedRowError,
     RatingRecord,
     discretize_time,
+    find_profile,
     generate_profiles,
     learner_table,
     parse_profiles,
@@ -18,7 +21,7 @@ from learntags import (
     render_profiles,
     render_ratings,
 )
-from learntags.ingest import MAX_HOURS, TimeBin
+from learntags.ingest import MAX_HOURS, TimeBin, _profile_violation
 from learntags.mine import apriori
 
 from conftest import build_subset, high_ratings
@@ -183,6 +186,81 @@ class TestParseProfiles:
         parsed = parse_profiles(render_profiles(profiles))
         assert parsed.profiles == profiles
         assert parsed.rejected == []
+
+
+# One profiles data line of the kinds a file can hold: blank, the wrong
+# field count, non-integer or out-of-range values, or valid, with ids from
+# a small pool so that duplicates are common.
+profile_field = st.one_of(
+    st.integers(-1, 7).map(str),
+    st.sampled_from([str(MAX_HOURS), str(MAX_HOURS + 1), str(10**20), "x", "1.5", ""]),
+)
+profile_line = st.one_of(
+    st.just(""),
+    st.builds(lambda lid, fields: ",".join([lid, *fields]),
+              st.sampled_from(["u0", "u1", "u2", ""]),
+              st.one_of(st.lists(profile_field, min_size=5, max_size=5),
+                        st.lists(profile_field, max_size=7))),
+    st.builds(lambda lid, a1, step, a3, a4, hours: f"{lid},{a1},{a1 + step},{a3},{a4},{hours}",
+              st.sampled_from(["u0", "u1", "u2"]), st.integers(1, 5), st.integers(1, 5),
+              st.integers(1, 5), st.integers(1, 5), st.integers(0, MAX_HOURS)),
+)
+
+
+class TestFindProfile:
+    HEADER = TestParseProfiles.HEADER
+
+    @given(lines=st.lists(profile_line, max_size=12),
+           learner_id=st.sampled_from(["u0", "u1", "u2", "ghost"]))
+    def test_matches_parse_profiles(self, lines, learner_id):
+        """Oracle: the whole file's parse, cut to the one learner."""
+        text = self.HEADER + "".join(line + "\n" for line in lines)
+        whole = parse_profiles(text)
+        found = find_profile(text, learner_id)
+        assert found.profiles == [p for p in whole.profiles if p.learner_id == learner_id]
+        assert found.rejected == whole.rejected
+        assert found.duplicates == whole.duplicates
+        own = [(line, reason) for line, reason in whole.rejected
+               if lines[line - 2].split(",")[0] == learner_id]
+        assert found.learner_rejected == (own[-1] if own else None)
+        assert whole.learner_rejected is None
+
+    def test_rejected_last_row_keeps_earlier_valid_one(self):
+        stream = self.HEADER + "u1,2,5,3,4,25\nu2,1,2,1,1,5\nu1,5,2,3,4,25\n"
+        result = find_profile(stream, "u1")
+        assert result.profiles == [LearnerProfile("u1", 2, 5, 3, 4, 25)]
+        assert result.rejected == [(4, "a2 must exceed a1")]
+        assert result.learner_rejected == (4, "a2 must exceed a1")
+        assert result.duplicates == 0
+
+    def test_header_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="unexpected profiles header"):
+            find_profile("learner,a1,a2,a3,a4,a5\nu1,2,5,3,4,25\n", "u1")
+        with pytest.raises(ValueError, match="empty"):
+            find_profile("", "u1")
+
+    def test_unsplittable_row_reports_line(self):
+        stream = self.HEADER + "u1,2,5,3,4,25\n" + "u" * 200_000 + ",2,5,3,4,25\n"
+        with pytest.raises(MalformedRowError) as info:
+            find_profile(stream, "u1")
+        assert info.value.line == 3
+        assert info.value.reason.startswith("field larger than field limit")
+
+    def test_range_check_agrees_with_profile_violation(self):
+        """Every row of a grid around the attribute bounds is accepted
+        exactly when _profile_violation finds nothing, else rejected with
+        its reason."""
+        grid = list(itertools.product(range(8), range(8), range(7), range(7),
+                                      (-1, 0, MAX_HOURS, MAX_HOURS + 1)))
+        text = self.HEADER + "".join(f"u{i},{a1},{a2},{a3},{a4},{a5}\n"
+                                     for i, (a1, a2, a3, a4, a5) in enumerate(grid))
+        result = parse_profiles(text)
+        verdicts = [_profile_violation(LearnerProfile(f"u{i}", *values))
+                    for i, values in enumerate(grid)]
+        assert result.rejected == [(i + 2, reason) for i, reason in enumerate(verdicts)
+                                   if reason is not None]
+        assert [p.learner_id for p in result.profiles] == [
+            f"u{i}" for i, reason in enumerate(verdicts) if reason is None]
 
 
 class TestGenerateProfiles:
