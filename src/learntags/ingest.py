@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -71,9 +71,9 @@ class LearnerProfile:
     hours: int           # a5
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class TimeBin:
-    """Decade-width, 1-based learning-time bin: [1-10], [11-20], ..."""
+class TimeBin(NamedTuple):
+    """Decade-width, 1-based learning-time bin: [1-10], [11-20], ...  A
+    ``(lower, upper)`` tuple, so ``json`` writes it as that pair."""
 
     lower: int
     upper: int
@@ -287,6 +287,8 @@ def generate_profiles(learner_ids: list[str], seed: int) -> list[LearnerProfile]
     exceeds current skill, a3 and a4 uniform in 1..5, and a5 uniform in
     1..60 hours.  The output is a pure function of (learner_ids, seed).
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if not learner_ids:
         return []
     rng = np.random.default_rng(seed)

@@ -23,8 +23,9 @@ import json
 import logging
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields
-from typing import Callable, Iterable, Mapping
+from collections import Counter
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Mapping, get_type_hints
 
 from .cluster import KTraceEntry, group_rows
 from .ingest import (
@@ -67,22 +68,19 @@ class PipelineConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if not 1 <= self.delta0 <= 10:
-            raise ValueError(f"delta0 must be in 1..10, got {self.delta0}")
-        if not 0 < self.support_sl <= 1:
-            raise ValueError(f"support_sl must be in (0, 1], got {self.support_sl}")
-        if self.nmf_k < 1:
-            raise ValueError(f"nmf_k must be >= 1, got {self.nmf_k}")
-        if self.nmf_max_iters < 1:
-            raise ValueError(f"nmf_max_iters must be >= 1, got {self.nmf_max_iters}")
-        if self.nmf_tol < 0:
-            raise ValueError(f"nmf_tol must be >= 0, got {self.nmf_tol}")
-        if self.k_max < 1:
-            raise ValueError(f"k_max must be >= 1, got {self.k_max}")
-        if self.gamma <= 1:
-            raise ValueError(f"gamma must exceed 1, got {self.gamma}")
-        if self.min_subset < 1:
-            raise ValueError(f"min_subset must be >= 1, got {self.min_subset}")
+        for name, valid, expected in (
+            ("delta0", 1 <= self.delta0 <= 10, "be in 1..10"),
+            ("support_sl", 0 < self.support_sl <= 1, "be in (0, 1]"),
+            ("nmf_k", self.nmf_k >= 1, "be >= 1"),
+            ("nmf_max_iters", self.nmf_max_iters >= 1, "be >= 1"),
+            ("nmf_tol", self.nmf_tol >= 0, "be >= 0"),
+            ("k_max", self.k_max >= 1, "be >= 1"),
+            ("gamma", self.gamma > 1, "exceed 1"),
+            ("seed", self.seed >= 0, "be >= 0"),
+            ("min_subset", self.min_subset >= 1, "be >= 1"),
+        ):
+            if not valid:
+                raise ValueError(f"{name} must {expected}, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -189,13 +187,11 @@ def run(
     coords = table.coords(value_maps)
 
     clouds: dict[str, TagCloud] = {}
-    skipped = 0
     for rid, rows in zip(table.resources, table.members):
         size = len(rows)
         if size < config.min_subset:
             clouds[rid] = TagCloud(rid, [], Provenance(subset_size=size),
                                    skipped=SKIP_SMALL_SUBSET)
-            skipped += 1
             continue
 
         group = group_rows(coords[rows], config.k_max, config.gamma, config.seed)
@@ -210,7 +206,6 @@ def run(
         )
         if not winners:
             clouds[rid] = TagCloud(rid, [], provenance, skipped=SKIP_NO_ITEMSET)
-            skipped += 1
             continue
         tags = [
             Tag(
@@ -224,11 +219,13 @@ def run(
         ]
         clouds[rid] = TagCloud(rid, tags, provenance)
 
+    skips = Counter(c.skipped for c in clouds.values() if c.skipped is not None)
     empty = total_resources - len(table.resources)
     logger.info(
-        "tagged %d of %d resources (%d skipped: %s; %d with no rating >= %d)",
-        len(clouds) - skipped, total_resources, skipped,
-        SKIP_SMALL_SUBSET, empty, config.delta0,
+        "tagged %d of %d resources (skipped: %d %s, %d %s; %d with no rating >= %d)",
+        len(clouds) - skips.total(), total_resources,
+        skips[SKIP_SMALL_SUBSET], SKIP_SMALL_SUBSET, skips[SKIP_NO_ITEMSET], SKIP_NO_ITEMSET,
+        empty, config.delta0,
     )
     return TagStore(clouds, config, value_maps)
 
@@ -298,16 +295,6 @@ def match_resources(profile: LearnerProfile, store: TagStore,
     return scored[:top_n]
 
 
-def _tag_to_json(tag: Tag) -> dict:
-    return {
-        "current_skill": tag.current_skill,
-        "target_skill": tag.target_skill,
-        "time_bin": None if tag.time_bin is None else [tag.time_bin.lower, tag.time_bin.upper],
-        "strategy_value": tag.strategy_value,
-        "presentation_value": tag.presentation_value,
-    }
-
-
 def _int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
@@ -327,28 +314,25 @@ def _or_null(valid):
     return lambda v: v is None or valid(v)
 
 
-# Field name -> (check, what the check accepts), for load_store.
-_TAG_FIELDS = {
-    "current_skill": (_or_null(_int), "an int or null"),
-    "target_skill": (_or_null(_int), "an int or null"),
-    "time_bin": (_or_null(_decade_bin), "null or two ints [10j+1, 10j+10]"),
-    "strategy_value": (_or_null(_number), "a number or null"),
-    "presentation_value": (_or_null(_number), "a number or null"),
-}
-_PROVENANCE_FIELDS = {
-    "subset_size": (_int, "an int"),
-    "chosen_k": (_or_null(_int), "an int or null"),
-    "cluster_size": (_or_null(_int), "an int or null"),
-    "support": (_or_null(_number), "a number or null"),
+# Declared field type -> (check, what the check accepts), for load_store.
+_TYPE_CHECKS = {
+    int: (_int, "an int"),
+    float: (_number, "a number"),
+    int | None: (_or_null(_int), "an int or null"),
+    float | None: (_or_null(_number), "a number or null"),
+    TimeBin | None: (_or_null(_decade_bin), "null or two ints [10j+1, 10j+10]"),
 }
 
 
-# Config field name -> (check, what the check accepts): an int where the
-# default is one, else any number.
-_CONFIG_FIELDS = {
-    f.name: (_int, "an int") if isinstance(f.default, int) else (_number, "a number")
-    for f in fields(PipelineConfig)
-}
+def _field_checks(cls) -> dict:
+    """Field name -> (check, what it accepts) of a stored dataclass, in
+    declaration order."""
+    return {name: _TYPE_CHECKS[hint] for name, hint in get_type_hints(cls).items()}
+
+
+_TAG_FIELDS = _field_checks(Tag)
+_PROVENANCE_FIELDS = _field_checks(Provenance)
+_CONFIG_FIELDS = _field_checks(PipelineConfig)
 
 
 def _validated(obj, checks: dict, where: str) -> dict:
@@ -383,15 +367,7 @@ def _value_map_from_json(obj, attribute: str) -> AttributeValueMap:
 
 
 def _cloud_to_json(cloud: TagCloud) -> dict:
-    entry = {
-        "tags": [_tag_to_json(t) for t in cloud.tags],
-        "provenance": {
-            "subset_size": cloud.provenance.subset_size,
-            "chosen_k": cloud.provenance.chosen_k,
-            "cluster_size": cloud.provenance.cluster_size,
-            "support": cloud.provenance.support,
-        },
-    }
+    entry = {"tags": [vars(t) for t in cloud.tags], "provenance": vars(cloud.provenance)}
     if cloud.skipped is not None:
         entry["skipped"] = cloud.skipped
     return entry
@@ -404,9 +380,9 @@ def _cloud_from_json(rid: str, entry) -> TagCloud:
         tags = []
         for obj in entry["tags"]:
             checked = _validated(obj, _TAG_FIELDS, f"tag in resource {rid!r}")
-            bin_pair = checked.pop("time_bin")
-            time_bin = None if bin_pair is None else TimeBin(*bin_pair)
-            tags.append(Tag(**checked, time_bin=time_bin))
+            if checked["time_bin"] is not None:
+                checked["time_bin"] = TimeBin(*checked["time_bin"])
+            tags.append(Tag(**checked))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed store entry for resource {rid!r}: {exc}") from exc
     skipped = entry.get("skipped")
@@ -429,7 +405,7 @@ def save_store(store: TagStore, path) -> None:
     """
     doc = {
         "schema": STORE_SCHEMA,
-        "config": asdict(store.config),
+        "config": vars(store.config),
         "values": store.value_maps,
         "resources": {rid: _cloud_to_json(store[rid]) for rid in sorted(store)},
     }

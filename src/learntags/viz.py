@@ -49,6 +49,18 @@ def _pairs_text(pairs: list[tuple[int, int]]) -> str:
     return " ".join(f"({a},{b})" for a, b in pairs)
 
 
+def _write_svg(path, width: float, height: float, title: str, parts: list[str]) -> str:
+    """Frame ``parts`` as an SVG document titled ``title``, write it to
+    ``path`` and return it."""
+    w, h = _fmt(width), _fmt(height)
+    doc = "\n".join([
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" viewBox="0 0 {w} {h}">',
+        f"<title>{title}</title>", *parts, "</svg>\n"])
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(doc)
+    return doc
+
+
 def export_values(values: AttributeValueMap, attribute_name: str, path) -> str:
     """Strip chart of the 5 quantified parameter values on a number line.
 
@@ -68,39 +80,23 @@ def export_values(values: AttributeValueMap, attribute_name: str, path) -> str:
         return _AXIS_X0 + (v - lo) / span * (_AXIS_X1 - _AXIS_X0)
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(_VALUES_W)}" '
-        f'height="{_fmt(_VALUES_H)}" viewBox="0 0 {_fmt(_VALUES_W)} {_fmt(_VALUES_H)}">',
-        f'<title>{attribute_name} quantified values</title>',
         f'<line x1="{_fmt(_AXIS_X0)}" y1="{_fmt(_AXIS_Y)}" x2="{_fmt(_AXIS_X1)}" '
         f'y2="{_fmt(_AXIS_Y)}" stroke="#333333" stroke-width="1"/>',
     ]
     for p in params:
         x = x_at(values[p])
-        parts.append(
+        parts += [
             f'<circle cx="{_fmt(x)}" cy="{_fmt(_AXIS_Y)}" r="4.00" '
-            f'fill="{_PALETTE[(p - 1) % len(_PALETTE)]}"/>'
-        )
-        parts.append(
+            f'fill="{_PALETTE[(p - 1) % len(_PALETTE)]}"/>',
             f'<text x="{_fmt(x)}" y="{_fmt(_AXIS_Y - 10.0)}" font-size="11" '
-            f'text-anchor="middle">{p}</text>'
-        )
-    parts.append(
-        f'<text x="{_fmt(_AXIS_X0)}" y="{_fmt(_AXIS_Y + 35.0)}" font-size="12">'
-        f'nearest: {_pairs_text(nearest)}</text>'
-    )
-    parts.append(
-        f'<text x="{_fmt(_AXIS_X0)}" y="{_fmt(_AXIS_Y + 55.0)}" font-size="12">'
-        f'farthest: {_pairs_text(farthest)}</text>'
-    )
-    parts.append(
-        f'<text x="{_fmt(_AXIS_X0)}" y="{_fmt(_AXIS_Y + 75.0)}" font-size="12">'
-        f'{attribute_name}</text>'
-    )
-    parts.append("</svg>")
-    doc = "\n".join(parts) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(doc)
-    return doc
+            f'text-anchor="middle">{p}</text>',
+        ]
+    for dy, text in ((35.0, f"nearest: {_pairs_text(nearest)}"),
+                     (55.0, f"farthest: {_pairs_text(farthest)}"),
+                     (75.0, attribute_name)):
+        parts.append(f'<text x="{_fmt(_AXIS_X0)}" y="{_fmt(_AXIS_Y + dy)}" '
+                     f'font-size="12">{text}</text>')
+    return _write_svg(path, _VALUES_W, _VALUES_H, f"{attribute_name} quantified values", parts)
 
 
 def export_parcoords(x: np.ndarray, labels: np.ndarray, path) -> str:
@@ -128,20 +124,14 @@ def export_parcoords(x: np.ndarray, labels: np.ndarray, path) -> str:
         scaled = 0.0 if span == 0.0 else (v - mins[dim]) / span
         return _PAR_Y_BOTTOM - scaled * (_PAR_Y_BOTTOM - _PAR_Y_TOP)
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(_PAR_W)}" '
-        f'height="{_fmt(_PAR_H)}" viewBox="0 0 {_fmt(_PAR_W)} {_fmt(_PAR_H)}">',
-        "<title>parallel coordinates</title>",
-    ]
-    for i, x in enumerate(axis_x):
-        parts.append(
-            f'<line x1="{_fmt(x)}" y1="{_fmt(_PAR_Y_TOP)}" x2="{_fmt(x)}" '
-            f'y2="{_fmt(_PAR_Y_BOTTOM)}" stroke="#333333" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(_PAR_Y_BOTTOM + 20.0)}" font-size="11" '
-            f'text-anchor="middle">{DIMENSION_LABELS[i]}</text>'
-        )
+    parts = []
+    for ax, name in zip(axis_x, DIMENSION_LABELS):
+        parts += [
+            f'<line x1="{_fmt(ax)}" y1="{_fmt(_PAR_Y_TOP)}" x2="{_fmt(ax)}" '
+            f'y2="{_fmt(_PAR_Y_BOTTOM)}" stroke="#333333" stroke-width="1"/>',
+            f'<text x="{_fmt(ax)}" y="{_fmt(_PAR_Y_BOTTOM + 20.0)}" font-size="11" '
+            f'text-anchor="middle">{name}</text>',
+        ]
     for row, label in zip(rows, labels):
         color = _PALETTE[label % len(_PALETTE)]
         vertices = " ".join(
@@ -151,8 +141,4 @@ def export_parcoords(x: np.ndarray, labels: np.ndarray, path) -> str:
             f'<polyline points="{vertices}" fill="none" stroke="{color}" '
             f'stroke-width="1" opacity="0.8"/>'
         )
-    parts.append("</svg>")
-    doc = "\n".join(parts) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(doc)
-    return doc
+    return _write_svg(path, _PAR_W, _PAR_H, "parallel coordinates", parts)

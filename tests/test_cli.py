@@ -374,6 +374,12 @@ class TestTag:
         assert err.startswith("error: ") and f"must be finite, got {value}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--synth-seed", "-1"]])
+    def test_negative_seed_exits_one(self, tmp_path, capsys, flags):
+        ratings, _ = write_corpus(tmp_path)
+        assert dispatch(["tag", "--ratings", ratings, "--synth-seed", "0", *flags]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
 
 class TestMatch:
     def test_ranks_against_store(self, tmp_path, capsys):

@@ -3,6 +3,7 @@ learner table's subsets and profile checks."""
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -271,6 +272,11 @@ class TestGenerateProfiles:
     def test_empty_ids(self):
         assert generate_profiles([], seed=5) == []
 
+    @pytest.mark.parametrize("ids", [["u1"], []])
+    def test_negative_seed_named(self, ids):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            generate_profiles(ids, seed=-1)
+
     def test_invariants_hold(self):
         for seed in range(5):
             for p in generate_profiles([f"u{i}" for i in range(500)], seed):
@@ -287,6 +293,24 @@ class TestGenerateProfiles:
         se = np.sqrt(10000 * 0.2 * 0.8)
         assert counts.sum() == 10000
         assert np.all(np.abs(counts - 2000) <= 5 * se)
+
+
+class TestTimeBin:
+    def test_json_writes_the_pair(self):
+        assert json.dumps(TimeBin(41, 50)) == "[41, 50]"
+
+    def test_contains_its_hours(self):
+        assert 45 in TimeBin(41, 50)
+        assert 41 in TimeBin(41, 50) and 50 in TimeBin(41, 50)
+        assert 40 not in TimeBin(41, 50) and 51 not in TimeBin(41, 50)
+
+    def test_orders_by_bounds(self):
+        assert TimeBin(1, 10) < TimeBin(11, 20)
+        assert sorted([TimeBin(21, 30), TimeBin(1, 10)]) == [TimeBin(1, 10), TimeBin(21, 30)]
+
+    def test_is_a_plain_pair(self):
+        assert TimeBin(41, 50) == (41, 50)
+        assert TimeBin(41, 50).label() == "[41-50]"
 
 
 class TestDiscretizeTime:

@@ -3,10 +3,11 @@ from __future__ import annotations
 
 import importlib
 import json
+import logging
 import re
 import tempfile
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
@@ -29,7 +30,7 @@ from learntags import (
     save_store,
 )
 from learntags.ingest import MAX_HOURS, TimeBin
-from learntags.pipeline import SKIP_SMALL_SUBSET, STORE_SCHEMA
+from learntags.pipeline import SKIP_NO_ITEMSET, SKIP_SMALL_SUBSET, STORE_SCHEMA
 
 VALUE_MAPS = {
     "strategy": {1: 5.0, 2: 10.0, 3: 15.0, 4: 20.0, 5: 25.0},
@@ -106,6 +107,7 @@ class TestPipelineConfig:
             {"nmf_tol": float("inf")},
             {"gamma": float("nan")},
             {"gamma": float("inf")},
+            {"seed": -1},
         ],
     )
     def test_bad_values_rejected(self, kwargs):
@@ -137,6 +139,16 @@ class TestRun:
         assert store["r1"].skipped == SKIP_SMALL_SUBSET
         assert store["r1"].tags == []
         assert store["r1"].provenance.subset_size == 4
+
+    def test_info_summary_counts_each_skip_reason(self, caplog):
+        records, profiles = self.small_corpus()
+        records += [RatingRecord(lid, "thin", 9) for lid in sorted(profiles)[:4]]
+        with caplog.at_level(logging.INFO, logger="learntags.pipeline"):
+            store = run(PipelineConfig(seed=5, support_sl=0.5), records, profiles)
+        skips = Counter(c.skipped for c in store.values())
+        assert skips == {None: 2, SKIP_SMALL_SUBSET: 1, SKIP_NO_ITEMSET: 10}
+        assert (f"tagged 2 of 13 resources (skipped: 1 {SKIP_SMALL_SUBSET}, "
+                f"10 {SKIP_NO_ITEMSET}; 0 with no rating >= 6)") in caplog.messages
 
     def test_deterministic_store_bytes(self, tmp_path):
         records, profiles = self.small_corpus()
@@ -498,6 +510,25 @@ class TestStore:
     def test_well_typed_fields_load(self, tmp_path):
         (tag,) = load_store(self.store_with(tmp_path))["r7"].tags
         assert tag == Tag(2, 5, TimeBin(41, 50), 12.5, 3)
+        assert type(tag.time_bin) is TimeBin
+
+    @pytest.mark.parametrize("record, name", [
+        *[("tag", f.name) for f in fields(Tag)],
+        *[("provenance", f.name) for f in fields(Provenance)],
+        *[("config", f.name) for f in fields(PipelineConfig)],
+    ])
+    def test_string_in_any_field_rejected(self, tmp_path, record, name):
+        if record == "config":
+            doc = store_doc({})
+            doc["config"][name] = "6"
+            path = tmp_path / "store.json"
+            path.write_text(json.dumps(doc))
+            where = "malformed store config"
+        else:
+            path = self.store_with(tmp_path, **{record: {name: "6"}})
+            where = "tag in resource 'r7'" if record == "tag" else "provenance of resource 'r7'"
+        with pytest.raises(ValueError, match=rf"{where}: {name} must be .*, got '6'$"):
+            load_store(path)
 
     def test_skill_given_as_string_rejected(self, tmp_path):
         path = self.store_with(tmp_path, tag={"current_skill": "6"})
@@ -599,7 +630,7 @@ configs = st.builds(
     nmf_tol=st.floats(0, 1),
     k_max=st.integers(1, 32),
     gamma=st.floats(1, 1e9, exclude_min=True),
-    seed=st.integers(-2**40, 2**40),
+    seed=st.integers(0, 2**40),
     min_subset=st.integers(1, 10**4),
 )
 
@@ -693,6 +724,7 @@ class TestStoreHeader:
         ({"colour": "red"}, r"unknown fields \['colour'\]"),
         ({"nmf_tol": float("nan")}, "nmf_tol must be a number, got nan"),
         ({"gamma": float("inf")}, "gamma must be a number, got inf"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
     ])
     def test_invalid_config_rejected(self, tmp_path, change, message):
         doc = store_doc({})
