@@ -5,9 +5,10 @@ Clustering learners and choosing k from the diameter trace
 k-means with farthest-first seeding, swept from k_max down to 1.  The
 average cluster diameter stays small while clusters are pure and jumps
 when two genuine groups are first forced to merge; the k just before
-that jump wins.  `group_rows` runs the chain `run` uses on each subset:
-min-max normalization, the k sweep and the pick of the largest cluster,
-on one row per learner in learner-id order.
+that jump wins.  `group_rows` runs, on one subset, the chain `run`
+applies to all subsets at once: min-max normalization, the k sweep and
+the pick of the largest cluster, on one row per learner in learner-id
+order.
 """
 
 import os

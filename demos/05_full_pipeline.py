@@ -6,7 +6,9 @@ Synthesizes a rating corpus, runs subsets -> quantification ->
 clustering -> mining in one call, prints the tag report, saves the
 store, and ranks the tagged resources against learners with the value
 maps the store carries, as `learntags match` does.  The rankings go to
-`demos/out/match.tsv`.
+`demos/out/match.tsv`, and the run's k-sweep trace of every clustered
+resource goes to `demos/out/run_ksweep.tsv` in the `learntags tag
+--trace` format.
 """
 
 import os
@@ -35,7 +37,15 @@ records = [
 ]
 
 config = PipelineConfig(seed=14)
-store = run(config, records, profiles)
+ksweep: list[str] = []
+
+
+def trace_hook(rid, trace):
+    for entry in trace:
+        ksweep.append(f"{rid}\t{entry.k}\t{entry.sse!r}\t{entry.avg_diameter!r}\n")
+
+
+store = run(config, records, profiles, trace_hook=trace_hook)
 
 tagged = [rid for rid, cloud in store.items() if cloud.tags]
 skipped = [rid for rid, cloud in store.items() if cloud.skipped]
@@ -45,6 +55,9 @@ print(render_report(store))
 os.makedirs("demos/out", exist_ok=True)
 save_store(store, "demos/out/store.json")
 print("wrote demos/out/store.json")
+with open("demos/out/run_ksweep.tsv", "w", encoding="utf-8") as fh:
+    fh.writelines(ksweep)
+print("wrote demos/out/run_ksweep.tsv")
 
 # rank the stored resources against learners, reading the saved store back:
 # it carries the quantified values that map tag values to parameter ids

@@ -27,6 +27,7 @@ from .quantify import (
     build_cooccurrence,
     derive_orderings,
     nmf,
+    nmf_stack,
     quantification_report,
     quantify_nominal,
     symmetrize,
@@ -39,6 +40,7 @@ from .cluster import (
     average_diameter,
     farthest_first_seeds,
     group_rows,
+    group_subsets,
     largest_cluster,
     lockstep_lloyd,
     normalize,
@@ -68,10 +70,10 @@ __all__ = [
     "generate_profiles", "learner_table", "parse_profiles", "parse_ratings",
     "render_profiles", "render_ratings",
     "FactorPair", "QuantifyDetail", "attribute_values",
-    "build_cooccurrence", "derive_orderings", "nmf", "quantification_report",
+    "build_cooccurrence", "derive_orderings", "nmf", "nmf_stack", "quantification_report",
     "quantify_nominal", "symmetrize",
     "Grouping", "KSelection", "KTraceEntry", "LloydFit", "average_diameter",
-    "farthest_first_seeds", "group_rows", "largest_cluster", "lockstep_lloyd",
+    "farthest_first_seeds", "group_rows", "group_subsets", "largest_cluster", "lockstep_lloyd",
     "normalize", "sweep_k",
     "FrequentItemset", "apriori", "select_tag",
     "PipelineConfig", "Provenance", "Tag", "TagCloud",

@@ -11,24 +11,39 @@ sweeping k downward until the average cluster diameter jumps by a large
 factor.  The largest cluster is the learner group that tags a resource.
 Seeds are row indices and Lloyd's result is one label per row.
 
-The sweep runs the Lloyd fits of every k in lockstep: each round labels
-the rows against the centroids of all fits still moving with one
-distance call, and a fit leaves the round once its labels stop changing,
-so every fit equals the one run alone.  One distance pass then serves
-every fit's diameters: the rows are grouped into atoms, the rows that
-share a cluster in every fit, and each block of rows against the rows
-after it is reduced to atom-pair maxima, so no distance temporary
-exceeds one row block by the subset size.
+A run sweeps k for all of its subsets in shared rounds.  The subsets are
+packed, in order, into batches of at most ``_BATCH_FIT_ROWS`` fit rows:
+a subset of n rows has a fit for each k from min(k_max, n) down to 1,
+each of n rows.  A batch draws the farthest-first seeds of all its
+subsets in k_max shared steps, then runs every (subset, k) Lloyd fit in
+one lockstep loop: each round labels the rows of every fit still moving,
+with one distance call per subset, and a fit retires once its labels
+stop changing, so every fit equals the one run alone.  A subset alone in
+its batch is the one-subset case of the same code.  Diameters and the
+diameter-jump rule stay per subset, and one distance pass serves all of
+a subset's fits: its rows are grouped into atoms, the rows that share a
+cluster in every fit, and each block of rows against the rows after it
+is reduced to atom-pair maxima, so no distance temporary exceeds one row
+block by the subset size.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 DEFAULT_LLOYD_MAX_ITERS = 100
+
+# Fit rows per batch of the shared sweep.  A batch's largest temporaries
+# hold one float per fit row and centroid slot, a quarter megabyte at the
+# default k_max of 8.  On the perfbench corpora, budgets from 4,096 to
+# 32,768 fit rows timed within noise of each other, and a run's peak
+# memory grows with the budget.  A subset with more fit rows than this is
+# a batch of its own and costs what sweeping it alone costs.
+_BATCH_FIT_ROWS = 1 << 12
 
 
 @dataclass
@@ -56,24 +71,46 @@ class KTraceEntry:
 
 @dataclass
 class KSelection:
-    """The chosen k, Lloyd's fit at that k, and the (k, sse, avg_diameter)
-    sweep trace."""
+    """One subset's k sweep: the seeds of its farthest-first traversal,
+    Lloyd's fit for every k from the first down to 1, the (k, sse,
+    avg_diameter) trace and the chosen k."""
 
     k: int
-    fit: LloydFit
+    seeds: list[int]
+    fits: list[LloydFit]             # fits[i] is the fit at k = len(fits) - i
     trace: list[KTraceEntry]
+
+    @property
+    def fit(self) -> LloydFit:
+        """Lloyd's fit at the chosen k."""
+        return self.fits[len(self.fits) - self.k]
 
 
 @dataclass
 class Grouping:
     """One subset's rows after normalization, the k sweep and the pick of
-    the largest cluster."""
+    the largest cluster.  With fewer than two rows no sweep runs
+    (``selection`` is None) and the subset is its own group, at k = 1."""
 
     x: np.ndarray                    # (n, dims) normalized rows
-    k: int
-    labels: np.ndarray               # (n,) cluster index per row
+    selection: KSelection | None
     largest: np.ndarray              # (n,) bool, rows of the largest cluster
-    trace: list[KTraceEntry]         # empty when no sweep ran
+
+    @property
+    def k(self) -> int:
+        return 1 if self.selection is None else self.selection.k
+
+    @property
+    def labels(self) -> np.ndarray:
+        """(n,) cluster index per row."""
+        if self.selection is None:
+            return np.zeros(len(self.x), dtype=np.intp)
+        return self.selection.fit.labels
+
+    @property
+    def trace(self) -> list[KTraceEntry]:
+        """The sweep trace; empty when no sweep ran."""
+        return [] if self.selection is None else self.selection.trace
 
 
 def normalize(x: np.ndarray) -> np.ndarray:
@@ -91,6 +128,43 @@ def _first_seed(seed: int, n: int) -> int:
     return int(np.random.default_rng(seed).integers(n))
 
 
+def _row_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The distance from each row of ``x`` to the same row of ``y``.  The
+    squares are summed column by column, in order, and then rooted, which
+    is the arithmetic of ``cdist``'s Euclidean metric, bit for bit."""
+    squares = x - y
+    squares *= squares
+    total = squares[:, 0].copy()
+    for column in squares.T[1:]:
+        total += column
+    return np.sqrt(total)
+
+
+def _farthest_first(x: np.ndarray, sizes: Sequence[int], ks: Sequence[int],
+                    seed: int) -> list[list[int]]:
+    """Farthest-first seeds of each subset, ``ks[s]`` of them for subset s
+    as row indices within it; subset s is the ``sizes[s]`` rows of ``x``
+    after those of the subsets before it.  All subsets take their picks in
+    max(ks) shared steps."""
+    sizes = np.asarray(sizes)
+    starts = np.cumsum(sizes) - sizes
+    subset_of = np.repeat(np.arange(len(sizes)), sizes)
+    picks = starts + [_first_seed(seed, n) for n in sizes.tolist()]
+    steps = [picks]
+    min_dist = _row_distances(x, x.take(picks[subset_of], axis=0))
+    min_dist[picks] = -np.inf  # a chosen row stays at -inf, so it is never picked again
+    for _ in range(1, max(ks)):
+        best = np.maximum.reduceat(min_dist, starts)
+        ties = np.flatnonzero(min_dist == best[subset_of])
+        # Each subset's first maximum is its smallest row.
+        picks = ties[np.searchsorted(ties, starts)]
+        steps.append(picks)
+        np.minimum(min_dist, _row_distances(x, x.take(picks[subset_of], axis=0)), out=min_dist)
+        min_dist[picks] = -np.inf
+    seeds = (np.stack(steps, axis=1) - starts[:, None]).tolist()
+    return [rows[:k] for rows, k in zip(seeds, ks)]
+
+
 def farthest_first_seeds(x: np.ndarray, k: int, seed: int) -> list[int]:
     """Pick k seeds of the rows of ``x`` by farthest-first traversal.
 
@@ -101,17 +175,7 @@ def farthest_first_seeds(x: np.ndarray, k: int, seed: int) -> list[int]:
     n = len(x)
     if not 1 <= k <= n:
         raise ValueError(f"insufficient points: need 1 <= k <= {n}, got k={k}")
-    first = _first_seed(seed, n)
-
-    chosen = [first]
-    min_dist = cdist(x, x[first:first + 1])[:, 0]
-    min_dist[first] = -np.inf  # a chosen row stays at -inf, so it is never picked again
-    while len(chosen) < k:
-        pick = int(np.argmax(min_dist))  # the first maximum is the smallest row
-        chosen.append(pick)
-        np.minimum(min_dist, cdist(x, x[pick:pick + 1])[:, 0], out=min_dist)
-        min_dist[pick] = -np.inf
-    return chosen
+    return _farthest_first(x, [n], [k], seed)[0]
 
 
 def _repair_empty(x: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> None:
@@ -140,40 +204,125 @@ def _repair_empty(x: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> N
         dist[far] = 0.0
 
 
-def _slots(labels: np.ndarray, width: int) -> np.ndarray:
-    """Each row's (fit, cluster) slot of ``(fits, n)`` labels, fit-major."""
-    return labels + (np.arange(len(labels)) * width)[:, None]
+def _layout(subset: np.ndarray, n: np.ndarray, starts: list[int], sizes: list[int]):
+    """Where the fits still moving lie, fit-major with their subsets in
+    order: each fit's first fit row, each fit row's fit, and per subset
+    with fits left its rows of x, its fits and their fit rows."""
+    spans = []
+    f0 = e0 = 0
+    for s, fits in enumerate(np.bincount(subset).tolist()):
+        if fits:
+            lo, m = starts[s], sizes[s]
+            spans.append((slice(lo, lo + m), slice(f0, f0 + fits), slice(e0, e0 + fits * m)))
+            f0, e0 = f0 + fits, e0 + fits * m
+    return np.cumsum(n) - n, np.repeat(np.arange(len(n)), n), spans
 
 
-def _assign(x: np.ndarray, centroids: np.ndarray, ks: np.ndarray):
-    """Label the rows for every fit of ``(fits, width, dims)`` centroids,
-    repair the fits left with an empty cluster, and count each slot."""
+def _assign(x: np.ndarray, centroids: np.ndarray, k: np.ndarray, fit_of_row: np.ndarray,
+            spans: list):
+    """Label each fit row by the nearest of its fit's ``(fits, width,
+    dims)`` centroids, with one distance call per subset, repair the fits
+    left with an empty cluster, and count each fit row's (fit, cluster)
+    slot."""
     fits, width, dims = centroids.shape
-    dist = cdist(x, centroids.reshape(-1, dims)).reshape(len(x), fits, width)
-    # argmin takes the first minimum, which is the smallest cluster index.
-    labels = dist.argmin(axis=2).T
-    counts = np.bincount(_slots(labels, width).ravel(), minlength=fits * width)
-    counts = counts.reshape(fits, width)
-    for f in np.flatnonzero(np.count_nonzero(counts, axis=1) < ks):
-        _repair_empty(x, labels[f], centroids[f, :ks[f]])
-        counts[f] = np.bincount(labels[f], minlength=width)
-    return labels, counts
+    labels = np.empty(len(fit_of_row), dtype=np.intp)
+    for rows, subset_fits, fit_rows in spans:
+        m, f = rows.stop - rows.start, subset_fits.stop - subset_fits.start
+        dist = cdist(x[rows], centroids[subset_fits].reshape(-1, dims)).reshape(m, f, width)
+        # argmin takes the first minimum, which is the smallest cluster index.
+        dist.argmin(axis=2, out=labels[fit_rows].reshape(f, m).T)
+    slots = fit_of_row * width + labels
+    counts = np.bincount(slots, minlength=fits * width).reshape(fits, width)
+    for f in np.flatnonzero(np.count_nonzero(counts, axis=1) < k):
+        rows, subset_fits, fit_rows = next(span for span in spans if span[1].stop > f)
+        m = rows.stop - rows.start
+        first = fit_rows.start + (f - subset_fits.start) * m
+        own = labels[first:first + m]
+        _repair_empty(x[rows], own, centroids[f, :k[f]])
+        counts[f] = np.bincount(own, minlength=width)
+        slots[first:first + m] = f * width + own
+    return labels, slots, counts
 
 
-def _update(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray, counts: np.ndarray):
-    """Move each centroid with members to their mean, in place.  Row-order
-    sums over counts equal ``x[labels == j].mean(axis=0)`` exactly."""
-    fits, width, dims = centroids.shape
-    keys = _slots(labels, width)[:, :, None] * dims + np.arange(dims)
-    weights = np.broadcast_to(x, (fits, *x.shape))
-    sums = np.bincount(keys.ravel(), weights.ravel(), minlength=centroids.size)
-    filled = counts > 0
-    centroids[filled] = sums.reshape(centroids.shape)[filled] / counts[filled, None]
+def _update(xe: np.ndarray, centroids: np.ndarray, slots: np.ndarray, counts: np.ndarray):
+    """Move each centroid with members to their mean, in place.  Sums in
+    fit-row order over counts equal ``x[labels == j].mean(axis=0)``
+    exactly."""
+    sums = np.stack([np.bincount(slots, column, minlength=counts.size) for column in xe.T],
+                    axis=1)
+    np.divide(sums.reshape(centroids.shape), counts[:, :, None], out=centroids,
+              where=(counts > 0)[:, :, None])
 
 
-def _sse(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> list[float]:
-    diffs = x - centroids[np.arange(len(labels))[:, None], labels]
-    return (diffs * diffs).reshape(len(labels), -1).sum(axis=1).tolist()
+def _sse(xe: np.ndarray, centroids: np.ndarray, slots: np.ndarray, spans: list) -> list[float]:
+    """Each fit's SSE: one pairwise sum over its own fit rows, as the fit
+    sums it when it runs alone."""
+    diffs = centroids.reshape(-1, xe.shape[1]).take(slots, axis=0)
+    np.subtract(xe, diffs, out=diffs)
+    diffs *= diffs
+    return np.concatenate([
+        diffs[fit_rows].reshape(subset_fits.stop - subset_fits.start, -1).sum(axis=1)
+        for _, subset_fits, fit_rows in spans]).tolist()
+
+
+def _lockstep(x: np.ndarray, sizes: Sequence[int], seeds: Sequence[Sequence[int]],
+              ks: Sequence[Sequence[int]], max_iters: int) -> list[list[LloydFit]]:
+    """Lloyd's iteration for every fit of each subset, laid out in ``x`` as
+    for ``_farthest_first``: subset s has a fit for each k of ``ks[s]``,
+    starting from centroids at the first k of ``seeds[s]``.
+
+    Each round moves the centroids of every fit still running, labels
+    the fit rows of all of them, with one distance call per subset, and
+    appends each fit's SSE.  A fit stops when no label changes or after
+    ``max_iters`` rounds; its final labels are always computed against
+    its final centroids, and it equals the fit run alone.
+    """
+    sizes = list(sizes)
+    starts = np.cumsum([0, *sizes[:-1]])
+    subset = np.repeat(np.arange(len(sizes)), [len(subset_ks) for subset_ks in ks])
+    k = np.concatenate([np.asarray(subset_ks, dtype=np.intp) for subset_ks in ks])
+    n = np.asarray(sizes)[subset]
+    width = int(k.max())
+    seed_rows = np.zeros((len(sizes), width), dtype=np.intp)
+    for s, rows in enumerate(seeds):
+        seed_rows[s, :min(width, len(rows))] = rows[:width]
+    # Slots past a fit's k hold infinite centroids: never nearest, so never filled.
+    used = np.arange(width) < k[:, None]
+    centroids = np.where(used[:, :, None], x[(seed_rows + starts[:, None])[subset]], np.inf)
+    offsets, fit_of_row, spans = _layout(subset, n, starts.tolist(), sizes)
+    xe = x.take(np.arange(n.sum()) + np.repeat(starts[subset] - offsets, n), axis=0)
+    ids = np.arange(len(k))
+    traces: list[list[float]] = [[] for _ in ids]
+    fits: list[LloydFit] = [None] * len(k)
+
+    labels, slots, counts = _assign(x, centroids, k, fit_of_row, spans)
+    for i, value in zip(ids.tolist(), _sse(xe, centroids, slots, spans)):
+        traces[i].append(value)
+    for round_ in range(1, max_iters + 1):
+        _update(xe, centroids, slots, counts)
+        prev = labels
+        labels, slots, counts = _assign(x, centroids, k, fit_of_row, spans)
+        for i, value in zip(ids.tolist(), _sse(xe, centroids, slots, spans)):
+            traces[i].append(value)
+        done = ~np.logical_or.reduceat(labels != prev, offsets) | (round_ == max_iters)
+        if not done.any():
+            continue
+        for f in np.flatnonzero(done).tolist():
+            trace = traces[ids[f]]
+            fits[ids[f]] = LloydFit(centroids=centroids[f, :k[f]].copy(),
+                                    labels=labels[offsets[f]:offsets[f] + n[f]].copy(),
+                                    sse=trace[-1], sse_trace=trace)
+        if done.all():
+            break
+        moving = ~done
+        kept = np.flatnonzero(np.repeat(moving, n))
+        xe, labels = xe.take(kept, axis=0), labels.take(kept)
+        ids, subset, k, n, centroids, counts = (
+            a[moving] for a in (ids, subset, k, n, centroids, counts))
+        offsets, fit_of_row, spans = _layout(subset, n, starts.tolist(), sizes)
+        slots = fit_of_row * width + labels
+    bounds = np.cumsum([0, *(len(subset_ks) for subset_ks in ks)]).tolist()
+    return [fits[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def lockstep_lloyd(
@@ -184,12 +333,8 @@ def lockstep_lloyd(
 ) -> list[LloydFit]:
     """Lloyd's iteration for several k at once on the rows of ``x``: fit
     ``f`` starts from centroids at the first ``ks[f]`` of ``seed_rows``.
-
-    Each round moves the centroids of every fit still running, labels
-    the rows against all of them with one distance call, and appends
-    each fit's SSE.  A fit stops when no label changes or after
-    ``max_iters`` rounds; its final labels are always computed against
-    its final centroids, and it equals the fit run alone.
+    The one-subset case of the shared rounds: each fit equals the fit
+    run alone.
     """
     if len(x) == 0:
         raise ValueError("no points to cluster")
@@ -199,34 +344,7 @@ def lockstep_lloyd(
         raise ValueError("seeds must be distinct points")
     if len(ks) == 0 or min(ks) < 1 or max(ks) > len(seed_rows):
         raise ValueError(f"each k must be in 1..{len(seed_rows)}, got {ks}")
-
-    ks = np.asarray(ks)
-    ids = np.arange(len(ks))
-    # Slots past a fit's k hold infinite centroids: never nearest, so never filled.
-    used = np.arange(ks.max()) < ks[:, None]
-    centroids = np.where(used[:, :, None], x[list(seed_rows[:ks.max()])], np.inf)
-    traces: list[list[float]] = [[] for _ in ks]
-    fits: list[LloydFit] = [None] * len(ks)
-
-    labels, counts = _assign(x, centroids, ks)
-    for i, value in zip(ids, _sse(x, centroids, labels)):
-        traces[i].append(value)
-    for round_ in range(1, max_iters + 1):
-        _update(x, centroids, labels, counts)
-        prev = labels
-        labels, counts = _assign(x, centroids, ks)
-        for i, value in zip(ids, _sse(x, centroids, labels)):
-            traces[i].append(value)
-        done = (labels == prev).all(axis=1) | (round_ == max_iters)
-        for f in np.flatnonzero(done):
-            trace = traces[ids[f]]
-            fits[ids[f]] = LloydFit(centroids=centroids[f, :ks[f]].copy(),
-                                    labels=labels[f].copy(), sse=trace[-1], sse_trace=trace)
-        if done.all():
-            return fits
-        moving = ~done
-        ids, ks, centroids, labels, counts = (
-            a[moving] for a in (ids, ks, centroids, labels, counts))
+    return _lockstep(x, [len(x)], [seed_rows], [ks], max_iters)[0]
 
 
 # Rows per distance block in average_diameter: no distance temporary
@@ -295,6 +413,33 @@ def average_diameter(x: np.ndarray, labels: np.ndarray) -> list[float]:
             for v in (d[f] for d, f in zip(diameters, filled))]
 
 
+def _sweeps(x: np.ndarray, sizes: Sequence[int], k_max: int, gamma: float, seed: int,
+            max_iters: int) -> list[KSelection]:
+    """The k sweep of each subset, laid out in ``x`` as for
+    ``_farthest_first``: seeds and Lloyd fits in shared rounds, diameters
+    and the jump rule per subset."""
+    k_starts = [min(k_max, n) for n in sizes]
+    seeds = _farthest_first(x, sizes, k_starts, seed)
+    fits = _lockstep(x, sizes, seeds, [range(k, 0, -1) for k in k_starts], max_iters)
+    selections = []
+    for lo, n, subset_seeds, subset_fits in zip(np.cumsum(sizes) - sizes, sizes, seeds, fits):
+        diameters = average_diameter(x[lo:lo + n], np.array([f.labels for f in subset_fits]))
+        trace = [KTraceEntry(k=len(subset_fits) - i, sse=f.sse, avg_diameter=d)
+                 for i, (f, d) in enumerate(zip(subset_fits, diameters))]
+        # The first jump from k to k - 1 picks k; with none the sweep ends at 1.
+        chosen = next((e.k for e, after in zip(trace, diameters[1:])
+                       if after > gamma * e.avg_diameter), 1)
+        selections.append(KSelection(chosen, subset_seeds, subset_fits, trace))
+    return selections
+
+
+def _check_sweep(k_max: int, gamma: float) -> None:
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    if gamma <= 1:
+        raise ValueError(f"gamma must exceed 1, got {gamma}")
+
+
 def sweep_k(
     x: np.ndarray,
     k_max: int,
@@ -306,34 +451,16 @@ def sweep_k(
     first diameter jump.
 
     Runs Lloyd for k = min(k_max, n) down to 1, seeded with the first k
-    seeds of one farthest-first traversal, and returns the fit at the
-    smallest k reachable without the average diameter growing by more
-    than a factor of ``gamma`` in one step; a zero diameter at k treats
-    any positive diameter at k - 1 as a jump.
-    With no jump anywhere the sweep ends at k = 1.
+    seeds of one farthest-first traversal, and chooses the smallest k
+    reachable without the average diameter growing by more than a factor
+    of ``gamma`` in one step; a zero diameter at k treats any positive
+    diameter at k - 1 as a jump.  With no jump anywhere the sweep ends at
+    k = 1.  The one-subset case of ``group_subsets``' shared rounds.
     """
     if len(x) == 0:
         raise ValueError("no points to cluster")
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
-    if gamma <= 1:
-        raise ValueError(f"gamma must exceed 1, got {gamma}")
-
-    k_start = min(k_max, len(x))
-    ks = list(range(k_start, 0, -1))
-    # Farthest-first picks do not depend on k, so the seeds for every k
-    # of the sweep are a prefix of one traversal.
-    seeds = farthest_first_seeds(x, k_start, seed)
-    fits = dict(zip(ks, lockstep_lloyd(x, seeds, ks, max_iters)))
-    diameters = dict(zip(ks, average_diameter(x, np.array([fits[k].labels for k in ks]))))
-    trace = [KTraceEntry(k=k, sse=fits[k].sse, avg_diameter=diameters[k]) for k in ks]
-
-    chosen = 1
-    for k in range(k_start, 1, -1):
-        if diameters[k - 1] > gamma * diameters[k]:
-            chosen = k
-            break
-    return KSelection(chosen, fits[chosen], trace)
+    _check_sweep(k_max, gamma)
+    return _sweeps(x, [len(x)], k_max, gamma, seed, max_iters)[0]
 
 
 def largest_cluster(labels: np.ndarray) -> np.ndarray:
@@ -346,16 +473,52 @@ def largest_cluster(labels: np.ndarray) -> np.ndarray:
     return labels == labels[first]
 
 
-def group_rows(coords: np.ndarray, k_max: int, gamma: float, seed: int) -> Grouping:
-    """Normalize one subset's rows, sweep k and pick the largest cluster.
+def _batches(sizes: Sequence[int], k_max: int) -> Iterator[list[int]]:
+    """Consecutive subsets, by index, of at most ``_BATCH_FIT_ROWS`` fit
+    rows together; a subset with more is a batch of its own."""
+    batch, fit_rows = [], 0
+    for i, n in enumerate(sizes):
+        cost = n * min(k_max, n)
+        if batch and fit_rows + cost > _BATCH_FIT_ROWS:
+            yield batch
+            batch, fit_rows = [], 0
+        batch.append(i)
+        fit_rows += cost
+    if batch:
+        yield batch
 
-    With fewer than two rows there is nothing to cluster: no sweep runs
-    and the subset itself is the group, at k = 1.
+
+def group_subsets(
+    coords: np.ndarray,
+    members: Sequence[np.ndarray],
+    k_max: int,
+    gamma: float,
+    seed: int,
+    max_iters: int = DEFAULT_LLOYD_MAX_ITERS,
+) -> Iterator[Grouping]:
+    """Group each subset, given as its rows of ``coords``: normalize its
+    rows, sweep k and pick the largest cluster.  Groupings come in subset
+    order.
+
+    The sweeps run in shared rounds, batch by batch, so memory is bounded
+    by one batch.  A subset of fewer than two rows has nothing to
+    cluster: no sweep runs and the subset itself is the group, at k = 1.
     """
-    x = normalize(coords)
-    if len(x) < 2:
-        labels = np.zeros(len(x), dtype=np.intp)
-        return Grouping(x, 1, labels, labels == 0, [])
-    selection = sweep_k(x, k_max, gamma, seed)
-    labels = selection.fit.labels
-    return Grouping(x, selection.k, labels, largest_cluster(labels), selection.trace)
+    _check_sweep(k_max, gamma)
+    for batch in _batches([len(rows) for rows in members], k_max):
+        xs = [normalize(coords[members[i]]) for i in batch]
+        swept = [x for x in xs if len(x) > 1]
+        selections = iter(_sweeps(np.concatenate(swept), [len(x) for x in swept],
+                                  k_max, gamma, seed, max_iters) if swept else [])
+        for x in xs:
+            if len(x) < 2:
+                yield Grouping(x, None, np.ones(len(x), dtype=bool))
+            else:
+                selection = next(selections)
+                yield Grouping(x, selection, largest_cluster(selection.fit.labels))
+
+
+def group_rows(coords: np.ndarray, k_max: int, gamma: float, seed: int) -> Grouping:
+    """Normalize one subset's rows, sweep k and pick the largest cluster:
+    the one-subset case of ``group_subsets``."""
+    return next(group_subsets(coords, [np.arange(len(coords))], k_max, gamma, seed))

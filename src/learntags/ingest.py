@@ -322,6 +322,7 @@ class LearnerTable:
     attrs: np.ndarray           # (n, 5) int64: a1, a2, a3, a4, hours
     items: np.ndarray           # (n, 5) int64 item codes: a1, a2, a3, a4, hours bin
     members: list[np.ndarray]   # per resource, its subset's rows ascending
+    rated: int                  # resources rated at all, at any score
 
     def coords(self, value_maps: Mapping[str, Mapping[int, float]]) -> np.ndarray:
         """(n, 5) float64 clustering coordinates: ``attrs`` with each
@@ -343,8 +344,9 @@ def learner_table(
 
     A learner joins a resource's subset if any of their ratings for it
     meets the threshold; only resources with a non-empty subset are in
-    ``resources``.  ``items`` bins hours into 1-based decades, hours
-    below 1 falling into the first, [1-10].  The members' profiles are
+    ``resources``, while ``rated`` counts every resource rated at all, so
+    ``ratings`` may be a one-shot iterator.  ``items`` bins hours into
+    1-based decades, hours below 1 falling into the first, [1-10].  The members' profiles are
     checked in this order: a missing profile raises a KeyError, then
     every strategy and then every presentation outside 1..5, then hours
     above ``MAX_HOURS`` raise a ValueError; each names the learner.
@@ -352,7 +354,9 @@ def learner_table(
     if not 1 <= delta0 <= 10:
         raise ValueError(f"delta0 must be in 1..10, got {delta0}")
     high: dict[str, set[str]] = {}
+    rated = set()
     for r in ratings:
+        rated.add(r.resource_id)
         if r.rating >= delta0:
             high.setdefault(r.resource_id, set()).add(r.learner_id)
     resources = sorted(high)
@@ -386,4 +390,4 @@ def learner_table(
     members = [np.sort(np.fromiter((index[m] for m in high[rid]), dtype=np.intp,
                                    count=len(high[rid])))
                for rid in resources]
-    return LearnerTable(ids, resources, attrs, items, members)
+    return LearnerTable(ids, resources, attrs, items, members, len(rated))

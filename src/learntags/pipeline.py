@@ -5,9 +5,10 @@ A run reads the ratings once into the learner table
 codes as one row, in learner-id order, and each resource's high-rating
 subset as an array of rows.  Quantification reads that table once
 for both nominal attributes; the clustering coordinates are its
-attributes with the quantified values in place of the nominal ids.  Per
-resource, the subset's rows are clustered, the largest cluster's item
-rows are mined, and the winning itemsets become the resource's tags.
+attributes with the quantified values in place of the nominal ids.  The
+subsets are clustered in shared rounds (``cluster.group_subsets``);
+per resource, the largest cluster's item rows are mined and the
+winning itemsets become the resource's tags.
 
 The run's result is a ``TagStore``: resource ids mapped to tag clouds
 with provenance, plus the ``PipelineConfig`` and the two quantified
@@ -27,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, get_type_hints
 
-from .cluster import KTraceEntry, group_rows
+from .cluster import KTraceEntry, group_subsets
 from .ingest import (
     ATTRIBUTES,
     LearnerProfile,
@@ -170,22 +171,26 @@ def run(
 ) -> TagStore:
     """Tag every resource with a non-empty subset.
 
-    Every subset member is coded once, into one learner table, and the
-    nominal attributes are quantified once over all subsets so tag values
-    stay comparable across resources; the store keeps both value maps
-    and ``config``.  Resources whose subset is smaller than
-    ``min_subset`` are recorded as skipped rather than failing the
-    batch.  ``trace_hook``, when given, receives each resource's (k,
-    sse, avg_diameter) sweep trace.
+    ``ratings`` is read once, so it may be a one-shot iterator.  Every
+    subset member is coded once, into one learner table, and the nominal
+    attributes are quantified once over all subsets so tag values stay
+    comparable across resources; the store keeps both value maps and
+    ``config``.  The k sweeps of all clustered subsets share their
+    rounds, in batches of at most ``cluster._BATCH_FIT_ROWS`` fit rows
+    taken in resource order, so memory is bounded by one batch.
+    Resources whose subset is smaller than ``min_subset`` are recorded
+    as skipped rather than failing the batch.  ``trace_hook``, when
+    given, receives each resource's (k, sse, avg_diameter) sweep trace,
+    in resource order.
     """
-    records = ratings if isinstance(ratings, list) else list(ratings)
-    total_resources = len({r.resource_id for r in records})
-    table = learner_table(records, profiles, config.delta0)
+    table = learner_table(ratings, profiles, config.delta0)
     details = quantify_nominal(table, config)
     value_maps = {a: details[a].values for a in ATTRIBUTES}
     strategy_values, presentation_values = value_maps["strategy"], value_maps["presentation"]
     coords = table.coords(value_maps)
 
+    clustered = [rows for rows in table.members if len(rows) >= config.min_subset]
+    groups = group_subsets(coords, clustered, config.k_max, config.gamma, config.seed)
     clouds: dict[str, TagCloud] = {}
     for rid, rows in zip(table.resources, table.members):
         size = len(rows)
@@ -194,7 +199,7 @@ def run(
                                    skipped=SKIP_SMALL_SUBSET)
             continue
 
-        group = group_rows(coords[rows], config.k_max, config.gamma, config.seed)
+        group = next(groups)
         if trace_hook is not None and group.trace:
             trace_hook(rid, group.trace)
         winners = select_tag(apriori(table.items[rows[group.largest]], config.support_sl))
@@ -220,12 +225,11 @@ def run(
         clouds[rid] = TagCloud(rid, tags, provenance)
 
     skips = Counter(c.skipped for c in clouds.values() if c.skipped is not None)
-    empty = total_resources - len(table.resources)
     logger.info(
         "tagged %d of %d resources (skipped: %d %s, %d %s; %d with no rating >= %d)",
-        len(clouds) - skips.total(), total_resources,
+        len(clouds) - skips.total(), table.rated,
         skips[SKIP_SMALL_SUBSET], SKIP_SMALL_SUBSET, skips[SKIP_NO_ITEMSET], SKIP_NO_ITEMSET,
-        empty, config.delta0,
+        table.rated - len(table.resources), config.delta0,
     )
     return TagStore(clouds, config, value_maps)
 

@@ -18,7 +18,7 @@ score in four steps:
    ``sum(|s|**2)`` and keeps memory bounded by the pair work of one
    block;
 2. factor each matrix into non-negative weights x features with
-   multiplicative-update NMF;
+   multiplicative-update NMF, both matrices in one loop over a stack;
 3. for each parameter pick its dominant feature row, stacking the picks
    into an ordering matrix;
 4. symmetrize the ordering matrix with elementwise minima and average
@@ -29,6 +29,7 @@ fields downstream.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
@@ -265,10 +266,29 @@ def nmf(
     uniformly in (0, 1] from ``seed``; iteration stops when the relative
     error improvement drops below ``tol`` or after ``max_iters``.
     An all-zero input short-circuits to zero factors with zero error.
+    The one-matrix case of ``nmf_stack``.
     """
     a = np.asarray(A, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
+    return nmf_stack([a], k, max_iters, tol, [seed])[0]
+
+
+def nmf_stack(
+    matrices,
+    k: int,
+    max_iters: int,
+    tol: float,
+    seeds: list[int],
+) -> list[FactorPair]:
+    """Factor several non-negative matrices of one shape, matrix i as
+    ``nmf`` factors it from ``seeds[i]``, in one multiplicative-update loop.
+
+    Each iteration updates every matrix still running as one stack, and
+    a matrix leaves the stack at the iteration where it stops, so each
+    result equals that matrix factored alone.
+    """
+    a = np.asarray(matrices, dtype=np.float64)
     if np.any(a < 0):
         raise ValueError("matrix must be non-negative")
     if k < 1:
@@ -276,30 +296,52 @@ def nmf(
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
 
-    n_rows, n_cols = a.shape
-    if not a.any():
-        zeros_b = np.zeros((n_rows, k))
-        zeros_c = np.zeros((k, n_cols))
-        return FactorPair(zeros_b, zeros_c, k, 0.0, [0.0])
-
-    rng = np.random.default_rng(seed)
+    _, n_rows, n_cols = a.shape
+    results: list[FactorPair] = [None] * len(a)
+    ids = []
+    for i, matrix in enumerate(a):
+        if matrix.any():
+            ids.append(i)
+        else:
+            results[i] = FactorPair(np.zeros((n_rows, k)), np.zeros((k, n_cols)), k, 0.0, [0.0])
+    if not ids:
+        return results
+    a = a[ids]
     # 1 - random() maps [0, 1) to (0, 1]: strictly positive entries never
     # get stuck at zero under multiplicative updates.
-    b = 1.0 - rng.random((n_rows, k))
-    c = 1.0 - rng.random((k, n_cols))
+    draws = [np.random.default_rng(seeds[i]) for i in ids]
+    b = np.stack([1.0 - rng.random((n_rows, k)) for rng in draws])
+    c = np.stack([1.0 - rng.random((k, n_cols)) for rng in draws])
 
-    err = float(np.linalg.norm(a - b @ c))
-    trace = [err]
-    for _ in range(max_iters):
-        c *= (b.T @ a) / (b.T @ b @ c + _EPS)
-        b *= (a @ c.T) / (b @ c @ c.T + _EPS)
-        new_err = float(np.linalg.norm(a - b @ c))
-        trace.append(new_err)
-        improvement = (err - new_err) / err if err > 0 else 0.0
-        err = new_err
-        if improvement < tol:
-            break
-    return FactorPair(b, c, k, err, trace)
+    traces = [[e] for e in _errors(a, b, c)]
+    for it in range(1, max_iters + 1):
+        bt = b.transpose(0, 2, 1)
+        c *= (bt @ a) / (bt @ b @ c + _EPS)
+        ct = c.transpose(0, 2, 1)
+        b *= (a @ ct) / (b @ c @ ct + _EPS)
+        stop = []
+        for trace, new_err in zip(traces, _errors(a, b, c)):
+            err = trace[-1]
+            trace.append(new_err)
+            improvement = (err - new_err) / err if err > 0 else 0.0
+            stop.append(improvement < tol or it == max_iters)
+        for j in np.flatnonzero(stop).tolist():
+            results[ids[j]] = FactorPair(b[j].copy(), c[j].copy(), k, traces[j][-1], traces[j])
+        if all(stop):
+            return results
+        if any(stop):
+            going = np.logical_not(stop)
+            a, b, c = a[going], b[going], c[going]
+            ids = [i for i, s in zip(ids, stop) if not s]
+            traces = [t for t, s in zip(traces, stop) if not s]
+
+
+def _errors(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> list[float]:
+    """The Frobenius error of each matrix of the stack: the square root of
+    the residual's dot product with itself, the arithmetic
+    ``np.linalg.norm`` runs."""
+    residuals = (a - b @ c).reshape(len(a), -1)
+    return [math.sqrt(r @ r) for r in residuals]
 
 
 def derive_orderings(factors: FactorPair) -> np.ndarray:
@@ -339,21 +381,22 @@ def attribute_values(D_sym: np.ndarray) -> AttributeValueMap:
 
 def quantify_nominal(table: LearnerTable, config: "PipelineConfig") -> dict[str, QuantifyDetail]:
     """Run the full chain for both attributes from one co-occurrence pass
-    over the learner table.
+    over the learner table and one NMF loop over both matrices.
 
     Keeps every intermediate artifact.  NMF seeds are derived per
     attribute: ``config.seed`` for strategy, ``config.seed + 1`` for
     presentation.
     """
+    cooccurrence = build_cooccurrence(table)
+    factorizations = nmf_stack(
+        list(cooccurrence.values()),
+        k=config.nmf_k,
+        max_iters=config.nmf_max_iters,
+        tol=config.nmf_tol,
+        seeds=[config.seed + offset for offset in range(len(cooccurrence))],
+    )
     details = {}
-    for offset, (attribute, cooc) in enumerate(build_cooccurrence(table).items()):
-        factors = nmf(
-            cooc,
-            k=config.nmf_k,
-            max_iters=config.nmf_max_iters,
-            tol=config.nmf_tol,
-            seed=config.seed + offset,
-        )
+    for (attribute, cooc), factors in zip(cooccurrence.items(), factorizations):
         orderings = derive_orderings(factors)
         similarity = symmetrize(orderings)
         details[attribute] = QuantifyDetail(

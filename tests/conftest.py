@@ -3,9 +3,10 @@
 The oracle functions deliberately avoid the library's own algorithms:
 brute-force pair enumeration, exhaustive subset counting, level-wise
 Apriori candidate search over item objects, the point-by-point k sweep
-keyed by learner id, and direct rescans (``build_subset`` scans the
-ratings once per resource), so test expectations are
-derived independently of the code under test.  The item and point types
+keyed by learner id, the one-subset-at-a-time sweep and the one-matrix
+NMF loop that the shared rounds and the stacked NMF replaced, and direct
+rescans (``build_subset`` scans the ratings once per resource), so test
+expectations are derived independently of the code under test.  The item and point types
 those oracles work on live here too; the library works on the integer
 arrays of its learner table.
 """
@@ -27,7 +28,16 @@ from learntags import (
     TimeBin,
     generate_profiles,
 )
-from learntags.cluster import DEFAULT_LLOYD_MAX_ITERS, KTraceEntry, LloydFit, lockstep_lloyd
+from learntags.cluster import (
+    DEFAULT_LLOYD_MAX_ITERS,
+    KTraceEntry,
+    LloydFit,
+    _repair_empty,
+    average_diameter,
+    largest_cluster,
+    lockstep_lloyd,
+    normalize,
+)
 from learntags.mine import N_ATTRIBUTES
 from learntags.ingest import discretize_time
 
@@ -524,3 +534,141 @@ def reference_select_k(
             chosen = k
             break
     return clusterings[chosen], trace
+
+
+# The sweep one subset at a time, as the library ran it before all of a
+# run's subsets shared their rounds: one cdist call per farthest-first
+# pick and one Lloyd loop per subset.  The shared rounds must reproduce
+# it bit for bit.
+
+
+def oracle_farthest_first_seeds(x: np.ndarray, k: int, seed: int) -> list[int]:
+    """Farthest-first traversal of one subset's rows, ties to the smallest row."""
+    first = int(np.random.default_rng(seed).integers(len(x)))
+    chosen = [first]
+    min_dist = cdist(x, x[first:first + 1])[:, 0]
+    min_dist[first] = -np.inf
+    while len(chosen) < k:
+        pick = int(np.argmax(min_dist))
+        chosen.append(pick)
+        np.minimum(min_dist, cdist(x, x[pick:pick + 1])[:, 0], out=min_dist)
+        min_dist[pick] = -np.inf
+    return chosen
+
+
+def _oracle_slots(labels: np.ndarray, width: int) -> np.ndarray:
+    return labels + (np.arange(len(labels)) * width)[:, None]
+
+
+def _oracle_assign(x: np.ndarray, centroids: np.ndarray, ks: np.ndarray):
+    fits, width, dims = centroids.shape
+    dist = cdist(x, centroids.reshape(-1, dims)).reshape(len(x), fits, width)
+    labels = dist.argmin(axis=2).T
+    counts = np.bincount(_oracle_slots(labels, width).ravel(), minlength=fits * width)
+    counts = counts.reshape(fits, width)
+    for f in np.flatnonzero(np.count_nonzero(counts, axis=1) < ks):
+        _repair_empty(x, labels[f], centroids[f, :ks[f]])
+        counts[f] = np.bincount(labels[f], minlength=width)
+    return labels, counts
+
+
+def _oracle_update(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray,
+                   counts: np.ndarray) -> None:
+    fits, width, dims = centroids.shape
+    keys = _oracle_slots(labels, width)[:, :, None] * dims + np.arange(dims)
+    weights = np.broadcast_to(x, (fits, *x.shape))
+    sums = np.bincount(keys.ravel(), weights.ravel(), minlength=centroids.size)
+    filled = counts > 0
+    centroids[filled] = sums.reshape(centroids.shape)[filled] / counts[filled, None]
+
+
+def _oracle_sse(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> list[float]:
+    diffs = x - centroids[np.arange(len(labels))[:, None], labels]
+    return (diffs * diffs).reshape(len(labels), -1).sum(axis=1).tolist()
+
+
+def oracle_lockstep_lloyd(x: np.ndarray, seed_rows: list[int], ks: list[int],
+                          max_iters: int = DEFAULT_LLOYD_MAX_ITERS) -> list[LloydFit]:
+    """Every k's Lloyd fit of one subset in one loop, one cdist call a round."""
+    ks = np.asarray(ks)
+    ids = np.arange(len(ks))
+    used = np.arange(ks.max()) < ks[:, None]
+    centroids = np.where(used[:, :, None], x[list(seed_rows[:ks.max()])], np.inf)
+    traces: list[list[float]] = [[] for _ in ks]
+    fits: list[LloydFit] = [None] * len(ks)
+    labels, counts = _oracle_assign(x, centroids, ks)
+    for i, value in zip(ids, _oracle_sse(x, centroids, labels)):
+        traces[i].append(value)
+    for round_ in range(1, max_iters + 1):
+        _oracle_update(x, centroids, labels, counts)
+        prev = labels
+        labels, counts = _oracle_assign(x, centroids, ks)
+        for i, value in zip(ids, _oracle_sse(x, centroids, labels)):
+            traces[i].append(value)
+        done = (labels == prev).all(axis=1) | (round_ == max_iters)
+        for f in np.flatnonzero(done):
+            trace = traces[ids[f]]
+            fits[ids[f]] = LloydFit(centroids=centroids[f, :ks[f]].copy(),
+                                    labels=labels[f].copy(), sse=trace[-1], sse_trace=trace)
+        if done.all():
+            return fits
+        moving = ~done
+        ids, ks, centroids, labels, counts = (
+            a[moving] for a in (ids, ks, centroids, labels, counts))
+
+
+@dataclass
+class OracleSweep:
+    """One subset's sweep as the oracle runs it, fits from the first k down."""
+
+    x: np.ndarray
+    seeds: list[int]
+    fits: list[LloydFit]
+    diameters: list[float]
+    k: int
+    largest: np.ndarray
+
+
+def oracle_group_rows(coords: np.ndarray, k_max: int, gamma: float, seed: int,
+                      max_iters: int = DEFAULT_LLOYD_MAX_ITERS) -> OracleSweep:
+    """Normalize one subset's rows, sweep k on them alone and pick the
+    largest cluster; with fewer than two rows no sweep runs."""
+    x = normalize(coords)
+    if len(x) < 2:
+        return OracleSweep(x, [], [], [], 1, np.ones(len(x), dtype=bool))
+    k_start = min(k_max, len(x))
+    ks = list(range(k_start, 0, -1))
+    seeds = oracle_farthest_first_seeds(x, k_start, seed)
+    fits = oracle_lockstep_lloyd(x, seeds, ks, max_iters)
+    diameters = average_diameter(x, np.array([f.labels for f in fits]))
+    chosen = 1
+    for k in range(k_start, 1, -1):
+        if diameters[k_start - k + 1] > gamma * diameters[k_start - k]:
+            chosen = k
+            break
+    labels = fits[k_start - chosen].labels
+    return OracleSweep(x, seeds, fits, diameters, chosen, largest_cluster(labels))
+
+
+def oracle_nmf(a: np.ndarray, k: int, max_iters: int, tol: float, seed: int):
+    """One matrix's multiplicative-update loop, as the library ran each
+    attribute before both shared one loop: (weights, features, error
+    trace)."""
+    a = np.asarray(a, dtype=np.float64)
+    if not a.any():
+        return np.zeros((a.shape[0], k)), np.zeros((k, a.shape[1])), [0.0]
+    rng = np.random.default_rng(seed)
+    b = 1.0 - rng.random((a.shape[0], k))
+    c = 1.0 - rng.random((k, a.shape[1]))
+    err = float(np.linalg.norm(a - b @ c))
+    trace = [err]
+    for _ in range(max_iters):
+        c *= (b.T @ a) / (b.T @ b @ c + 1e-12)
+        b *= (a @ c.T) / (b @ c @ c.T + 1e-12)
+        new_err = float(np.linalg.norm(a - b @ c))
+        trace.append(new_err)
+        improvement = (err - new_err) / err if err > 0 else 0.0
+        err = new_err
+        if improvement < tol:
+            break
+    return b, c, trace

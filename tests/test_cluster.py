@@ -14,6 +14,7 @@ from learntags import (
     average_diameter,
     farthest_first_seeds,
     group_rows,
+    group_subsets,
     largest_cluster,
     learner_table,
     lockstep_lloyd,
@@ -30,6 +31,7 @@ from conftest import (
     high_ratings,
     lloyd_kmeans,
     make_blobs,
+    oracle_group_rows,
     reference_average_diameter,
     reference_farthest_first_seeds,
     reference_lloyd_kmeans,
@@ -652,3 +654,82 @@ class TestMatchesReference:
             min_size=1, max_size=4))
         with mock.patch.object(cluster_module, "_DIAMETER_BLOCK_ROWS", block):
             assert_diameters_match_reference(points, labels)
+
+
+def assert_group_matches_oracle(group, want):
+    """Rows, seeds, every fit, the diameters, the chosen k and the largest
+    cluster equal the oracle's, float for float."""
+    assert repr(group.x.tolist()) == repr(want.x.tolist())
+    assert (group.k, group.largest.tolist()) == (want.k, want.largest.tolist())
+    if group.selection is None:
+        assert (group.trace, want.fits, group.labels.tolist()) == ([], [], [0] * len(group.x))
+        return
+    selection = group.selection
+    assert selection.seeds == want.seeds
+    assert len(selection.fits) == len(want.fits)
+    for got, expected in zip(selection.fits, want.fits):
+        assert got.labels.tolist() == expected.labels.tolist()
+        assert repr(got.centroids.tolist()) == repr(expected.centroids.tolist())
+        assert repr(got.sse_trace) == repr(expected.sse_trace)
+    assert [(e.k, repr(e.sse), repr(e.avg_diameter)) for e in selection.trace] == [
+        (len(want.fits) - i, repr(f.sse), repr(d))
+        for i, (f, d) in enumerate(zip(want.fits, want.diameters))]
+    assert group.labels is selection.fit.labels
+
+
+class TestSharedSweep:
+    """group_subsets, whose subsets share their rounds, against the oracle
+    that sweeps each subset alone."""
+
+    @settings(phases=[p for p in Phase if p is not Phase.shrink])
+    @given(st.data())
+    def test_matches_sweeping_each_subset_alone(self, data):
+        """Subsets draw their rows, with repeats, from one small table, so
+        they share learners and hold duplicate rows (empty-cluster repair,
+        reseeds at distance 0) and grid ties; some are smaller than k_max,
+        and a small budget cuts the subsets into several batches."""
+        table = data.draw(st.one_of(*(st.lists(row, min_size=1, max_size=40)
+                                      for row in row_strategies)))
+        coords = np.array(table, dtype=np.float64)
+        members = [np.array(rows) for rows in data.draw(st.lists(
+            st.lists(st.integers(0, len(table) - 1), min_size=1, max_size=80),
+            min_size=1, max_size=12))]
+        k_max = data.draw(st.integers(1, 8))
+        gamma = data.draw(st.floats(1.0, 4.0, exclude_min=True))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        max_iters = data.draw(st.sampled_from([1, 2, 3, 100]))
+        budget = data.draw(st.sampled_from([1, 60, 400, cluster_module._BATCH_FIT_ROWS]))
+        with mock.patch.object(cluster_module, "_BATCH_FIT_ROWS", budget):
+            groups = list(group_subsets(coords, members, k_max, gamma, seed, max_iters))
+        assert len(groups) == len(members)
+        for rows, group in zip(members, groups):
+            assert_group_matches_oracle(
+                group, oracle_group_rows(coords[rows], k_max, gamma, seed, max_iters))
+
+    def test_batches_fill_the_budget_in_order(self):
+        # Fit rows: 5 * 5, 3 * 3, 40 * 8, 9 * 8 and 1.
+        with mock.patch.object(cluster_module, "_BATCH_FIT_ROWS", 100):
+            batches = list(cluster_module._batches([5, 3, 40, 9, 1], k_max=8))
+        assert batches == [[0, 1], [2], [3, 4]]
+
+    def test_batches_are_swept_as_they_are_read(self, monkeypatch):
+        """Only the batch being read is held, so memory is bounded by one."""
+        calls = []
+        sweeps = cluster_module._sweeps
+        monkeypatch.setattr(cluster_module, "_BATCH_FIT_ROWS", 1)
+        monkeypatch.setattr(cluster_module, "_sweeps",
+                            lambda x, *args: calls.append(len(x)) or sweeps(x, *args))
+        coords = np.random.default_rng(3).uniform(0, 1, (30, 5))
+        groups = group_subsets(coords, [np.arange(10), np.arange(5, 30)], 8, 2.0, 0)
+        next(groups)
+        assert calls == [10]
+        next(groups)
+        assert calls == [10, 25]
+
+    def test_group_rows_is_the_one_subset_case(self):
+        coords = np.random.default_rng(9).uniform(0, 50, (40, 5))
+        rows = [np.arange(0, 40, 2), np.arange(1, 40, 3), np.arange(40)]
+        for r, group in zip(rows, group_subsets(coords, rows, 6, 1.5, 2)):
+            alone = group_rows(coords[r], 6, 1.5, 2)
+            assert (alone.k, alone.trace) == (group.k, group.trace)
+            np.testing.assert_array_equal(alone.labels, group.labels)

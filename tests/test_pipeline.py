@@ -150,6 +150,22 @@ class TestRun:
         assert (f"tagged 2 of 13 resources (skipped: 1 {SKIP_SMALL_SUBSET}, "
                 f"10 {SKIP_NO_ITEMSET}; 0 with no rating >= 6)") in caplog.messages
 
+    def test_one_shot_ratings_read_once(self, caplog):
+        """A generator of ratings gives the list's store and summary counts."""
+        records, profiles = self.small_corpus()
+        records += [RatingRecord(lid, "low", 3) for lid in sorted(profiles)[:5]]
+        config = PipelineConfig(seed=5)
+        want = run(config, records, profiles)
+        with caplog.at_level(logging.INFO, logger="learntags.pipeline"):
+            got = run(config, (r for r in records), profiles)
+        assert got == want
+        skips = Counter(c.skipped for c in want.values())
+        assert len(want) == 12 and skips[None] > 0
+        assert (f"tagged {skips[None]} of 13 resources (skipped: "
+                f"{skips[SKIP_SMALL_SUBSET]} {SKIP_SMALL_SUBSET}, "
+                f"{skips[SKIP_NO_ITEMSET]} {SKIP_NO_ITEMSET}; 1 with no rating >= 6)"
+                ) in caplog.messages
+
     def test_deterministic_store_bytes(self, tmp_path):
         records, profiles = self.small_corpus()
         config = PipelineConfig(seed=5)

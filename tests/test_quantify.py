@@ -19,13 +19,14 @@ from learntags import (
     derive_orderings,
     learner_table,
     nmf,
+    nmf_stack,
     quantification_report,
     quantify_nominal,
     symmetrize,
 )
 from learntags.quantify import ATTRIBUTES, FactorPair
 
-from conftest import high_ratings
+from conftest import high_ratings, oracle_nmf
 
 quantify_module = importlib.import_module("learntags.quantify")
 
@@ -399,6 +400,36 @@ class TestNMF:
         assert (trace[-2] - trace[-1]) / trace[-2] < 0.5
 
 
+class TestNMFStack:
+    """Both attributes' NMF in one loop against each matrix factored alone."""
+
+    count_matrices = st.lists(st.integers(0, 10**6), min_size=25, max_size=25).map(
+        lambda v: np.array(v, dtype=np.int64).reshape(5, 5))
+
+    @given(st.lists(st.one_of(count_matrices, st.just(np.zeros((5, 5), dtype=np.int64))),
+                    min_size=1, max_size=3),
+           st.integers(1, 12), st.sampled_from([1, 2, 7, 500]),
+           st.sampled_from([0.0, 1e-6, 1e-2]), st.integers(0, 2**32 - 2))
+    def test_each_matrix_as_factored_alone(self, matrices, k, max_iters, tol, seed):
+        """Matrices stop at their own iterations; zero ones short-circuit."""
+        matrices = [m + m.T for m in matrices]
+        seeds = [seed + i for i in range(len(matrices))]
+        got = nmf_stack(matrices, k=k, max_iters=max_iters, tol=tol, seeds=seeds)
+        for matrix, s, result in zip(matrices, seeds, got):
+            weights, features, trace = oracle_nmf(matrix, k, max_iters, tol, s)
+            np.testing.assert_array_equal(result.weights, weights)
+            np.testing.assert_array_equal(result.features, features)
+            assert repr(result.error_trace) == repr(trace)
+            assert result.final_error == trace[-1] and result.k == k
+
+    def test_nmf_is_the_one_matrix_case(self):
+        a = np.random.default_rng(4).integers(0, 900, (5, 5))
+        alone = nmf(a + a.T, k=10, max_iters=500, tol=1e-6, seed=3)
+        [stacked] = nmf_stack([a + a.T], k=10, max_iters=500, tol=1e-6, seeds=[3])
+        np.testing.assert_array_equal(alone.weights, stacked.weights)
+        assert alone.error_trace == stacked.error_trace
+
+
 class TestDeriveOrderings:
     def test_picks_dominant_feature_row(self):
         weights = np.array([[0.0, 7.0, 2.0]] * 5)
@@ -528,13 +559,13 @@ class TestModuleName:
 
     def test_dotted_patch_reaches_the_module(self, monkeypatch):
         seeds = []
-        real = quantify_module.nmf
+        real = quantify_module.nmf_stack
 
         def recording(*args, **kwargs):
-            seeds.append(kwargs["seed"])
+            seeds.extend(kwargs["seeds"])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr("learntags.quantify.nmf", recording)
+        monkeypatch.setattr("learntags.quantify.nmf_stack", recording)
         profiles = {"u1": profile("u1"), "u2": profile("u2", 2, 3)}
         table = learner_table(high_ratings({"r": {"u1", "u2"}}), profiles, 10)
         quantify_nominal(table, PipelineConfig(seed=7))
