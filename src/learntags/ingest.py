@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -44,8 +46,7 @@ class MalformedRowError(ValueError):
         self.reason = reason
 
 
-@dataclass(frozen=True, slots=True)
-class RatingRecord:
+class RatingRecord(NamedTuple):
     """One (learner, resource, rating) triple with rating in 1..10."""
 
     learner_id: str
@@ -53,8 +54,7 @@ class RatingRecord:
     rating: int
 
 
-@dataclass(frozen=True, slots=True)
-class LearnerProfile:
+class LearnerProfile(NamedTuple):
     """One learner's five attributes.
 
     current_skill/target_skill are 1..6 proficiency levels with
@@ -136,43 +136,64 @@ def _data_rows(reader, header: tuple[str, ...], name: str) -> Iterator[list[str]
         raise MalformedRowError(reader.line_num, str(exc)) from None
 
 
+# The canonical texts of the ratings 0..10 and of every valid (a1, a2,
+# a3, a4), with their int values.  A row whose fields hit them needs no
+# int() and no range check; any other text, such as " 7", "07" or "+7",
+# takes the general checks.
+_RATING_OF = {str(v): v for v in range(11)}
+_VALID_ATTRS = {tuple(map(str, v)): v
+                for v in itertools.product(SKILL_LEVELS, SKILL_LEVELS, STRATEGY_IDS,
+                                           PRESENTATION_IDS)
+                if v[0] < v[1]}
+# Builds a record from the tuple of its fields, skipping the Python-level
+# __new__ that NamedTuple gives the class.
+_new_record = tuple.__new__
+
+
+def _checked_rating(learner_id: str, resource_id: str, text: str) -> int | None:
+    """The rating 0..10 of a 3-field ratings data row, or None if the row
+    is malformed."""
+    if not learner_id or not resource_id:
+        return None
+    try:
+        rating = int(text)
+    except ValueError:
+        return None
+    return rating if 0 <= rating <= 10 else None
+
+
 def parse_ratings(stream: Iterable[str] | str) -> RatingsResult:
     """Parse a semicolon-delimited, fully quoted ratings file.
 
     Rows carrying rating 0 are implicit interactions and are dropped
     (counted in ``dropped_zero``).  Malformed rows are skipped and
     counted in ``malformed``; a row the CSV reader cannot split raises
-    MalformedRowError.
+    MalformedRowError.  Equal ids share one ``str`` object across the
+    records.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
     reader = csv.reader(stream, delimiter=";", quotechar='"')
     result = RatingsResult(records=[])
+    append = result.records.append
+    share = {}.setdefault
     for row in _data_rows(reader, RATINGS_HEADER, "ratings"):
-        if not row:
-            continue
-        reason = None
-        if len(row) != 3:
-            reason = f"expected 3 fields, got {len(row)}"
+        if len(row) == 3:
+            learner_id, resource_id, text = row
+            rating = _RATING_OF.get(text)
+            if rating is None or not (learner_id and resource_id):
+                rating = _checked_rating(learner_id, resource_id, text)
+        elif row:
+            rating = None
         else:
-            learner_id, resource_id, rating_text = row
-            if not learner_id or not resource_id:
-                reason = "empty learner or resource id"
-            else:
-                try:
-                    rating = int(rating_text)
-                except ValueError:
-                    reason = f"rating {rating_text!r} is not an integer"
-                else:
-                    if not 0 <= rating <= 10:
-                        reason = f"rating {rating} outside 0..10"
-        if reason is not None:
+            continue
+        if rating:
+            append(_new_record(RatingRecord, (share(learner_id, learner_id),
+                                              share(resource_id, resource_id), rating)))
+        elif rating is None:
             result.malformed += 1
-            continue
-        if rating == 0:
+        else:
             result.dropped_zero += 1
-            continue
-        result.records.append(RatingRecord(learner_id, resource_id, rating))
     return result
 
 
@@ -181,8 +202,7 @@ def render_ratings(records: Iterable[RatingRecord]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, delimiter=";", quoting=csv.QUOTE_ALL, lineterminator="\n")
     writer.writerow(RATINGS_HEADER)
-    for r in records:
-        writer.writerow([r.learner_id, r.resource_id, r.rating])
+    writer.writerows(records)
     return out.getvalue()
 
 
@@ -193,7 +213,13 @@ def _checked_values(row: list[str]) -> tuple[int, ...] | str:
         return f"expected 6 fields, got {len(row)}"
     if not row[0]:
         return "empty learner id"
+    attrs = _VALID_ATTRS.get((row[1], row[2], row[3], row[4]))
     try:
+        # Canonical valid a1..a4 leave only the hours to check.
+        if attrs is not None:
+            hours = int(row[5])
+            if 0 <= hours <= MAX_HOURS:
+                return (*attrs, hours)
         values = tuple(map(int, row[1:]))
     except ValueError:
         return "non-integer attribute value"
@@ -234,7 +260,8 @@ def parse_profiles(stream: Iterable[str] | str) -> ProfilesResult:
         if row[0] in by_id:
             result.duplicates += 1
         by_id[row[0]] = checked
-    result.profiles = [LearnerProfile(lid, *values) for lid, values in by_id.items()]
+    result.profiles = [_new_record(LearnerProfile, (lid, *values))
+                       for lid, values in by_id.items()]
     return result
 
 
@@ -273,10 +300,7 @@ def render_profiles(profiles: Iterable[LearnerProfile]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(PROFILES_HEADER)
-    for p in profiles:
-        writer.writerow(
-            [p.learner_id, p.current_skill, p.target_skill, p.strategy, p.presentation, p.hours]
-        )
+    writer.writerows(profiles)
     return out.getvalue()
 
 
@@ -353,23 +377,22 @@ def learner_table(
     """
     if not 1 <= delta0 <= 10:
         raise ValueError(f"delta0 must be in 1..10, got {delta0}")
-    high: dict[str, set[str]] = {}
+    high: defaultdict[str, set[str]] = defaultdict(set)
     rated = set()
-    for r in ratings:
-        rated.add(r.resource_id)
-        if r.rating >= delta0:
-            high.setdefault(r.resource_id, set()).add(r.learner_id)
+    for learner_id, resource_id, rating in ratings:
+        rated.add(resource_id)
+        if rating >= delta0:
+            high[resource_id].add(learner_id)
     resources = sorted(high)
     ids = sorted(set().union(*high.values()))
-    rows = []
-    for lid in ids:
-        p = profiles.get(lid)
-        if p is None:
-            raise KeyError(f"no profile for learner {lid!r}")
-        # Clipped so that any hours fit int64; the cap is checked below.
-        rows.append((p.current_skill, p.target_skill, p.strategy, p.presentation,
-                     min(p.hours, MAX_HOURS + 1)))
-    attrs = np.array(rows, dtype=np.int64).reshape(len(ids), 5)
+    try:
+        learners = [profiles[lid] for lid in ids]
+    except KeyError as exc:
+        raise KeyError(f"no profile for learner {exc.args[0]!r}") from None
+    # Hours clipped so that any fit int64; the cap is checked below.
+    attrs = np.array([(a1, a2, a3, a4, min(hours, MAX_HOURS + 1))
+                      for _, a1, a2, a3, a4, hours in learners],
+                     dtype=np.int64).reshape(len(ids), 5)
     # A nominal id outside 1..N_PARAMS has no quantified value and would
     # overrun the co-occurrence one-hot.  argwhere runs row by row, so
     # every strategy is checked first.
@@ -387,7 +410,7 @@ def learner_table(
     items = attrs.copy()
     items[:, 4] = (np.maximum(attrs[:, 4], 1) - 1) // 10 + 1
     index = {lid: i for i, lid in enumerate(ids)}
-    members = [np.sort(np.fromiter((index[m] for m in high[rid]), dtype=np.intp,
+    members = [np.sort(np.fromiter(map(index.__getitem__, high[rid]), dtype=np.intp,
                                    count=len(high[rid])))
                for rid in resources]
     return LearnerTable(ids, resources, attrs, items, members, len(rated))

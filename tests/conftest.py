@@ -4,14 +4,18 @@ The oracle functions deliberately avoid the library's own algorithms:
 brute-force pair enumeration, exhaustive subset counting, level-wise
 Apriori candidate search over item objects, the point-by-point k sweep
 keyed by learner id, the one-subset-at-a-time sweep and the one-matrix
-NMF loop that the shared rounds and the stacked NMF replaced, and direct
-rescans (``build_subset`` scans the ratings once per resource), so test
+NMF loop that the shared rounds and the stacked NMF replaced, the
+row-by-row ``int()`` checks that the parsers' tables of canonical texts
+replaced, and direct rescans (``build_subset`` scans the ratings once
+per resource), so test
 expectations are derived independently of the code under test.  The item and point types
 those oracles work on live here too; the library works on the integer
 arrays of its learner table.
 """
 from __future__ import annotations
 
+import csv
+import io
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
@@ -39,7 +43,14 @@ from learntags.cluster import (
     normalize,
 )
 from learntags.mine import N_ATTRIBUTES
-from learntags.ingest import discretize_time
+from learntags.ingest import (
+    MAX_HOURS,
+    RATINGS_HEADER,
+    RatingsResult,
+    _data_rows,
+    _profile_violation,
+    discretize_time,
+)
 
 settings.register_profile(
     "suite", derandomize=True, suppress_health_check=[HealthCheck.too_slow]
@@ -92,6 +103,60 @@ def high_ratings(subsets) -> list[RatingRecord]:
     (resource id -> learner ids): each member rates its resource 10."""
     return [RatingRecord(lid, rid, 10) for rid, members in subsets.items()
             for lid in sorted(members)]
+
+
+def oracle_parse_ratings(stream) -> RatingsResult:
+    """Row-by-row oracle for ``parse_ratings``: every field through the
+    checks and ``int()``, with no table of canonical texts and no shared
+    id strings."""
+    if isinstance(stream, str):
+        stream = io.StringIO(stream)
+    reader = csv.reader(stream, delimiter=";", quotechar='"')
+    result = RatingsResult(records=[])
+    for row in _data_rows(reader, RATINGS_HEADER, "ratings"):
+        if not row:
+            continue
+        reason = None
+        if len(row) != 3:
+            reason = f"expected 3 fields, got {len(row)}"
+        else:
+            learner_id, resource_id, rating_text = row
+            if not learner_id or not resource_id:
+                reason = "empty learner or resource id"
+            else:
+                try:
+                    rating = int(rating_text)
+                except ValueError:
+                    reason = f"rating {rating_text!r} is not an integer"
+                else:
+                    if not 0 <= rating <= 10:
+                        reason = f"rating {rating} outside 0..10"
+        if reason is not None:
+            result.malformed += 1
+            continue
+        if rating == 0:
+            result.dropped_zero += 1
+            continue
+        result.records.append(RatingRecord(learner_id, resource_id, rating))
+    return result
+
+
+def oracle_checked_values(row: list[str]) -> tuple[int, ...] | str:
+    """Row-by-row oracle for ``ingest._checked_values``, which serves
+    ``parse_profiles`` and ``find_profile``: ``int()`` on every attribute
+    field, then the ranges."""
+    if len(row) != 6:
+        return f"expected 6 fields, got {len(row)}"
+    if not row[0]:
+        return "empty learner id"
+    try:
+        values = tuple(map(int, row[1:]))
+    except ValueError:
+        return "non-integer attribute value"
+    a1, a2, a3, a4, a5 = values
+    if 1 <= a1 < a2 <= 6 and 1 <= a3 <= 5 and 1 <= a4 <= 5 and 0 <= a5 <= MAX_HOURS:
+        return values
+    return _profile_violation(LearnerProfile(row[0], *values))
 
 
 @dataclass(frozen=True, slots=True)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,10 +23,11 @@ from learntags import (
     render_profiles,
     render_ratings,
 )
+from learntags import ingest
 from learntags.ingest import MAX_HOURS, TimeBin, _profile_violation
 from learntags.mine import apriori
 
-from conftest import build_subset, high_ratings
+from conftest import build_subset, high_ratings, oracle_checked_values, oracle_parse_ratings
 
 RATINGS_HEADER_LINE = '"User-ID";"ISBN";"Book-Rating"\n'
 
@@ -36,6 +38,20 @@ id_text = st.text(
     min_size=1,
     max_size=12,
 )
+
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                           "\u0665\u0666\u0667\u0668\u0669")
+
+
+def int_texts(value: int) -> st.SearchStrategy[str]:
+    """Texts of ``value`` as a data file may hold them: canonical half of
+    the time, else padded, zero-led, signed, underscored or in
+    Arabic-Indic digits, which ``int()`` also reads (for a negative value
+    some are not integers at all)."""
+    text = str(value)
+    return st.one_of(st.just(text),
+                     st.sampled_from([f" {text}", f"{text} ", f"0{text}", f"+{text}",
+                                      "_".join(text), text.translate(ARABIC_INDIC)]))
 
 
 class TestParseRatings:
@@ -59,6 +75,14 @@ class TestParseRatings:
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             parse_ratings("")
+
+    def test_equal_ids_share_one_object(self):
+        """Equal ids are one str object across the records, from canonical
+        and non-canonical rows alike, and across the two id columns."""
+        stream = RATINGS_HEADER_LINE + '"u1";"b1";"7"\n"u1";"b2";"8"\n"b1";"u1";" 9"\n'
+        first, second, third = parse_ratings(stream).records
+        assert first.learner_id is second.learner_id is third.resource_id
+        assert first.resource_id is third.learner_id
 
     def test_unsplittable_row_reports_line(self):
         stream = RATINGS_HEADER_LINE + '"u1";"b1";"5"\n"u2";"' + "b" * 200_000 + '";"5"\n'
@@ -190,10 +214,11 @@ class TestParseProfiles:
 
 
 # One profiles data line of the kinds a file can hold: blank, the wrong
-# field count, non-integer or out-of-range values, or valid, with ids from
-# a small pool so that duplicates are common.
+# field count, non-integer or out-of-range values, or valid, and values on
+# and around the bounds, canonical or in other texts int() reads, with ids
+# from a small pool so that duplicates are common.
 profile_field = st.one_of(
-    st.integers(-1, 7).map(str),
+    st.integers(-1, 7).flatmap(int_texts),
     st.sampled_from([str(MAX_HOURS), str(MAX_HOURS + 1), str(10**20), "x", "1.5", ""]),
 )
 profile_line = st.one_of(
@@ -205,7 +230,52 @@ profile_line = st.one_of(
     st.builds(lambda lid, a1, step, a3, a4, hours: f"{lid},{a1},{a1 + step},{a3},{a4},{hours}",
               st.sampled_from(["u0", "u1", "u2"]), st.integers(1, 5), st.integers(1, 5),
               st.integers(1, 5), st.integers(1, 5), st.integers(0, MAX_HOURS)),
+    st.builds(lambda lid, fields: ",".join([lid, *fields]),
+              st.sampled_from(["u0", "u1", "u2"]),
+              st.tuples(st.integers(0, 6), st.integers(0, 2), st.integers(0, 6),
+                        st.integers(0, 6), st.sampled_from([-1, 0, 45, MAX_HOURS, MAX_HOURS + 1]))
+              .map(lambda v: (v[0], v[0] + v[1], *v[2:]))
+              .flatmap(lambda values: st.one_of(st.just(tuple(map(str, values))),
+                                                st.tuples(*map(int_texts, values))))),
 )
+
+# One ratings data line: blank, the wrong field count, an empty id, or a
+# rating text that is canonical, another text int() reads, out of range
+# or not an integer, with ids from a small pool so that learners repeat.
+rating_text = st.one_of(st.sampled_from([-1, 0, 1, 7, 10, 11]).flatmap(int_texts),
+                        st.sampled_from(["x", "", "1.5", "100"]))
+rating_id = st.sampled_from(["u0", "u1", "b0", "b1", ""])
+ratings_line = st.one_of(
+    st.just(""),
+    st.lists(st.one_of(rating_id, rating_text), max_size=5),
+    st.tuples(rating_id, rating_id, rating_text),
+).map(lambda fields: ";".join(f'"{f}"' for f in fields))
+
+
+class TestMatchesRowwiseOracles:
+    """The parsers' tables of canonical texts against the row-by-row
+    ``int()`` checks they replaced (conftest)."""
+
+    HEADER = TestParseProfiles.HEADER
+
+    @given(lines=st.lists(ratings_line, max_size=15))
+    def test_parse_ratings(self, lines):
+        text = RATINGS_HEADER_LINE + "".join(line + "\n" for line in lines)
+        result = parse_ratings(text)
+        assert result == oracle_parse_ratings(text)
+        assert all(type(r) is RatingRecord for r in result.records)
+
+    @given(lines=st.lists(profile_line, max_size=12),
+           learner_id=st.sampled_from(["u0", "u1", "u2", "ghost"]))
+    def test_parse_and_find_profile(self, lines, learner_id):
+        """Every field of both results, ``learner_rejected`` included,
+        equals the result with the row-by-row check in place."""
+        text = self.HEADER + "".join(line + "\n" for line in lines)
+        whole, found = parse_profiles(text), find_profile(text, learner_id)
+        with mock.patch.object(ingest, "_checked_values", oracle_checked_values):
+            assert whole == parse_profiles(text)
+            assert found == find_profile(text, learner_id)
+        assert all(type(p) is LearnerProfile for p in whole.profiles + found.profiles)
 
 
 class TestFindProfile:

@@ -1,7 +1,6 @@
 """Mine tests: item codes, Apriori with oracle checks, tag selection."""
 from __future__ import annotations
 
-from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -95,7 +94,7 @@ def profile_inputs(draw):
         for _ in range(draw(st.integers(1, 5)))
     ]
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=12))
-    profiles = [replace(pool[j], learner_id=f"t{i:02d}") for i, j in enumerate(picks)]
+    profiles = [pool[j]._replace(learner_id=f"t{i:02d}") for i, j in enumerate(picks)]
     return profiles, draw(support_levels(len(profiles)))
 
 
