@@ -34,7 +34,6 @@ from .quantify import (
 )
 from .cluster import (
     Grouping,
-    KSelection,
     KTraceEntry,
     LloydFit,
     average_diameter,
@@ -42,7 +41,6 @@ from .cluster import (
     group_rows,
     group_subsets,
     largest_cluster,
-    lockstep_lloyd,
     normalize,
     sweep_k,
 )
@@ -72,9 +70,8 @@ __all__ = [
     "FactorPair", "QuantifyDetail", "attribute_values",
     "build_cooccurrence", "derive_orderings", "nmf", "nmf_stack", "quantification_report",
     "quantify_nominal", "symmetrize",
-    "Grouping", "KSelection", "KTraceEntry", "LloydFit", "average_diameter",
-    "farthest_first_seeds", "group_rows", "group_subsets", "largest_cluster", "lockstep_lloyd",
-    "normalize", "sweep_k",
+    "Grouping", "KTraceEntry", "LloydFit", "average_diameter", "farthest_first_seeds",
+    "group_rows", "group_subsets", "largest_cluster", "normalize", "sweep_k",
     "FrequentItemset", "apriori", "select_tag",
     "PipelineConfig", "Provenance", "Tag", "TagCloud",
     "TagStore", "load_store", "match_resources", "render_report",

@@ -9,7 +9,9 @@ Euclidean metric, seeding uses farthest-first traversal, Lloyd's
 iteration refines the clusters, and the cluster count is chosen by
 sweeping k downward until the average cluster diameter jumps by a large
 factor.  The largest cluster is the learner group that tags a resource.
-Seeds are row indices and Lloyd's result is one label per row.
+Seeds are row indices, Lloyd's result is one label per row, and each
+subset's rows, seeds, fits, trace, k and largest cluster are one
+``Grouping``.
 
 A run sweeps k for all of its subsets in shared rounds.  The subsets are
 packed, in order, into batches of at most ``_BATCH_FIT_ROWS`` fit rows:
@@ -35,7 +37,9 @@ from typing import Iterator, Sequence
 import numpy as np
 from scipy.spatial.distance import cdist
 
-DEFAULT_LLOYD_MAX_ITERS = 100
+# Lloyd rounds after which a fit stops even if labels still change.  On
+# the stretch corpus fits took at most 66 rounds, so none reaches it.
+LLOYD_MAX_ITERS = 100
 
 # Fit rows per batch of the shared sweep.  A batch's largest temporaries
 # hold one float per fit row and centroid slot, a quarter megabyte at the
@@ -51,13 +55,16 @@ class LloydFit:
     """Lloyd's result: each row labelled with its nearest centroid (ties
     to the smallest index, except a row a repaired empty cluster was
     reseeded on, at distance 0), and the non-increasing SSE after the
-    seeding and after each iteration; ``sse`` is the last entry.
+    seeding and after each iteration.
     """
 
     centroids: np.ndarray            # (k, dims)
     labels: np.ndarray               # (n,) cluster index per row
-    sse: float
     sse_trace: list[float]
+
+    @property
+    def sse(self) -> float:
+        return self.sse_trace[-1]
 
 
 @dataclass(frozen=True)
@@ -70,47 +77,25 @@ class KTraceEntry:
 
 
 @dataclass
-class KSelection:
-    """One subset's k sweep: the seeds of its farthest-first traversal,
-    Lloyd's fit for every k from the first down to 1, the (k, sse,
-    avg_diameter) trace and the chosen k."""
+class Grouping:
+    """One subset's k sweep: its farthest-first seeds, Lloyd's fit for
+    every k from the first down to 1, the (k, sse, avg_diameter) trace,
+    the chosen k and its largest cluster.  ``group_subsets`` gives a
+    subset of one row no seeds, fits or trace: it is its own group."""
 
+    x: np.ndarray                    # (n, dims) rows, normalized by group_subsets
     k: int
     seeds: list[int]
     fits: list[LloydFit]             # fits[i] is the fit at k = len(fits) - i
     trace: list[KTraceEntry]
-
-    @property
-    def fit(self) -> LloydFit:
-        """Lloyd's fit at the chosen k."""
-        return self.fits[len(self.fits) - self.k]
-
-
-@dataclass
-class Grouping:
-    """One subset's rows after normalization, the k sweep and the pick of
-    the largest cluster.  With fewer than two rows no sweep runs
-    (``selection`` is None) and the subset is its own group, at k = 1."""
-
-    x: np.ndarray                    # (n, dims) normalized rows
-    selection: KSelection | None
     largest: np.ndarray              # (n,) bool, rows of the largest cluster
 
     @property
-    def k(self) -> int:
-        return 1 if self.selection is None else self.selection.k
-
-    @property
     def labels(self) -> np.ndarray:
-        """(n,) cluster index per row."""
-        if self.selection is None:
+        """(n,) cluster index per row at the chosen k."""
+        if not self.fits:
             return np.zeros(len(self.x), dtype=np.intp)
-        return self.selection.fit.labels
-
-    @property
-    def trace(self) -> list[KTraceEntry]:
-        """The sweep trace; empty when no sweep ran."""
-        return [] if self.selection is None else self.selection.trace
+        return self.fits[len(self.fits) - self.k].labels
 
 
 def normalize(x: np.ndarray) -> np.ndarray:
@@ -266,7 +251,7 @@ def _sse(xe: np.ndarray, centroids: np.ndarray, slots: np.ndarray, spans: list) 
 
 
 def _lockstep(x: np.ndarray, sizes: Sequence[int], seeds: Sequence[Sequence[int]],
-              ks: Sequence[Sequence[int]], max_iters: int) -> list[list[LloydFit]]:
+              ks: Sequence[Sequence[int]]) -> list[list[LloydFit]]:
     """Lloyd's iteration for every fit of each subset, laid out in ``x`` as
     for ``_farthest_first``: subset s has a fit for each k of ``ks[s]``,
     starting from centroids at the first k of ``seeds[s]``.
@@ -274,7 +259,7 @@ def _lockstep(x: np.ndarray, sizes: Sequence[int], seeds: Sequence[Sequence[int]
     Each round moves the centroids of every fit still running, labels
     the fit rows of all of them, with one distance call per subset, and
     appends each fit's SSE.  A fit stops when no label changes or after
-    ``max_iters`` rounds; its final labels are always computed against
+    ``LLOYD_MAX_ITERS`` rounds; its final labels are always computed against
     its final centroids, and it equals the fit run alone.
     """
     sizes = list(sizes)
@@ -298,20 +283,19 @@ def _lockstep(x: np.ndarray, sizes: Sequence[int], seeds: Sequence[Sequence[int]
     labels, slots, counts = _assign(x, centroids, k, fit_of_row, spans)
     for i, value in zip(ids.tolist(), _sse(xe, centroids, slots, spans)):
         traces[i].append(value)
-    for round_ in range(1, max_iters + 1):
+    for round_ in range(1, LLOYD_MAX_ITERS + 1):
         _update(xe, centroids, slots, counts)
         prev = labels
         labels, slots, counts = _assign(x, centroids, k, fit_of_row, spans)
         for i, value in zip(ids.tolist(), _sse(xe, centroids, slots, spans)):
             traces[i].append(value)
-        done = ~np.logical_or.reduceat(labels != prev, offsets) | (round_ == max_iters)
+        done = ~np.logical_or.reduceat(labels != prev, offsets) | (round_ == LLOYD_MAX_ITERS)
         if not done.any():
             continue
         for f in np.flatnonzero(done).tolist():
-            trace = traces[ids[f]]
             fits[ids[f]] = LloydFit(centroids=centroids[f, :k[f]].copy(),
                                     labels=labels[offsets[f]:offsets[f] + n[f]].copy(),
-                                    sse=trace[-1], sse_trace=trace)
+                                    sse_trace=traces[ids[f]])
         if done.all():
             break
         moving = ~done
@@ -323,28 +307,6 @@ def _lockstep(x: np.ndarray, sizes: Sequence[int], seeds: Sequence[Sequence[int]
         slots = fit_of_row * width + labels
     bounds = np.cumsum([0, *(len(subset_ks) for subset_ks in ks)]).tolist()
     return [fits[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-
-
-def lockstep_lloyd(
-    x: np.ndarray,
-    seed_rows: list[int],
-    ks: list[int],
-    max_iters: int = DEFAULT_LLOYD_MAX_ITERS,
-) -> list[LloydFit]:
-    """Lloyd's iteration for several k at once on the rows of ``x``: fit
-    ``f`` starts from centroids at the first ``ks[f]`` of ``seed_rows``.
-    The one-subset case of the shared rounds: each fit equals the fit
-    run alone.
-    """
-    if len(x) == 0:
-        raise ValueError("no points to cluster")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    if len(set(seed_rows)) != len(seed_rows):
-        raise ValueError("seeds must be distinct points")
-    if len(ks) == 0 or min(ks) < 1 or max(ks) > len(seed_rows):
-        raise ValueError(f"each k must be in 1..{len(seed_rows)}, got {ks}")
-    return _lockstep(x, [len(x)], [seed_rows], [ks], max_iters)[0]
 
 
 # Rows per distance block in average_diameter: no distance temporary
@@ -413,24 +375,26 @@ def average_diameter(x: np.ndarray, labels: np.ndarray) -> list[float]:
             for v in (d[f] for d, f in zip(diameters, filled))]
 
 
-def _sweeps(x: np.ndarray, sizes: Sequence[int], k_max: int, gamma: float, seed: int,
-            max_iters: int) -> list[KSelection]:
-    """The k sweep of each subset, laid out in ``x`` as for
-    ``_farthest_first``: seeds and Lloyd fits in shared rounds, diameters
-    and the jump rule per subset."""
+def _sweeps(xs: Sequence[np.ndarray], k_max: int, gamma: float, seed: int) -> list[Grouping]:
+    """The grouping of each subset's rows ``xs[s]``: seeds and Lloyd fits
+    in shared rounds on their concatenation, diameters, the jump rule and
+    the largest cluster per subset."""
+    sizes = [len(x) for x in xs]
     k_starts = [min(k_max, n) for n in sizes]
+    x = np.concatenate(xs)
     seeds = _farthest_first(x, sizes, k_starts, seed)
-    fits = _lockstep(x, sizes, seeds, [range(k, 0, -1) for k in k_starts], max_iters)
-    selections = []
-    for lo, n, subset_seeds, subset_fits in zip(np.cumsum(sizes) - sizes, sizes, seeds, fits):
-        diameters = average_diameter(x[lo:lo + n], np.array([f.labels for f in subset_fits]))
+    fits = _lockstep(x, sizes, seeds, [range(k, 0, -1) for k in k_starts])
+    groupings = []
+    for rows, subset_seeds, subset_fits in zip(xs, seeds, fits):
+        diameters = average_diameter(rows, np.array([f.labels for f in subset_fits]))
         trace = [KTraceEntry(k=len(subset_fits) - i, sse=f.sse, avg_diameter=d)
                  for i, (f, d) in enumerate(zip(subset_fits, diameters))]
         # The first jump from k to k - 1 picks k; with none the sweep ends at 1.
         chosen = next((e.k for e, after in zip(trace, diameters[1:])
                        if after > gamma * e.avg_diameter), 1)
-        selections.append(KSelection(chosen, subset_seeds, subset_fits, trace))
-    return selections
+        largest = largest_cluster(subset_fits[len(subset_fits) - chosen].labels)
+        groupings.append(Grouping(rows, chosen, subset_seeds, subset_fits, trace, largest))
+    return groupings
 
 
 def _check_sweep(k_max: int, gamma: float) -> None:
@@ -440,13 +404,7 @@ def _check_sweep(k_max: int, gamma: float) -> None:
         raise ValueError(f"gamma must exceed 1, got {gamma}")
 
 
-def sweep_k(
-    x: np.ndarray,
-    k_max: int,
-    gamma: float,
-    seed: int,
-    max_iters: int = DEFAULT_LLOYD_MAX_ITERS,
-) -> KSelection:
+def sweep_k(x: np.ndarray, k_max: int, gamma: float, seed: int) -> Grouping:
     """Sweep k downward over the rows of ``x`` and stop just before the
     first diameter jump.
 
@@ -455,12 +413,13 @@ def sweep_k(
     reachable without the average diameter growing by more than a factor
     of ``gamma`` in one step; a zero diameter at k treats any positive
     diameter at k - 1 as a jump.  With no jump anywhere the sweep ends at
-    k = 1.  The one-subset case of ``group_subsets``' shared rounds.
+    k = 1.  Returns the grouping of the rows as given: the one-subset
+    case of ``group_subsets``' shared rounds, without normalization.
     """
     if len(x) == 0:
         raise ValueError("no points to cluster")
     _check_sweep(k_max, gamma)
-    return _sweeps(x, [len(x)], k_max, gamma, seed, max_iters)[0]
+    return _sweeps([x], k_max, gamma, seed)[0]
 
 
 def largest_cluster(labels: np.ndarray) -> np.ndarray:
@@ -494,28 +453,26 @@ def group_subsets(
     k_max: int,
     gamma: float,
     seed: int,
-    max_iters: int = DEFAULT_LLOYD_MAX_ITERS,
 ) -> Iterator[Grouping]:
     """Group each subset, given as its rows of ``coords``: normalize its
     rows, sweep k and pick the largest cluster.  Groupings come in subset
     order.
 
     The sweeps run in shared rounds, batch by batch, so memory is bounded
-    by one batch.  A subset of fewer than two rows has nothing to
-    cluster: no sweep runs and the subset itself is the group, at k = 1.
+    by one batch.  A subset of one row has nothing to cluster: no sweep
+    runs and the row itself is the group, at k = 1.  An empty subset is
+    rejected, by index, before any grouping is yielded.
     """
     _check_sweep(k_max, gamma)
-    for batch in _batches([len(rows) for rows in members], k_max):
+    sizes = [len(rows) for rows in members]
+    if 0 in sizes:
+        raise ValueError(f"subset {sizes.index(0)} is empty")
+    for batch in _batches(sizes, k_max):
         xs = [normalize(coords[members[i]]) for i in batch]
         swept = [x for x in xs if len(x) > 1]
-        selections = iter(_sweeps(np.concatenate(swept), [len(x) for x in swept],
-                                  k_max, gamma, seed, max_iters) if swept else [])
+        groupings = iter(_sweeps(swept, k_max, gamma, seed) if swept else [])
         for x in xs:
-            if len(x) < 2:
-                yield Grouping(x, None, np.ones(len(x), dtype=bool))
-            else:
-                selection = next(selections)
-                yield Grouping(x, selection, largest_cluster(selection.fit.labels))
+            yield next(groupings) if len(x) > 1 else Grouping(x, 1, [], [], [], np.ones(1, bool))
 
 
 def group_rows(coords: np.ndarray, k_max: int, gamma: float, seed: int) -> Grouping:

@@ -70,9 +70,15 @@ class FactorPair:
 
     weights: np.ndarray    # B, (5, k)
     features: np.ndarray   # C, (k, 5)
-    k: int
-    final_error: float
     error_trace: list[float]
+
+    @property
+    def k(self) -> int:
+        return self.weights.shape[1]
+
+    @property
+    def final_error(self) -> float:
+        return self.error_trace[-1]
 
 
 @dataclass
@@ -303,7 +309,7 @@ def nmf_stack(
         if matrix.any():
             ids.append(i)
         else:
-            results[i] = FactorPair(np.zeros((n_rows, k)), np.zeros((k, n_cols)), k, 0.0, [0.0])
+            results[i] = FactorPair(np.zeros((n_rows, k)), np.zeros((k, n_cols)), [0.0])
     if not ids:
         return results
     a = a[ids]
@@ -326,7 +332,7 @@ def nmf_stack(
             improvement = (err - new_err) / err if err > 0 else 0.0
             stop.append(improvement < tol or it == max_iters)
         for j in np.flatnonzero(stop).tolist():
-            results[ids[j]] = FactorPair(b[j].copy(), c[j].copy(), k, traces[j][-1], traces[j])
+            results[ids[j]] = FactorPair(b[j].copy(), c[j].copy(), traces[j])
         if all(stop):
             return results
         if any(stop):

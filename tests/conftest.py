@@ -2,15 +2,14 @@
 
 The oracle functions deliberately avoid the library's own algorithms:
 brute-force pair enumeration, exhaustive subset counting, level-wise
-Apriori candidate search over item objects, the point-by-point k sweep
-keyed by learner id, the one-subset-at-a-time sweep and the one-matrix
-NMF loop that the shared rounds and the stacked NMF replaced, the
+Apriori candidate search over item objects, a k sweep of one subset at
+a time with its own Lloyd loop, empty-cluster repair and ``pdist``
+diameters, the one-matrix NMF loop that the stacked NMF replaced, the
 row-by-row ``int()`` checks that the parsers' tables of canonical texts
 replaced, and direct rescans (``build_subset`` scans the ratings once
-per resource), so test
-expectations are derived independently of the code under test.  The item and point types
-those oracles work on live here too; the library works on the integer
-arrays of its learner table.
+per resource), so test expectations are derived independently of the
+code under test.  The item types those oracles work on live here too;
+the library works on the integer arrays of its learner table.
 """
 from __future__ import annotations
 
@@ -32,16 +31,7 @@ from learntags import (
     TimeBin,
     generate_profiles,
 )
-from learntags.cluster import (
-    DEFAULT_LLOYD_MAX_ITERS,
-    KTraceEntry,
-    LloydFit,
-    _repair_empty,
-    average_diameter,
-    largest_cluster,
-    lockstep_lloyd,
-    normalize,
-)
+from learntags.cluster import LLOYD_MAX_ITERS, Grouping, KTraceEntry, LloydFit, _lockstep
 from learntags.mine import N_ATTRIBUTES
 from learntags.ingest import (
     MAX_HOURS,
@@ -408,66 +398,34 @@ def make_blobs(
     ])
 
 
-def lloyd_kmeans(
-    x: np.ndarray,
-    seed_rows: list[int],
-    max_iters: int = DEFAULT_LLOYD_MAX_ITERS,
-) -> LloydFit:
+def lloyd_kmeans(x: np.ndarray, seed_rows: list[int]) -> LloydFit:
     """Lloyd's iteration on the rows of ``x`` from centroids at
-    ``seed_rows``: the one-fit case of ``lockstep_lloyd``."""
-    return lockstep_lloyd(x, seed_rows, [len(seed_rows)], max_iters)[0]
+    ``seed_rows``: the one-fit case of the library's shared rounds."""
+    return _lockstep(x, [len(x)], [seed_rows], [[len(seed_rows)]])[0][0]
 
 
-@dataclass(frozen=True, slots=True)
-class FeaturePoint:
-    """One learner embedded in 5-D attribute space, for the reference sweep."""
-
-    learner_id: str
-    coords: tuple[float, ...]
+# Reference k sweep of one subset's rows, with its own Lloyd loop,
+# empty-cluster repair and pdist diameters: the shared rounds in
+# learntags.cluster must reproduce it bit for bit.
 
 
-@dataclass
-class Clustering:
-    """A reference k-means result, keyed by learner id."""
-
-    k: int
-    centroids: np.ndarray            # (k, dims)
-    assignment: dict[str, int]       # learner_id -> cluster index
-    sse: float
-    sse_trace: list[float]
-
-
-# Reference k sweep, point by point on tuples of FeaturePoint: the array
-# code in learntags.cluster must reproduce it bit for bit.
-
-
-def reference_farthest_first_seeds(
-    points: list[FeaturePoint], k: int, seed: int
-) -> list[FeaturePoint]:
-    """Pick k seeds by farthest-first traversal.
+def reference_farthest_first_seeds(x: np.ndarray, k: int, seed: int) -> list[int]:
+    """Pick k seed rows by farthest-first traversal.
 
     The first seed is drawn uniformly at random from ``seed``; every
-    later seed is the point maximizing its minimum distance to the seeds
-    already chosen, ties going to the smallest learner id.
+    later seed is the row maximizing its minimum distance to the seeds
+    already chosen, ties going to the smallest row.
     """
-    n = len(points)
-    if not 1 <= k <= n:
-        raise ValueError(f"insufficient points: need 1 <= k <= {n}, got k={k}")
-    x = np.array([p.coords for p in points], dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    first = int(rng.integers(n))
-
+    first = int(np.random.default_rng(seed).integers(len(x)))
     chosen = [first]
     min_dist = np.linalg.norm(x - x[first], axis=1)
     while len(chosen) < k:
         masked = min_dist.copy()
         masked[chosen] = -np.inf
-        best = masked.max()
-        candidates = np.flatnonzero(masked == best)
-        pick = min(candidates, key=lambda i: points[i].learner_id)
-        chosen.append(int(pick))
+        pick = int(np.flatnonzero(masked == masked.max())[0])
+        chosen.append(pick)
         min_dist = np.minimum(min_dist, np.linalg.norm(x - x[pick], axis=1))
-    return [points[i] for i in chosen]
+    return chosen
 
 
 def _reference_assign(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -500,34 +458,21 @@ def reference_repair_empty(x: np.ndarray, labels: np.ndarray, centroids: np.ndar
 
 
 def reference_lloyd_kmeans(
-    points: list[FeaturePoint],
-    seeds: list[FeaturePoint],
-    max_iters: int = DEFAULT_LLOYD_MAX_ITERS,
-) -> Clustering:
+    x: np.ndarray, seed_rows: list[int], max_iters: int = LLOYD_MAX_ITERS
+) -> LloydFit:
     """Alternate nearest-centroid assignment and centroid means.
 
     Stops when no assignment changes or after ``max_iters``; the SSE is
     non-increasing across iterations, and the final assignment is always
     computed against the final centroids.
     """
-    if not points:
-        raise ValueError("no points to cluster")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    seed_ids = [s.learner_id for s in seeds]
-    if len(set(seed_ids)) != len(seed_ids):
-        raise ValueError("seeds must be distinct points")
-
-    x = np.array([p.coords for p in points], dtype=np.float64)
-    centroids = np.array([s.coords for s in seeds], dtype=np.float64)
-    k = centroids.shape[0]
-
+    centroids = np.array(x[list(seed_rows)], dtype=np.float64)
     labels = _reference_assign(x, centroids)
     reference_repair_empty(x, labels, centroids)
     trace = [_reference_sse(x, labels, centroids)]
     for _ in range(max_iters):
         prev = labels.copy()
-        for j in range(k):
+        for j in range(len(centroids)):
             mask = labels == j
             if mask.any():
                 centroids[j] = x[mask].mean(axis=0)
@@ -536,183 +481,53 @@ def reference_lloyd_kmeans(
         trace.append(_reference_sse(x, labels, centroids))
         if np.array_equal(labels, prev):
             break
-
-    assignment = {p.learner_id: int(labels[i]) for i, p in enumerate(points)}
-    return Clustering(k=k, centroids=centroids, assignment=assignment,
-                      sse=trace[-1], sse_trace=trace)
+    return LloydFit(centroids=centroids, labels=labels, sse_trace=trace)
 
 
-def reference_average_diameter(clustering: Clustering, points: list[FeaturePoint]) -> float:
-    """Mean over non-empty clusters of the max pairwise member distance."""
-    coords = {p.learner_id: p.coords for p in points}
-    members: dict[int, list[tuple[float, ...]]] = {}
-    for lid, j in clustering.assignment.items():
-        members.setdefault(j, []).append(coords[lid])
+def reference_average_diameter(x: np.ndarray, labels) -> float:
+    """Mean over non-empty clusters, in label order, of the max pairwise
+    row distance."""
+    labels = np.asarray(labels)
     diameters = []
-    for j in sorted(members):
-        pts = members[j]
-        if len(pts) < 2:
-            diameters.append(0.0)
-        else:
-            diameters.append(float(pdist(np.array(pts)).max()))
+    for j in np.unique(labels):
+        rows = x[labels == j]
+        diameters.append(float(pdist(rows).max()) if len(rows) > 1 else 0.0)
     return float(np.mean(diameters))
 
 
 def reference_select_k(
-    points: list[FeaturePoint],
-    k_max: int,
-    gamma: float,
-    seed: int,
-    max_iters: int = DEFAULT_LLOYD_MAX_ITERS,
-) -> tuple[Clustering, list[KTraceEntry]]:
+    x: np.ndarray, k_max: int, gamma: float, seed: int, max_iters: int = LLOYD_MAX_ITERS
+) -> Grouping:
     """Sweep k downward and stop just before the first diameter jump.
 
     Runs Lloyd for k = min(k_max, n) down to 1, seeded with the first k
-    seeds of one farthest-first traversal, and returns the clustering at
-    the smallest k reachable without the average diameter growing by
-    more than a factor of ``gamma`` in one step; a zero diameter at k
-    treats any positive diameter at k - 1 as a jump.
-    With no jump anywhere the sweep ends at k = 1.
+    seeds of one farthest-first traversal, and chooses the smallest k
+    reachable without the average diameter growing by more than a factor
+    of ``gamma`` in one step; a zero diameter at k treats any positive
+    diameter at k - 1 as a jump.  With no jump anywhere the sweep ends at
+    k = 1.  Returns the rows, the seeds, every k's fit, the trace of
+    SSEs and diameters, the chosen k and its largest cluster (ties to
+    the cluster holding the smallest row).
     """
-    if not points:
-        raise ValueError("no points to cluster")
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
-    if gamma <= 1:
-        raise ValueError(f"gamma must exceed 1, got {gamma}")
-
-    k_start = min(k_max, len(points))
-    clusterings: dict[int, Clustering] = {}
-    diameters: dict[int, float] = {}
-    trace = []
+    k_start = min(k_max, len(x))
     # Farthest-first picks do not depend on k, so the seeds for every k
     # of the sweep are a prefix of one traversal.
-    seeds = reference_farthest_first_seeds(points, k_start, seed)
+    seeds = reference_farthest_first_seeds(x, k_start, seed)
+    fits, diameters, trace = {}, {}, []
     for k in range(k_start, 0, -1):
-        clusterings[k] = reference_lloyd_kmeans(points, seeds[:k], max_iters)
-        diameters[k] = reference_average_diameter(clusterings[k], points)
-        trace.append(KTraceEntry(k=k, sse=clusterings[k].sse, avg_diameter=diameters[k]))
+        fits[k] = reference_lloyd_kmeans(x, seeds[:k], max_iters)
+        diameters[k] = reference_average_diameter(x, fits[k].labels)
+        trace.append(KTraceEntry(k=k, sse=fits[k].sse, avg_diameter=diameters[k]))
 
     chosen = 1
     for k in range(k_start, 1, -1):
         if diameters[k - 1] > gamma * diameters[k]:
             chosen = k
             break
-    return clusterings[chosen], trace
-
-
-# The sweep one subset at a time, as the library ran it before all of a
-# run's subsets shared their rounds: one cdist call per farthest-first
-# pick and one Lloyd loop per subset.  The shared rounds must reproduce
-# it bit for bit.
-
-
-def oracle_farthest_first_seeds(x: np.ndarray, k: int, seed: int) -> list[int]:
-    """Farthest-first traversal of one subset's rows, ties to the smallest row."""
-    first = int(np.random.default_rng(seed).integers(len(x)))
-    chosen = [first]
-    min_dist = cdist(x, x[first:first + 1])[:, 0]
-    min_dist[first] = -np.inf
-    while len(chosen) < k:
-        pick = int(np.argmax(min_dist))
-        chosen.append(pick)
-        np.minimum(min_dist, cdist(x, x[pick:pick + 1])[:, 0], out=min_dist)
-        min_dist[pick] = -np.inf
-    return chosen
-
-
-def _oracle_slots(labels: np.ndarray, width: int) -> np.ndarray:
-    return labels + (np.arange(len(labels)) * width)[:, None]
-
-
-def _oracle_assign(x: np.ndarray, centroids: np.ndarray, ks: np.ndarray):
-    fits, width, dims = centroids.shape
-    dist = cdist(x, centroids.reshape(-1, dims)).reshape(len(x), fits, width)
-    labels = dist.argmin(axis=2).T
-    counts = np.bincount(_oracle_slots(labels, width).ravel(), minlength=fits * width)
-    counts = counts.reshape(fits, width)
-    for f in np.flatnonzero(np.count_nonzero(counts, axis=1) < ks):
-        _repair_empty(x, labels[f], centroids[f, :ks[f]])
-        counts[f] = np.bincount(labels[f], minlength=width)
-    return labels, counts
-
-
-def _oracle_update(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray,
-                   counts: np.ndarray) -> None:
-    fits, width, dims = centroids.shape
-    keys = _oracle_slots(labels, width)[:, :, None] * dims + np.arange(dims)
-    weights = np.broadcast_to(x, (fits, *x.shape))
-    sums = np.bincount(keys.ravel(), weights.ravel(), minlength=centroids.size)
-    filled = counts > 0
-    centroids[filled] = sums.reshape(centroids.shape)[filled] / counts[filled, None]
-
-
-def _oracle_sse(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> list[float]:
-    diffs = x - centroids[np.arange(len(labels))[:, None], labels]
-    return (diffs * diffs).reshape(len(labels), -1).sum(axis=1).tolist()
-
-
-def oracle_lockstep_lloyd(x: np.ndarray, seed_rows: list[int], ks: list[int],
-                          max_iters: int = DEFAULT_LLOYD_MAX_ITERS) -> list[LloydFit]:
-    """Every k's Lloyd fit of one subset in one loop, one cdist call a round."""
-    ks = np.asarray(ks)
-    ids = np.arange(len(ks))
-    used = np.arange(ks.max()) < ks[:, None]
-    centroids = np.where(used[:, :, None], x[list(seed_rows[:ks.max()])], np.inf)
-    traces: list[list[float]] = [[] for _ in ks]
-    fits: list[LloydFit] = [None] * len(ks)
-    labels, counts = _oracle_assign(x, centroids, ks)
-    for i, value in zip(ids, _oracle_sse(x, centroids, labels)):
-        traces[i].append(value)
-    for round_ in range(1, max_iters + 1):
-        _oracle_update(x, centroids, labels, counts)
-        prev = labels
-        labels, counts = _oracle_assign(x, centroids, ks)
-        for i, value in zip(ids, _oracle_sse(x, centroids, labels)):
-            traces[i].append(value)
-        done = (labels == prev).all(axis=1) | (round_ == max_iters)
-        for f in np.flatnonzero(done):
-            trace = traces[ids[f]]
-            fits[ids[f]] = LloydFit(centroids=centroids[f, :ks[f]].copy(),
-                                    labels=labels[f].copy(), sse=trace[-1], sse_trace=trace)
-        if done.all():
-            return fits
-        moving = ~done
-        ids, ks, centroids, labels, counts = (
-            a[moving] for a in (ids, ks, centroids, labels, counts))
-
-
-@dataclass
-class OracleSweep:
-    """One subset's sweep as the oracle runs it, fits from the first k down."""
-
-    x: np.ndarray
-    seeds: list[int]
-    fits: list[LloydFit]
-    diameters: list[float]
-    k: int
-    largest: np.ndarray
-
-
-def oracle_group_rows(coords: np.ndarray, k_max: int, gamma: float, seed: int,
-                      max_iters: int = DEFAULT_LLOYD_MAX_ITERS) -> OracleSweep:
-    """Normalize one subset's rows, sweep k on them alone and pick the
-    largest cluster; with fewer than two rows no sweep runs."""
-    x = normalize(coords)
-    if len(x) < 2:
-        return OracleSweep(x, [], [], [], 1, np.ones(len(x), dtype=bool))
-    k_start = min(k_max, len(x))
-    ks = list(range(k_start, 0, -1))
-    seeds = oracle_farthest_first_seeds(x, k_start, seed)
-    fits = oracle_lockstep_lloyd(x, seeds, ks, max_iters)
-    diameters = average_diameter(x, np.array([f.labels for f in fits]))
-    chosen = 1
-    for k in range(k_start, 1, -1):
-        if diameters[k_start - k + 1] > gamma * diameters[k_start - k]:
-            chosen = k
-            break
-    labels = fits[k_start - chosen].labels
-    return OracleSweep(x, seeds, fits, diameters, chosen, largest_cluster(labels))
+    labels = fits[chosen].labels
+    sizes = np.bincount(labels)
+    biggest = next(j for j in labels if sizes[j] == sizes.max())
+    return Grouping(x, chosen, seeds, list(fits.values()), trace, labels == biggest)
 
 
 def oracle_nmf(a: np.ndarray, k: int, max_iters: int, tol: float, seed: int):

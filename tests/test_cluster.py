@@ -10,6 +10,7 @@ from hypothesis import Phase, given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
 from learntags import (
+    Grouping,
     LearnerProfile,
     average_diameter,
     farthest_first_seeds,
@@ -17,7 +18,6 @@ from learntags import (
     group_subsets,
     largest_cluster,
     learner_table,
-    lockstep_lloyd,
     normalize,
     sweep_k,
 )
@@ -26,12 +26,9 @@ from learntags.cluster import _repair_empty
 from learntags.ingest import RatingRecord
 
 from conftest import (
-    Clustering,
-    FeaturePoint,
     high_ratings,
     lloyd_kmeans,
     make_blobs,
-    oracle_group_rows,
     reference_average_diameter,
     reference_farthest_first_seeds,
     reference_lloyd_kmeans,
@@ -50,58 +47,61 @@ def line(xs: list[float]) -> np.ndarray:
     return x
 
 
-def coords_array(points: list[FeaturePoint]) -> np.ndarray:
-    return np.array([p.coords for p in points])
+def lloyd_iters(max_iters: int):
+    """Cap the library's Lloyd rounds at ``max_iters``."""
+    return mock.patch.object(cluster_module, "LLOYD_MAX_ITERS", max_iters)
 
 
-def grid_points(grid, reverse_ids: bool = False) -> list[FeaturePoint]:
-    """Points from coordinate tuples; ``reverse_ids`` makes the learner ids
-    descend along the list, so id order differs from list order."""
-    n = len(grid)
-    return [
-        FeaturePoint(f"u{n - 1 - i if reverse_ids else i:02d}", tuple(float(c) for c in coords))
-        for i, coords in enumerate(grid)
-    ]
+def lockstep(x: np.ndarray, seed_rows: list[int], ks: list[int]):
+    """Every fit of one subset's rows in one lockstep loop, fit f from the
+    first ``ks[f]`` of ``seed_rows``."""
+    return cluster_module._lockstep(x, [len(x)], [seed_rows], [ks])[0]
 
 
-def assert_lloyd_matches_reference(points: list[FeaturePoint], seed_rows: list[int]):
-    """Labels, centroids and sse_trace equal the point-by-point Lloyd's."""
-    fit = lloyd_kmeans(coords_array(points), seed_rows)
-    want = reference_lloyd_kmeans(points, [points[i] for i in seed_rows])
-    assert {p.learner_id: j for p, j in zip(points, fit.labels.tolist())} == want.assignment
-    np.testing.assert_array_equal(fit.centroids, want.centroids)
-    assert repr(fit.sse_trace) == repr(want.sse_trace)
-    return fit
+def assert_fits_equal(got, want):
+    """Labels, centroids and sse_trace equal, float for float."""
+    assert got.labels.tolist() == want.labels.tolist()
+    np.testing.assert_array_equal(got.centroids, want.centroids)
+    assert repr(got.sse_trace) == repr(want.sse_trace)
 
 
-def assert_lockstep_matches_reference(points: list[FeaturePoint], seed_rows: list[int],
-                                      ks: list[int], max_iters: int = 100):
-    """Each lockstep fit equals the point-by-point Lloyd's from its seed
+def assert_lockstep_matches_reference(x, seed_rows: list[int], ks: list[int],
+                                      max_iters: int = 100):
+    """Each lockstep fit equals the reference Lloyd's from its seed
     prefix, run alone."""
-    fits = lockstep_lloyd(coords_array(points), seed_rows, ks, max_iters)
+    x = np.asarray(x, dtype=np.float64)
+    with lloyd_iters(max_iters):
+        fits = lockstep(x, seed_rows, ks)
     for k, fit in zip(ks, fits):
-        want = reference_lloyd_kmeans(points, [points[i] for i in seed_rows[:k]], max_iters)
-        assert {p.learner_id: j for p, j in zip(points, fit.labels.tolist())} == want.assignment
-        np.testing.assert_array_equal(fit.centroids, want.centroids)
-        assert repr(fit.sse_trace) == repr(want.sse_trace)
+        assert_fits_equal(fit, reference_lloyd_kmeans(x, seed_rows[:k], max_iters))
     return fits
 
 
-def assert_sweep_matches_reference(points, k_max=8, gamma=2.0, seed=0, max_iters=100):
-    """Every trace entry, float for float, and the chosen fit equal the
-    point-by-point sweep's.  Rows go in learner-id order, as in the
-    learner table, so the row tie-breaks are the reference's id
-    tie-breaks."""
-    points = sorted(points, key=lambda p: p.learner_id)
-    got = sweep_k(coords_array(points), k_max, gamma, seed, max_iters)
-    want, want_trace = reference_select_k(points, k_max, gamma, seed, max_iters)
+def assert_same_grouping(got, want):
+    """Rows, chosen k, seeds, every fit, the trace, the labels and the
+    largest cluster equal, float for float."""
+    assert repr(got.x.tolist()) == repr(want.x.tolist())
+    assert (got.k, got.seeds, got.largest.tolist()) == (want.k, want.seeds, want.largest.tolist())
+    assert len(got.fits) == len(want.fits)
+    for fit, expected in zip(got.fits, want.fits):
+        assert_fits_equal(fit, expected)
     assert [(e.k, repr(e.sse), repr(e.avg_diameter)) for e in got.trace] == [
-        (e.k, repr(e.sse), repr(e.avg_diameter)) for e in want_trace
-    ]
-    assert got.k == want.k
-    assert dict(zip((p.learner_id for p in points), got.fit.labels.tolist())) == want.assignment
-    np.testing.assert_array_equal(got.fit.centroids, want.centroids)
-    assert repr(got.fit.sse_trace) == repr(want.sse_trace)
+        (e.k, repr(e.sse), repr(e.avg_diameter)) for e in want.trace]
+    assert got.labels.tolist() == want.labels.tolist()
+
+
+def assert_sweep_matches_reference(x, k_max=8, gamma=2.0, seed=0, max_iters=100):
+    """sweep_k's grouping equals the reference sweep's, field by field."""
+    x = np.asarray(x, dtype=np.float64)
+    with lloyd_iters(max_iters):
+        got = sweep_k(x, k_max, gamma, seed)
+    assert_same_grouping(got, reference_select_k(x, k_max, gamma, seed, max_iters))
+    return got
+
+
+def assert_diameters_match_reference(x, labels):
+    got = average_diameter(x, np.array(labels))
+    assert repr(got) == repr([reference_average_diameter(x, fit) for fit in labels])
     return got
 
 
@@ -295,27 +295,6 @@ class TestLloydKmeans:
     def test_duplicate_points_terminate(self):
         assert lloyd_kmeans(np.ones((6, 5)), [0, 1]).sse == 0.0
 
-    def test_duplicate_seeds_rejected(self):
-        with pytest.raises(ValueError, match="distinct"):
-            lloyd_kmeans(line([0.0, 1.0]), [0, 0])
-
-
-def reference_diameters(points: list[FeaturePoint], labels) -> list[float]:
-    """Each fit's average diameter by the point-by-point oracle."""
-    return [
-        reference_average_diameter(
-            Clustering(k=max(fit) + 1, centroids=np.zeros((max(fit) + 1, 5)), sse=0.0,
-                       sse_trace=[], assignment={p.learner_id: int(j) for p, j in zip(points, fit)}),
-            points)
-        for fit in labels
-    ]
-
-
-def assert_diameters_match_reference(points: list[FeaturePoint], labels):
-    got = average_diameter(coords_array(points), np.array(labels))
-    assert repr(got) == repr(reference_diameters(points, labels))
-    return got
-
 
 class TestAverageDiameter:
     def test_all_singletons(self):
@@ -345,19 +324,18 @@ class TestAverageDiameter:
     def test_one_atom(self):
         # Every fit puts all 150 rows in one cluster, under different labels,
         # so the single atom spans three row blocks.
-        points = grid_points(np.random.default_rng(2).uniform(0, 1, (150, 5)).tolist())
-        got = assert_diameters_match_reference(points, [[0] * 150, [4] * 150])
+        x = np.random.default_rng(2).uniform(0, 1, (150, 5))
+        got = assert_diameters_match_reference(x, [[0] * 150, [4] * 150])
         assert got[0] == got[1] > 0.0
 
     def test_identical_rows(self):
-        points = grid_points([(0.5, 1.0, 0.0, 0.0, 2.0)] * 9)
-        assert assert_diameters_match_reference(points, [[0] * 9, [0, 1, 2] * 3]) == [0.0, 0.0]
+        x = np.tile([0.5, 1.0, 0.0, 0.0, 2.0], (9, 1))
+        assert assert_diameters_match_reference(x, [[0] * 9, [0, 1, 2] * 3]) == [0.0, 0.0]
 
     def test_every_row_its_own_atom(self):
-        rows = np.random.default_rng(3).uniform(0, 1, (150, 5))
-        points = grid_points(rows.tolist())
+        x = np.random.default_rng(3).uniform(0, 1, (150, 5))
         got = assert_diameters_match_reference(
-            points, [list(range(150)), [r % 7 for r in range(150)], [0] * 150])
+            x, [list(range(150)), [r % 7 for r in range(150)], [0] * 150])
         assert got[0] == 0.0
 
     def test_two_rows(self):
@@ -397,27 +375,23 @@ class TestSelectK:
         assert sweep_k(np.full((12, 5), 2.0), k_max=4, gamma=2.0, seed=0).k == 1
 
     def test_two_blobs(self):
-        from conftest import make_blobs
-
         x = make_blobs([(0.0,) * 5, (1.0,) * 5], per_blob=10, sigma=0.01, seed=5)
         assert sweep_k(x, k_max=4, gamma=2.0, seed=1).k == 2
 
     def test_three_blobs_with_jump_at_merge(self):
-        from conftest import make_blobs
-
         centers = [(0.0,) * 5, (1.0,) * 5, (1.0, 0.0, 1.0, 0.0, 1.0)]
         x = make_blobs(centers, per_blob=12, sigma=0.01, seed=6)
-        selection = sweep_k(x, k_max=8, gamma=2.0, seed=1)
-        assert selection.k == 3
+        sweep = sweep_k(x, k_max=8, gamma=2.0, seed=1)
+        assert sweep.k == 3
 
-        diam = {e.k: e.avg_diameter for e in selection.trace}
+        diam = {e.k: e.avg_diameter for e in sweep.trace}
         assert diam[2] > 2.0 * diam[3]
         for k in range(8, 3, -1):
             assert diam[k - 1] <= 2.0 * diam[k]
 
     def test_trace_covers_sweep(self):
-        selection = sweep_k(line(list(range(10))), k_max=4, gamma=2.0, seed=0)
-        assert [e.k for e in selection.trace] == [4, 3, 2, 1]
+        sweep = sweep_k(line(list(range(10))), k_max=4, gamma=2.0, seed=0)
+        assert [e.k for e in sweep.trace] == [4, 3, 2, 1]
 
     def test_validation(self):
         x = line([0.0, 1.0])
@@ -430,16 +404,14 @@ class TestSelectK:
 
     def test_deterministic(self):
         x = np.random.default_rng(10).uniform(0, 1, (30, 5))
-        s1 = sweep_k(x, k_max=6, gamma=2.0, seed=9)
-        s2 = sweep_k(x, k_max=6, gamma=2.0, seed=9)
-        assert s1.fit.labels.tolist() == s2.fit.labels.tolist()
-        assert [e.avg_diameter for e in s1.trace] == [e.avg_diameter for e in s2.trace]
+        assert_same_grouping(sweep_k(x, k_max=6, gamma=2.0, seed=9),
+                             sweep_k(x, k_max=6, gamma=2.0, seed=9))
 
     def test_k_max_twelve_matches_reference(self):
         centers = [tuple(np.random.default_rng(c).uniform(0, 10, 5)) for c in range(14)]
         x = make_blobs(centers, per_blob=6, sigma=0.2, seed=4)
-        selection = assert_sweep_matches_reference(grid_points(x.tolist()), k_max=12)
-        assert [e.k for e in selection.trace] == list(range(12, 0, -1))
+        sweep = assert_sweep_matches_reference(x, k_max=12)
+        assert [e.k for e in sweep.trace] == list(range(12, 0, -1))
 
 
 class TestLargestCluster:
@@ -476,16 +448,12 @@ class TestGroupRows:
     def test_equals_the_stages(self):
         x = np.random.default_rng(12).uniform(0, 50, (30, 5))
         group = group_rows(x, k_max=6, gamma=1.5, seed=4)
-        selection = sweep_k(normalize(x), 6, 1.5, 4)
-        np.testing.assert_array_equal(group.x, normalize(x))
-        assert group.k == selection.k
-        assert group.trace == selection.trace
-        np.testing.assert_array_equal(group.labels, selection.fit.labels)
-        np.testing.assert_array_equal(group.largest, largest_cluster(selection.fit.labels))
+        assert_same_grouping(group, sweep_k(normalize(x), 6, 1.5, 4))
+        np.testing.assert_array_equal(group.largest, largest_cluster(group.labels))
 
     def test_one_row_is_its_own_group(self):
         group = group_rows(np.array([[2.0, 5.0, 1.5, 3.5, 25.0]]), k_max=8, gamma=2.0, seed=0)
-        assert (group.k, group.trace) == (1, [])
+        assert (group.k, group.seeds, group.fits, group.trace) == (1, [], [], [])
         assert group.x.tolist() == [[0.0] * 5]
         assert group.labels.tolist() == [0]
         assert group.largest.tolist() == [True]
@@ -493,13 +461,13 @@ class TestGroupRows:
 
 class TestSweepEdgeCases:
     """Named corner cases of the k sweep, each checked against the
-    point-by-point reference implementation."""
+    reference implementation."""
 
     def test_repair_reseeds_empty_cluster(self):
         # Seeds 1 and 2 coincide, so cluster 1 starts empty and is reseeded
         # on row 3, the point farthest from its centroid.
-        points = grid_points([(3, 3, 0, 0, 0), (0, 9, 0, 0, 0), (0, 9, 0, 0, 0), (9, 9, 0, 0, 0)])
-        fit = assert_lloyd_matches_reference(points, [1, 2, 0])
+        x = [(3, 3, 0, 0, 0), (0, 9, 0, 0, 0), (0, 9, 0, 0, 0), (9, 9, 0, 0, 0)]
+        [fit] = assert_lockstep_matches_reference(x, [1, 2, 0], [3])
         assert fit.labels[3] == 1
         assert sorted(set(fit.labels.tolist())) == [0, 1, 2]
 
@@ -518,35 +486,32 @@ class TestSweepEdgeCases:
     def test_repair_leaves_cluster_empty_on_duplicates(self):
         # Every point sits on centroid 0, so the farthest point is at
         # distance 0 and cluster 1 stays empty.
-        points = grid_points([(1, 1, 1, 1, 1)] * 6)
-        fit = assert_lloyd_matches_reference(points, [0, 1])
+        [fit] = assert_lockstep_matches_reference(np.ones((6, 5)), [0, 1], [2])
         assert set(fit.labels.tolist()) == {0}
         assert fit.sse == 0.0
 
     def test_two_points(self):
-        selection = assert_sweep_matches_reference(grid_points([(0, 0, 0, 0, 0), (1, 2, 0, 0, 0)]))
-        assert [e.k for e in selection.trace] == [2, 1]
+        sweep = assert_sweep_matches_reference([(0, 0, 0, 0, 0), (1, 2, 0, 0, 0)])
+        assert [e.k for e in sweep.trace] == [2, 1]
 
     def test_fewer_points_than_k_max(self):
-        points = grid_points([(i, i % 2, 0, 0, 0) for i in range(5)])
-        selection = assert_sweep_matches_reference(points, k_max=8, seed=4)
-        assert [e.k for e in selection.trace] == [5, 4, 3, 2, 1]
+        sweep = assert_sweep_matches_reference([(i, i % 2, 0, 0, 0) for i in range(5)], seed=4)
+        assert [e.k for e in sweep.trace] == [5, 4, 3, 2, 1]
 
     def test_all_points_identical(self):
-        selection = assert_sweep_matches_reference(grid_points([(2, 2, 2, 2, 2)] * 9), k_max=4)
-        assert selection.k == 1
-        assert all(e.sse == 0.0 and e.avg_diameter == 0.0 for e in selection.trace)
+        sweep = assert_sweep_matches_reference(np.full((9, 5), 2.0), k_max=4)
+        assert sweep.k == 1
+        assert all(e.sse == 0.0 and e.avg_diameter == 0.0 for e in sweep.trace)
 
 
 class TestLockstep:
     """Named corner cases of running every k's Lloyd in one loop, each
-    fit checked against the point-by-point Lloyd's run alone."""
+    fit checked against the reference Lloyd's run alone."""
 
     def test_repair_in_the_round_another_fit_converges(self, monkeypatch):
         # Seed rows 0 and 3 coincide.  In round 1 the k = 3 fit reseeds an
         # empty cluster while the k = 4 fit stops.
-        points = grid_points([(3, 1, 0, 0, 0), (0, 2, 0, 0, 0), (0, 2, 0, 0, 0),
-                              (3, 1, 0, 0, 0), (3, 2, 0, 0, 0)])
+        x = [(3, 1, 0, 0, 0), (0, 2, 0, 0, 0), (0, 2, 0, 0, 0), (3, 1, 0, 0, 0), (3, 2, 0, 0, 0)]
         rounds, reseeds = [0], []
         update, repair = cluster_module._update, cluster_module._repair_empty
 
@@ -562,15 +527,14 @@ class TestLockstep:
 
         monkeypatch.setattr(cluster_module, "_update", counting_update)
         monkeypatch.setattr(cluster_module, "_repair_empty", logging_repair)
-        fits = assert_lockstep_matches_reference(points, [0, 3, 4, 2], [4, 3, 2, 1])
+        fits = assert_lockstep_matches_reference(x, [0, 3, 4, 2], [4, 3, 2, 1])
         assert (1, 3) in reseeds
         assert len(fits[0].sse_trace) == 2  # the k = 4 fit stops after round 1
         assert len(fits[1].sse_trace) > 2
 
     def test_duplicate_rows_leave_clusters_empty(self):
         # Every reseed would be at distance 0, so each fit keeps one cluster.
-        points = grid_points([(1, 1, 1, 1, 1)] * 6)
-        fits = assert_lockstep_matches_reference(points, [0, 1, 2, 3], [4, 3, 2, 1])
+        fits = assert_lockstep_matches_reference(np.ones((6, 5)), [0, 1, 2, 3], [4, 3, 2, 1])
         for fit in fits:
             assert set(fit.labels.tolist()) == {0}
             assert fit.sse_trace == [0.0, 0.0]
@@ -578,35 +542,29 @@ class TestLockstep:
     @pytest.mark.parametrize("max_iters", [1, 100])
     def test_fewer_rows_than_k_max(self, max_iters):
         # The widest fit seeds every row, so its clusters are the rows.
-        points = grid_points([(0, 0, 0, 0, 0), (2, 0, 0, 0, 0), (2, 1, 0, 0, 0)])
-        selection = assert_sweep_matches_reference(points, k_max=8, max_iters=max_iters)
-        assert [e.k for e in selection.trace] == [3, 2, 1]
-        assert selection.trace[0].sse == selection.trace[0].avg_diameter == 0.0
+        x = [(0, 0, 0, 0, 0), (2, 0, 0, 0, 0), (2, 1, 0, 0, 0)]
+        sweep = assert_sweep_matches_reference(x, k_max=8, max_iters=max_iters)
+        assert [e.k for e in sweep.trace] == [3, 2, 1]
+        assert sweep.trace[0].sse == sweep.trace[0].avg_diameter == 0.0
 
     @pytest.mark.parametrize("max_iters", [1, 2, 3])
     def test_capped_fits_beside_converged_ones(self, max_iters):
         # Uncapped, the fits for k = 8..1 stop after 1, 1, 2, 2, 2, 2, 5
         # and 1 rounds, so every cap here stops some fits and not others.
-        points = grid_points(np.random.default_rng(5).uniform(0, 1, (20, 5)).tolist())
-        x, ks = coords_array(points), list(range(8, 0, -1))
-        seeds = farthest_first_seeds(x, 8, 0)
-        capped = [len(fit.sse_trace) > max_iters + 1 for fit in lockstep_lloyd(x, seeds, ks)]
+        x = np.random.default_rng(5).uniform(0, 1, (20, 5))
+        ks, seeds = list(range(8, 0, -1)), farthest_first_seeds(x, 8, 0)
+        capped = [len(fit.sse_trace) > max_iters + 1 for fit in lockstep(x, seeds, ks)]
         assert any(capped) and not all(capped)
-        fits = assert_lockstep_matches_reference(points, seeds, ks, max_iters)
+        fits = assert_lockstep_matches_reference(x, seeds, ks, max_iters)
         assert max(len(fit.sse_trace) for fit in fits) == max_iters + 1
-        assert_sweep_matches_reference(points, seed=0, max_iters=max_iters)
-
-    @pytest.mark.parametrize("ks", [[], [0], [3, 1]])
-    def test_k_out_of_range_rejected(self, ks):
-        with pytest.raises(ValueError, match="each k"):
-            lockstep_lloyd(line([0.0, 1.0, 2.0]), [0, 1], ks)
+        assert_sweep_matches_reference(x, seed=0, max_iters=max_iters)
 
     @pytest.mark.parametrize("second", [(0, 0, 0, 0, 0), (1, 2, 0, 0, 0)])
     def test_two_rows(self, second):
-        points = grid_points([(0, 0, 0, 0, 0), second])
-        selection = assert_sweep_matches_reference(points)
-        assert [e.k for e in selection.trace] == [2, 1]
-        assert_lockstep_matches_reference(points, [1, 0], [2, 1])
+        x = [(0, 0, 0, 0, 0), second]
+        sweep = assert_sweep_matches_reference(x)
+        assert [e.k for e in sweep.trace] == [2, 1]
+        assert_lockstep_matches_reference(x, [1, 0], [2, 1])
 
 
 row_strategies = (
@@ -614,72 +572,56 @@ row_strategies = (
     st.tuples(*[st.integers(0, 2)] * 5),
     st.tuples(*[st.floats(-100, 100, allow_nan=False)] * 5),
 )
-points_strategy = st.one_of(*(st.lists(row, min_size=1, max_size=25) for row in row_strategies))
+rows_strategy = st.one_of(*(st.lists(row, min_size=1, max_size=25) for row in row_strategies))
 
 
 class TestMatchesReference:
-    @given(points_strategy, st.booleans(), st.integers(1, 8),
-           st.floats(1.0, 4.0, exclude_min=True), st.integers(0, 2**32 - 1),
-           st.sampled_from([1, 2, 3, 100]))
-    def test_select_k(self, grid, reverse_ids, k_max, gamma, seed, max_iters):
+    @given(rows_strategy, st.integers(1, 8), st.floats(1.0, 4.0, exclude_min=True),
+           st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3, 100]))
+    def test_select_k(self, rows, k_max, gamma, seed, max_iters):
         """Small ``max_iters`` caps some lockstep fits while others converge."""
-        points = grid_points(grid, reverse_ids)
-        assert_sweep_matches_reference(points, k_max, gamma, seed, max_iters)
-        points.sort(key=lambda p: p.learner_id)
-        k = min(k_max, len(points))
-        assert [points[i] for i in farthest_first_seeds(coords_array(points), k, seed)] == (
-            reference_farthest_first_seeds(points, k, seed)
-        )
+        x = np.array(rows, dtype=np.float64)
+        assert_sweep_matches_reference(x, k_max, gamma, seed, max_iters)
+        k = min(k_max, len(x))
+        assert farthest_first_seeds(x, k, seed) == reference_farthest_first_seeds(x, k, seed)
 
     # Shrinking a failing example here ran for minutes, so a regression
     # looked like a hung job; unshrunk, it fails within seconds.
     @settings(phases=[p for p in Phase if p is not Phase.shrink])
-    @given(points_strategy, st.data())
-    def test_lloyd_kmeans(self, grid, data):
+    @given(rows_strategy, st.data())
+    def test_lloyd_kmeans(self, rows, data):
         """Arbitrary seed rows, so duplicate seeds and empty clusters are common."""
-        points = grid_points(grid)
-        rows = data.draw(st.lists(st.integers(0, len(points) - 1), min_size=1,
-                                  max_size=min(len(points), 8), unique=True))
-        assert_lloyd_matches_reference(points, rows)
+        seed_rows = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1,
+                                       max_size=min(len(rows), 8), unique=True))
+        assert_lockstep_matches_reference(rows, seed_rows, [len(seed_rows)])
 
     @given(st.data(), st.sampled_from([1, 3, cluster_module._DIAMETER_BLOCK_ROWS]))
     def test_average_diameter(self, data, block):
         """Rows drawn from a small pool repeat, labels up to 5 leave
         clusters empty, and row blocks of 1 and 3 cut atoms at block edges."""
-        pool = data.draw(st.one_of(*(st.lists(row, min_size=1, max_size=25)
-                                     for row in row_strategies)))
-        points = grid_points(data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30)))
+        pool = data.draw(rows_strategy)
+        x = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30)),
+                     dtype=np.float64)
         labels = data.draw(st.lists(
-            st.lists(st.integers(0, 5), min_size=len(points), max_size=len(points)),
+            st.lists(st.integers(0, 5), min_size=len(x), max_size=len(x)),
             min_size=1, max_size=4))
         with mock.patch.object(cluster_module, "_DIAMETER_BLOCK_ROWS", block):
-            assert_diameters_match_reference(points, labels)
+            assert_diameters_match_reference(x, labels)
 
 
-def assert_group_matches_oracle(group, want):
-    """Rows, seeds, every fit, the diameters, the chosen k and the largest
-    cluster equal the oracle's, float for float."""
-    assert repr(group.x.tolist()) == repr(want.x.tolist())
-    assert (group.k, group.largest.tolist()) == (want.k, want.largest.tolist())
-    if group.selection is None:
-        assert (group.trace, want.fits, group.labels.tolist()) == ([], [], [0] * len(group.x))
-        return
-    selection = group.selection
-    assert selection.seeds == want.seeds
-    assert len(selection.fits) == len(want.fits)
-    for got, expected in zip(selection.fits, want.fits):
-        assert got.labels.tolist() == expected.labels.tolist()
-        assert repr(got.centroids.tolist()) == repr(expected.centroids.tolist())
-        assert repr(got.sse_trace) == repr(expected.sse_trace)
-    assert [(e.k, repr(e.sse), repr(e.avg_diameter)) for e in selection.trace] == [
-        (len(want.fits) - i, repr(f.sse), repr(d))
-        for i, (f, d) in enumerate(zip(want.fits, want.diameters))]
-    assert group.labels is selection.fit.labels
+def reference_group_rows(coords: np.ndarray, k_max: int, gamma: float, seed: int,
+                         max_iters: int) -> Grouping:
+    """Normalize one subset's rows and sweep them alone with the
+    reference; a single row is its own group."""
+    x = normalize(coords)
+    if len(x) < 2:
+        return Grouping(x, 1, [], [], [], np.ones(1, dtype=bool))
+    return reference_select_k(x, k_max, gamma, seed, max_iters)
 
 
 class TestSharedSweep:
-    """group_subsets, whose subsets share their rounds, against the oracle
-    that sweeps each subset alone."""
+    """group_subsets, whose subsets share their rounds, against the
+    reference that sweeps each subset alone."""
 
     @settings(phases=[p for p in Phase if p is not Phase.shrink])
     @given(st.data())
@@ -699,12 +641,12 @@ class TestSharedSweep:
         seed = data.draw(st.integers(0, 2**32 - 1))
         max_iters = data.draw(st.sampled_from([1, 2, 3, 100]))
         budget = data.draw(st.sampled_from([1, 60, 400, cluster_module._BATCH_FIT_ROWS]))
-        with mock.patch.object(cluster_module, "_BATCH_FIT_ROWS", budget):
-            groups = list(group_subsets(coords, members, k_max, gamma, seed, max_iters))
+        with mock.patch.object(cluster_module, "_BATCH_FIT_ROWS", budget), lloyd_iters(max_iters):
+            groups = list(group_subsets(coords, members, k_max, gamma, seed))
         assert len(groups) == len(members)
         for rows, group in zip(members, groups):
-            assert_group_matches_oracle(
-                group, oracle_group_rows(coords[rows], k_max, gamma, seed, max_iters))
+            assert_same_grouping(
+                group, reference_group_rows(coords[rows], k_max, gamma, seed, max_iters))
 
     def test_batches_fill_the_budget_in_order(self):
         # Fit rows: 5 * 5, 3 * 3, 40 * 8, 9 * 8 and 1.
@@ -718,7 +660,7 @@ class TestSharedSweep:
         sweeps = cluster_module._sweeps
         monkeypatch.setattr(cluster_module, "_BATCH_FIT_ROWS", 1)
         monkeypatch.setattr(cluster_module, "_sweeps",
-                            lambda x, *args: calls.append(len(x)) or sweeps(x, *args))
+                            lambda xs, *args: calls.append(sum(map(len, xs))) or sweeps(xs, *args))
         coords = np.random.default_rng(3).uniform(0, 1, (30, 5))
         groups = group_subsets(coords, [np.arange(10), np.arange(5, 30)], 8, 2.0, 0)
         next(groups)
@@ -726,10 +668,16 @@ class TestSharedSweep:
         next(groups)
         assert calls == [10, 25]
 
+    def test_empty_subset_rejected_by_index(self):
+        """Rejected as the generator starts, before the subsets ahead of it
+        in its batch are grouped."""
+        coords = np.random.default_rng(1).uniform(0, 1, (6, 5))
+        groups = group_subsets(coords, [np.arange(3), np.arange(0), np.arange(2, 6)], 8, 2.0, 0)
+        with pytest.raises(ValueError, match="subset 1 is empty"):
+            next(groups)
+
     def test_group_rows_is_the_one_subset_case(self):
         coords = np.random.default_rng(9).uniform(0, 50, (40, 5))
         rows = [np.arange(0, 40, 2), np.arange(1, 40, 3), np.arange(40)]
         for r, group in zip(rows, group_subsets(coords, rows, 6, 1.5, 2)):
-            alone = group_rows(coords[r], 6, 1.5, 2)
-            assert (alone.k, alone.trace) == (group.k, group.trace)
-            np.testing.assert_array_equal(alone.labels, group.labels)
+            assert_same_grouping(group_rows(coords[r], 6, 1.5, 2), group)

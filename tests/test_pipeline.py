@@ -775,3 +775,11 @@ class TestRenderReport:
 
     def test_empty_store(self):
         assert render_report({}) == ""
+
+
+class TestPackageExports:
+    def test_every_exported_name_resolves_once(self):
+        learntags = importlib.import_module("learntags")
+        assert len(set(learntags.__all__)) == len(learntags.__all__)
+        missing = [name for name in learntags.__all__ if not hasattr(learntags, name)]
+        assert missing == []

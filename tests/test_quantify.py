@@ -436,13 +436,13 @@ class TestDeriveOrderings:
         features = np.array(
             [[9, 9, 9, 9, 9], [5, 4, 3, 2, 1], [1, 1, 1, 1, 1]], dtype=float
         )
-        d = derive_orderings(FactorPair(weights, features, 3, 0.0, [0.0]))
+        d = derive_orderings(FactorPair(weights, features, [0.0]))
         np.testing.assert_array_equal(d, np.array([[5, 4, 3, 2, 1]] * 5, dtype=float))
 
     def test_zero_weight_row_takes_feature_zero(self):
         weights = np.zeros((5, 3))
         features = np.arange(15, dtype=float).reshape(3, 5)
-        d = derive_orderings(FactorPair(weights, features, 3, 0.0, [0.0]))
+        d = derive_orderings(FactorPair(weights, features, [0.0]))
         np.testing.assert_array_equal(d, np.tile(features[0], (5, 1)))
 
     def test_rows_are_rows_of_features(self):
