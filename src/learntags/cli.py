@@ -27,29 +27,34 @@ from .viz import export_parcoords, export_values  # re-exported CLI operations
 
 _DEFAULTS = PipelineConfig()
 
-
-def _add_config_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--delta0", type=int, default=_DEFAULTS.delta0,
-                    help="high-rating threshold (default %(default)s)")
-    sp.add_argument("--support", type=float, default=_DEFAULTS.support_sl,
-                    help="Apriori support level (default %(default)s)")
-    sp.add_argument("--features", type=int, default=_DEFAULTS.nmf_k,
-                    help="independent features for NMF (default %(default)s)")
-    sp.add_argument("--kmax", type=int, default=_DEFAULTS.k_max,
-                    help="largest cluster count swept (default %(default)s)")
-    sp.add_argument("--gamma", type=float, default=_DEFAULTS.gamma,
-                    help="diameter jump factor (default %(default)s)")
-    sp.add_argument("--min-subset", type=int, default=_DEFAULTS.min_subset,
-                    help="smallest subset worth tagging (default %(default)s)")
-    sp.add_argument("--seed", type=int, default=_DEFAULTS.seed,
-                    help="RNG seed (default %(default)s)")
+# The flag, type and help of each PipelineConfig field a command can set;
+# the parsed value lands under the field's name.
+_CONFIG_FLAGS = {
+    "delta0": ("--delta0", int, "high-rating threshold"),
+    "support_sl": ("--support", float, "Apriori support level"),
+    "nmf_k": ("--features", int, "independent features for NMF"),
+    "k_max": ("--kmax", int, "largest cluster count swept"),
+    "gamma": ("--gamma", float, "diameter jump factor"),
+    "min_subset": ("--min-subset", int, "smallest subset worth tagging"),
+    "seed": ("--seed", int, "RNG seed"),
+}
+_QUANTIFY_FIELDS = ("delta0", "nmf_k", "seed")
 
 
-def _add_input_flags(sp: argparse.ArgumentParser) -> None:
+def _add_config_flags(sp: argparse.ArgumentParser, fields) -> None:
+    for name in fields:
+        flag, kind, text = _CONFIG_FLAGS[name]
+        sp.add_argument(flag, dest=name, metavar=flag[2:].upper().replace("-", "_"),
+                        type=kind, default=getattr(_DEFAULTS, name),
+                        help=f"{text} (default %(default)s)")
+
+
+def _add_input_flags(sp: argparse.ArgumentParser, synth: bool = True) -> None:
     sp.add_argument("--ratings", help="ratings CSV path")
     sp.add_argument("--profiles", help="learner profiles CSV path")
-    sp.add_argument("--synth-seed", type=int, default=None,
-                    help="synthesize profiles for raters missing from --profiles")
+    if synth:
+        sp.add_argument("--synth-seed", type=int, default=None,
+                        help="synthesize profiles for raters missing from --profiles")
 
 
 @functools.cache  # built once per process: a parse leaves the parser unchanged
@@ -61,20 +66,22 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     sp = sub.add_parser("ingest-check", help="validate input files, print counts")
-    _add_input_flags(sp)
+    _add_input_flags(sp, synth=False)
 
     sp = sub.add_parser("synth-profiles", help="write synthetic profiles for raters")
-    _add_input_flags(sp)
+    _add_input_flags(sp, synth=False)
+    sp.add_argument("--synth-seed", type=int, default=0,
+                    help="seed of the synthetic profiles (default %(default)s)")
     sp.add_argument("--out", help="output CSV path (default stdout)")
 
     sp = sub.add_parser("quantify", help="dump the nominal-attribute quantification")
     _add_input_flags(sp)
-    _add_config_flags(sp)
+    _add_config_flags(sp, _QUANTIFY_FIELDS)
     sp.add_argument("--out", help="output JSON path (default stdout)")
 
     sp = sub.add_parser("tag", help="run the full pipeline and write the store")
     _add_input_flags(sp)
-    _add_config_flags(sp)
+    _add_config_flags(sp, _CONFIG_FLAGS)
     sp.add_argument("--out", help="store JSON path")
     sp.add_argument("--trace", help="write the per-resource k-sweep trace here")
 
@@ -89,14 +96,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("export-values", help="strip chart of quantified values")
     _add_input_flags(sp)
-    _add_config_flags(sp)
+    _add_config_flags(sp, _QUANTIFY_FIELDS)
     sp.add_argument("--attribute", choices=sorted(ingest.ATTRIBUTES),
                     default="strategy", help="attribute to plot (default %(default)s)")
     sp.add_argument("--out", required=True, help="SVG path")
 
     sp = sub.add_parser("export-parcoords", help="parallel coordinates for one subset")
     _add_input_flags(sp)
-    _add_config_flags(sp)
+    _add_config_flags(sp, (*_QUANTIFY_FIELDS, "k_max", "gamma"))
     sp.add_argument("--resource", required=True, help="resource id to plot")
     sp.add_argument("--out", required=True, help="SVG path")
 
@@ -104,15 +111,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(args: argparse.Namespace) -> PipelineConfig:
-    return PipelineConfig(
-        delta0=args.delta0,
-        support_sl=args.support,
-        nmf_k=args.features,
-        k_max=args.kmax,
-        gamma=args.gamma,
-        seed=args.seed,
-        min_subset=args.min_subset,
-    )
+    """The config of the command's config flags, every other field at its default."""
+    return PipelineConfig(**{name: getattr(args, name)
+                             for name in _CONFIG_FLAGS if hasattr(args, name)})
 
 
 def _read_ratings(path: str) -> ingest.RatingsResult:
@@ -165,8 +166,12 @@ def _profiles_from(path: str) -> dict[str, ingest.LearnerProfile]:
     return {p.learner_id: p for p in result.profiles}
 
 
-def _assemble_profiles(args: argparse.Namespace, records) -> dict[str, ingest.LearnerProfile]:
-    """Profiles from --profiles, topped up synthetically when asked."""
+def _read_inputs(args: argparse.Namespace):
+    """The rating records of --ratings and the profiles by learner id of
+    --profiles, topped up synthetically when asked."""
+    if args.ratings is None:
+        raise ValueError("missing --ratings")
+    records = _read_ratings(args.ratings).records
     by_id = _profiles_from(args.profiles) if args.profiles else {}
     if args.synth_seed is not None:
         rated = sorted({r.learner_id for r in records})
@@ -175,7 +180,7 @@ def _assemble_profiles(args: argparse.Namespace, records) -> dict[str, ingest.Le
             by_id[p.learner_id] = p
     if not by_id:
         raise ValueError("no profiles: pass --profiles and/or --synth-seed")
-    return by_id
+    return records, by_id
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -207,22 +212,16 @@ def _cmd_synth_profiles(args: argparse.Namespace) -> int:
     if args.ratings is None:
         raise ValueError("synth-profiles needs --ratings to know the learner ids")
     records = _read_ratings(args.ratings).records
-    seed = args.synth_seed if args.synth_seed is not None else 0
-    known: set[str] = set()
-    if args.profiles:
-        known = {p.learner_id for p in _read_profiles(args.profiles).profiles}
-    ids = sorted({r.learner_id for r in records} - known)
-    profiles = ingest.generate_profiles(ids, seed)
+    known = _profiles_from(args.profiles) if args.profiles else {}
+    ids = sorted({r.learner_id for r in records} - known.keys())
+    profiles = ingest.generate_profiles(ids, args.synth_seed)
     _write_text(ingest.render_profiles(profiles), args.out)
     return 0
 
 
 def _quantify_details(args: argparse.Namespace, config: PipelineConfig):
     """The learner table of the input files and its quantification."""
-    if args.ratings is None:
-        raise ValueError("missing --ratings")
-    records = _read_ratings(args.ratings).records
-    profiles = _assemble_profiles(args, records)
+    records, profiles = _read_inputs(args)
     table = ingest.learner_table(records, profiles, config.delta0)
     return table, quantify_nominal(table, config)
 
@@ -237,10 +236,7 @@ def _cmd_quantify(args: argparse.Namespace) -> int:
 
 def _cmd_tag(args: argparse.Namespace) -> int:
     config = _config_from(args)
-    if args.ratings is None:
-        raise ValueError("missing --ratings")
-    records = _read_ratings(args.ratings).records
-    profiles = _assemble_profiles(args, records)
+    records, profiles = _read_inputs(args)
 
     traces: list[str] = []
 

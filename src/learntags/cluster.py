@@ -80,8 +80,7 @@ class KTraceEntry:
 class Grouping:
     """One subset's k sweep: its farthest-first seeds, Lloyd's fit for
     every k from the first down to 1, the (k, sse, avg_diameter) trace,
-    the chosen k and its largest cluster.  ``group_subsets`` gives a
-    subset of one row no seeds, fits or trace: it is its own group."""
+    the chosen k and its largest cluster."""
 
     x: np.ndarray                    # (n, dims) rows, normalized by group_subsets
     k: int
@@ -93,8 +92,6 @@ class Grouping:
     @property
     def labels(self) -> np.ndarray:
         """(n,) cluster index per row at the chosen k."""
-        if not self.fits:
-            return np.zeros(len(self.x), dtype=np.intp)
         return self.fits[len(self.fits) - self.k].labels
 
 
@@ -459,20 +456,15 @@ def group_subsets(
     order.
 
     The sweeps run in shared rounds, batch by batch, so memory is bounded
-    by one batch.  A subset of one row has nothing to cluster: no sweep
-    runs and the row itself is the group, at k = 1.  An empty subset is
-    rejected, by index, before any grouping is yielded.
+    by one batch.  An empty subset is rejected, by index, before any
+    grouping is yielded.
     """
     _check_sweep(k_max, gamma)
     sizes = [len(rows) for rows in members]
     if 0 in sizes:
         raise ValueError(f"subset {sizes.index(0)} is empty")
     for batch in _batches(sizes, k_max):
-        xs = [normalize(coords[members[i]]) for i in batch]
-        swept = [x for x in xs if len(x) > 1]
-        groupings = iter(_sweeps(swept, k_max, gamma, seed) if swept else [])
-        for x in xs:
-            yield next(groupings) if len(x) > 1 else Grouping(x, 1, [], [], [], np.ones(1, bool))
+        yield from _sweeps([normalize(coords[members[i]]) for i in batch], k_max, gamma, seed)
 
 
 def group_rows(coords: np.ndarray, k_max: int, gamma: float, seed: int) -> Grouping:

@@ -231,12 +231,29 @@ def _checked_values(row: list[str]) -> tuple[int, ...] | str:
     return _profile_violation(LearnerProfile(row[0], *values))
 
 
-def _profiles_reader(stream: Iterable[str] | str):
-    """A csv reader of a profiles file, for its ``line_num``, and its data rows."""
+def _scan_profiles(stream: Iterable[str] | str, learner_id: str | None = None):
+    """Split and check every row of a profiles file: its ProfilesResult
+    without profiles, ``learner_rejected`` being ``learner_id``'s last
+    rejected row, and the checked values of each learner's last valid row
+    by learner id."""
     if isinstance(stream, str):
         stream = io.StringIO(stream)
     reader = csv.reader(stream)
-    return reader, _data_rows(reader, PROFILES_HEADER, "profiles")
+    result = ProfilesResult(profiles=[])
+    by_id: dict[str, tuple[int, ...]] = {}
+    for row in _data_rows(reader, PROFILES_HEADER, "profiles"):
+        if not row:
+            continue
+        checked = _checked_values(row)
+        if isinstance(checked, str):
+            result.rejected.append((reader.line_num, checked))
+            if row[0] == learner_id:
+                result.learner_rejected = result.rejected[-1]
+            continue
+        if row[0] in by_id:
+            result.duplicates += 1
+        by_id[row[0]] = checked
+    return result, by_id
 
 
 def parse_profiles(stream: Iterable[str] | str) -> ProfilesResult:
@@ -247,19 +264,7 @@ def parse_profiles(stream: Iterable[str] | str) -> ProfilesResult:
     duplicate learner ids keep the last occurrence and bump ``duplicates``.
     A row the CSV reader cannot split raises MalformedRowError.
     """
-    result = ProfilesResult(profiles=[])
-    by_id: dict[str, tuple[int, ...]] = {}
-    reader, rows = _profiles_reader(stream)
-    for row in rows:
-        if not row:
-            continue
-        checked = _checked_values(row)
-        if isinstance(checked, str):
-            result.rejected.append((reader.line_num, checked))
-            continue
-        if row[0] in by_id:
-            result.duplicates += 1
-        by_id[row[0]] = checked
+    result, by_id = _scan_profiles(stream)
     result.profiles = [_new_record(LearnerProfile, (lid, *values))
                        for lid, values in by_id.items()]
     return result
@@ -273,25 +278,9 @@ def find_profile(stream: Iterable[str] | str, learner_id: str) -> ProfilesResult
     ``duplicates`` are those of the whole file; ``learner_rejected`` is
     the learner's last rejected row, if any.
     """
-    result = ProfilesResult(profiles=[])
-    valid_ids: list[str] = []
-    found = None
-    reader, rows = _profiles_reader(stream)
-    for row in rows:
-        if not row:
-            continue
-        checked = _checked_values(row)
-        if isinstance(checked, str):
-            result.rejected.append((reader.line_num, checked))
-            if row[0] == learner_id:
-                result.learner_rejected = result.rejected[-1]
-            continue
-        valid_ids.append(row[0])
-        if row[0] == learner_id:
-            found = checked
-    result.duplicates = len(valid_ids) - len(set(valid_ids))
-    if found is not None:
-        result.profiles.append(LearnerProfile(learner_id, *found))
+    result, by_id = _scan_profiles(stream, learner_id)
+    if learner_id in by_id:
+        result.profiles.append(LearnerProfile(learner_id, *by_id[learner_id]))
     return result
 
 

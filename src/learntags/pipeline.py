@@ -200,7 +200,7 @@ def run(
             continue
 
         group = next(groups)
-        if trace_hook is not None and group.trace:
+        if trace_hook is not None:
             trace_hook(rid, group.trace)
         winners = select_tag(apriori(table.items[rows[group.largest]], config.support_sl))
         provenance = Provenance(

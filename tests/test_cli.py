@@ -7,6 +7,7 @@ geometry independently.
 """
 from __future__ import annotations
 
+import argparse
 import importlib
 import json
 import os
@@ -172,10 +173,52 @@ class TestExportParcoords:
             export_parcoords(np.zeros((0, 5)), [], tmp_path / "p.svg")
 
 
+INPUT_FLAGS = ["--ratings", "--profiles", "--synth-seed"]
+# Each subcommand's options in the order its help lists them.
+OPTIONS = {
+    "ingest-check": ["--ratings", "--profiles"],
+    "synth-profiles": [*INPUT_FLAGS, "--out"],
+    "quantify": [*INPUT_FLAGS, "--delta0", "--features", "--seed", "--out"],
+    "tag": [*INPUT_FLAGS, "--delta0", "--support", "--features", "--kmax", "--gamma",
+            "--min-subset", "--seed", "--out", "--trace"],
+    "match": ["--store", "--profiles", "--learner", "--ratings", "--top"],
+    "export-values": [*INPUT_FLAGS, "--delta0", "--features", "--seed", "--attribute", "--out"],
+    "export-parcoords": [*INPUT_FLAGS, "--delta0", "--features", "--seed", "--kmax", "--gamma",
+                         "--resource", "--out"],
+}
+# The commands with config flags, and the arguments each requires.
+CONFIG_COMMANDS = {
+    "quantify": [],
+    "tag": [],
+    "export-values": ["--out", "v.svg"],
+    "export-parcoords": ["--resource", "b1", "--out", "p.svg"],
+}
+
+
 class TestParserDefaults:
     def test_config_flags_default_to_pipeline_config(self):
-        args = _build_parser().parse_args(["tag"])
-        assert _config_from(args) == PipelineConfig()
+        for command, required in CONFIG_COMMANDS.items():
+            args = _build_parser().parse_args([command, *required])
+            assert _config_from(args) == PipelineConfig(), command
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_each_command_takes_only_the_flags_it_reads(self, command):
+        action = next(a for a in _build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+        options = [a.option_strings[0] for a in action.choices[command]._actions
+                   if "--help" not in a.option_strings]
+        assert options == OPTIONS[command]
+
+    @pytest.mark.parametrize("argv", [
+        ["quantify", "--gamma", "0.5"],
+        ["export-values", "--out", "v.svg", "--kmax", "2"],
+        ["export-parcoords", "--resource", "b1", "--out", "p.svg", "--support", "0.5"],
+        ["ingest-check", "--synth-seed", "1"],
+    ])
+    def test_unread_flags_are_unrecognized(self, capsys, argv):
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
 
     def test_help_exits_zero(self, capsys):
         assert dispatch(["--help"]) == 0
@@ -259,6 +302,21 @@ class TestSynthProfiles:
         assert dispatch(["synth-profiles", "--ratings", ratings,
                          "--profiles", profiles, "--out", str(out)]) == 0
         assert parse_profiles(out.read_text(encoding="utf-8")).profiles == []
+
+    def test_rejected_rows_warned(self, tmp_path, capsys):
+        """The warning quantify and tag print; a learner whose only row was
+        rejected has no profile, so it is synthesized."""
+        ratings, _ = write_corpus(tmp_path)
+        profiles = tmp_path / "bad.csv"
+        profiles.write_text("learner_id,a1,a2,a3,a4,a5_hours\nu00,3,3,1,1,5\nu01,1,2,1,1,5\n",
+                            encoding="utf-8")
+        out = tmp_path / "synth.csv"
+        assert dispatch(["synth-profiles", "--ratings", ratings, "--profiles", str(profiles),
+                         "--out", str(out)]) == 0
+        assert capsys.readouterr().err == (
+            "warning: 1 profile rows rejected (first at line 2: a2 must exceed a1)\n")
+        synthesized = parse_profiles(out.read_text(encoding="utf-8")).profiles
+        assert [p.learner_id for p in synthesized] == ["u00"] + [f"u{i:02d}" for i in range(2, 12)]
 
     def test_requires_ratings(self, capsys):
         assert dispatch(["synth-profiles"]) == 1

@@ -11,6 +11,7 @@ from scipy.spatial.distance import cdist
 
 from learntags import (
     Grouping,
+    KTraceEntry,
     LearnerProfile,
     average_diameter,
     farthest_first_seeds,
@@ -452,10 +453,11 @@ class TestGroupRows:
         np.testing.assert_array_equal(group.largest, largest_cluster(group.labels))
 
     def test_one_row_is_its_own_group(self):
-        group = group_rows(np.array([[2.0, 5.0, 1.5, 3.5, 25.0]]), k_max=8, gamma=2.0, seed=0)
-        assert (group.k, group.seeds, group.fits, group.trace) == (1, [], [], [])
+        x = np.array([[2.0, 5.0, 1.5, 3.5, 25.0]])
+        group = group_rows(x, k_max=8, gamma=2.0, seed=0)
+        assert_same_grouping(group, sweep_k(normalize(x), 8, 2.0, 0))
         assert group.x.tolist() == [[0.0] * 5]
-        assert group.labels.tolist() == [0]
+        assert (group.k, group.seeds, group.trace) == (1, [0], [KTraceEntry(1, 0.0, 0.0)])
         assert group.largest.tolist() == [True]
 
 
@@ -611,12 +613,8 @@ class TestMatchesReference:
 
 def reference_group_rows(coords: np.ndarray, k_max: int, gamma: float, seed: int,
                          max_iters: int) -> Grouping:
-    """Normalize one subset's rows and sweep them alone with the
-    reference; a single row is its own group."""
-    x = normalize(coords)
-    if len(x) < 2:
-        return Grouping(x, 1, [], [], [], np.ones(1, dtype=bool))
-    return reference_select_k(x, k_max, gamma, seed, max_iters)
+    """Normalize one subset's rows and sweep them alone with the reference."""
+    return reference_select_k(normalize(coords), k_max, gamma, seed, max_iters)
 
 
 class TestSharedSweep:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from learntags import (
+    KTraceEntry,
     LearnerProfile,
     PipelineConfig,
     Provenance,
@@ -29,7 +30,7 @@ from learntags import (
     run,
     save_store,
 )
-from learntags.ingest import MAX_HOURS, TimeBin
+from learntags.ingest import MAX_HOURS, TimeBin, discretize_time
 from learntags.pipeline import SKIP_NO_ITEMSET, SKIP_SMALL_SUBSET, STORE_SCHEMA
 
 VALUE_MAPS = {
@@ -276,6 +277,23 @@ class TestRun:
         assert set(seen) == clustered
         for rid, trace in seen.items():
             assert [e.k for e in trace][-1] == 1
+
+    def test_one_rater_resource_is_swept_as_one_fit(self):
+        """With min_subset 1 a one-row subset takes the shared sweep: one
+        fit at k = 1 of SSE and diameter 0, its row the largest cluster,
+        so the cloud is the rater's whole profile at support 1."""
+        records, profiles = self.small_corpus()
+        solo = profiles["u000007"]
+        records.append(RatingRecord(solo.learner_id, "solo", 9))
+        seen: dict[str, list] = {}
+        store = run(PipelineConfig(seed=5, min_subset=1), records, profiles,
+                    trace_hook=lambda r, t: seen.setdefault(r, t))
+        assert seen["solo"] == [KTraceEntry(1, 0.0, 0.0)]
+        strategy, presentation = (store.value_maps[a] for a in ("strategy", "presentation"))
+        assert store["solo"] == TagCloud("solo", [Tag(
+            solo.current_skill, solo.target_skill, discretize_time(max(solo.hours, 1)),
+            strategy[solo.strategy], presentation[solo.presentation])],
+            Provenance(subset_size=1, chosen_k=1, cluster_size=1, support=1.0))
 
     def test_store_carries_config_and_value_maps(self):
         from learntags import quantify_nominal
