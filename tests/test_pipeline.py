@@ -270,10 +270,7 @@ class TestRun:
         config = PipelineConfig(seed=5)
         seen: dict[str, list] = {}
         store = run(config, records, profiles, trace_hook=lambda r, t: seen.setdefault(r, t))
-        clustered = {
-            rid for rid, c in store.items()
-            if c.skipped != SKIP_SMALL_SUBSET and c.provenance.subset_size >= 2
-        }
+        clustered = {rid for rid, c in store.items() if c.skipped != SKIP_SMALL_SUBSET}
         assert set(seen) == clustered
         for rid, trace in seen.items():
             assert [e.k for e in trace][-1] == 1
