@@ -8,8 +8,9 @@ these rows once per run, and quantification reads the same table.  The
 paper's Apriori step keeps the itemsets whose support clears the level
 sl; since a row supports only its own 31 attribute subsets, `apriori`
 counts those directly.  An itemset is a five-field tuple with 0 for an
-absent attribute.  The winning tag is the largest frequent itemset, with
-ties kept as a multi-tag cloud.
+absent attribute.  The winning tag is the largest frequent itemset, then
+the most supported, with ties kept as a multi-tag cloud; `tag_itemsets`
+picks those winners from the same counts without listing the rest.
 """
 
 from learntags import (
@@ -19,7 +20,7 @@ from learntags import (
     generate_profiles,
     learner_table,
     render_tag,
-    select_tag,
+    tag_itemsets,
 )
 from learntags.ingest import RatingRecord
 
@@ -43,7 +44,7 @@ print(f"\nfrequent itemsets at sl=0.1: {len(frequent)}")
 for size in sorted(by_size):
     print(f"  size {size}: {by_size[size]}")
 
-winners = select_tag(frequent)
+winners = tag_itemsets(items, sl=0.1)
 print(f"\nwinning itemsets ({len(winners)}, support "
       f"{winners[0].support:.2f}):")
 for winner in winners:

@@ -44,7 +44,7 @@ from .cluster import (
     normalize,
     sweep_k,
 )
-from .mine import FrequentItemset, apriori, select_tag
+from .mine import FrequentItemset, apriori, tag_itemsets
 from .pipeline import (
     PipelineConfig,
     Provenance,
@@ -72,7 +72,7 @@ __all__ = [
     "quantify_nominal", "symmetrize",
     "Grouping", "KTraceEntry", "LloydFit", "average_diameter", "farthest_first_seeds",
     "group_rows", "group_subsets", "largest_cluster", "normalize", "sweep_k",
-    "FrequentItemset", "apriori", "select_tag",
+    "FrequentItemset", "apriori", "tag_itemsets",
     "PipelineConfig", "Provenance", "Tag", "TagCloud",
     "TagStore", "load_store", "match_resources", "render_report",
     "render_tag", "run", "save_store",

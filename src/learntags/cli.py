@@ -49,6 +49,17 @@ def _add_config_flags(sp: argparse.ArgumentParser, fields) -> None:
                         help=f"{text} (default %(default)s)")
 
 
+def _at_least_one(text: str) -> int:
+    """Argparse type of a count flag: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _add_input_flags(sp: argparse.ArgumentParser, synth: bool = True) -> None:
     sp.add_argument("--ratings", help="ratings CSV path")
     sp.add_argument("--profiles", help="learner profiles CSV path")
@@ -91,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--learner", required=True, help="learner id from --profiles")
     sp.add_argument("--ratings", help="accepted for compatibility, not read: the store "
                                       "carries the quantified values match needs")
-    sp.add_argument("--top", type=int, default=5,
+    sp.add_argument("--top", type=_at_least_one, default=5,
                     help="entries to print (default %(default)s)")
 
     sp = sub.add_parser("export-values", help="strip chart of quantified values")
@@ -107,6 +118,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--resource", required=True, help="resource id to plot")
     sp.add_argument("--out", required=True, help="SVG path")
 
+    for sp in sub.choices.values():  # so that a command reports its own usage errors
+        sp.set_defaults(command_parser=sp)
     return parser
 
 
@@ -307,7 +320,9 @@ def dispatch(argv: list[str]) -> int:
     """Parse argv and run one subcommand, mapping failures to exit codes."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, unknown = parser.parse_known_args(argv)
+        if unknown:
+            args.command_parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     except SystemExit as exc:  # argparse exits on usage errors and --help
         return 0 if exc.code == 0 else 1
     try:

@@ -37,7 +37,7 @@ from .ingest import (
     discretize_time,
     learner_table,
 )
-from .mine import apriori, select_tag
+from .mine import tag_itemsets
 from .quantify import AttributeValueMap, quantify_nominal
 
 logger = logging.getLogger(__name__)
@@ -202,7 +202,7 @@ def run(
         group = next(groups)
         if trace_hook is not None:
             trace_hook(rid, group.trace)
-        winners = select_tag(apriori(table.items[rows[group.largest]], config.support_sl))
+        winners = tag_itemsets(table.items[rows[group.largest]], config.support_sl)
         provenance = Provenance(
             subset_size=size,
             chosen_k=group.k,

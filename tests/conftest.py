@@ -2,9 +2,11 @@
 
 The oracle functions deliberately avoid the library's own algorithms:
 brute-force pair enumeration, exhaustive subset counting, level-wise
-Apriori candidate search over item objects, a k sweep of one subset at
-a time with its own Lloyd loop, empty-cluster repair and ``pdist``
-diameters, the one-matrix NMF loop that the stacked NMF replaced, the
+Apriori candidate search over item objects, the Python sort key and
+the tag selection over a full list of frequent itemsets that the array
+passes of ``apriori`` and ``tag_itemsets`` replaced, a k sweep of one
+subset at a time with its own Lloyd loop, empty-cluster repair and
+``pdist`` diameters, the one-matrix NMF loop that the stacked NMF replaced, the
 row-by-row ``int()`` checks that the parsers' tables of canonical texts
 replaced, and direct rescans (``build_subset`` scans the ratings once
 per resource), so test expectations are derived independently of the
@@ -321,6 +323,25 @@ def levelwise_apriori(transactions: list[Transaction], sl: float) -> list[Oracle
 
     ordered = sorted(frequent, key=lambda s: (len(s), itemset_key(s)))
     return [OracleItemset(s, frequent[s] / n, frequent[s]) for s in ordered]
+
+
+def reference_order(f: FrequentItemset) -> tuple[int, list[tuple[int, int]]]:
+    """Size, then the (attribute, code) pairs: the order miner itemsets
+    are output in, as the Python sort key the array sort replaced."""
+    pairs = [(a, v) for a, v in enumerate(f.fields) if v]
+    return len(pairs), pairs
+
+
+def reference_select_tag(frequent: list[FrequentItemset]) -> list[FrequentItemset]:
+    """The tag selection over a full ``apriori`` list that
+    ``tag_itemsets`` replaced: itemsets of top cardinality, then top
+    count, all ties included, in ``reference_order``."""
+    if not frequent:
+        return []
+    top_size = max(reference_order(f)[0] for f in frequent)
+    biggest = [f for f in frequent if reference_order(f)[0] == top_size]
+    top_count = max(f.count for f in biggest)
+    return sorted((f for f in biggest if f.count == top_count), key=reference_order)
 
 
 def items_from_tag(

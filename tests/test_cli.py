@@ -220,6 +220,13 @@ class TestParserDefaults:
         err = capsys.readouterr().err
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
 
+    def test_unread_flag_reported_with_its_command_usage(self, capsys):
+        assert dispatch(["quantify", "--ratings", "r.csv", "--profiles", "p.csv",
+                         "--kmax", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: learntags quantify ")
+        assert err.endswith("learntags quantify: error: unrecognized arguments: --kmax 2\n")
+
     def test_help_exits_zero(self, capsys):
         assert dispatch(["--help"]) == 0
         assert "ingest-check" in capsys.readouterr().out
@@ -473,6 +480,15 @@ class TestMatch:
                          "--learner", "u00"]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {store}: byte 14 (line 2) is not valid utf-8: invalid start byte\n"
+
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_top_below_one_is_a_usage_error(self, capsys, top):
+        assert dispatch(["match", "--store", "s.json", "--profiles", "p.csv",
+                         "--learner", "u00", "--top", top]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: learntags match ")
+        assert err.endswith(
+            f"learntags match: error: argument --top: must be an integer >= 1, got '{top}'\n")
 
     def test_store_flag_required(self, capsys):
         assert dispatch(["match", "--learner", "u00"]) == 1

@@ -5,13 +5,13 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from learntags import (
     LearnerProfile,
     apriori,
     learner_table,
-    select_tag,
+    tag_itemsets,
 )
 from learntags.ingest import discretize_time
 from learntags.mine import N_ATTRIBUTES, FrequentItemset
@@ -26,6 +26,8 @@ from conftest import (
     itemset_of,
     items_array,
     maximal_itemsets,
+    reference_order,
+    reference_select_tag,
     transaction_from_profile,
 )
 
@@ -81,6 +83,16 @@ def mining_inputs(draw):
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=12))
     transactions = [Transaction(f"t{i:02d}", pool[j]) for i, j in enumerate(picks)]
     return transactions, draw(support_levels(len(transactions)))
+
+
+@st.composite
+def tied_rows(draw):
+    """One to ten item rows over codes 1 and 2, so that top sizes and top
+    counts tie often, plus a support level."""
+    n = draw(st.integers(1, 10))
+    row = st.lists(st.integers(1, 2), min_size=N_ATTRIBUTES, max_size=N_ATTRIBUTES)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    return np.array(rows, dtype=np.int64), draw(support_levels(n))
 
 
 @st.composite
@@ -161,6 +173,33 @@ class TestApriori:
         with pytest.raises(ValueError, match="too large"):
             apriori(items, sl=1.0)
 
+    @pytest.mark.parametrize("miner", [apriori, tag_itemsets])
+    def test_largest_int64_code_rejected(self, miner):
+        """Its radix, the code plus one, would wrap to a negative int64."""
+        with pytest.raises(ValueError, match="too large"):
+            miner(np.array([[1, 1, 1, 1, np.iinfo(np.int64).max]]), sl=1.0)
+
+    @pytest.mark.parametrize("miner", [apriori, tag_itemsets])
+    @pytest.mark.parametrize("items", [
+        np.array([[1.7, 2, 3, 4, 1]]),
+        np.array([[1.0, 2, 3, 4, 1]]),
+        np.ones((1, N_ATTRIBUTES), dtype=bool),
+        np.array([["1", "2", "3", "4", "1"]]),
+    ], ids=["fraction", "whole-float", "bool", "str"])
+    def test_non_integer_codes_rejected(self, miner, items):
+        with pytest.raises(ValueError, match="item codes must be integers"):
+            miner(items, sl=1.0)
+
+    @pytest.mark.parametrize("miner", [apriori, tag_itemsets])
+    @pytest.mark.parametrize("items", [
+        [[1, 2, 3, 4, 1]],
+        np.array([[1, 2, 3, 4, 1]], dtype=np.int32),
+        np.array([[1, 2, 3, 4, 1]], dtype=np.uint8),
+    ], ids=["list", "int32", "uint8"])
+    def test_any_integer_codes_accepted(self, miner, items):
+        expected = miner(np.array([[1, 2, 3, 4, 1]], dtype=np.int64), sl=1.0)
+        assert miner(items, sl=1.0) == expected
+
     def test_matches_brute_force_on_seeded_instances(self):
         from conftest import brute_force_frequent, random_transactions
 
@@ -207,6 +246,13 @@ class TestApriori:
                     assert frozenset(sub) in supports
                     assert supports[frozenset(sub)] >= f.support
 
+    @given(tied_rows())
+    def test_order_is_the_reference_sort_key(self, inputs):
+        """One lexsort with absent fields keyed last orders itemsets as the
+        Python key of size, then (attribute, code) pairs."""
+        frequent = apriori(*inputs)
+        assert frequent == sorted(frequent, key=reference_order)
+
     def test_output_order_deterministic(self):
         from conftest import random_transactions
 
@@ -250,25 +296,27 @@ class TestMaximalItemsets:
 
 
 class TestSelectTag:
+    """tag_itemsets on item rows: the winners of the full frequent list."""
+
     def test_cardinality_beats_support(self):
+        # (1, 2, 3, 4, 1) in 6 of 15 rows; (2, 3, 1, ., .) in the other 9,
+        # whose last two fields spread so that no larger itemset reaches 6.
         five = (1, 2, 3, 4, 1)
-        three = (2, 3, 1, 0, 0)
-        frequent = [
-            FrequentItemset(five, 6, 0.6),
-            FrequentItemset(three, 9, 0.9),
-        ]
-        winners = select_tag(frequent)
-        assert [w.fields for w in winners] == [five]
+        rows = [five] * 6 + [(2, 3, 1, i % 3 + 1, i // 3 + 1) for i in range(9)]
+        winners = tag_itemsets(np.array(rows), 6 / 15)
+        assert [(w.fields, w.count) for w in winners] == [(five, 6)]
+        assert max(f.count for f in apriori(np.array(rows), 6 / 15)
+                   if f.fields[:3] == (2, 3, 1)) == 9
 
     def test_equal_support_ties_all_returned(self):
         a = (1, 2, 3, 4, 0)
         b = (2, 3, 4, 5, 0)
-        frequent = [FrequentItemset(b, 5, 0.5), FrequentItemset(a, 5, 0.5)]
-        winners = select_tag(frequent)
-        assert [w.fields for w in winners] == [a, b]
+        rows = [(*b[:4], t) for t in range(1, 6)] + [(*a[:4], t) for t in range(1, 6)]
+        winners = tag_itemsets(np.array(rows), 0.5)
+        assert [(w.fields, w.count) for w in winners] == [(a, 5), (b, 5)]
 
     def test_empty_input_gives_empty_cloud(self):
-        assert select_tag([]) == []
+        assert tag_itemsets(np.array([[1] * 5, [2] * 5]), 1.0) == []
 
     def test_matches_oracle_ranking(self):
         from conftest import brute_force_frequent, random_transactions
@@ -276,7 +324,7 @@ class TestSelectTag:
         rng = np.random.default_rng(66)
         for _ in range(10):
             transactions = random_transactions(rng, int(rng.integers(2, 13)))
-            winners = as_oracle(select_tag(apriori(items_array(transactions), 0.2)))
+            winners = as_oracle(tag_itemsets(items_array(transactions), 0.2))
 
             oracle = brute_force_frequent(transactions, 0.2)
             maximal = {
@@ -295,5 +343,25 @@ class TestSelectTag:
     @given(profile_inputs())
     def test_equals_maximal_itemset_selection(self, inputs):
         profiles, sl = inputs
-        frequent = apriori(table_items(profiles), sl)
-        assert as_oracle(select_tag(frequent)) == maximal_selection(as_oracle(frequent))
+        items = table_items(profiles)
+        assert as_oracle(tag_itemsets(items, sl)) == maximal_selection(
+            as_oracle(apriori(items, sl)))
+
+    @given(tied_rows())
+    @example((np.array([[1, 2, 1, 2, 1]]), 1.0))  # one row: its full itemset
+    @example((np.array([[1] * 5, [2] * 5]), 1.0))  # nothing frequent
+    @example((np.array([[1] * 5, [1] * 5, [2] * 5]), 1 / 3))  # one size, two counts
+    @example((np.array([[1, 1, 1, 1, 1], [1, 1, 1, 1, 2], [2, 2, 2, 2, 2]]), 2 / 3))
+    @example((np.array([[1, 1, 2, 2, 1], [1, 1, 2, 2, 2], [2, 1, 2, 2, 1]]), 1 / 3))
+    def test_equals_both_selection_oracles(self, inputs):
+        """Equal to the selection over apriori's full list and to the
+        maximal itemsets of the level-wise search, order included: ties on
+        size and count, support exactly at sl, one row, nothing frequent."""
+        from conftest import levelwise_apriori
+
+        items, sl = inputs
+        winners = tag_itemsets(items, sl)
+        assert winners == reference_select_tag(apriori(items, sl))
+        transactions = [Transaction(f"t{i:02d}", itemset_of(tuple(row)))
+                        for i, row in enumerate(items.tolist())]
+        assert as_oracle(winners) == maximal_selection(levelwise_apriori(transactions, sl))

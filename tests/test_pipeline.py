@@ -227,10 +227,10 @@ class TestRun:
         config = PipelineConfig(seed=5)
         tables = []
         mined = []
-        build, mine = pipeline.learner_table, pipeline.apriori
+        build, mine = pipeline.learner_table, pipeline.tag_itemsets
         monkeypatch.setattr(pipeline, "learner_table",
                             lambda *args: tables.append(build(*args)) or tables[-1])
-        monkeypatch.setattr(pipeline, "apriori",
+        monkeypatch.setattr(pipeline, "tag_itemsets",
                             lambda items, sl: mined.append(items) or mine(items, sl))
         store = run(config, records, profiles)
         # One table per run, one row per subset member.
