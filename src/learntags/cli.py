@@ -124,9 +124,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(args: argparse.Namespace) -> PipelineConfig:
-    """The config of the command's config flags, every other field at its default."""
-    return PipelineConfig(**{name: getattr(args, name)
-                             for name in _CONFIG_FLAGS if hasattr(args, name)})
+    """The config of the command's config flags, every other field at its
+    default.  A value the config rejects is named by its flag."""
+    fields = {name: getattr(args, name) for name in _CONFIG_FLAGS if hasattr(args, name)}
+    try:
+        return PipelineConfig(**fields)
+    except ValueError as exc:
+        # "<field> must ...", and only a field set from a flag can be out
+        # of range: the others keep their valid defaults.
+        name, _, rest = str(exc).partition(" ")
+        raise ValueError(f"{_CONFIG_FLAGS[name][0]} {rest}") from None
 
 
 def _read_ratings(path: str) -> ingest.RatingsResult:
@@ -321,6 +328,12 @@ def dispatch(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args, unknown = parser.parse_known_args(argv)
+        # The top-level parser takes nothing but -h, so every argument
+        # before the command name is its own to report; the rest are the
+        # command's.
+        ahead = argv[:argv.index(args.subcommand)]
+        if ahead:
+            parser.error(f"unrecognized arguments: {' '.join(ahead)}")
         if unknown:
             args.command_parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     except SystemExit as exc:  # argparse exits on usage errors and --help

@@ -105,20 +105,31 @@ def build_cooccurrence(table: LearnerTable) -> dict[str, np.ndarray]:
     Two exact counters give both attributes' counts of ordered pairs,
     self pairs included, from one pass over the learner x subset
     incidence matrix, and one of them is chosen for the whole corpus by
-    cost.  Inclusion-exclusion over each learner's subsets costs at most
-    one unit per subset family, ``sum(2**deg - 1)`` over the learners'
-    degrees; the blocked product costs one unit per unit of pair work,
-    ``sum(|s|**2)`` over the subsets.  Inclusion-exclusion runs when
-    ``_FAMILY_COST`` times its cost is at most the pair work.  Neither
-    wins everywhere, so both stay: a few heavily shared subsets (skewed
-    popularity) make the pair work grow with the square of their sizes,
-    while learners in many subsets make their families grow as a power
-    of two.  Then self pairs are subtracted and the diagonal, where both
-    orders land in one bucket, is halved.
+    cost.  The subset x learner matrix is built once, straight from
+    ``table.members``, and the incidence matrix is its one transpose;
+    the product counter reads both.  Inclusion-exclusion over each
+    learner's subsets costs at most one unit per subset family,
+    ``sum(2**deg - 1)`` over the learners' degrees; the blocked product
+    costs one unit per unit of pair work, ``sum(|s|**2)`` over the
+    subsets.  Inclusion-exclusion runs when ``_FAMILY_COST`` times its
+    cost is at most the pair work.  Neither wins everywhere, so both
+    stay: a few heavily shared subsets (skewed popularity) make the pair
+    work grow with the square of their sizes, while learners in many
+    subsets make their families grow as a power of two.  Then self pairs
+    are subtracted and the diagonal, where both orders land in one
+    bucket, is halved.
     """
     n, n_subsets = len(table.ids), len(table.members)
     sizes = np.fromiter((m.size for m in table.members), dtype=np.int64, count=n_subsets)
-    incidence = _incidence(table.members, n, sizes)
+    # Each subset's rows are ascending, so the subsets laid end to end are
+    # CSR indices; the transpose lists each learner's subsets ascending.
+    members = sparse.csr_matrix(
+        (np.ones(sizes.sum(), dtype=np.int32),
+         np.concatenate([np.empty(0, dtype=np.intp), *table.members]),
+         np.concatenate([[0], np.cumsum(sizes)])),
+        shape=(n_subsets, n),
+    )
+    incidence = members.T.tocsr()
     # Each learner's 0-based parameter index, one column per attribute.
     values = table.attrs[:, 2:4] - 1
 
@@ -127,7 +138,7 @@ def build_cooccurrence(table: LearnerTable) -> dict[str, np.ndarray]:
     if _FAMILY_COST * families <= int(sizes @ sizes):
         counts = _inclusion_exclusion_counts(incidence, values)
     else:
-        counts = _product_counts(incidence, values, sizes)
+        counts = _product_counts(incidence, members, values, sizes)
     # Every learner is its own partner once; both orders of a same-value
     # pair land on the diagonal.
     diagonal = np.arange(N_PARAMS)
@@ -135,18 +146,6 @@ def build_cooccurrence(table: LearnerTable) -> dict[str, np.ndarray]:
         counts[a, diagonal, diagonal] -= np.bincount(values[:, a], minlength=N_PARAMS)
     counts[:, diagonal, diagonal] //= 2
     return {attribute: counts[a].copy() for a, attribute in enumerate(ATTRIBUTES)}
-
-
-def _incidence(members: list[np.ndarray], n: int, sizes: np.ndarray) -> sparse.csr_matrix:
-    """The n x len(members) learner x subset incidence matrix, each row's
-    subsets in ascending order."""
-    rows = np.concatenate([np.empty(0, dtype=np.intp), *members])
-    cols = np.repeat(np.arange(len(members), dtype=np.int64), sizes)
-    incidence = sparse.csr_matrix(
-        (np.ones(rows.size, dtype=np.int32), (rows, cols)), shape=(n, len(members))
-    )
-    incidence.sort_indices()
-    return incidence
 
 
 def _inclusion_exclusion_counts(incidence: sparse.csr_matrix, values: np.ndarray) -> np.ndarray:
@@ -219,25 +218,25 @@ def _grown(incidence: sparse.csr_matrix, learner: np.ndarray, position: np.ndarr
     return learner, position, rank[parent] * incidence.shape[1] + subset
 
 
-def _product_counts(incidence: sparse.csr_matrix, values: np.ndarray,
-                    sizes: np.ndarray) -> np.ndarray:
+def _product_counts(incidence: sparse.csr_matrix, members: sparse.csr_matrix,
+                    values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Ordered pair counts, self pairs included, of learners sharing a subset.
 
-    For each block of learner rows, the nonzeros of ``M[block] @ M.T``
-    mark every partner of every row, the row itself included;
-    multiplying them by a stacked one-hot of both attributes' ``values``
-    (five columns each) gives per-learner partner counts, which fold
-    into a 10x10 count of ordered pairs.  Each attribute's counts are its
-    diagonal 5x5 block; the cross-attribute blocks are dropped.  A
-    block's product has at most one entry per unit of its rows' pair
-    work (the summed sizes of the subsets each row belongs to), and
-    blocks are cut at ``_BLOCK_PAIR_WORK`` units or the learner count,
-    whichever is larger, so the product's memory stays within a small
-    multiple of the input's and never approaches the corpus's total pair
-    count.
+    With M the learner x subset ``incidence`` and M.T its transpose
+    ``members``, for each block of learner rows the nonzeros of
+    ``M[block] @ M.T`` mark every partner of every row, the row itself
+    included; multiplying them by a stacked one-hot of both attributes'
+    ``values`` (five columns each) gives per-learner partner counts,
+    which fold into a 10x10 count of ordered pairs.  Each attribute's
+    counts are its diagonal 5x5 block; the cross-attribute blocks are
+    dropped.  A block's product has at most one entry per unit of its
+    rows' pair work (the summed sizes of the subsets each row belongs
+    to), and blocks are cut at ``_BLOCK_PAIR_WORK`` units or the learner
+    count, whichever is larger, so the product's memory stays within a
+    small multiple of the input's and never approaches the corpus's
+    total pair count.
     """
     n = incidence.shape[0]
-    incidence_t = incidence.T.tocsr()
     # Attribute a's value index p sets column a * N_PARAMS + p.
     attributes = np.arange(len(ATTRIBUTES))
     onehot = np.zeros((n, len(ATTRIBUTES) * N_PARAMS), dtype=np.int64)
@@ -251,7 +250,7 @@ def _product_counts(incidence: sparse.csr_matrix, values: np.ndarray,
 
     counts = np.zeros((onehot.shape[1], onehot.shape[1]), dtype=np.int64)
     for lo, hi in zip(bounds, bounds[1:]):
-        partners = incidence[lo:hi] @ incidence_t
+        partners = incidence[lo:hi] @ members
         partners.data[:] = 1  # shared-subset counts -> "shares at least one"
         counts += onehot[lo:hi].T @ (partners @ onehot)
     blocks = counts.reshape(len(ATTRIBUTES), N_PARAMS, len(ATTRIBUTES), N_PARAMS)
@@ -290,56 +289,53 @@ def nmf_stack(
     """Factor several non-negative matrices of one shape, matrix i as
     ``nmf`` factors it from ``seeds[i]``, in one multiplicative-update loop.
 
-    Each iteration updates every matrix still running as one stack, and
-    a matrix leaves the stack at the iteration where it stops, so each
-    result equals that matrix factored alone.
+    Each iteration updates the whole stack, and each matrix's result is
+    taken at the iteration where it stops, so each equals that matrix
+    factored alone: the updates of one matrix never read another's.  An
+    all-zero matrix's result is set before the loop, which ends once
+    every result is set.
     """
     a = np.asarray(matrices, dtype=np.float64)
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
     if np.any(a < 0):
         raise ValueError("matrix must be non-negative")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    if not tol >= 0:  # also rejects NaN
+        raise ValueError(f"tol must be >= 0, got {tol}")
+    if len(seeds) != len(a):
+        raise ValueError(f"expected {len(a)} seeds, one per matrix, got {len(seeds)}")
 
     _, n_rows, n_cols = a.shape
-    results: list[FactorPair] = [None] * len(a)
-    ids = []
-    for i, matrix in enumerate(a):
-        if matrix.any():
-            ids.append(i)
-        else:
-            results[i] = FactorPair(np.zeros((n_rows, k)), np.zeros((k, n_cols)), [0.0])
-    if not ids:
-        return results
-    a = a[ids]
+    results = [None if matrix.any() else
+               FactorPair(np.zeros((n_rows, k)), np.zeros((k, n_cols)), [0.0])
+               for matrix in a]
     # 1 - random() maps [0, 1) to (0, 1]: strictly positive entries never
     # get stuck at zero under multiplicative updates.
-    draws = [np.random.default_rng(seeds[i]) for i in ids]
+    draws = [np.random.default_rng(seed) for seed in seeds]
     b = np.stack([1.0 - rng.random((n_rows, k)) for rng in draws])
     c = np.stack([1.0 - rng.random((k, n_cols)) for rng in draws])
 
     traces = [[e] for e in _errors(a, b, c)]
     for it in range(1, max_iters + 1):
+        if None not in results:
+            break
         bt = b.transpose(0, 2, 1)
         c *= (bt @ a) / (bt @ b @ c + _EPS)
         ct = c.transpose(0, 2, 1)
         b *= (a @ ct) / (b @ c @ ct + _EPS)
-        stop = []
-        for trace, new_err in zip(traces, _errors(a, b, c)):
+        for i, (trace, new_err) in enumerate(zip(traces, _errors(a, b, c))):
+            if results[i] is not None:
+                continue
             err = trace[-1]
             trace.append(new_err)
             improvement = (err - new_err) / err if err > 0 else 0.0
-            stop.append(improvement < tol or it == max_iters)
-        for j in np.flatnonzero(stop).tolist():
-            results[ids[j]] = FactorPair(b[j].copy(), c[j].copy(), traces[j])
-        if all(stop):
-            return results
-        if any(stop):
-            going = np.logical_not(stop)
-            a, b, c = a[going], b[going], c[going]
-            ids = [i for i, s in zip(ids, stop) if not s]
-            traces = [t for t, s in zip(traces, stop) if not s]
+            if improvement < tol or it == max_iters:
+                results[i] = FactorPair(b[i].copy(), c[i].copy(), trace)
+    return results
 
 
 def _errors(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> list[float]:

@@ -227,6 +227,18 @@ class TestParserDefaults:
         assert err.startswith("usage: learntags quantify ")
         assert err.endswith("learntags quantify: error: unrecognized arguments: --kmax 2\n")
 
+    @pytest.mark.parametrize("argv, prog, unknown", [
+        (["--bogus", "quantify", "--ratings", "r.csv"], "learntags", "--bogus"),
+        (["quantify", "--bogus", "--ratings", "r.csv"], "learntags quantify", "--bogus"),
+        (["--bogus", "quantify", "--kmax", "2"], "learntags", "--bogus"),
+    ])
+    def test_unknown_flag_reported_by_the_parser_it_precedes(self, capsys, argv, prog,
+                                                             unknown):
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: {prog} [-h]")
+        assert err.endswith(f"{prog}: error: unrecognized arguments: {unknown}\n")
+
     def test_help_exits_zero(self, capsys):
         assert dispatch(["--help"]) == 0
         assert "ingest-check" in capsys.readouterr().out
@@ -436,14 +448,29 @@ class TestTag:
         assert dispatch(["tag", "--ratings", ratings, "--profiles", profiles,
                          flag, value]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and f"must be finite, got {value}" in err
+        assert err.startswith(f"error: {flag} must be finite, got {value}")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--synth-seed", "-1"]])
     def test_negative_seed_exits_one(self, tmp_path, capsys, flags):
         ratings, _ = write_corpus(tmp_path)
         assert dispatch(["tag", "--ratings", ratings, "--synth-seed", "0", *flags]) == 1
-        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        # The config's --seed is named by its flag; --synth-seed reaches
+        # the profile generator, whose parameter is ``seed``.
+        name = "--seed" if flags[0] == "--seed" else "seed"
+        assert capsys.readouterr().err == f"error: {name} must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("flag, value, expected", [
+        ("--features", "0", "must be >= 1, got 0"),
+        ("--kmax", "0", "must be >= 1, got 0"),
+        ("--support", "0", "must be in (0, 1], got 0.0"),
+        ("--min-subset", "0", "must be >= 1, got 0"),
+    ])
+    def test_config_error_names_the_flag(self, tmp_path, capsys, flag, value, expected):
+        ratings, profiles = write_corpus(tmp_path)
+        assert dispatch(["tag", "--ratings", ratings, "--profiles", profiles,
+                         flag, value]) == 1
+        assert capsys.readouterr().err == f"error: {flag} {expected}\n"
 
 
 class TestMatch:

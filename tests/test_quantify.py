@@ -412,8 +412,11 @@ class TestNMFStack:
            st.sampled_from([0.0, 1e-6, 1e-2]), st.integers(0, 2**32 - 2))
     def test_each_matrix_as_factored_alone(self, matrices, k, max_iters, tol, seed):
         """Matrices stop at their own iterations; zero ones short-circuit."""
-        matrices = [m + m.T for m in matrices]
-        seeds = [seed + i for i in range(len(matrices))]
+        self.assert_each_as_factored_alone([m + m.T for m in matrices], k, max_iters, tol,
+                                           [seed + i for i in range(len(matrices))])
+
+    @staticmethod
+    def assert_each_as_factored_alone(matrices, k, max_iters, tol, seeds):
         got = nmf_stack(matrices, k=k, max_iters=max_iters, tol=tol, seeds=seeds)
         for matrix, s, result in zip(matrices, seeds, got):
             weights, features, trace = oracle_nmf(matrix, k, max_iters, tol, s)
@@ -421,6 +424,51 @@ class TestNMFStack:
             np.testing.assert_array_equal(result.features, features)
             assert repr(result.error_trace) == repr(trace)
             assert result.final_error == trace[-1] and result.k == k
+        return got
+
+    def test_zero_matrix_between_matrices_stopping_apart(self):
+        """A stopped matrix keeps its result while the others run on."""
+        rng = np.random.default_rng(2)
+        first, last = (m + m.T for m in rng.integers(0, 900, (2, 5, 5)))
+        got = self.assert_each_as_factored_alone(
+            [first, np.zeros((5, 5)), last], 10, 500, 1e-3, [0, 1, 2])
+        assert [len(r.error_trace) for r in got] == [314, 1, 443]
+
+    def test_all_zero_stack_runs_no_update(self):
+        with mock.patch.object(quantify_module, "_errors",
+                               wraps=quantify_module._errors) as errors:
+            got = nmf_stack(np.zeros((2, 5, 5)), k=3, max_iters=500, tol=0.0, seeds=[0, 1])
+        assert errors.call_count == 1  # the initial errors only
+        for result in got:
+            assert not result.weights.any() and not result.features.any()
+            assert result.weights.shape == (5, 3) and result.features.shape == (3, 5)
+            assert result.error_trace == [0.0]
+
+    def test_one_iteration(self):
+        rng = np.random.default_rng(6)
+        matrices = [m + m.T for m in rng.integers(0, 900, (2, 5, 5))]
+        got = self.assert_each_as_factored_alone(matrices, 4, 1, 0.0, [5, 6])
+        assert [len(r.error_trace) for r in got] == [2, 2]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        a = np.ones((5, 5))
+        a[1, 3] = bad
+        with pytest.raises(ValueError, match="entries must be finite"):
+            nmf(a, k=2, max_iters=10, tol=0.0, seed=0)
+        with pytest.raises(ValueError, match="entries must be finite"):
+            nmf_stack([np.ones((5, 5)), a], k=2, max_iters=10, tol=0.0, seeds=[0, 1])
+
+    @pytest.mark.parametrize("seeds", [[0], [0, 1, 2]])
+    def test_one_seed_per_matrix(self, seeds):
+        expected = f"expected 2 seeds, one per matrix, got {len(seeds)}"
+        with pytest.raises(ValueError, match=expected):
+            nmf_stack(np.ones((2, 5, 5)), k=2, max_iters=10, tol=0.0, seeds=seeds)
+
+    @pytest.mark.parametrize("tol", [np.nan, -1e-9])
+    def test_bad_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            nmf(np.ones((5, 5)), k=2, max_iters=10, tol=tol, seed=0)
 
     def test_nmf_is_the_one_matrix_case(self):
         a = np.random.default_rng(4).integers(0, 900, (5, 5))
