@@ -49,22 +49,24 @@ def _add_config_flags(sp: argparse.ArgumentParser, fields) -> None:
                         help=f"{text} (default %(default)s)")
 
 
-def _at_least_one(text: str) -> int:
-    """Argparse type of a count flag: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
+def _int_at_least(low: int):
+    """Argparse type of an integer flag whose values start at ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return value
+    return parse
 
 
 def _add_input_flags(sp: argparse.ArgumentParser, synth: bool = True) -> None:
     sp.add_argument("--ratings", help="ratings CSV path")
     sp.add_argument("--profiles", help="learner profiles CSV path")
     if synth:
-        sp.add_argument("--synth-seed", type=int, default=None,
+        sp.add_argument("--synth-seed", type=_int_at_least(0), default=None,
                         help="synthesize profiles for raters missing from --profiles")
 
 
@@ -81,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("synth-profiles", help="write synthetic profiles for raters")
     _add_input_flags(sp, synth=False)
-    sp.add_argument("--synth-seed", type=int, default=0,
+    sp.add_argument("--synth-seed", type=_int_at_least(0), default=0,
                     help="seed of the synthetic profiles (default %(default)s)")
     sp.add_argument("--out", help="output CSV path (default stdout)")
 
@@ -102,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--learner", required=True, help="learner id from --profiles")
     sp.add_argument("--ratings", help="accepted for compatibility, not read: the store "
                                       "carries the quantified values match needs")
-    sp.add_argument("--top", type=_at_least_one, default=5,
+    sp.add_argument("--top", type=_int_at_least(1), default=5,
                     help="entries to print (default %(default)s)")
 
     sp = sub.add_parser("export-values", help="strip chart of quantified values")

@@ -13,9 +13,10 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import sys
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -119,28 +120,21 @@ def _profile_violation(p: LearnerProfile) -> str | None:
     return None
 
 
-def _data_rows(reader, header: tuple[str, ...], name: str) -> Iterator[list[str]]:
-    """The rows of a csv ``reader`` after its header row, which must be ``header``.
-
-    A row the reader cannot split, such as one holding a field over the
-    csv module's size limit, raises MalformedRowError with its line.
-    """
-    try:
-        first = next(reader, None)
-        if first is None:
-            raise ValueError(f"{name} stream is empty, expected a header row")
-        if tuple(first) != header:
-            raise ValueError(f"unexpected {name} header {first!r}, expected {list(header)!r}")
-        yield from reader
-    except csv.Error as exc:
-        raise MalformedRowError(reader.line_num, str(exc)) from None
+def _check_header(reader, header: tuple[str, ...], name: str) -> None:
+    """Read the header row of a csv ``reader``, which must be ``header``."""
+    first = next(reader, None)
+    if first is None:
+        raise ValueError(f"{name} stream is empty, expected a header row")
+    if tuple(first) != header:
+        raise ValueError(f"unexpected {name} header {first!r}, expected {list(header)!r}")
 
 
-# The canonical texts of the ratings 0..10 and of every valid (a1, a2,
-# a3, a4), with their int values.  A row whose fields hit them needs no
-# int() and no range check; any other text, such as " 7", "07" or "+7",
-# takes the general checks.
+# The canonical texts of the ratings 0..10, of every valid (a1, a2, a3,
+# a4) and of the hours 0..999, with their int values.  A row whose fields
+# hit them needs no int() and no range check; any other text, such as
+# " 7", "07" or "+7", and hours of 1000 or more take the general checks.
 _RATING_OF = {str(v): v for v in range(11)}
+_HOURS_OF = {str(v): v for v in range(1000)}
 _VALID_ATTRS = {tuple(map(str, v)): v
                 for v in itertools.product(SKILL_LEVELS, SKILL_LEVELS, STRATEGY_IDS,
                                            PRESENTATION_IDS)
@@ -177,23 +171,28 @@ def parse_ratings(stream: Iterable[str] | str) -> RatingsResult:
     result = RatingsResult(records=[])
     append = result.records.append
     share = {}.setdefault
-    for row in _data_rows(reader, RATINGS_HEADER, "ratings"):
-        if len(row) == 3:
-            learner_id, resource_id, text = row
-            rating = _RATING_OF.get(text)
-            if rating is None or not (learner_id and resource_id):
-                rating = _checked_rating(learner_id, resource_id, text)
-        elif row:
-            rating = None
-        else:
-            continue
-        if rating:
-            append(_new_record(RatingRecord, (share(learner_id, learner_id),
-                                              share(resource_id, resource_id), rating)))
-        elif rating is None:
-            result.malformed += 1
-        else:
-            result.dropped_zero += 1
+    rating_of = _RATING_OF.get
+    try:
+        _check_header(reader, RATINGS_HEADER, "ratings")
+        for row in reader:
+            if len(row) == 3:
+                learner_id, resource_id, text = row
+                rating = rating_of(text)
+                if rating is None or not (learner_id and resource_id):
+                    rating = _checked_rating(learner_id, resource_id, text)
+            elif row:
+                rating = None
+            else:
+                continue
+            if rating:
+                append(_new_record(RatingRecord, (share(learner_id, learner_id),
+                                                  share(resource_id, resource_id), rating)))
+            elif rating is None:
+                result.malformed += 1
+            else:
+                result.dropped_zero += 1
+    except csv.Error as exc:
+        raise MalformedRowError(reader.line_num, str(exc)) from None
     return result
 
 
@@ -213,15 +212,14 @@ def _checked_values(row: list[str]) -> tuple[int, ...] | str:
         return f"expected 6 fields, got {len(row)}"
     if not row[0]:
         return "empty learner id"
-    attrs = _VALID_ATTRS.get((row[1], row[2], row[3], row[4]))
     try:
-        # Canonical valid a1..a4 leave only the hours to check.
-        if attrs is not None:
-            hours = int(row[5])
-            if 0 <= hours <= MAX_HOURS:
-                return (*attrs, hours)
         values = tuple(map(int, row[1:]))
     except ValueError:
+        # int() also refuses an integer text of more digits than the
+        # interpreter's limit (4300 by default).
+        limit = sys.get_int_max_str_digits()
+        if limit and any(len(text) > limit for text in row[1:]):
+            return f"attribute value too long (over {limit} characters)"
         return "non-integer attribute value"
     a1, a2, a3, a4, a5 = values
     # The ranges _profile_violation checks, in one comparison; it runs
@@ -235,24 +233,43 @@ def _scan_profiles(stream: Iterable[str] | str, learner_id: str | None = None):
     """Split and check every row of a profiles file: its ProfilesResult
     without profiles, ``learner_rejected`` being ``learner_id``'s last
     rejected row, and the checked values of each learner's last valid row
-    by learner id."""
+    by learner id, as the pair (a1..a4, hours).
+
+    A row of canonical texts is checked by table lookup, in the loop;
+    every other non-blank row goes to ``_checked_values``.
+    """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
     reader = csv.reader(stream)
     result = ProfilesResult(profiles=[])
-    by_id: dict[str, tuple[int, ...]] = {}
-    for row in _data_rows(reader, PROFILES_HEADER, "profiles"):
-        if not row:
-            continue
-        checked = _checked_values(row)
-        if isinstance(checked, str):
-            result.rejected.append((reader.line_num, checked))
-            if row[0] == learner_id:
-                result.learner_rejected = result.rejected[-1]
-            continue
-        if row[0] in by_id:
-            result.duplicates += 1
-        by_id[row[0]] = checked
+    rejected = result.rejected
+    by_id: dict[str, tuple[tuple[int, int, int, int], int]] = {}
+    valid = 0
+    attrs_of, hours_of = _VALID_ATTRS.get, _HOURS_OF.get
+    try:
+        _check_header(reader, PROFILES_HEADER, "profiles")
+        for row in reader:
+            if len(row) == 6:
+                lid, a1, a2, a3, a4, text = row
+                attrs = attrs_of((a1, a2, a3, a4))
+                hours = hours_of(text)
+                if attrs is not None and hours is not None and lid:
+                    by_id[lid] = (attrs, hours)
+                    valid += 1
+                    continue
+            elif not row:
+                continue
+            checked = _checked_values(row)
+            if isinstance(checked, str):
+                rejected.append((reader.line_num, checked))
+                if row[0] == learner_id:
+                    result.learner_rejected = rejected[-1]
+            else:
+                by_id[row[0]] = (checked[:4], checked[4])
+                valid += 1
+    except csv.Error as exc:
+        raise MalformedRowError(reader.line_num, str(exc)) from None
+    result.duplicates = valid - len(by_id)
     return result, by_id
 
 
@@ -265,8 +282,8 @@ def parse_profiles(stream: Iterable[str] | str) -> ProfilesResult:
     A row the CSV reader cannot split raises MalformedRowError.
     """
     result, by_id = _scan_profiles(stream)
-    result.profiles = [_new_record(LearnerProfile, (lid, *values))
-                       for lid, values in by_id.items()]
+    result.profiles = [_new_record(LearnerProfile, (lid, *attrs, hours))
+                       for lid, (attrs, hours) in by_id.items()]
     return result
 
 
@@ -280,7 +297,8 @@ def find_profile(stream: Iterable[str] | str, learner_id: str) -> ProfilesResult
     """
     result, by_id = _scan_profiles(stream, learner_id)
     if learner_id in by_id:
-        result.profiles.append(LearnerProfile(learner_id, *by_id[learner_id]))
+        attrs, hours = by_id[learner_id]
+        result.profiles.append(LearnerProfile(learner_id, *attrs, hours))
     return result
 
 

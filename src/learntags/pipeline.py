@@ -440,10 +440,15 @@ def load_store(path) -> TagStore:
     re-running ``learntags tag``.  Then every tag and provenance field
     is checked for its type and shape: numbers must be finite, a time
     bin must be a decade bin and a skip reason a string.  Each failure is
-    a ValueError naming the field, and the resource where there is one.
+    a ValueError naming the field, and the resource where there is one;
+    a document nested too deeply for the JSON reader is one naming the
+    store.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)  # a malformed file raises with line and column
+        try:
+            doc = json.load(fh)  # a malformed file raises with line and column
+        except RecursionError:
+            raise ValueError(f"store {os.fspath(path)!r} nests too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("store document must be a JSON object")
     if "schema" not in doc:

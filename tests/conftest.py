@@ -7,8 +7,9 @@ the tag selection over a full list of frequent itemsets that the array
 passes of ``apriori`` and ``tag_itemsets`` replaced, a k sweep of one
 subset at a time with its own Lloyd loop, empty-cluster repair and
 ``pdist`` diameters, the one-matrix NMF loop that the stacked NMF replaced, the
-row-by-row ``int()`` checks that the parsers' tables of canonical texts
-replaced, and direct rescans (``build_subset`` scans the ratings once
+row-by-row ``int()`` checks and profile scan that the parsers' tables of
+canonical texts replaced, over the header-checking row generator they
+dropped, and direct rescans (``build_subset`` scans the ratings once
 per resource), so test expectations are derived independently of the
 code under test.  The item types those oracles work on live here too;
 the library works on the integer arrays of its learner table.
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
@@ -37,9 +39,11 @@ from learntags.cluster import LLOYD_MAX_ITERS, Grouping, KTraceEntry, LloydFit, 
 from learntags.mine import N_ATTRIBUTES
 from learntags.ingest import (
     MAX_HOURS,
+    PROFILES_HEADER,
     RATINGS_HEADER,
+    MalformedRowError,
+    ProfilesResult,
     RatingsResult,
-    _data_rows,
     _profile_violation,
     discretize_time,
 )
@@ -97,6 +101,23 @@ def high_ratings(subsets) -> list[RatingRecord]:
             for lid in sorted(members)]
 
 
+def _data_rows(reader, header: tuple[str, ...], name: str):
+    """The rows of a csv ``reader`` after its header row, which must be ``header``.
+
+    A row the reader cannot split, such as one holding a field over the
+    csv module's size limit, raises MalformedRowError with its line.
+    """
+    try:
+        first = next(reader, None)
+        if first is None:
+            raise ValueError(f"{name} stream is empty, expected a header row")
+        if tuple(first) != header:
+            raise ValueError(f"unexpected {name} header {first!r}, expected {list(header)!r}")
+        yield from reader
+    except csv.Error as exc:
+        raise MalformedRowError(reader.line_num, str(exc)) from None
+
+
 def oracle_parse_ratings(stream) -> RatingsResult:
     """Row-by-row oracle for ``parse_ratings``: every field through the
     checks and ``int()``, with no table of canonical texts and no shared
@@ -144,11 +165,40 @@ def oracle_checked_values(row: list[str]) -> tuple[int, ...] | str:
     try:
         values = tuple(map(int, row[1:]))
     except ValueError:
+        limit = sys.get_int_max_str_digits()
+        if limit and any(len(text) > limit for text in row[1:]):
+            return f"attribute value too long (over {limit} characters)"
         return "non-integer attribute value"
     a1, a2, a3, a4, a5 = values
     if 1 <= a1 < a2 <= 6 and 1 <= a3 <= 5 and 1 <= a4 <= 5 and 0 <= a5 <= MAX_HOURS:
         return values
     return _profile_violation(LearnerProfile(row[0], *values))
+
+
+def oracle_scan_profiles(stream, learner_id: str | None = None):
+    """Row-by-row oracle for ``ingest._scan_profiles``, which serves
+    ``parse_profiles`` and ``find_profile``: every non-blank row through
+    ``oracle_checked_values``, duplicates counted as they occur.  Returns
+    the ProfilesResult without profiles and each learner's checked values
+    by learner id, as a 5-tuple."""
+    if isinstance(stream, str):
+        stream = io.StringIO(stream)
+    reader = csv.reader(stream)
+    result = ProfilesResult(profiles=[])
+    by_id: dict[str, tuple[int, ...]] = {}
+    for row in _data_rows(reader, PROFILES_HEADER, "profiles"):
+        if not row:
+            continue
+        checked = oracle_checked_values(row)
+        if isinstance(checked, str):
+            result.rejected.append((reader.line_num, checked))
+            if row[0] == learner_id:
+                result.learner_rejected = result.rejected[-1]
+            continue
+        if row[0] in by_id:
+            result.duplicates += 1
+        by_id[row[0]] = checked
+    return result, by_id
 
 
 @dataclass(frozen=True, slots=True)

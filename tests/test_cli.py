@@ -315,6 +315,17 @@ class TestSynthProfiles:
             f"u{i:02d}" for i in range(12)
         }
 
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_bad_synth_seed_is_a_usage_error(self, tmp_path, capsys, seed):
+        """Checked when the arguments are parsed: no file is read and the
+        error names the flag."""
+        assert dispatch(["synth-profiles", "--ratings", str(tmp_path / "absent.csv"),
+                         "--synth-seed", seed]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: learntags synth-profiles ")
+        assert err.endswith("learntags synth-profiles: error: argument --synth-seed: "
+                            f"must be an integer >= 0, got '{seed}'\n")
+
     def test_existing_profiles_excluded(self, tmp_path):
         ratings, profiles = write_corpus(tmp_path)
         out = tmp_path / "synth.csv"
@@ -455,10 +466,15 @@ class TestTag:
     def test_negative_seed_exits_one(self, tmp_path, capsys, flags):
         ratings, _ = write_corpus(tmp_path)
         assert dispatch(["tag", "--ratings", ratings, "--synth-seed", "0", *flags]) == 1
-        # The config's --seed is named by its flag; --synth-seed reaches
-        # the profile generator, whose parameter is ``seed``.
-        name = "--seed" if flags[0] == "--seed" else "seed"
-        assert capsys.readouterr().err == f"error: {name} must be >= 0, got -1\n"
+        # The config's --seed is named by its flag; --synth-seed is checked
+        # when the arguments are parsed, so the two cannot be confused.
+        err = capsys.readouterr().err
+        if flags[0] == "--seed":
+            assert err == "error: --seed must be >= 0, got -1\n"
+        else:
+            assert err.startswith("usage: learntags tag ")
+            assert err.endswith("learntags tag: error: argument --synth-seed: "
+                                "must be an integer >= 0, got '-1'\n")
 
     @pytest.mark.parametrize("flag, value, expected", [
         ("--features", "0", "must be >= 1, got 0"),
@@ -697,6 +713,16 @@ class TestMatch:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
+
+    def test_deeply_nested_store_exits_one(self, tmp_path, capsys):
+        """json's recursion limit is a ValueError naming the store, not a
+        RecursionError traceback."""
+        _, profiles = write_corpus(tmp_path)
+        store = tmp_path / "deep.json"
+        store.write_text("[" * 200_000, encoding="utf-8")
+        assert dispatch(["match", "--profiles", profiles, "--store", str(store),
+                         "--learner", "u00"]) == 1
+        assert capsys.readouterr().err == f"error: store {str(store)!r} nests too deeply\n"
 
     # Edits of a tagged store that put in what no `learntags tag` run writes;
     # json writes the floats as NaN and Infinity, which json.load reads.

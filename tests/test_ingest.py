@@ -2,9 +2,11 @@
 learner table's subsets and profile checks."""
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import json
-from unittest import mock
+import sys
 
 import numpy as np
 import pytest
@@ -23,11 +25,10 @@ from learntags import (
     render_profiles,
     render_ratings,
 )
-from learntags import ingest
 from learntags.ingest import MAX_HOURS, TimeBin, _profile_violation
 from learntags.mine import apriori
 
-from conftest import build_subset, high_ratings, oracle_checked_values, oracle_parse_ratings
+from conftest import build_subset, high_ratings, oracle_parse_ratings, oracle_scan_profiles
 
 RATINGS_HEADER_LINE = '"User-ID";"ISBN";"Book-Rating"\n'
 
@@ -185,6 +186,43 @@ class TestParseProfiles:
         assert result.profiles == []
         assert result.rejected == [(2, reason)]
 
+    def test_over_long_integer_called_too_long(self):
+        """int() refuses more digits than the interpreter's limit; the row
+        is rejected as too long, not as a non-integer."""
+        limit = sys.get_int_max_str_digits()
+        stream = (self.HEADER + "u1,2,5,3,4," + "1" * 5_000 + "\n"
+                  + "u2,2,5,3,4," + "x" * 50 + "\n")
+        result = parse_profiles(stream)
+        assert result.profiles == []
+        assert result.rejected == [(2, f"attribute value too long (over {limit} characters)"),
+                                   (3, "non-integer attribute value")]
+
+    def test_over_long_rating_is_malformed(self):
+        stream = RATINGS_HEADER_LINE + '"u1";"b1";"' + "7" * 5_000 + '"\n"u1";"b2";"7"\n'
+        result = parse_ratings(stream)
+        assert result.records == [RatingRecord("u1", "b2", 7)]
+        assert result.malformed == 1
+
+    def test_hours_around_the_table_end(self):
+        """999 is the last canonical text in the hours table; 1000 and
+        0999 take the general check and parse to the same values."""
+        stream = self.HEADER + "u1,2,5,3,4,999\nu2,2,5,3,4,1000\nu3,2,5,3,4,0999\n"
+        result = parse_profiles(stream)
+        assert [p.hours for p in result.profiles] == [999, 1000, 999]
+        assert result.rejected == [] and result.duplicates == 0
+
+    def test_crlf_and_quoted_fields(self):
+        """Line ends and quoting are the reader's: the rows parse as their
+        plain LF, unquoted form does, and a quoted newline moves the
+        line numbers after it."""
+        plain = self.HEADER + "u1,2,5,3,4,25\nu2,1,2,1,1,5\nu1,1,6,2,2,40\nu3,4,4,1,1,5\n"
+        crlf = ('learner_id,a1,a2,a3,a4,a5_hours\r\n"u1",2,5,3,4,25\r\n'
+                'u2,"1","2",1,1,5\r\n"u1",1,6,2,2,"40"\r\nu3,4,4,1,1,5\r\n')
+        assert parse_profiles(crlf) == parse_profiles(plain)
+        assert parse_profiles(plain).duplicates == 1
+        shifted = self.HEADER + '"u\n0",1,2,1,1,5\nu3,4,4,1,1,5\n'
+        assert parse_profiles(shifted).rejected == [(4, "a2 must exceed a1")]
+
     def test_hours_above_cap_rejected_with_line(self):
         stream = (self.HEADER + f"u1,2,5,3,4,{MAX_HOURS}\n"
                   f"u2,2,5,3,4,{MAX_HOURS + 1}\nu3,1,2,1,1,{10**20}\n")
@@ -215,13 +253,18 @@ class TestParseProfiles:
 
 # One profiles data line of the kinds a file can hold: blank, the wrong
 # field count, non-integer or out-of-range values, or valid, and values on
-# and around the bounds, canonical or in other texts int() reads, with ids
-# from a small pool so that duplicates are common.
+# and around the bounds (the hours table ends at 999), canonical or in
+# other texts int() reads, with ids from a small pool so that duplicates
+# are common.  The csv layer's own forms ride along: quoted ids and
+# fields, a quoted field holding a newline, which shifts every later line
+# number, NUL bytes, and CRLF line ends (a line ending in "\r" gets its
+# "\n" from the file).
 profile_field = st.one_of(
     st.integers(-1, 7).flatmap(int_texts),
-    st.sampled_from([str(MAX_HOURS), str(MAX_HOURS + 1), str(10**20), "x", "1.5", ""]),
+    st.sampled_from([str(MAX_HOURS), str(MAX_HOURS + 1), str(10**20), "x", "1.5", "",
+                     "999", "1000", "0999"]),
 )
-profile_line = st.one_of(
+profile_row = st.one_of(
     st.just(""),
     st.builds(lambda lid, fields: ",".join([lid, *fields]),
               st.sampled_from(["u0", "u1", "u2", ""]),
@@ -229,15 +272,35 @@ profile_line = st.one_of(
                         st.lists(profile_field, max_size=7))),
     st.builds(lambda lid, a1, step, a3, a4, hours: f"{lid},{a1},{a1 + step},{a3},{a4},{hours}",
               st.sampled_from(["u0", "u1", "u2"]), st.integers(1, 5), st.integers(1, 5),
-              st.integers(1, 5), st.integers(1, 5), st.integers(0, MAX_HOURS)),
+              st.integers(1, 5), st.integers(1, 5),
+              st.one_of(st.integers(0, MAX_HOURS), st.sampled_from([998, 999, 1000]))),
     st.builds(lambda lid, fields: ",".join([lid, *fields]),
               st.sampled_from(["u0", "u1", "u2"]),
               st.tuples(st.integers(0, 6), st.integers(0, 2), st.integers(0, 6),
-                        st.integers(0, 6), st.sampled_from([-1, 0, 45, MAX_HOURS, MAX_HOURS + 1]))
+                        st.integers(0, 6),
+                        st.sampled_from([-1, 0, 45, 999, 1000, MAX_HOURS, MAX_HOURS + 1]))
               .map(lambda v: (v[0], v[0] + v[1], *v[2:]))
               .flatmap(lambda values: st.one_of(st.just(tuple(map(str, values))),
                                                 st.tuples(*map(int_texts, values))))),
+    st.builds(lambda lid, values: ",".join([lid, *map(str, values)]),
+              st.sampled_from(["u0", "u1", ""]),
+              st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 6),
+                        st.integers(0, 6), st.sampled_from([0, 45, 999, 1000]))),
+    st.sampled_from(['"u1",2,5,3,4,25', '"u1","2","5","3","4","999"', 'u2,1,2,1,"1",1000',
+                     '"u\n1",2,5,3,4,25', 'u1,2,5,3,4,"25\n"', 'u2,2,5,3,4,"2\n5"',
+                     '"u0",2,"5\n\n",3,4,7', 'u\x001,2,5,3,4,25', 'u1,2,5,3,4,2\x005',
+                     '"",2,5,3,4,25']),
 )
+profile_line = st.builds(str.__add__, profile_row, st.sampled_from(["", "\r"]))
+
+
+def ids_by_line(text: str) -> dict[int, str]:
+    """The first field of each non-blank data row of a profiles ``text``,
+    by the line number the csv reader reports for the row."""
+    reader = csv.reader(io.StringIO(text))
+    next(reader)
+    return {reader.line_num: row[0] for row in reader if row}
+
 
 # One ratings data line: blank, the wrong field count, an empty id, or a
 # rating text that is canonical, another text int() reads, out of range
@@ -269,13 +332,33 @@ class TestMatchesRowwiseOracles:
            learner_id=st.sampled_from(["u0", "u1", "u2", "ghost"]))
     def test_parse_and_find_profile(self, lines, learner_id):
         """Every field of both results, ``learner_rejected`` included,
-        equals the result with the row-by-row check in place."""
+        equals the row-by-row scan's."""
         text = self.HEADER + "".join(line + "\n" for line in lines)
+        scanned, by_id = oracle_scan_profiles(text, learner_id)
         whole, found = parse_profiles(text), find_profile(text, learner_id)
-        with mock.patch.object(ingest, "_checked_values", oracle_checked_values):
-            assert whole == parse_profiles(text)
-            assert found == find_profile(text, learner_id)
-        assert all(type(p) is LearnerProfile for p in whole.profiles + found.profiles)
+        assert whole.profiles == [LearnerProfile(lid, *values) for lid, values in by_id.items()]
+        assert found.profiles == ([LearnerProfile(learner_id, *by_id[learner_id])]
+                                  if learner_id in by_id else [])
+        for result in (whole, found):
+            assert result.rejected == scanned.rejected
+            assert result.duplicates == scanned.duplicates
+            assert all(type(p) is LearnerProfile for p in result.profiles)
+        assert found.learner_rejected == scanned.learner_rejected
+        assert whole.learner_rejected is None
+
+    @given(lines=st.lists(profile_line, max_size=12), at=st.integers(0, 12))
+    def test_unsplittable_row_raises_at_its_line(self, lines, at):
+        """A bare CR inside an unquoted field, which the reader cannot
+        split, raises at the line the row-by-row scan names."""
+        lines.insert(at, "u1,2\r5,3,4,25")
+        text = self.HEADER + "".join(line + "\n" for line in lines)
+        with pytest.raises(MalformedRowError) as expected:
+            oracle_scan_profiles(text)
+        for parse in (parse_profiles, lambda text: find_profile(text, "u1")):
+            with pytest.raises(MalformedRowError) as info:
+                parse(text)
+            assert (info.value.line, info.value.reason) == (expected.value.line,
+                                                            expected.value.reason)
 
 
 class TestFindProfile:
@@ -291,8 +374,8 @@ class TestFindProfile:
         assert found.profiles == [p for p in whole.profiles if p.learner_id == learner_id]
         assert found.rejected == whole.rejected
         assert found.duplicates == whole.duplicates
-        own = [(line, reason) for line, reason in whole.rejected
-               if lines[line - 2].split(",")[0] == learner_id]
+        ids = ids_by_line(text)
+        own = [(line, reason) for line, reason in whole.rejected if ids[line] == learner_id]
         assert found.learner_rejected == (own[-1] if own else None)
         assert whole.learner_rejected is None
 
