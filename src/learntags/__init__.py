@@ -38,13 +38,14 @@ from .cluster import (
     LloydFit,
     average_diameter,
     farthest_first_seeds,
+    group_batches,
     group_rows,
     group_subsets,
     largest_cluster,
     normalize,
     sweep_k,
 )
-from .mine import FrequentItemset, apriori, tag_itemsets
+from .mine import FrequentItemset, apriori, tag_itemsets, tag_itemsets_batch
 from .pipeline import (
     PipelineConfig,
     Provenance,
@@ -71,8 +72,8 @@ __all__ = [
     "build_cooccurrence", "derive_orderings", "nmf", "nmf_stack", "quantification_report",
     "quantify_nominal", "symmetrize",
     "Grouping", "KTraceEntry", "LloydFit", "average_diameter", "farthest_first_seeds",
-    "group_rows", "group_subsets", "largest_cluster", "normalize", "sweep_k",
-    "FrequentItemset", "apriori", "tag_itemsets",
+    "group_batches", "group_rows", "group_subsets", "largest_cluster", "normalize", "sweep_k",
+    "FrequentItemset", "apriori", "tag_itemsets", "tag_itemsets_batch",
     "PipelineConfig", "Provenance", "Tag", "TagCloud",
     "TagStore", "load_store", "match_resources", "render_report",
     "render_tag", "run", "save_store",

@@ -444,16 +444,16 @@ def _batches(sizes: Sequence[int], k_max: int) -> Iterator[list[int]]:
         yield batch
 
 
-def group_subsets(
+def group_batches(
     coords: np.ndarray,
     members: Sequence[np.ndarray],
     k_max: int,
     gamma: float,
     seed: int,
-) -> Iterator[Grouping]:
+) -> Iterator[list[Grouping]]:
     """Group each subset, given as its rows of ``coords``: normalize its
     rows, sweep k and pick the largest cluster.  Groupings come in subset
-    order.
+    order, one list per batch of consecutive subsets.
 
     The sweeps run in shared rounds, batch by batch, so memory is bounded
     by one batch.  An empty subset is rejected, by index, before any
@@ -464,7 +464,19 @@ def group_subsets(
     if 0 in sizes:
         raise ValueError(f"subset {sizes.index(0)} is empty")
     for batch in _batches(sizes, k_max):
-        yield from _sweeps([normalize(coords[members[i]]) for i in batch], k_max, gamma, seed)
+        yield _sweeps([normalize(coords[members[i]]) for i in batch], k_max, gamma, seed)
+
+
+def group_subsets(
+    coords: np.ndarray,
+    members: Sequence[np.ndarray],
+    k_max: int,
+    gamma: float,
+    seed: int,
+) -> Iterator[Grouping]:
+    """The groupings of ``group_batches``, one at a time, in subset order."""
+    for batch in group_batches(coords, members, k_max, gamma, seed):
+        yield from batch
 
 
 def group_rows(coords: np.ndarray, k_max: int, gamma: float, seed: int) -> Grouping:

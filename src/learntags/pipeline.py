@@ -6,9 +6,10 @@ codes as one row, in learner-id order, and each resource's high-rating
 subset as an array of rows.  Quantification reads that table once
 for both nominal attributes; the clustering coordinates are its
 attributes with the quantified values in place of the nominal ids.  The
-subsets are clustered in shared rounds (``cluster.group_subsets``);
-per resource, the largest cluster's item rows are mined and the
-winning itemsets become the resource's tags.
+subsets are clustered in shared rounds (``cluster.group_batches``);
+the largest clusters of each batch of subsets are mined in one pass
+(``mine.tag_itemsets_batch``), and each resource's winning itemsets
+become its tags.
 
 The run's result is a ``TagStore``: resource ids mapped to tag clouds
 with provenance, plus the ``PipelineConfig`` and the two quantified
@@ -20,15 +21,17 @@ and the profiles.  The store round-trips through canonical JSON
 """
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
 import os
+import reprlib
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, get_type_hints
 
-from .cluster import KTraceEntry, group_subsets
+from .cluster import KTraceEntry, group_batches
 from .ingest import (
     ATTRIBUTES,
     LearnerProfile,
@@ -37,7 +40,7 @@ from .ingest import (
     discretize_time,
     learner_table,
 )
-from .mine import tag_itemsets
+from .mine import tag_itemsets_batch
 from .quantify import AttributeValueMap, quantify_nominal
 
 logger = logging.getLogger(__name__)
@@ -48,6 +51,11 @@ SKIP_NO_ITEMSET = "no itemset met the support level"
 # Version of the store file format that save_store writes and
 # load_store reads.  Stores without a header predate it.
 STORE_SCHEMA = 2
+
+# Upper bound of ``PipelineConfig.nmf_k``.  The paper extracts 10
+# features, and a 5x5 matrix has at most 5 independent ones; the bound
+# keeps NMF's factors and iterate histories to a few megabytes.
+MAX_NMF_K = 1000
 
 
 @dataclass
@@ -73,6 +81,7 @@ class PipelineConfig:
             ("delta0", 1 <= self.delta0 <= 10, "be in 1..10"),
             ("support_sl", 0 < self.support_sl <= 1, "be in (0, 1]"),
             ("nmf_k", self.nmf_k >= 1, "be >= 1"),
+            ("nmf_k", self.nmf_k <= MAX_NMF_K, f"be <= {MAX_NMF_K}"),
             ("nmf_max_iters", self.nmf_max_iters >= 1, "be >= 1"),
             ("nmf_tol", self.nmf_tol >= 0, "be >= 0"),
             ("k_max", self.k_max >= 1, "be >= 1"),
@@ -177,11 +186,11 @@ def run(
     comparable across resources; the store keeps both value maps and
     ``config``.  The k sweeps of all clustered subsets share their
     rounds, in batches of at most ``cluster._BATCH_FIT_ROWS`` fit rows
-    taken in resource order, so memory is bounded by one batch.
-    Resources whose subset is smaller than ``min_subset`` are recorded
-    as skipped rather than failing the batch.  ``trace_hook``, when
-    given, receives each resource's (k, sse, avg_diameter) sweep trace,
-    in resource order.
+    taken in resource order, so memory is bounded by one batch; the
+    largest clusters of a batch are mined together.  Resources whose
+    subset is smaller than ``min_subset`` are recorded as skipped rather
+    than failing the batch.  ``trace_hook``, when given, receives each
+    resource's (k, sse, avg_diameter) sweep trace, in resource order.
     """
     table = learner_table(ratings, profiles, config.delta0)
     details = quantify_nominal(table, config)
@@ -189,40 +198,45 @@ def run(
     strategy_values, presentation_values = value_maps["strategy"], value_maps["presentation"]
     coords = table.coords(value_maps)
 
-    clustered = [rows for rows in table.members if len(rows) >= config.min_subset]
-    groups = group_subsets(coords, clustered, config.k_max, config.gamma, config.seed)
-    clouds: dict[str, TagCloud] = {}
+    clouds: dict[str, TagCloud] = dict.fromkeys(table.resources)  # resource order
+    clustered = []
     for rid, rows in zip(table.resources, table.members):
-        size = len(rows)
-        if size < config.min_subset:
-            clouds[rid] = TagCloud(rid, [], Provenance(subset_size=size),
+        if len(rows) < config.min_subset:
+            clouds[rid] = TagCloud(rid, [], Provenance(subset_size=len(rows)),
                                    skipped=SKIP_SMALL_SUBSET)
-            continue
-
-        group = next(groups)
+        else:
+            clustered.append((rid, rows))
+    pending = iter(clustered)
+    for groups in group_batches(coords, [rows for _, rows in clustered],
+                                config.k_max, config.gamma, config.seed):
+        resources = list(itertools.islice(pending, len(groups)))
         if trace_hook is not None:
-            trace_hook(rid, group.trace)
-        winners = tag_itemsets(table.items[rows[group.largest]], config.support_sl)
-        provenance = Provenance(
-            subset_size=size,
-            chosen_k=group.k,
-            cluster_size=int(group.largest.sum()),
-            support=winners[0].support if winners else None,
-        )
-        if not winners:
-            clouds[rid] = TagCloud(rid, [], provenance, skipped=SKIP_NO_ITEMSET)
-            continue
-        tags = [
-            Tag(
-                current_skill=a1 or None,
-                target_skill=a2 or None,
-                time_bin=discretize_time(10 * hours_bin) if hours_bin else None,
-                strategy_value=strategy_values[a3] if a3 else None,
-                presentation_value=presentation_values[a4] if a4 else None,
+            for (rid, _), group in zip(resources, groups):
+                trace_hook(rid, group.trace)
+        mined = tag_itemsets_batch(
+            [table.items[rows[group.largest]] for (_, rows), group in zip(resources, groups)],
+            config.support_sl)
+        for (rid, rows), group, winners in zip(resources, groups, mined):
+            provenance = Provenance(
+                subset_size=len(rows),
+                chosen_k=group.k,
+                cluster_size=int(group.largest.sum()),
+                support=winners[0].support if winners else None,
             )
-            for a1, a2, a3, a4, hours_bin in (w.fields for w in winners)
-        ]
-        clouds[rid] = TagCloud(rid, tags, provenance)
+            if not winners:
+                clouds[rid] = TagCloud(rid, [], provenance, skipped=SKIP_NO_ITEMSET)
+                continue
+            tags = [
+                Tag(
+                    current_skill=a1 or None,
+                    target_skill=a2 or None,
+                    time_bin=discretize_time(10 * hours_bin) if hours_bin else None,
+                    strategy_value=strategy_values[a3] if a3 else None,
+                    presentation_value=presentation_values[a4] if a4 else None,
+                )
+                for a1, a2, a3, a4, hours_bin in (w.fields for w in winners)
+            ]
+            clouds[rid] = TagCloud(rid, tags, provenance)
 
     skips = Counter(c.skipped for c in clouds.values() if c.skipped is not None)
     logger.info(
@@ -234,17 +248,15 @@ def run(
     return TagStore(clouds, config, value_maps)
 
 
-def _nearest_parameter(values: AttributeValueMap, target: float) -> int:
-    """Parameter id whose quantified value is closest; ties to smaller id."""
-    return min(sorted(values), key=lambda p: abs(values[p] - target))
+def _nearest_parameters(values: AttributeValueMap, targets: set) -> dict:
+    """Each non-null target's parameter id whose quantified value is
+    closest; ties to the smaller id."""
+    ids = sorted(values)
+    return {t: min(ids, key=lambda p: abs(values[p] - t)) for t in targets if t is not None}
 
 
-def _tag_score(
-    tag: Tag,
-    profile: LearnerProfile,
-    strategy_values: AttributeValueMap,
-    presentation_values: AttributeValueMap,
-) -> float:
+def _tag_score(tag: Tag, profile: LearnerProfile, strategy_of: dict,
+               presentation_of: dict) -> float:
     present = 0
     matched = 0
     if tag.current_skill is not None:
@@ -259,13 +271,10 @@ def _tag_score(
         matched += max(profile.hours, 1) in tag.time_bin
     if tag.strategy_value is not None:
         present += 1
-        matched += _nearest_parameter(strategy_values, tag.strategy_value) == profile.strategy
+        matched += strategy_of[tag.strategy_value] == profile.strategy
     if tag.presentation_value is not None:
         present += 1
-        matched += (
-            _nearest_parameter(presentation_values, tag.presentation_value)
-            == profile.presentation
-        )
+        matched += presentation_of[tag.presentation_value] == profile.presentation
     return matched / present if present else 0.0
 
 
@@ -276,25 +285,21 @@ def match_resources(profile: LearnerProfile, store: TagStore,
     The score is the fraction of present tag fields the profile matches:
     skill levels exactly, the time bin by containment, and the nominal
     fields by mapping the stored quantified value back to its nearest
-    parameter id under the store's own ``value_maps``.  Skipped clouds
-    are not candidates.  Ties rank by resource id.
+    parameter id under the store's own ``value_maps``, once per distinct
+    value.  Skipped clouds are not candidates.  Ties rank by resource id.
     """
     if top_n <= 0:
         raise ValueError(f"top_n must be positive, got {top_n}")
     if not store:
         raise ValueError("store is empty")
-    strategy_values = store.value_maps["strategy"]
-    presentation_values = store.value_maps["presentation"]
-    scored = []
-    for rid in sorted(store):
-        cloud = store[rid]
-        if not cloud.tags:
-            continue
-        best = max(
-            _tag_score(t, profile, strategy_values, presentation_values)
-            for t in cloud.tags
-        )
-        scored.append((rid, best))
+    clouds = [(rid, store[rid].tags) for rid in sorted(store)]
+    tags = [t for _, cloud_tags in clouds for t in cloud_tags]
+    strategy_of = _nearest_parameters(store.value_maps["strategy"],
+                                      {t.strategy_value for t in tags})
+    presentation_of = _nearest_parameters(store.value_maps["presentation"],
+                                          {t.presentation_value for t in tags})
+    scored = [(rid, max(_tag_score(t, profile, strategy_of, presentation_of) for t in cloud_tags))
+              for rid, cloud_tags in clouds if cloud_tags]
     scored.sort(key=lambda rs: (-rs[1], rs[0]))
     return scored[:top_n]
 
@@ -342,12 +347,13 @@ _CONFIG_FIELDS = _field_checks(PipelineConfig)
 def _validated(obj, checks: dict, where: str) -> dict:
     """The ``checks`` fields of a JSON object, each checked for its type and shape."""
     if not isinstance(obj, dict):
-        raise ValueError(f"malformed {where}: expected an object, got {obj!r}")
+        raise ValueError(f"malformed {where}: expected an object, got {reprlib.repr(obj)}")
     for name, (valid, expected) in checks.items():
         if name not in obj:
             raise ValueError(f"malformed {where}: no {name} field")
         if not valid(obj[name]):
-            raise ValueError(f"malformed {where}: {name} must be {expected}, got {obj[name]!r}")
+            raise ValueError(f"malformed {where}: {name} must be {expected}, "
+                             f"got {reprlib.repr(obj[name])}")
     return {name: obj[name] for name in checks}
 
 
@@ -366,7 +372,7 @@ def _value_map_from_json(obj, attribute: str) -> AttributeValueMap:
     if (not isinstance(obj, dict) or sorted(obj) != ["1", "2", "3", "4", "5"]
             or not all(map(_number, obj.values()))):
         raise ValueError(f"malformed store values: {attribute} must map the ids "
-                         f"1..5 to numbers, got {obj!r}")
+                         f"1..5 to numbers, got {reprlib.repr(obj)}")
     return {int(p): v for p, v in sorted(obj.items())}
 
 
@@ -378,21 +384,23 @@ def _cloud_to_json(cloud: TagCloud) -> dict:
 
 
 def _cloud_from_json(rid: str, entry) -> TagCloud:
+    # reprlib cuts a long id; it costs more than repr, which a short id needs.
+    resource = f"resource {rid!r}" if len(rid) < 28 else f"resource {reprlib.repr(rid)}"
     try:
         provenance = Provenance(**_validated(
-            entry["provenance"], _PROVENANCE_FIELDS, f"provenance of resource {rid!r}"))
+            entry["provenance"], _PROVENANCE_FIELDS, f"provenance of {resource}"))
         tags = []
         for obj in entry["tags"]:
-            checked = _validated(obj, _TAG_FIELDS, f"tag in resource {rid!r}")
+            checked = _validated(obj, _TAG_FIELDS, f"tag in {resource}")
             if checked["time_bin"] is not None:
                 checked["time_bin"] = TimeBin(*checked["time_bin"])
             tags.append(Tag(**checked))
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed store entry for resource {rid!r}: {exc}") from exc
+        raise ValueError(f"malformed store entry for {resource}: {exc}") from exc
     skipped = entry.get("skipped")
     if "skipped" in entry and not isinstance(skipped, str):
-        raise ValueError(f"malformed store entry for resource {rid!r}: skipped must be "
-                         f"a string, got {skipped!r}")
+        raise ValueError(f"malformed store entry for {resource}: skipped must be a string, "
+                         f"got {reprlib.repr(skipped)}")
     return TagCloud(rid, tags, provenance, skipped=skipped)
 
 
@@ -413,14 +421,14 @@ def save_store(store: TagStore, path) -> None:
         "values": store.value_maps,
         "resources": {rid: _cloud_to_json(store[rid]) for rid in sorted(store)},
     }
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     # Written beside the target and moved over it, so a failed write
     # leaves the previous store in place.
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
                        f".{os.path.basename(path)}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException as exc:
         if os.path.exists(tmp):
@@ -455,8 +463,8 @@ def load_store(path) -> TagStore:
         raise ValueError(f"store {os.fspath(path)!r} has no schema header: it predates "
                          f"schema {STORE_SCHEMA}; re-run `learntags tag` to rewrite it")
     if not _int(doc["schema"]) or doc["schema"] != STORE_SCHEMA:
-        raise ValueError(f"store schema {doc['schema']!r} is not supported (this version "
-                         f"reads schema {STORE_SCHEMA}); re-run `learntags tag`")
+        raise ValueError(f"store schema {reprlib.repr(doc['schema'])} is not supported (this "
+                         f"version reads schema {STORE_SCHEMA}); re-run `learntags tag`")
     for name in ("config", "values", "resources"):
         if name not in doc:
             raise ValueError(f"malformed store: no {name} field")
@@ -464,7 +472,7 @@ def load_store(path) -> TagStore:
     values = doc["values"]
     if not isinstance(values, dict) or sorted(values) != sorted(ATTRIBUTES):
         raise ValueError(f"malformed store values: expected maps for {sorted(ATTRIBUTES)}, "
-                         f"got {values!r}")
+                         f"got {reprlib.repr(values)}")
     value_maps = {a: _value_map_from_json(values[a], a) for a in ATTRIBUTES}
     if not isinstance(doc["resources"], dict):
         raise ValueError("malformed store resources: expected an object")

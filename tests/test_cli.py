@@ -478,6 +478,7 @@ class TestTag:
 
     @pytest.mark.parametrize("flag, value, expected", [
         ("--features", "0", "must be >= 1, got 0"),
+        ("--features", "1001", "must be <= 1000, got 1001"),
         ("--kmax", "0", "must be >= 1, got 0"),
         ("--support", "0", "must be in (0, 1], got 0.0"),
         ("--min-subset", "0", "must be >= 1, got 0"),
@@ -742,6 +743,44 @@ class TestMatch:
         "nan tolerance": (lambda doc: doc["config"].update(nmf_tol=float("nan")),
                           "nmf_tol must be a number, got nan"),
     }
+
+    # Edits that put a 200,000-element value where a store field belongs.
+    HUGE = list(range(200_000))
+    HUGE_VALUES = {
+        "config": (lambda doc: doc.update(config=TestMatch.HUGE),
+                   "malformed store config: expected an object, got [0, 1, 2"),
+        "config field": (lambda doc: doc["config"].update(seed=TestMatch.HUGE),
+                         "seed must be an int"),
+        "values": (lambda doc: doc.update(values=TestMatch.HUGE), "malformed store values"),
+        "value map": (lambda doc: doc["values"].update(strategy=TestMatch.HUGE),
+                      "strategy must map the ids 1..5"),
+        "schema": (lambda doc: doc.update(schema=TestMatch.HUGE), "store schema [0, 1, 2"),
+        "tag field": (lambda doc: doc["resources"]["b1"]["tags"][0].update(
+            current_skill="6" * 200_000), "current_skill must be an int or null"),
+        "skip reason": (lambda doc: doc["resources"]["b2"].update(skipped=TestMatch.HUGE),
+                        "skipped must be a string"),
+        "resource id": (lambda doc: doc["resources"].update(
+            {"b" * 200_000: {"tags": [], "provenance": TestMatch.HUGE}}),
+            "malformed provenance of resource 'bbb"),
+    }
+
+    @pytest.mark.parametrize("edit", sorted(HUGE_VALUES))
+    def test_huge_store_value_echo_is_short(self, tmp_path, capsys, edit):
+        """The error names the field and cuts the value it echoes."""
+        ratings, profiles = write_corpus(tmp_path)
+        path = tmp_path / "store.json"
+        assert dispatch(["tag", "--ratings", ratings, "--profiles", profiles,
+                         "--out", str(path)]) == 0
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        change, message = self.HUGE_VALUES[edit]
+        change(doc)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert dispatch(["match", "--profiles", profiles, "--store", str(path),
+                         "--learner", "u00"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1 and len(err) < 250
 
     @pytest.mark.parametrize("edit", sorted(UNWRITTEN))
     def test_unwritten_store_values_exit_one(self, tmp_path, capsys, edit):

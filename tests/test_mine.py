@@ -12,6 +12,7 @@ from learntags import (
     apriori,
     learner_table,
     tag_itemsets,
+    tag_itemsets_batch,
 )
 from learntags.ingest import discretize_time
 from learntags.mine import N_ATTRIBUTES, FrequentItemset
@@ -365,3 +366,61 @@ class TestSelectTag:
         transactions = [Transaction(f"t{i:02d}", itemset_of(tuple(row)))
                         for i, row in enumerate(items.tolist())]
         assert as_oracle(winners) == maximal_selection(levelwise_apriori(transactions, sl))
+
+
+@st.composite
+def item_batches(draw):
+    """One to six clusters of one to eight rows over codes 1..3, some
+    holding one code that fits a cluster's own key space (2**54 - 1, near
+    the int64 limit with the others) or does not (2**61), plus a support
+    level."""
+    row = st.lists(st.integers(1, 3), min_size=N_ATTRIBUTES, max_size=N_ATTRIBUTES)
+    clusters = []
+    for _ in range(draw(st.integers(1, 6))):
+        rows = np.array(draw(st.lists(row, min_size=1, max_size=8)), dtype=np.int64)
+        big = draw(st.sampled_from([None, None, 2**30, 2**54 - 1, 2**61]))
+        if big is not None:
+            rows[draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, N_ATTRIBUTES - 1))] = big
+        clusters.append(rows)
+    return clusters, draw(st.floats(0, 1, exclude_min=True))
+
+
+class TestTagItemsetsBatch:
+    """tag_itemsets_batch, one count for several clusters, against each
+    cluster mined alone."""
+
+    @given(item_batches())
+    @example(([np.array([[1] * 5, [2] * 5]), np.array([[1, 2, 1, 2, 1]])], 1.0))  # no winners
+    @example(([np.array([[1, 1, 1, 1, 2**54 - 1]]), np.array([[2**54 - 1, 1, 1, 1, 1]])], 1.0))
+    @example(([np.array([[1, 1, 1, 1, 2]]), np.array([[2**61, 1, 1, 1, 1]])], 1.0))
+    def test_equals_each_cluster_alone(self, inputs):
+        """Clusters with no winners get none; clusters whose keys overflow
+        int64 together are split, and one whose own codes overflow raises
+        as it does alone."""
+        clusters, sl = inputs
+        try:
+            alone = [tag_itemsets(items, sl) for items in clusters]
+        except ValueError as exc:
+            assert str(exc) == "item codes too large to count"
+            with pytest.raises(ValueError, match="item codes too large to count"):
+                tag_itemsets_batch(clusters, sl)
+            return
+        got = tag_itemsets_batch(clusters, sl)
+        assert got == alone
+        assert got == [reference_select_tag(apriori(items, sl)) for items in clusters]
+
+    def test_overflowing_keys_split_the_batch(self):
+        """Each cluster's codes fit int64 alone but not beside the other's."""
+        clusters = [np.array([[1, 1, 1, 1, 2**54 - 1]] * 2), np.array([[2**54 - 1, 1, 1, 1, 1]])]
+        got = tag_itemsets_batch(clusters, 1.0)
+        assert [[w.fields for w in winners] for winners in got] == [
+            [(1, 1, 1, 1, 2**54 - 1)], [(2**54 - 1, 1, 1, 1, 1)]]
+        assert [winners[0].count for winners in got] == [2, 1]
+
+    def test_empty_batch(self):
+        assert tag_itemsets_batch([], 0.5) == []
+
+    def test_empty_cluster_rejected(self):
+        with pytest.raises(ValueError, match="no transactions"):
+            tag_itemsets_batch([np.ones((2, N_ATTRIBUTES), dtype=np.int64),
+                                np.zeros((0, N_ATTRIBUTES), dtype=np.int64)], 0.5)

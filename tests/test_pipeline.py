@@ -1,6 +1,7 @@
 """Pipeline tests: run(), rendering, matching, and the JSON store."""
 from __future__ import annotations
 
+import builtins
 import importlib
 import json
 import logging
@@ -31,7 +32,7 @@ from learntags import (
     save_store,
 )
 from learntags.ingest import MAX_HOURS, TimeBin, discretize_time
-from learntags.pipeline import SKIP_NO_ITEMSET, SKIP_SMALL_SUBSET, STORE_SCHEMA
+from learntags.pipeline import MAX_NMF_K, SKIP_NO_ITEMSET, SKIP_SMALL_SUBSET, STORE_SCHEMA
 
 VALUE_MAPS = {
     "strategy": {1: 5.0, 2: 10.0, 3: 15.0, 4: 20.0, 5: 25.0},
@@ -98,6 +99,7 @@ class TestPipelineConfig:
             {"support_sl": 0.0},
             {"support_sl": 1.5},
             {"nmf_k": 0},
+            {"nmf_k": 1001},
             {"nmf_max_iters": 0},
             {"nmf_tol": -1.0},
             {"k_max": 0},
@@ -114,6 +116,13 @@ class TestPipelineConfig:
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             PipelineConfig(**kwargs)
+
+    def test_features_bounded_above(self):
+        """The bound is checked on the value; nothing of its size is built."""
+        assert PipelineConfig(nmf_k=MAX_NMF_K).nmf_k == 1000
+        for k in (MAX_NMF_K + 1, 10**8):
+            with pytest.raises(ValueError, match=rf"^nmf_k must be <= 1000, got {k}$"):
+                PipelineConfig(nmf_k=k)
 
 
 class TestRun:
@@ -227,11 +236,11 @@ class TestRun:
         config = PipelineConfig(seed=5)
         tables = []
         mined = []
-        build, mine = pipeline.learner_table, pipeline.tag_itemsets
+        build, mine = pipeline.learner_table, pipeline.tag_itemsets_batch
         monkeypatch.setattr(pipeline, "learner_table",
                             lambda *args: tables.append(build(*args)) or tables[-1])
-        monkeypatch.setattr(pipeline, "tag_itemsets",
-                            lambda items, sl: mined.append(items) or mine(items, sl))
+        monkeypatch.setattr(pipeline, "tag_itemsets_batch",
+                            lambda clusters, sl: mined.extend(clusters) or mine(clusters, sl))
         store = run(config, records, profiles)
         # One table per run, one row per subset member.
         assert len(tables) == 1
@@ -393,6 +402,19 @@ class TestMatchResources:
                    "presentation": VALUE_MAPS["presentation"]}
         moved = TagStore(store.clouds, store.config, swapped)
         assert match_resources(profile, moved, top_n=1) == [("match", 0.8)]
+
+    @pytest.mark.parametrize("value", [10.0, 12.5])
+    def test_nearest_parameter_ties_to_the_smaller_id(self, value):
+        """Strategies 2 and 4 share 10.0, and 12.5 is as near 15.0 (id 3):
+        each stored value maps to id 2, however many tags hold it."""
+        values = {"strategy": {1: 5.0, 2: 10.0, 3: 15.0, 4: 10.0, 5: 25.0},
+                  "presentation": VALUE_MAPS["presentation"]}
+        tags = [Tag(strategy_value=value), Tag(1, None, None, value, None)]
+        store = TagStore({"r": TagCloud("r", tags, Provenance(10, 1, 10, 0.5))},
+                         PipelineConfig(), values)
+        ranked = {strategy: match_resources(LearnerProfile("u", 2, 5, strategy, 1, 5), store, 1)
+                  for strategy in (2, 3, 4)}
+        assert ranked == {2: [("r", 1.0)], 3: [("r", 0.0)], 4: [("r", 0.0)]}
 
     def test_matches_independent_scoring(self):
         """20-resource seeded store against a second formula implementation."""
@@ -616,16 +638,25 @@ class TestStore:
             load_store(path)
 
     def test_save_replaces_the_store_atomically(self, tmp_path, monkeypatch):
+        import learntags.pipeline as pipeline
+
         path = tmp_path / "store.json"
         save_store(tag_store({"r1": TagCloud("r1", [Tag(current_skill=1)],
                                              Provenance(10, 1, 5, 0.5))}), path)
         before = path.read_bytes()
 
-        def failing_dump(doc, fh, **kwargs):
-            fh.write('{"r2": {"tags": [')
-            raise RuntimeError("disk full")
+        def failing_open(*args, **kwargs):
+            """A file whose one write stops halfway with an error."""
+            fh = builtins.open(*args, **kwargs)
 
-        monkeypatch.setattr(json, "dump", failing_dump)
+            def write(text):
+                type(fh).write(fh, text[:len(text) // 2])
+                raise RuntimeError("disk full")
+
+            fh.write = write
+            return fh
+
+        monkeypatch.setattr(pipeline, "open", failing_open, raising=False)
         with pytest.raises(RuntimeError, match="disk full"):
             save_store(tag_store({"r2": TagCloud("r2", [], Provenance(3))}), path)
         assert path.read_bytes() == before
@@ -756,6 +787,7 @@ class TestStoreHeader:
         ({"nmf_tol": float("nan")}, "nmf_tol must be a number, got nan"),
         ({"gamma": float("inf")}, "gamma must be a number, got inf"),
         ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"nmf_k": 1001}, "nmf_k must be <= 1000, got 1001"),
     ])
     def test_invalid_config_rejected(self, tmp_path, change, message):
         doc = store_doc({})

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import importlib
 import types
+import warnings
 from itertools import combinations
 from unittest import mock
 
@@ -409,11 +410,14 @@ class TestNMFStack:
     @given(st.lists(st.one_of(count_matrices, st.just(np.zeros((5, 5), dtype=np.int64))),
                     min_size=1, max_size=3),
            st.integers(1, 12), st.sampled_from([1, 2, 7, 500]),
-           st.sampled_from([0.0, 1e-6, 1e-2]), st.integers(0, 2**32 - 2))
-    def test_each_matrix_as_factored_alone(self, matrices, k, max_iters, tol, seed):
-        """Matrices stop at their own iterations; zero ones short-circuit."""
-        self.assert_each_as_factored_alone([m + m.T for m in matrices], k, max_iters, tol,
-                                           [seed + i for i in range(len(matrices))])
+           st.sampled_from([0.0, 1e-6, 1e-2]), st.integers(0, 2**32 - 2),
+           st.sampled_from([1, 2, 7, quantify_module._NMF_CHUNK]))
+    def test_each_matrix_as_factored_alone(self, matrices, k, max_iters, tol, seed, chunk):
+        """Matrices stop at their own iterations, wherever those fall in a
+        chunk of iterations; zero ones short-circuit."""
+        with mock.patch.object(quantify_module, "_NMF_CHUNK", chunk):
+            self.assert_each_as_factored_alone([m + m.T for m in matrices], k, max_iters, tol,
+                                               [seed + i for i in range(len(matrices))])
 
     @staticmethod
     def assert_each_as_factored_alone(matrices, k, max_iters, tol, seeds):
@@ -433,6 +437,36 @@ class TestNMFStack:
         got = self.assert_each_as_factored_alone(
             [first, np.zeros((5, 5)), last], 10, 500, 1e-3, [0, 1, 2])
         assert [len(r.error_trace) for r in got] == [314, 1, 443]
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_stop_at_the_edges_of_a_chunk(self, offset):
+        """The first matrix stops at iteration 313: the last but one of the
+        first chunk, its last, or the first of the second chunk."""
+        rng = np.random.default_rng(2)
+        first, last = (m + m.T for m in rng.integers(0, 900, (2, 5, 5)))
+        with mock.patch.object(quantify_module, "_NMF_CHUNK", 313 - offset):
+            got = self.assert_each_as_factored_alone([first, last], 10, 500, 1e-3, [0, 2])
+        assert [len(r.error_trace) for r in got] == [314, 443]
+
+    @pytest.mark.parametrize("chunk, max_iters", [(7, 17), (32, 45)])
+    def test_max_iters_not_a_multiple_of_the_chunk(self, chunk, max_iters):
+        rng = np.random.default_rng(8)
+        matrices = [m + m.T for m in rng.integers(0, 900, (2, 5, 5))]
+        with mock.patch.object(quantify_module, "_NMF_CHUNK", chunk):
+            got = self.assert_each_as_factored_alone(matrices, 10, max_iters, 0.0, [3, 4])
+        assert [len(r.error_trace) for r in got] == [max_iters + 1] * 2
+
+    @pytest.mark.parametrize("chunk", [1, 7, 32, 500])
+    def test_iterations_past_the_last_stop_raise_no_warning(self, chunk):
+        """A chunk runs on after a matrix stops, and a zero matrix's error
+        stays 0 there, so its improvement would be 0 / 0."""
+        rng = np.random.default_rng(1)
+        first, last = (m + m.T for m in rng.integers(0, 900, (2, 5, 5)))
+        with mock.patch.object(quantify_module, "_NMF_CHUNK", chunk), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = self.assert_each_as_factored_alone(
+                [first, np.zeros((5, 5)), last], 10, 500, 0.1, [0, 1, 2])
+        assert [len(r.error_trace) for r in got] == [27, 1, 14]
 
     def test_all_zero_stack_runs_no_update(self):
         with mock.patch.object(quantify_module, "_errors",
