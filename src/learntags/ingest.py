@@ -1,9 +1,13 @@
 """Rating and profile ingestion.
 
 Parses the semicolon-delimited ratings file and the comma-separated
-profiles file, or finds one learner's profile in it, synthesizes
-missing profiles with a seeded generator, discretizes learning time
-into decade bins, and in one pass over the ratings builds the learner
+profiles file, or finds one learner's profile in it.  A profiles file
+of canonical rows only (plain ids, valid attributes in their shortest
+texts, hours below 1,000) is checked as one document by one regular
+expression; any other file goes through a row loop, which alone
+rejects rows and names their lines.  Ingest also synthesizes missing
+profiles with a seeded generator, discretizes learning time into
+decade bins, and in one pass over the ratings builds the learner
 table that quantification, clustering and mining all read: every
 learner who rated some resource at or above a threshold, coded once,
 and each resource's high-rating subset as an array of the table's rows.
@@ -13,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import re
 import sys
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -130,11 +135,12 @@ def _check_header(reader, header: tuple[str, ...], name: str) -> None:
 
 
 # The canonical texts of the ratings 0..10, of every valid (a1, a2, a3,
-# a4) and of the hours 0..999, with their int values.  A row whose fields
-# hit them needs no int() and no range check; any other text, such as
-# " 7", "07" or "+7", and hours of 1000 or more take the general checks.
+# a4) and of the ints 0..999 (the hours up to 999, and every attribute
+# id), with their int values.  A row whose fields hit them needs no int()
+# and no range check; any other text, such as " 7", "07" or "+7", and
+# hours of 1000 or more take the general checks.
 _RATING_OF = {str(v): v for v in range(11)}
-_HOURS_OF = {str(v): v for v in range(1000)}
+_INT_OF = {str(v): v for v in range(1000)}
 _VALID_ATTRS = {tuple(map(str, v)): v
                 for v in itertools.product(SKILL_LEVELS, SKILL_LEVELS, STRATEGY_IDS,
                                            PRESENTATION_IDS)
@@ -229,23 +235,82 @@ def _checked_values(row: list[str]) -> tuple[int, ...] | str:
     return _profile_violation(LearnerProfile(row[0], *values))
 
 
-def _scan_profiles(stream: Iterable[str] | str, learner_id: str | None = None):
-    """Split and check every row of a profiles file: its ProfilesResult
-    without profiles, ``learner_rejected`` being ``learner_id``'s last
-    rejected row, and the checked values of each learner's last valid row
-    by learner id, as the pair (a1..a4, hours).
+# The longest learner id a canonical profiles document holds.  Every
+# field of such a document is within the CSV reader's default size
+# limit, so a document is read by the row loop when the limit is lower.
+_DOC_ID_MAX = 256
+_HEADER_LINES = tuple(",".join(PROFILES_HEADER) + end for end in ("\n", "\r\n"))
+# A profiles file body of canonical rows only: each an id of 1 to
+# _DOC_ID_MAX characters, none of which the CSV reader treats specially
+# (`,` `"` CR LF NUL); a valid (a1, a2); a3 and a4 in 1..5; hours in the
+# canonical texts of 0..999, the hours _INT_OF holds.  Each row ends in
+# LF or CRLF, the last one optionally.  The row loop accepts every such
+# row, so a body that matches has no rejected rows.
+_CANONICAL_ROW = (rf'[^,"\r\n\x00]{{1,{_DOC_ID_MAX}}},(?:1,[2-6]|2,[3-6]|3,[4-6]|4,[56]|5,6),'
+                  r'[1-5],[1-5],(?:0|[1-9][0-9]{0,2})')
+_CANONICAL_BODY = re.compile(rf"(?:{_CANONICAL_ROW}\r?\n)*(?:{_CANONICAL_ROW})?")
 
-    A row of canonical texts is checked by table lookup, in the loop;
-    every other non-blank row goes to ``_checked_values``.
+
+def _read_document(stream: Iterable[str] | str) -> tuple[list[str] | None, Iterable[str]]:
+    """Read a profiles file as one document if it is canonical.
+
+    Returns the texts of the data rows' fields, six per row, and no lines
+    if the header line is the canonical one and the rest matches
+    ``_CANONICAL_BODY``.  Otherwise returns None and the lines for the
+    row loop, header line included, split as the stream splits them.
+
+    A ``str`` is split at LF, as before.  A text stream's header line is
+    read first, so a bad header is still reported before a bad byte
+    further on; then, if the stream splits lines at CR, LF and CRLF alike
+    (it was opened with a ``newline`` of "" or None), its rest is read
+    whole.  A stream in another newline mode and any other iterable of
+    lines are not read ahead of the row loop.
     """
     if isinstance(stream, str):
-        stream = io.StringIO(stream)
-    reader = csv.reader(stream)
+        end = stream.find("\n") + 1
+        header, body = stream[:end], stream[end:]
+        lines = io.StringIO(stream)
+    elif isinstance(stream, io.TextIOBase):
+        header = stream.readline()
+        # Only a universal-newlines stream reports the newline that ended
+        # the header line; in another mode, a line of its text may hold
+        # more than one row of a split at LF.
+        if header not in _HEADER_LINES or stream.newlines is None:
+            # readline() gives "" only at the end of the stream.
+            return None, itertools.chain([header] if header else [], stream)
+        body = stream.read()
+        lines = itertools.chain([header], io.StringIO(body, newline=""))
+    else:
+        return None, stream
+    if (header not in _HEADER_LINES or csv.field_size_limit() < _DOC_ID_MAX
+            or not _CANONICAL_BODY.fullmatch(body)):
+        return None, lines
+    if "\r" in body:
+        body = body.replace("\r\n", "\n")
+    fields = body.replace("\n", ",").split(",")
+    if len(fields) % 6:  # the empty text after a final newline
+        fields.pop()
+    return fields, None
+
+
+def _scan_profiles(lines: Iterable[str], learner_id: str | None = None):
+    """The row loop: split and check every row of the ``lines`` of a
+    profiles file.  Returns its ProfilesResult without profiles,
+    ``learner_rejected`` being ``learner_id``'s last rejected row, and
+    the checked values of each learner's last valid row by learner id,
+    as the pair (a1..a4, hours).
+
+    A row of canonical texts is checked by table lookup, in the loop;
+    every other non-blank row goes to ``_checked_values``.  The loop is
+    the only source of rejection reasons, line numbers and
+    MalformedRowError.
+    """
+    reader = csv.reader(lines)
     result = ProfilesResult(profiles=[])
     rejected = result.rejected
     by_id: dict[str, tuple[tuple[int, int, int, int], int]] = {}
     valid = 0
-    attrs_of, hours_of = _VALID_ATTRS.get, _HOURS_OF.get
+    attrs_of, hours_of = _VALID_ATTRS.get, _INT_OF.get
     try:
         _check_header(reader, PROFILES_HEADER, "profiles")
         for row in reader:
@@ -280,25 +345,49 @@ def parse_profiles(stream: Iterable[str] | str) -> ProfilesResult:
     included, are rejected with their line number and a reason;
     duplicate learner ids keep the last occurrence and bump ``duplicates``.
     A row the CSV reader cannot split raises MalformedRowError.
+
+    A canonical document (see ``_read_document``) has no rejected rows,
+    and its profiles are built column by column from its fields' texts;
+    every other file goes through the row loop, ``_scan_profiles``.
     """
-    result, by_id = _scan_profiles(stream)
-    result.profiles = [_new_record(LearnerProfile, (lid, *attrs, hours))
-                       for lid, (attrs, hours) in by_id.items()]
-    return result
+    fields, lines = _read_document(stream)
+    if fields is None:
+        result, by_id = _scan_profiles(lines)
+        result.profiles = [_new_record(LearnerProfile, (lid, *attrs, hours))
+                           for lid, (attrs, hours) in by_id.items()]
+        return result
+    ids = fields[::6]
+    int_of = _INT_OF.__getitem__
+    last = dict(zip(ids, map(_new_record, itertools.repeat(LearnerProfile),
+                             zip(ids, *(map(int_of, fields[k::6]) for k in range(1, 6))))))
+    return ProfilesResult(profiles=list(last.values()), duplicates=len(ids) - len(last))
 
 
 def find_profile(stream: Iterable[str] | str, learner_id: str) -> ProfilesResult:
     """``parse_profiles`` of the profiles file with ``profiles`` cut to
     ``learner_id``'s, built from its last valid row.
 
-    Every row is still split and checked, so ``rejected`` and
-    ``duplicates`` are those of the whole file; ``learner_rejected`` is
-    the learner's last rejected row, if any.
+    ``rejected`` and ``duplicates`` are those of the whole file, and
+    ``learner_rejected`` is the learner's last rejected row, if any.  A
+    canonical document has no rejected rows, so only its distinct ids are
+    counted; every other file goes through the row loop.  An id that is
+    empty or holds a character no canonical id has is found only by the
+    row loop, so in a canonical document it is simply not found.
     """
-    result, by_id = _scan_profiles(stream, learner_id)
-    if learner_id in by_id:
-        attrs, hours = by_id[learner_id]
-        result.profiles.append(LearnerProfile(learner_id, *attrs, hours))
+    fields, lines = _read_document(stream)
+    if fields is None:
+        result, by_id = _scan_profiles(lines, learner_id)
+        if learner_id in by_id:
+            attrs, hours = by_id[learner_id]
+            result.profiles.append(LearnerProfile(learner_id, *attrs, hours))
+        return result
+    ids = fields[::6]
+    distinct = set(ids)
+    result = ProfilesResult(profiles=[], duplicates=len(ids) - len(distinct))
+    if learner_id in distinct:
+        at = 6 * (len(ids) - 1 - ids[::-1].index(learner_id))
+        values = map(_INT_OF.__getitem__, fields[at + 1:at + 6])
+        result.profiles.append(_new_record(LearnerProfile, (learner_id, *values)))
     return result
 
 

@@ -27,6 +27,7 @@ import logging
 import math
 import os
 import reprlib
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, get_type_hints
@@ -304,38 +305,42 @@ def match_resources(profile: LearnerProfile, store: TagStore,
     return scored[:top_n]
 
 
-def _int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _number(v) -> bool:
-    """An int or a finite float: json.load also reads NaN and Infinity."""
-    return _int(v) or (isinstance(v, float) and math.isfinite(v))
-
-
-def _decade_bin(v) -> bool:
+def _decade_bin(v: list) -> bool:
     """Two ints [10j + 1, 10j + 10], as ``discretize_time`` bins hours."""
-    return (isinstance(v, list) and len(v) == 2 and all(map(_int, v))
+    return (len(v) == 2 and type(v[0]) is int and type(v[1]) is int
             and v[0] >= 1 and v[0] % 10 == 1 and v[1] == v[0] + 9)
 
 
-def _or_null(valid):
-    return lambda v: v is None or valid(v)
+def _float_sized(v: int) -> bool:
+    """An int within the float range, as a number field's value is used."""
+    return -sys.float_info.max <= v <= sys.float_info.max
 
 
-# Declared field type -> (check, what the check accepts), for load_store.
+# Declared field type -> (the JSON types it allows, each mapped to the
+# extra check a value of that type must pass or None, and what the field
+# accepts), for load_store.  A value's type must be one of them exactly,
+# so a bool is no int; json.load also reads NaN and Infinity as floats,
+# and ints of any length.
+_NULL = type(None)
+_NUMBER = {int: _float_sized, float: math.isfinite}
 _TYPE_CHECKS = {
-    int: (_int, "an int"),
-    float: (_number, "a number"),
-    int | None: (_or_null(_int), "an int or null"),
-    float | None: (_or_null(_number), "a number or null"),
-    TimeBin | None: (_or_null(_decade_bin), "null or two ints [10j+1, 10j+10]"),
+    int: ({int: None}, "an int"),
+    float: (_NUMBER, "a number"),
+    int | None: ({int: None, _NULL: None}, "an int or null"),
+    float | None: ({**_NUMBER, _NULL: None}, "a number or null"),
+    TimeBin | None: ({list: _decade_bin, _NULL: None}, "null or two ints [10j+1, 10j+10]"),
 }
 
 
+def _fits(value, allowed: dict) -> bool:
+    """Whether ``value`` has one of the ``allowed`` types and passes its check."""
+    kind = type(value)
+    return kind in allowed and (allowed[kind] is None or allowed[kind](value))
+
+
 def _field_checks(cls) -> dict:
-    """Field name -> (check, what it accepts) of a stored dataclass, in
-    declaration order."""
+    """Field name -> (allowed types, what it accepts) of a stored
+    dataclass, in declaration order."""
     return {name: _TYPE_CHECKS[hint] for name, hint in get_type_hints(cls).items()}
 
 
@@ -348,12 +353,16 @@ def _validated(obj, checks: dict, where: str) -> dict:
     """The ``checks`` fields of a JSON object, each checked for its type and shape."""
     if not isinstance(obj, dict):
         raise ValueError(f"malformed {where}: expected an object, got {reprlib.repr(obj)}")
-    for name, (valid, expected) in checks.items():
-        if name not in obj:
-            raise ValueError(f"malformed {where}: no {name} field")
-        if not valid(obj[name]):
+    for name, (allowed, expected) in checks.items():
+        try:
+            value = obj[name]
+        except KeyError:
+            raise ValueError(f"malformed {where}: no {name} field") from None
+        # _fits, inlined: it runs for every field of every stored tag.
+        check = allowed.get(type(value), False)
+        if check is False or check is not None and not check(value):
             raise ValueError(f"malformed {where}: {name} must be {expected}, "
-                             f"got {reprlib.repr(obj[name])}")
+                             f"got {reprlib.repr(value)}")
     return {name: obj[name] for name in checks}
 
 
@@ -370,7 +379,7 @@ def _config_from_json(obj) -> PipelineConfig:
 
 def _value_map_from_json(obj, attribute: str) -> AttributeValueMap:
     if (not isinstance(obj, dict) or sorted(obj) != ["1", "2", "3", "4", "5"]
-            or not all(map(_number, obj.values()))):
+            or not all(_fits(v, _NUMBER) for v in obj.values())):
         raise ValueError(f"malformed store values: {attribute} must map the ids "
                          f"1..5 to numbers, got {reprlib.repr(obj)}")
     return {int(p): v for p, v in sorted(obj.items())}
@@ -462,7 +471,7 @@ def load_store(path) -> TagStore:
     if "schema" not in doc:
         raise ValueError(f"store {os.fspath(path)!r} has no schema header: it predates "
                          f"schema {STORE_SCHEMA}; re-run `learntags tag` to rewrite it")
-    if not _int(doc["schema"]) or doc["schema"] != STORE_SCHEMA:
+    if type(doc["schema"]) is not int or doc["schema"] != STORE_SCHEMA:
         raise ValueError(f"store schema {reprlib.repr(doc['schema'])} is not supported (this "
                          f"version reads schema {STORE_SCHEMA}); re-run `learntags tag`")
     for name in ("config", "values", "resources"):

@@ -9,15 +9,18 @@ subset at a time with its own Lloyd loop, empty-cluster repair and
 ``pdist`` diameters, the one-matrix NMF loop that the stacked NMF replaced, the
 row-by-row ``int()`` checks and profile scan that the parsers' tables of
 canonical texts replaced, over the header-checking row generator they
-dropped, and direct rescans (``build_subset`` scans the ratings once
-per resource), so test expectations are derived independently of the
-code under test.  The item types those oracles work on live here too;
-the library works on the integer arrays of its learner table.
+dropped, the per-type check closures that ``load_store``'s table of
+allowed types replaced, and direct rescans (``build_subset`` scans the
+ratings once per resource), so test expectations are derived
+independently of the code under test.  The item types those oracles
+work on live here too; the library works on the integer arrays of its
+learner table.
 """
 from __future__ import annotations
 
 import csv
 import io
+import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -199,6 +202,37 @@ def oracle_scan_profiles(stream, learner_id: str | None = None):
             result.duplicates += 1
         by_id[row[0]] = checked
     return result, by_id
+
+
+def _oracle_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _oracle_number(v) -> bool:
+    return ((_oracle_int(v) and abs(v) <= sys.float_info.max)
+            or (isinstance(v, float) and math.isfinite(v)))
+
+
+def _oracle_decade_bin(v) -> bool:
+    return (isinstance(v, list) and len(v) == 2 and all(map(_oracle_int, v))
+            and v[0] >= 1 and v[0] % 10 == 1 and v[1] == v[0] + 9)
+
+
+def _oracle_or_null(valid):
+    return lambda v: v is None or valid(v)
+
+
+# Oracle for ``pipeline._TYPE_CHECKS``: declared field type -> (whether a
+# JSON value passes load_store's check, what the field accepts).  A number
+# field also refuses an int beyond the float range, which the closures
+# let through to an OverflowError.
+ORACLE_TYPE_CHECKS = {
+    int: (_oracle_int, "an int"),
+    float: (_oracle_number, "a number"),
+    int | None: (_oracle_or_null(_oracle_int), "an int or null"),
+    float | None: (_oracle_or_null(_oracle_number), "a number or null"),
+    TimeBin | None: (_oracle_or_null(_oracle_decade_bin), "null or two ints [10j+1, 10j+10]"),
+}
 
 
 @dataclass(frozen=True, slots=True)

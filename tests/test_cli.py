@@ -293,6 +293,27 @@ class TestIngestCheck:
         offset = 32 + len(rows) + len(b"u9,1,2,1,1,")
         assert f"{path}: byte {offset} (line 3002) is not valid utf-8" in capsys.readouterr().err
 
+    def test_bad_header_reported_before_a_later_bad_byte(self, tmp_path, capsys):
+        """The header line is checked before the rest of the file is read."""
+        path = tmp_path / "profiles.csv"
+        rows = b"".join(b"u%05d,1,2,1,1,5\n" % i for i in range(3000))
+        path.write_bytes(b"learner,a1,a2,a3,a4,a5_hours\n" + rows + b"u9,1,2,1,1,\xe9\n")
+        assert dispatch(["ingest-check", "--profiles", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: unexpected profiles header ")
+
+    def test_bad_byte_reported_before_an_earlier_unsplittable_row(self, tmp_path, capsys):
+        """After a valid header line the rest of the file is read whole, so
+        a bad byte anywhere in it is reported before a row the CSV reader
+        cannot split, even one that comes first."""
+        path = tmp_path / "profiles.csv"
+        rows = b"".join(b"u%05d,1,2,1,1,5\n" % i for i in range(3000))
+        path.write_bytes(b"learner_id,a1,a2,a3,a4,a5_hours\n" + b"u" * 200_000
+                         + b",1,2,1,1,5\n" + rows + b"u9,1,2,1,1,\xe9\n")
+        assert dispatch(["ingest-check", "--profiles", str(path)]) == 1
+        offset = 32 + 200_000 + 11 + len(rows) + len(b"u9,1,2,1,1,")
+        assert capsys.readouterr().err == (f"error: {path}: byte {offset} (line 3003) is not "
+                                           f"valid utf-8: invalid continuation byte\n")
+
     def test_no_inputs_is_a_usage_problem(self, capsys):
         assert dispatch(["ingest-check"]) == 1
         assert "error:" in capsys.readouterr().err

@@ -25,7 +25,14 @@ from learntags import (
     render_profiles,
     render_ratings,
 )
-from learntags.ingest import MAX_HOURS, TimeBin, _profile_violation
+from learntags.ingest import (
+    _DOC_ID_MAX,
+    MAX_HOURS,
+    ProfilesResult,
+    TimeBin,
+    _profile_violation,
+    _read_document,
+)
 from learntags.mine import apriori
 
 from conftest import build_subset, high_ratings, oracle_parse_ratings, oracle_scan_profiles
@@ -302,6 +309,68 @@ def ids_by_line(text: str) -> dict[int, str]:
     return {reader.line_num: row[0] for row in reader if row}
 
 
+# Profiles documents of canonical rows only, which the parsers check as
+# one document, with at most one perturbation that sends a document to
+# the row loop: a quoted field, a blank line, a lone CR, a NUL, a BOM, a
+# " 1" text, another non-canonical or out-of-range value, or a CRLF
+# header, which leaves it canonical.  Ids hold spaces, non-ASCII text and
+# separators that str.splitlines() would split at but the CSV reader does
+# not, and run to _DOC_ID_MAX characters and one past it; a small pool
+# makes duplicates common.
+canonical_id = st.one_of(
+    st.sampled_from(["u0", "u1", "u2", "a b", " u1", "\u00e9", "u\u00a01", "u\u20281",
+                     "u\x851", "u\x0c1", "x" * _DOC_ID_MAX, "y" * (_DOC_ID_MAX + 1)]),
+    st.text(st.characters(blacklist_characters=',"\r\n\x00', blacklist_categories=("Cs",)),
+            min_size=1, max_size=6),
+)
+canonical_fields = st.builds(
+    lambda lid, pair, a3, a4, hours: [lid, *map(str, (*pair, a3, a4, hours))],
+    canonical_id,
+    st.sampled_from([(a1, a2) for a1 in range(1, 7) for a2 in range(a1 + 1, 7)]),
+    st.integers(1, 5), st.integers(1, 5), st.integers(0, 999))
+ROW_PERTURBATIONS = ["quote", "space", "NUL", "lone CR", "value"]
+PERTURBATIONS = [None, "blank", "BOM", "CRLF header", *ROW_PERTURBATIONS]
+# Texts that are never canonical in an attribute column, or in the hours.
+OFF_ATTRIBUTE = ["0", "7", "01", "+1", "\u0661"]
+OFF_HOURS = ["1000", "00", "01", "+1", "\u0661"]
+
+
+@st.composite
+def canonical_documents(draw):
+    """A profiles text, the ids of its rows, and whether it is canonical."""
+    rows = draw(st.lists(canonical_fields, max_size=10))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(rows),
+                         max_size=len(rows)))
+    if rows and draw(st.booleans()):
+        ends[-1] = ""
+    header = TestParseProfiles.HEADER
+    perturbation = draw(st.sampled_from(PERTURBATIONS))
+    if rows and perturbation in ROW_PERTURBATIONS:
+        i = draw(st.integers(0, len(rows) - 1))
+        k = draw(st.integers(0, 5))
+        if perturbation == "value":
+            k = max(k, 1)
+            rows[i][k] = draw(st.sampled_from(OFF_HOURS if k == 5 else OFF_ATTRIBUTE))
+        elif perturbation == "quote":
+            rows[i][k] = f'"{rows[i][k]}"'
+        elif perturbation == "space":
+            rows[i][k] = " " + rows[i][k]
+        elif perturbation == "NUL":
+            rows[i][0] += "\x00"
+        else:
+            ends[i] = "\r"
+    elif perturbation == "BOM":
+        header = "\ufeff" + header
+    elif perturbation == "CRLF header":
+        header = header.replace("\n", "\r\n")
+    lines = [",".join(fields) + end for fields, end in zip(rows, ends)]
+    if perturbation == "blank":
+        lines.insert(draw(st.integers(0, len(lines))), "\n")
+    perturbed = perturbation in ("blank", "BOM") or rows and perturbation in ROW_PERTURBATIONS
+    canonical = not perturbed and all(len(fields[0]) <= _DOC_ID_MAX for fields in rows)
+    return header + "".join(lines), [fields[0] for fields in rows], canonical
+
+
 # One ratings data line: blank, the wrong field count, an empty id, or a
 # rating text that is canonical, another text int() reads, out of range
 # or not an integer, with ids from a small pool so that learners repeat.
@@ -345,6 +414,102 @@ class TestMatchesRowwiseOracles:
             assert all(type(p) is LearnerProfile for p in result.profiles)
         assert found.learner_rejected == scanned.learner_rejected
         assert whole.learner_rejected is None
+
+    @staticmethod
+    def assert_scans_like_oracle(make, learner_id):
+        """``parse_profiles`` and ``find_profile`` of the input ``make()``
+        returns equal the row-by-row scan's, or raise its error: a bad
+        header's, or a MalformedRowError at the same line."""
+        try:
+            scanned, by_id = oracle_scan_profiles(make(), learner_id)
+        except ValueError as expected:
+            for parse in (parse_profiles, lambda stream: find_profile(stream, learner_id)):
+                with pytest.raises(type(expected)) as info:
+                    parse(make())
+                assert str(info.value) == str(expected)
+            return
+        whole, found = parse_profiles(make()), find_profile(make(), learner_id)
+        assert whole == ProfilesResult([LearnerProfile(lid, *values)
+                                        for lid, values in by_id.items()],
+                                       scanned.rejected, scanned.duplicates)
+        own = [LearnerProfile(learner_id, *by_id[learner_id])] if learner_id in by_id else []
+        assert found == ProfilesResult(own, scanned.rejected, scanned.duplicates,
+                                       scanned.learner_rejected)
+        assert all(type(p) is LearnerProfile for p in whole.profiles + found.profiles)
+
+    @given(document=canonical_documents(), data=st.data())
+    def test_canonical_documents(self, document, data):
+        """A canonical document is checked as one, and a perturbed one goes
+        to the row loop; both agree with the row-by-row scan, as a ``str``,
+        as a stream that splits lines at CR, LF and CRLF alike, and as one
+        that splits them at LF only."""
+        text, ids, canonical = document
+        learner_id = data.draw(st.sampled_from(ids + ["ghost", "", "u1,2"]))
+        assert (_read_document(text)[0] is not None) == canonical
+        assert (_read_document(io.StringIO(text, newline=""))[0] is not None) == canonical
+        for make in (lambda: text, lambda: io.StringIO(text, newline=""),
+                     lambda: io.StringIO(text)):
+            self.assert_scans_like_oracle(make, learner_id)
+
+    def test_document_check_refuses_every_other_value(self):
+        """A one-row document is checked as one exactly when its row is
+        valid and canonical: every (a1, a2, a3, a4) around the bounds, and
+        hours texts around the table's end and in other forms."""
+        for values in itertools.product(range(8), range(8), range(7), range(7)):
+            text = self.HEADER + "u1,{},{},{},{},5\n".format(*values)
+            valid = 1 <= values[0] < values[1] <= 6 and all(1 <= v <= 5 for v in values[2:])
+            assert (_read_document(text)[0] is not None) == valid, values
+        canonical = [str(v) for v in range(1000)]
+        for hours in canonical + OFF_HOURS + [" 1", "1 ", "-0", "0x1"]:
+            text = self.HEADER + f"u1,1,2,1,1,{hours}\n"
+            assert (_read_document(text)[0] is not None) == (hours in canonical)
+            self.assert_scans_like_oracle(lambda: text, "u1")
+
+    @pytest.mark.parametrize("newline", [None, "", "\n", "\r", "\r\n"])
+    def test_every_newline_mode_of_a_file(self, newline):
+        """A file is read as its own newline mode splits it into lines:
+        LF, CRLF and mixed line ends, and a lone CR inside a row, which
+        only a universal-newlines mode reads as a line end."""
+        rows = ["u1,2,5,3,4,25", "u2,1,2,1,1,5", "u1,1,6,2,2,40"]
+        for ends in (["\n"] * 4, ["\r\n"] * 4, ["\r\n", "\n", "\r\n", ""],
+                     ["\n", "\r", "\n", "\n"]):
+            data = "".join(map(str.__add__, [self.HEADER.strip(), *rows], ends)).encode()
+            self.assert_scans_like_oracle(
+                lambda: io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=newline),
+                "u1")
+
+    def test_id_holding_a_comma_is_not_found(self):
+        text = self.HEADER + "u1,2,5,3,4,25\n"
+        found = find_profile(text, "u1,2")
+        assert found == ProfilesResult([], [], 0)
+        self.assert_scans_like_oracle(lambda: text, "u1,2")
+        assert find_profile(text, "u1").profiles == [LearnerProfile("u1", 2, 5, 3, 4, 25)]
+
+    def test_empty_learner_id_is_not_found(self):
+        text = self.HEADER + "u1,2,5,3,4,25\n"
+        assert find_profile(text, "") == ProfilesResult([], [], 0)
+        rejected = text + ",2,5,3,4,25\n"
+        assert find_profile(rejected, "").learner_rejected == (3, "empty learner id")
+        for stream in (text, rejected):
+            self.assert_scans_like_oracle(lambda: stream, "")
+
+    def test_field_size_limit_below_the_id_cap(self):
+        """Below _DOC_ID_MAX the CSV reader's size limit decides, so every
+        document goes to the row loop, which raises at the long id."""
+        text = self.HEADER + "u1,2,5,3,4,25\n" + "x" * _DOC_ID_MAX + ",1,2,1,1,5\n"
+        assert _read_document(text)[0] is not None
+        old = csv.field_size_limit(_DOC_ID_MAX - 1)
+        try:
+            assert _read_document(text)[0] is None
+            with pytest.raises(MalformedRowError) as info:
+                parse_profiles(text)
+            assert (info.value.line, info.value.reason) == (
+                3, f"field larger than field limit ({_DOC_ID_MAX - 1})")
+            self.assert_scans_like_oracle(lambda: text, "u1")
+            short = self.HEADER + "u1,2,5,3,4,25\nu1,1,2,1,1,5\n"
+            self.assert_scans_like_oracle(lambda: short, "u1")
+        finally:
+            csv.field_size_limit(old)
 
     @given(lines=st.lists(profile_line, max_size=12), at=st.integers(0, 12))
     def test_unsplittable_row_raises_at_its_line(self, lines, at):

@@ -6,10 +6,12 @@ import importlib
 import json
 import logging
 import re
+import reprlib
 import tempfile
 from collections import Counter
 from dataclasses import asdict, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 from hypothesis import given, strategies as st
@@ -33,6 +35,8 @@ from learntags import (
 )
 from learntags.ingest import MAX_HOURS, TimeBin, discretize_time
 from learntags.pipeline import MAX_NMF_K, SKIP_NO_ITEMSET, SKIP_SMALL_SUBSET, STORE_SCHEMA
+
+from conftest import ORACLE_TYPE_CHECKS
 
 VALUE_MAPS = {
     "strategy": {1: 5.0, 2: 10.0, 3: 15.0, 4: 20.0, 5: 25.0},
@@ -478,6 +482,19 @@ class TestMatchResources:
         assert match_resources(profile, store, top_n=7) == expected
 
 
+# A value of each JSON type, a stored field being set to each: bools,
+# ints (two beyond the float range), finite and non-finite floats,
+# strings, lists (decade bins among them), objects and null.
+JSON_VALUES = [True, False, 0, 2, 41, -7, 10**30, 10**400, -10**400, 0.25, 2.0, float("nan"),
+               float("inf"), float("-inf"), "6", "", [41, 50], [1, 10], [40, 49], [41.0, 50],
+               [True, 10], [41], [41, 50, 60], {}, {"a": 1}, None]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=2),
+    max_leaves=4)
+
+
 class TestStore:
     def test_empty_store_round_trips(self, tmp_path):
         path = tmp_path / "store.json"
@@ -637,6 +654,52 @@ class TestStore:
         with pytest.raises(ValueError, match=rf"provenance of resource 'r7': {field} must be"):
             load_store(path)
 
+    @given(field=st.sampled_from([(cls, name, hint) for cls in (Tag, Provenance, PipelineConfig)
+                                  for name, hint in get_type_hints(cls).items()]),
+           drawn=json_values)
+    def test_field_types_match_the_check_oracle(self, field, drawn):
+        """One stored tag, provenance or config field set to a value of
+        each JSON type: load_store refuses exactly what the per-type check
+        closures it replaced refused, with the same message."""
+        cls, name, hint = field
+        valid, expected = ORACLE_TYPE_CHECKS[hint]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "store.json"
+            for value in [*JSON_VALUES, drawn]:
+                entry = {"tags": [{"current_skill": 2, "target_skill": 5, "time_bin": [41, 50],
+                                   "strategy_value": 12.5, "presentation_value": 3}],
+                         "provenance": {"subset_size": 12, "chosen_k": 2, "cluster_size": 8,
+                                        "support": 0.25}}
+                doc = store_doc({"r7": entry})
+                record, where = {
+                    Tag: (entry["tags"][0], "tag in resource 'r7'"),
+                    Provenance: (entry["provenance"], "provenance of resource 'r7'"),
+                    PipelineConfig: (doc["config"], "store config"),
+                }[cls]
+                record[name] = value
+                path.write_text(json.dumps(doc))
+                try:
+                    store = load_store(path)
+                except ValueError as exc:
+                    error = str(exc)
+                else:
+                    error = None
+                message = (f"malformed {where}: {name} must be {expected}, "
+                           f"got {reprlib.repr(value)}")
+                if not valid(value):
+                    assert error == message
+                elif cls is PipelineConfig:  # the config's own range checks may refuse it
+                    assert error is None or error.startswith(f"malformed {where}: {name} must ")
+                    assert error != message
+                else:
+                    assert error is None
+                    loaded = store["r7"].tags[0] if cls is Tag else store["r7"].provenance
+                    stored = getattr(loaded, name)
+                    if type(value) is list:
+                        assert type(stored) is TimeBin and list(stored) == value
+                    else:
+                        assert type(stored) is type(value) and stored == value
+
     def test_save_replaces_the_store_atomically(self, tmp_path, monkeypatch):
         import learntags.pipeline as pipeline
 
@@ -788,6 +851,7 @@ class TestStoreHeader:
         ({"gamma": float("inf")}, "gamma must be a number, got inf"),
         ({"seed": -1}, "seed must be >= 0, got -1"),
         ({"nmf_k": 1001}, "nmf_k must be <= 1000, got 1001"),
+        ({"gamma": 10**400}, "gamma must be a number, got 1000"),
     ])
     def test_invalid_config_rejected(self, tmp_path, change, message):
         doc = store_doc({})
