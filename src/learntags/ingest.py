@@ -102,7 +102,7 @@ class RatingsResult:
 class ProfilesResult:
     profiles: list[LearnerProfile]
     rejected: list[tuple[int, str]] = field(default_factory=list)  # (line, reason)
-    duplicates: int = 0
+    duplicates: int = 0  # counted by parse_profiles only
     learner_rejected: tuple[int, str] | None = None  # set by find_profile only
 
 
@@ -245,31 +245,30 @@ _HEADER_LINES = tuple(",".join(PROFILES_HEADER) + end for end in ("\n", "\r\n"))
 # (`,` `"` CR LF NUL); a valid (a1, a2); a3 and a4 in 1..5; hours in the
 # canonical texts of 0..999, the hours _INT_OF holds.  Each row ends in
 # LF or CRLF, the last one optionally.  The row loop accepts every such
-# row, so a body that matches has no rejected rows.
+# row, so a body that matches has no rejected rows.  The rows repeat
+# possessively (*+): re keeps no backtracking state for each row.
 _CANONICAL_ROW = (rf'[^,"\r\n\x00]{{1,{_DOC_ID_MAX}}},(?:1,[2-6]|2,[3-6]|3,[4-6]|4,[56]|5,6),'
                   r'[1-5],[1-5],(?:0|[1-9][0-9]{0,2})')
-_CANONICAL_BODY = re.compile(rf"(?:{_CANONICAL_ROW}\r?\n)*(?:{_CANONICAL_ROW})?")
+_CANONICAL_BODY = re.compile(rf"(?:{_CANONICAL_ROW}\r?\n)*+(?:{_CANONICAL_ROW})?")
 
 
-def _read_document(stream: Iterable[str] | str) -> tuple[list[str] | None, Iterable[str]]:
+def _read_document(stream: Iterable[str] | str) -> tuple[str | None, Iterable[str] | None]:
     """Read a profiles file as one document if it is canonical.
 
-    Returns the texts of the data rows' fields, six per row, and no lines
-    if the header line is the canonical one and the rest matches
+    Returns the text after the header line, as checked, and no lines if
+    the header line is the canonical one and that text matches
     ``_CANONICAL_BODY``.  Otherwise returns None and the lines for the
-    row loop, header line included, split as the stream splits them.
-
-    A ``str`` is split at LF, as before.  A text stream's header line is
-    read first, so a bad header is still reported before a bad byte
-    further on; then, if the stream splits lines at CR, LF and CRLF alike
-    (it was opened with a ``newline`` of "" or None), its rest is read
-    whole.  A stream in another newline mode and any other iterable of
-    lines are not read ahead of the row loop.
+    row loop, header line included, split as the stream splits them (a
+    ``str`` at LF).  A text stream's header line is read first, so a bad
+    header is still reported before a bad byte further on; then, if the
+    stream splits lines at CR, LF and CRLF alike (it was opened with a
+    ``newline`` of "" or None), its rest is read whole.  A stream in
+    another newline mode and any other iterable of lines are not read
+    ahead of the row loop.
     """
     if isinstance(stream, str):
         end = stream.find("\n") + 1
         header, body = stream[:end], stream[end:]
-        lines = io.StringIO(stream)
     elif isinstance(stream, io.TextIOBase):
         header = stream.readline()
         # Only a universal-newlines stream reports the newline that ended
@@ -279,18 +278,13 @@ def _read_document(stream: Iterable[str] | str) -> tuple[list[str] | None, Itera
             # readline() gives "" only at the end of the stream.
             return None, itertools.chain([header] if header else [], stream)
         body = stream.read()
-        lines = itertools.chain([header], io.StringIO(body, newline=""))
     else:
         return None, stream
-    if (header not in _HEADER_LINES or csv.field_size_limit() < _DOC_ID_MAX
-            or not _CANONICAL_BODY.fullmatch(body)):
-        return None, lines
-    if "\r" in body:
-        body = body.replace("\r\n", "\n")
-    fields = body.replace("\n", ",").split(",")
-    if len(fields) % 6:  # the empty text after a final newline
-        fields.pop()
-    return fields, None
+    if (header in _HEADER_LINES and csv.field_size_limit() >= _DOC_ID_MAX
+            and _CANONICAL_BODY.fullmatch(body)):
+        return body, None
+    return None, (io.StringIO(stream) if isinstance(stream, str)
+                  else itertools.chain([header], io.StringIO(body, newline="")))
 
 
 def _scan_profiles(lines: Iterable[str], learner_id: str | None = None):
@@ -350,12 +344,17 @@ def parse_profiles(stream: Iterable[str] | str) -> ProfilesResult:
     and its profiles are built column by column from its fields' texts;
     every other file goes through the row loop, ``_scan_profiles``.
     """
-    fields, lines = _read_document(stream)
-    if fields is None:
+    body, lines = _read_document(stream)
+    if body is None:
         result, by_id = _scan_profiles(lines)
         result.profiles = [_new_record(LearnerProfile, (lid, *attrs, hours))
                            for lid, (attrs, hours) in by_id.items()]
         return result
+    if "\r" in body:
+        body = body.replace("\r\n", "\n")
+    fields = body.replace("\n", ",").split(",")
+    if len(fields) % 6:  # the empty text after a final newline
+        fields.pop()
     ids = fields[::6]
     int_of = _INT_OF.__getitem__
     last = dict(zip(ids, map(_new_record, itertools.repeat(LearnerProfile),
@@ -365,30 +364,31 @@ def parse_profiles(stream: Iterable[str] | str) -> ProfilesResult:
 
 def find_profile(stream: Iterable[str] | str, learner_id: str) -> ProfilesResult:
     """``parse_profiles`` of the profiles file with ``profiles`` cut to
-    ``learner_id``'s, built from its last valid row.
+    ``learner_id``'s, built from its last valid row, and ``duplicates``
+    0: only ``parse_profiles`` counts them.
 
-    ``rejected`` and ``duplicates`` are those of the whole file, and
-    ``learner_rejected`` is the learner's last rejected row, if any.  A
-    canonical document has no rejected rows, so only its distinct ids are
-    counted; every other file goes through the row loop.  An id that is
-    empty or holds a character no canonical id has is found only by the
-    row loop, so in a canonical document it is simply not found.
+    ``rejected`` is that of the whole file, and ``learner_rejected`` the
+    learner's last rejected row, if any.  A canonical document has no
+    rejected rows, so its text is only searched for the learner's last
+    row: the one after the last LF + id + ",", else the first.  An id no
+    canonical row has, such as one that is empty or holds a comma, is not
+    found there.  Every other file goes through the row loop.
     """
-    fields, lines = _read_document(stream)
-    if fields is None:
+    body, lines = _read_document(stream)
+    if body is None:
         result, by_id = _scan_profiles(lines, learner_id)
+        result.duplicates = 0
         if learner_id in by_id:
             attrs, hours = by_id[learner_id]
             result.profiles.append(LearnerProfile(learner_id, *attrs, hours))
         return result
-    ids = fields[::6]
-    distinct = set(ids)
-    result = ProfilesResult(profiles=[], duplicates=len(ids) - len(distinct))
-    if learner_id in distinct:
-        at = 6 * (len(ids) - 1 - ids[::-1].index(learner_id))
-        values = map(_INT_OF.__getitem__, fields[at + 1:at + 6])
-        result.profiles.append(_new_record(LearnerProfile, (learner_id, *values)))
-    return result
+    at = body.rfind("\n" + learner_id + ",") + 1
+    if "," in learner_id or not body.startswith(learner_id + ",", at):
+        return ProfilesResult(profiles=[])
+    end = body.find("\n", at)
+    row = body[at:end if end >= 0 else None].rstrip("\r").split(",")
+    values = map(_INT_OF.__getitem__, row[1:])
+    return ProfilesResult(profiles=[_new_record(LearnerProfile, (learner_id, *values))])
 
 
 def render_profiles(profiles: Iterable[LearnerProfile]) -> str:

@@ -349,29 +349,28 @@ _PROVENANCE_FIELDS = _field_checks(Provenance)
 _CONFIG_FIELDS = _field_checks(PipelineConfig)
 
 
-def _validated(obj, checks: dict, where: str) -> dict:
-    """The ``checks`` fields of a JSON object, each checked for its type and shape."""
+def _validated(obj, checks: dict) -> dict:
+    """The ``checks`` fields of a JSON object, each checked; its caller names the object."""
     if not isinstance(obj, dict):
-        raise ValueError(f"malformed {where}: expected an object, got {reprlib.repr(obj)}")
+        raise ValueError(f"expected an object, got {reprlib.repr(obj)}")
     for name, (allowed, expected) in checks.items():
         try:
             value = obj[name]
         except KeyError:
-            raise ValueError(f"malformed {where}: no {name} field") from None
+            raise ValueError(f"no {name} field") from None
         # _fits, inlined: it runs for every field of every stored tag.
         check = allowed.get(type(value), False)
         if check is False or check is not None and not check(value):
-            raise ValueError(f"malformed {where}: {name} must be {expected}, "
-                             f"got {reprlib.repr(value)}")
+            raise ValueError(f"{name} must be {expected}, got {reprlib.repr(value)}")
     return {name: obj[name] for name in checks}
 
 
 def _config_from_json(obj) -> PipelineConfig:
-    known = _validated(obj, _CONFIG_FIELDS, "store config")
-    unknown = sorted(set(obj) - set(known))
-    if unknown:
-        raise ValueError(f"malformed store config: unknown fields {unknown}")
     try:
+        known = _validated(obj, _CONFIG_FIELDS)
+        unknown = sorted(set(obj) - set(known))
+        if unknown:
+            raise ValueError(f"unknown fields {unknown}")
         return PipelineConfig(**known)
     except ValueError as exc:
         raise ValueError(f"malformed store config: {exc}") from None
@@ -393,23 +392,24 @@ def _cloud_to_json(cloud: TagCloud) -> dict:
 
 
 def _cloud_from_json(rid: str, entry) -> TagCloud:
-    # reprlib cuts a long id; it costs more than repr, which a short id needs.
-    resource = f"resource {rid!r}" if len(rid) < 28 else f"resource {reprlib.repr(rid)}"
+    record = "provenance of"  # the record a failed _validated check is in
     try:
-        provenance = Provenance(**_validated(
-            entry["provenance"], _PROVENANCE_FIELDS, f"provenance of {resource}"))
+        provenance = Provenance(**_validated(entry["provenance"], _PROVENANCE_FIELDS))
+        record = "tag in"
         tags = []
         for obj in entry["tags"]:
-            checked = _validated(obj, _TAG_FIELDS, f"tag in {resource}")
+            checked = _validated(obj, _TAG_FIELDS)
             if checked["time_bin"] is not None:
                 checked["time_bin"] = TimeBin(*checked["time_bin"])
             tags.append(Tag(**checked))
+        skipped = entry.get("skipped")
+        if "skipped" in entry and not isinstance(skipped, str):
+            raise TypeError(f"skipped must be a string, got {reprlib.repr(skipped)}")
+    except ValueError as exc:
+        raise ValueError(f"malformed {record} resource {reprlib.repr(rid)}: {exc}") from None
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed store entry for {resource}: {exc}") from exc
-    skipped = entry.get("skipped")
-    if "skipped" in entry and not isinstance(skipped, str):
-        raise ValueError(f"malformed store entry for {resource}: skipped must be a string, "
-                         f"got {reprlib.repr(skipped)}")
+        raise ValueError(f"malformed store entry for resource {reprlib.repr(rid)}: "
+                         f"{exc}") from exc
     return TagCloud(rid, tags, provenance, skipped=skipped)
 
 

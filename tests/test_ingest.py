@@ -7,6 +7,7 @@ import io
 import itertools
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -408,9 +409,9 @@ class TestMatchesRowwiseOracles:
         assert whole.profiles == [LearnerProfile(lid, *values) for lid, values in by_id.items()]
         assert found.profiles == ([LearnerProfile(learner_id, *by_id[learner_id])]
                                   if learner_id in by_id else [])
+        assert (whole.duplicates, found.duplicates) == (scanned.duplicates, 0)
         for result in (whole, found):
             assert result.rejected == scanned.rejected
-            assert result.duplicates == scanned.duplicates
             assert all(type(p) is LearnerProfile for p in result.profiles)
         assert found.learner_rejected == scanned.learner_rejected
         assert whole.learner_rejected is None
@@ -433,8 +434,7 @@ class TestMatchesRowwiseOracles:
                                         for lid, values in by_id.items()],
                                        scanned.rejected, scanned.duplicates)
         own = [LearnerProfile(learner_id, *by_id[learner_id])] if learner_id in by_id else []
-        assert found == ProfilesResult(own, scanned.rejected, scanned.duplicates,
-                                       scanned.learner_rejected)
+        assert found == ProfilesResult(own, scanned.rejected, 0, scanned.learner_rejected)
         assert all(type(p) is LearnerProfile for p in whole.profiles + found.profiles)
 
     @given(document=canonical_documents(), data=st.data())
@@ -538,11 +538,37 @@ class TestFindProfile:
         found = find_profile(text, learner_id)
         assert found.profiles == [p for p in whole.profiles if p.learner_id == learner_id]
         assert found.rejected == whole.rejected
-        assert found.duplicates == whole.duplicates
+        assert found.duplicates == 0
         ids = ids_by_line(text)
         own = [(line, reason) for line, reason in whole.rejected if ids[line] == learner_id]
         assert found.learner_rejected == (own[-1] if own else None)
         assert whole.learner_rejected is None
+
+    U1 = LearnerProfile("u1", 2, 5, 3, 4, 25)
+
+    @pytest.mark.parametrize("rows, learner_id, expected", [
+        pytest.param("u10,1,2,1,1,5\nu1x,1,3,1,1,6\nu1,2,5,3,4,25\nu100,1,4,1,1,7\n", "u1",
+                     U1, id="prefix of other ids"),
+        pytest.param("u1,2,5,3,4,25\nu2,1,2,1,1,5\n", "u1", U1, id="first row only"),
+        pytest.param("u2,1,2,1,1,5\nu1,2,5,3,4,25", "u1", U1, id="last row, no final LF"),
+        pytest.param("u2,1,2,1,1,5\r\nu1,2,5,3,4,25\r\nu3,1,2,1,1,5\r\n", "u1", U1,
+                     id="CRLF"),
+        pytest.param("u1,1,6,2,2,40\nu2,1,2,1,1,5\nu1,2,5,3,4,25\n", "u1", U1,
+                     id="repeated, last wins"),
+        pytest.param("u1,2,5,3,4,25\n", "u1,2", None, id="id holding a comma"),
+        pytest.param("u1,2,5,3,4,25\n", "", None, id="empty id"),
+        pytest.param("x" * _DOC_ID_MAX + ",2,5,3,4,25\n", "x" * (_DOC_ID_MAX + 1), None,
+                     id="id over the cap"),
+    ])
+    def test_canonical_document_lookup(self, rows, learner_id, expected):
+        """The learner's last row of a canonical document, as a ``str``
+        and as a universal-newlines stream, as the row-by-row scan finds it."""
+        text = self.HEADER + rows
+        assert _read_document(text)[0] is not None
+        own = [] if expected is None else [expected]
+        for make in (lambda: text, lambda: io.StringIO(text, newline="")):
+            assert find_profile(make(), learner_id) == ProfilesResult(own)
+            TestMatchesRowwiseOracles.assert_scans_like_oracle(make, learner_id)
 
     def test_rejected_last_row_keeps_earlier_valid_one(self):
         stream = self.HEADER + "u1,2,5,3,4,25\nu2,1,2,1,1,5\nu1,5,2,3,4,25\n"
@@ -580,6 +606,32 @@ class TestFindProfile:
                                    if reason is not None]
         assert [p.learner_id for p in result.profiles] == [
             f"u{i}" for i, reason in enumerate(verdicts) if reason is None]
+
+
+class TestDocumentMemory:
+    """A canonical document is checked and searched in place: no list of
+    its fields, and no regex state that grows with its rows."""
+
+    TEXT = TestParseProfiles.HEADER + "".join(
+        f"u{i:06d},{1 + i % 5},6,{1 + i % 3},{1 + i % 4},{i % 1000}\n" for i in range(20_000))
+
+    @staticmethod
+    def peak_bytes(call) -> int:
+        """The peak of the Python allocations that ``call()`` makes."""
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_read_document_peak(self):
+        assert self.peak_bytes(lambda: _read_document(self.TEXT)) < 2 * len(self.TEXT)
+
+    def test_find_profile_peak(self):
+        assert find_profile(self.TEXT, "u010000").profiles == [
+            LearnerProfile("u010000", 1, 6, 2, 1, 0)]
+        assert self.peak_bytes(lambda: find_profile(self.TEXT, "u010000")) < 2 * len(self.TEXT)
 
 
 class TestGenerateProfiles:

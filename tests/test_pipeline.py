@@ -562,6 +562,23 @@ class TestStore:
         with pytest.raises(ValueError, match="r9"):
             load_store(path)
 
+    PROVENANCE = {"subset_size": 12, "chosen_k": 2, "cluster_size": 8, "support": 0.25}
+
+    @pytest.mark.parametrize("rid", ["r9", "x" * 28, "x" * 40, "a\nb" * 8])
+    def test_entry_label_is_the_cut_repr(self, tmp_path, rid):
+        """A failed check names its resource by ``reprlib.repr``, which is
+        ``repr`` for a repr of at most 30 characters."""
+        path = tmp_path / "bad.json"
+        for entry, record in [({"tags": [], "provenance": []}, "provenance of"),
+                              ({"tags": [[]], "provenance": self.PROVENANCE}, "tag in"),
+                              ({"tags": [], "provenance": self.PROVENANCE, "skipped": 1},
+                               "store entry for")]:
+            path.write_text(json.dumps(store_doc({rid: entry})))
+            with pytest.raises(ValueError) as info:
+                load_store(path)
+            assert str(info.value).startswith(f"malformed {record} resource {reprlib.repr(rid)}: ")
+        assert (reprlib.repr(rid) == repr(rid)) == (len(repr(rid)) <= 30)
+
     @staticmethod
     def store_with(tmp_path, tag=None, provenance=None):
         """A one-resource store file with some fields replaced."""
