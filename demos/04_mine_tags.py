@@ -55,5 +55,7 @@ for winner in winners:
         time_bin=discretize_time(10 * hours_bin) if hours_bin else None,
         strategy_value=strategy_values[a3] if a3 else None,
         presentation_value=presentation_values[a4] if a4 else None,
+        strategy=a3 or None,
+        presentation=a4 or None,
     )
     print(f"  {winner.fields} -> {render_tag(tag)}")

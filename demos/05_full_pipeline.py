@@ -4,8 +4,8 @@ The full tagging pipeline end to end
 
 Synthesizes a rating corpus, runs subsets -> quantification ->
 clustering -> mining in one call, prints the tag report, saves the
-store, and ranks the tagged resources against learners with the value
-maps the store carries, as `learntags match` does.  The rankings go to
+store, and ranks the tagged resources against learners by the parameter
+ids their tags carry, as `learntags match` does.  The rankings go to
 `demos/out/match.tsv`, and the run's k-sweep trace of every clustered
 resource goes to `demos/out/run_ksweep.tsv` in the `learntags tag
 --trace` format.
@@ -60,7 +60,7 @@ with open("demos/out/run_ksweep.tsv", "w", encoding="utf-8") as fh:
 print("wrote demos/out/run_ksweep.tsv")
 
 # rank the stored resources against learners, reading the saved store back:
-# it carries the quantified values that map tag values to parameter ids
+# each tag carries the parameter ids that a learner's profile is compared with
 stored = load_store("demos/out/store.json")
 learner = profiles["u007"]
 print(f"\nbest matches for u007 (skill {learner.current_skill}->"

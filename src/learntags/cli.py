@@ -102,8 +102,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--store", required=True, help="store JSON from `tag`")
     sp.add_argument("--profiles", required=True, help="learner profiles CSV path")
     sp.add_argument("--learner", required=True, help="learner id from --profiles")
-    sp.add_argument("--ratings", help="accepted for compatibility, not read: the store "
-                                      "carries the quantified values match needs")
+    sp.add_argument("--ratings", help="accepted for compatibility, not read: each stored "
+                                      "tag carries the parameter ids match compares")
     sp.add_argument("--top", type=_int_at_least(1), default=5,
                     help="entries to print (default %(default)s)")
 

@@ -252,23 +252,24 @@ _CANONICAL_ROW = (rf'[^,"\r\n\x00]{{1,{_DOC_ID_MAX}}},(?:1,[2-6]|2,[3-6]|3,[4-6]
 _CANONICAL_BODY = re.compile(rf"(?:{_CANONICAL_ROW}\r?\n)*+(?:{_CANONICAL_ROW})?")
 
 
-def _read_document(stream: Iterable[str] | str) -> tuple[str | None, Iterable[str] | None]:
+def _read_document(stream: Iterable[str] | str) -> tuple[str | None, int, Iterable[str] | None]:
     """Read a profiles file as one document if it is canonical.
 
-    Returns the text after the header line, as checked, and no lines if
-    the header line is the canonical one and that text matches
-    ``_CANONICAL_BODY``.  Otherwise returns None and the lines for the
-    row loop, header line included, split as the stream splits them (a
-    ``str`` at LF).  A text stream's header line is read first, so a bad
-    header is still reported before a bad byte further on; then, if the
-    stream splits lines at CR, LF and CRLF alike (it was opened with a
-    ``newline`` of "" or None), its rest is read whole.  A stream in
-    another newline mode and any other iterable of lines are not read
-    ahead of the row loop.
+    Returns a text, the offset of the body in it, and no lines if the
+    header line is the canonical one and the body after it matches
+    ``_CANONICAL_BODY``: a ``str`` is checked in place and returned
+    whole, a stream's rest is returned at offset 0.  Otherwise returns
+    None, 0 and the lines for the row loop, header line included, split
+    as the stream splits them (a ``str`` at LF).  A text stream's header
+    line is read first, so a bad header is still reported before a bad
+    byte further on; then, if the stream splits lines at CR, LF and CRLF
+    alike (it was opened with a ``newline`` of "" or None), its rest is
+    read whole.  A stream in another newline mode and any other iterable
+    of lines are not read ahead of the row loop.
     """
     if isinstance(stream, str):
-        end = stream.find("\n") + 1
-        header, body = stream[:end], stream[end:]
+        start = stream.find("\n") + 1
+        header, text = stream[:start], stream
     elif isinstance(stream, io.TextIOBase):
         header = stream.readline()
         # Only a universal-newlines stream reports the newline that ended
@@ -276,15 +277,15 @@ def _read_document(stream: Iterable[str] | str) -> tuple[str | None, Iterable[st
         # more than one row of a split at LF.
         if header not in _HEADER_LINES or stream.newlines is None:
             # readline() gives "" only at the end of the stream.
-            return None, itertools.chain([header] if header else [], stream)
-        body = stream.read()
+            return None, 0, itertools.chain([header] if header else [], stream)
+        start, text = 0, stream.read()
     else:
-        return None, stream
+        return None, 0, stream
     if (header in _HEADER_LINES and csv.field_size_limit() >= _DOC_ID_MAX
-            and _CANONICAL_BODY.fullmatch(body)):
-        return body, None
-    return None, (io.StringIO(stream) if isinstance(stream, str)
-                  else itertools.chain([header], io.StringIO(body, newline="")))
+            and _CANONICAL_BODY.fullmatch(text, start)):
+        return text, start, None
+    return None, 0, (io.StringIO(stream) if isinstance(stream, str)
+                     else itertools.chain([header], io.StringIO(text, newline="")))
 
 
 def _scan_profiles(lines: Iterable[str], learner_id: str | None = None):
@@ -344,12 +345,13 @@ def parse_profiles(stream: Iterable[str] | str) -> ProfilesResult:
     and its profiles are built column by column from its fields' texts;
     every other file goes through the row loop, ``_scan_profiles``.
     """
-    body, lines = _read_document(stream)
-    if body is None:
+    text, start, lines = _read_document(stream)
+    if text is None:
         result, by_id = _scan_profiles(lines)
         result.profiles = [_new_record(LearnerProfile, (lid, *attrs, hours))
                            for lid, (attrs, hours) in by_id.items()]
         return result
+    body = text[start:]
     if "\r" in body:
         body = body.replace("\r\n", "\n")
     fields = body.replace("\n", ",").split(",")
@@ -369,24 +371,25 @@ def find_profile(stream: Iterable[str] | str, learner_id: str) -> ProfilesResult
 
     ``rejected`` is that of the whole file, and ``learner_rejected`` the
     learner's last rejected row, if any.  A canonical document has no
-    rejected rows, so its text is only searched for the learner's last
-    row: the one after the last LF + id + ",", else the first.  An id no
-    canonical row has, such as one that is empty or holds a comma, is not
-    found there.  Every other file goes through the row loop.
+    rejected rows, so its body is only searched, in place, for the
+    learner's last row: the one after the body's last LF + id + ",", else
+    the first.  An id no canonical row has, such as one that is empty or
+    holds a comma, is not found there.  Every other file goes through the
+    row loop.
     """
-    body, lines = _read_document(stream)
-    if body is None:
+    text, start, lines = _read_document(stream)
+    if text is None:
         result, by_id = _scan_profiles(lines, learner_id)
         result.duplicates = 0
         if learner_id in by_id:
             attrs, hours = by_id[learner_id]
             result.profiles.append(LearnerProfile(learner_id, *attrs, hours))
         return result
-    at = body.rfind("\n" + learner_id + ",") + 1
-    if "," in learner_id or not body.startswith(learner_id + ",", at):
+    at = text.rfind("\n" + learner_id + ",", start) + 1 or start
+    if "," in learner_id or not text.startswith(learner_id + ",", at):
         return ProfilesResult(profiles=[])
-    end = body.find("\n", at)
-    row = body[at:end if end >= 0 else None].rstrip("\r").split(",")
+    end = text.find("\n", at)
+    row = text[at:end if end >= 0 else None].rstrip("\r").split(",")
     values = map(_INT_OF.__getitem__, row[1:])
     return ProfilesResult(profiles=[_new_record(LearnerProfile, (learner_id, *values))])
 

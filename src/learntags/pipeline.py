@@ -12,12 +12,11 @@ the largest clusters of each batch of subsets are mined in one pass
 become its tags.
 
 The run's result is a ``TagStore``: resource ids mapped to tag clouds
-with provenance, plus the ``PipelineConfig`` and the two quantified
-value maps of the run.  A tag carries quantified values, so ranking a
-learner against the store needs those maps to read the values back as
-parameter ids; with them in the store, ``match`` reads only the store
-and the profiles.  The store round-trips through canonical JSON
-(schema 2) byte-identically for a fixed seed.
+with provenance, plus the run's ``PipelineConfig``.  A tag carries both
+the parameter id and the quantified value of each nominal field it
+holds: ``match`` compares the ids with the learner's, and the values are
+what a report renders.  The store round-trips through canonical JSON
+(schema 3) byte-identically for a fixed seed.
 """
 from __future__ import annotations
 
@@ -42,7 +41,7 @@ from .ingest import (
     learner_table,
 )
 from .mine import tag_itemsets_batch
-from .quantify import AttributeValueMap, quantify_nominal
+from .quantify import quantify_nominal
 
 logger = logging.getLogger(__name__)
 
@@ -51,7 +50,7 @@ SKIP_NO_ITEMSET = "no itemset met the support level"
 
 # Version of the store file format that save_store writes and
 # load_store reads.  Stores without a header predate it.
-STORE_SCHEMA = 2
+STORE_SCHEMA = 3
 
 # Upper bound of ``PipelineConfig.nmf_k``.  The paper extracts 10
 # features, and a 5x5 matrix has at most 5 independent ones; the bound
@@ -98,8 +97,10 @@ class PipelineConfig:
 class Tag:
     """One winning itemset rendered onto the five tag fields.
 
-    Fields missing from the itemset stay None and render as "-"; the
-    nominal attributes carry their quantified numeric values.
+    Fields missing from the itemset stay None and render as "-".  Each
+    nominal attribute the itemset holds is carried twice: as its
+    quantified numeric value, which is rendered, and as its parameter id
+    (1..5), which ``match`` compares.
     """
 
     current_skill: int | None = None
@@ -107,6 +108,8 @@ class Tag:
     time_bin: TimeBin | None = None
     strategy_value: float | None = None
     presentation_value: float | None = None
+    strategy: int | None = None
+    presentation: int | None = None
 
 
 @dataclass(frozen=True)
@@ -127,18 +130,16 @@ class TagCloud:
 
 @dataclass
 class TagStore(Mapping[str, TagCloud]):
-    """The tag clouds of one run, with the config and value maps behind them.
+    """The tag clouds of one run, with the config behind them.
 
     As a mapping it holds the clouds only: iteration, ``len`` and ``[]``
-    give resource ids and clouds.  ``value_maps`` holds each nominal
-    attribute's quantified values, ``{"strategy": {1..5: float},
-    "presentation": {1..5: float}}``; the name keeps ``values()`` the
-    mapping's clouds.  Equality compares clouds, config and value maps.
+    give resource ids and clouds.  Each tag names its nominal parameter
+    ids, so ranking needs nothing else; ``learntags quantify`` gives the
+    run's value maps.  Equality compares clouds and config.
     """
 
     clouds: dict[str, TagCloud]
     config: PipelineConfig
-    value_maps: dict[str, AttributeValueMap]
 
     def __getitem__(self, resource_id: str) -> TagCloud:
         return self.clouds[resource_id]
@@ -184,14 +185,15 @@ def run(
     ``ratings`` is read once, so it may be a one-shot iterator.  Every
     subset member is coded once, into one learner table, and the nominal
     attributes are quantified once over all subsets so tag values stay
-    comparable across resources; the store keeps both value maps and
-    ``config``.  The k sweeps of all clustered subsets share their
-    rounds, in batches of at most ``cluster._BATCH_FIT_ROWS`` fit rows
-    taken in resource order, so memory is bounded by one batch; the
-    largest clusters of a batch are mined together.  Resources whose
-    subset is smaller than ``min_subset`` are recorded as skipped rather
-    than failing the batch.  ``trace_hook``, when given, receives each
-    resource's (k, sse, avg_diameter) sweep trace, in resource order.
+    comparable across resources; each tag carries its nominal ids beside
+    their values, and the store keeps ``config``.  The k sweeps of all
+    clustered subsets share their rounds, in batches of at most
+    ``cluster._BATCH_FIT_ROWS`` fit rows taken in resource order, so
+    memory is bounded by one batch; the largest clusters of a batch are
+    mined together.  Resources whose subset is smaller than
+    ``min_subset`` are recorded as skipped rather than failing the batch.
+    ``trace_hook``, when given, receives each resource's (k, sse,
+    avg_diameter) sweep trace, in resource order.
     """
     table = learner_table(ratings, profiles, config.delta0)
     details = quantify_nominal(table, config)
@@ -234,6 +236,8 @@ def run(
                     time_bin=discretize_time(10 * hours_bin) if hours_bin else None,
                     strategy_value=strategy_values[a3] if a3 else None,
                     presentation_value=presentation_values[a4] if a4 else None,
+                    strategy=a3 or None,
+                    presentation=a4 or None,
                 )
                 for a1, a2, a3, a4, hours_bin in (w.fields for w in winners)
             ]
@@ -246,18 +250,10 @@ def run(
         skips[SKIP_SMALL_SUBSET], SKIP_SMALL_SUBSET, skips[SKIP_NO_ITEMSET], SKIP_NO_ITEMSET,
         table.rated - len(table.resources), config.delta0,
     )
-    return TagStore(clouds, config, value_maps)
+    return TagStore(clouds, config)
 
 
-def _nearest_parameters(values: AttributeValueMap, targets: set) -> dict:
-    """Each non-null target's parameter id whose quantified value is
-    closest; ties to the smaller id."""
-    ids = sorted(values)
-    return {t: min(ids, key=lambda p: abs(values[p] - t)) for t in targets if t is not None}
-
-
-def _tag_score(tag: Tag, profile: LearnerProfile, strategy_of: dict,
-               presentation_of: dict) -> float:
+def _tag_score(tag: Tag, profile: LearnerProfile) -> float:
     present = 0
     matched = 0
     if tag.current_skill is not None:
@@ -270,12 +266,12 @@ def _tag_score(tag: Tag, profile: LearnerProfile, strategy_of: dict,
         present += 1
         # Binned as the miner bins it: hours below 1 fall into [1-10].
         matched += max(profile.hours, 1) in tag.time_bin
-    if tag.strategy_value is not None:
+    if tag.strategy is not None:
         present += 1
-        matched += strategy_of[tag.strategy_value] == profile.strategy
-    if tag.presentation_value is not None:
+        matched += tag.strategy == profile.strategy
+    if tag.presentation is not None:
         present += 1
-        matched += presentation_of[tag.presentation_value] == profile.presentation
+        matched += tag.presentation == profile.presentation
     return matched / present if present else 0.0
 
 
@@ -284,23 +280,16 @@ def match_resources(profile: LearnerProfile, store: TagStore,
     """Rank resources by how well their best tag matches a profile.
 
     The score is the fraction of present tag fields the profile matches:
-    skill levels exactly, the time bin by containment, and the nominal
-    fields by mapping the stored quantified value back to its nearest
-    parameter id under the store's own ``value_maps``, once per distinct
-    value.  Skipped clouds are not candidates.  Ties rank by resource id.
+    skill levels and nominal parameter ids exactly, the time bin by
+    containment.  Skipped clouds are not candidates.  Ties rank by
+    resource id.
     """
     if top_n <= 0:
         raise ValueError(f"top_n must be positive, got {top_n}")
     if not store:
         raise ValueError("store is empty")
-    clouds = [(rid, store[rid].tags) for rid in sorted(store)]
-    tags = [t for _, cloud_tags in clouds for t in cloud_tags]
-    strategy_of = _nearest_parameters(store.value_maps["strategy"],
-                                      {t.strategy_value for t in tags})
-    presentation_of = _nearest_parameters(store.value_maps["presentation"],
-                                          {t.presentation_value for t in tags})
-    scored = [(rid, max(_tag_score(t, profile, strategy_of, presentation_of) for t in cloud_tags))
-              for rid, cloud_tags in clouds if cloud_tags]
+    scored = [(rid, max(_tag_score(t, profile) for t in cloud.tags))
+              for rid, cloud in sorted(store.items()) if cloud.tags]
     scored.sort(key=lambda rs: (-rs[1], rs[0]))
     return scored[:top_n]
 
@@ -332,12 +321,6 @@ _TYPE_CHECKS = {
 }
 
 
-def _fits(value, allowed: dict) -> bool:
-    """Whether ``value`` has one of the ``allowed`` types and passes its check."""
-    kind = type(value)
-    return kind in allowed and (allowed[kind] is None or allowed[kind](value))
-
-
 def _field_checks(cls) -> dict:
     """Field name -> (allowed types, what it accepts) of a stored
     dataclass, in declaration order."""
@@ -345,6 +328,9 @@ def _field_checks(cls) -> dict:
 
 
 _TAG_FIELDS = _field_checks(Tag)
+# Each nominal tag field's id and value, and the ids a stored one may hold.
+_NOMINAL_FIELDS = (("strategy", "strategy_value"), ("presentation", "presentation_value"))
+_PARAMETER_IDS = {None, 1, 2, 3, 4, 5}
 _PROVENANCE_FIELDS = _field_checks(Provenance)
 _CONFIG_FIELDS = _field_checks(PipelineConfig)
 
@@ -358,7 +344,6 @@ def _validated(obj, checks: dict) -> dict:
             value = obj[name]
         except KeyError:
             raise ValueError(f"no {name} field") from None
-        # _fits, inlined: it runs for every field of every stored tag.
         check = allowed.get(type(value), False)
         if check is False or check is not None and not check(value):
             raise ValueError(f"{name} must be {expected}, got {reprlib.repr(value)}")
@@ -376,14 +361,6 @@ def _config_from_json(obj) -> PipelineConfig:
         raise ValueError(f"malformed store config: {exc}") from None
 
 
-def _value_map_from_json(obj, attribute: str) -> AttributeValueMap:
-    if (not isinstance(obj, dict) or sorted(obj) != ["1", "2", "3", "4", "5"]
-            or not all(_fits(v, _NUMBER) for v in obj.values())):
-        raise ValueError(f"malformed store values: {attribute} must map the ids "
-                         f"1..5 to numbers, got {reprlib.repr(obj)}")
-    return {int(p): v for p, v in sorted(obj.items())}
-
-
 def _cloud_to_json(cloud: TagCloud) -> dict:
     entry = {"tags": [vars(t) for t in cloud.tags], "provenance": vars(cloud.provenance)}
     if cloud.skipped is not None:
@@ -399,6 +376,13 @@ def _cloud_from_json(rid: str, entry) -> TagCloud:
         tags = []
         for obj in entry["tags"]:
             checked = _validated(obj, _TAG_FIELDS)
+            for name, value in _NOMINAL_FIELDS:
+                pid = checked[name]
+                if pid not in _PARAMETER_IDS:
+                    raise ValueError(f"{name} must be in 1..5, got {reprlib.repr(pid)}")
+                if (pid is None) != (checked[value] is None):
+                    raise ValueError(f"{name} and {value} must be both null or both set, "
+                                     f"got {pid} and {reprlib.repr(checked[value])}")
             if checked["time_bin"] is not None:
                 checked["time_bin"] = TimeBin(*checked["time_bin"])
             tags.append(Tag(**checked))
@@ -417,9 +401,8 @@ def save_store(store: TagStore, path) -> None:
     """Write the store as canonical JSON (sorted keys, stable bytes),
     replacing ``path`` in one step.
 
-    The document is ``{"schema": 2, "config": {...}, "values":
-    {"presentation": {"1": v, ..., "5": v}, "strategy": {...}},
-    "resources": {resource id: {"tags": [...], "provenance": {...}}}}``;
+    The document is ``{"schema": 3, "config": {...}, "resources":
+    {resource id: {"tags": [...], "provenance": {...}}}}``;
     a skipped resource also has a ``"skipped"`` reason.  An OSError
     names ``path``; a NaN or infinite number, which ``load_store`` would
     reject, raises ValueError and leaves the previous store in place.
@@ -427,7 +410,6 @@ def save_store(store: TagStore, path) -> None:
     doc = {
         "schema": STORE_SCHEMA,
         "config": vars(store.config),
-        "values": store.value_maps,
         "resources": {rid: _cloud_to_json(store[rid]) for rid in sorted(store)},
     }
     text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
@@ -450,13 +432,14 @@ def save_store(store: TagStore, path) -> None:
 def load_store(path) -> TagStore:
     """Read a store written by save_store; load o save is the identity.
 
-    The header is checked first: the schema version, the config (rebuilt
-    as a ``PipelineConfig``, so out-of-range knobs fail as they would in
-    code) and both value maps (the ids 1..5, finite numbers only).  A
-    store without a header predates schema 2 and must be rewritten by
-    re-running ``learntags tag``.  Then every tag and provenance field
-    is checked for its type and shape: numbers must be finite, a time
-    bin must be a decade bin and a skip reason a string.  Each failure is
+    The header is checked first: the schema version and the config
+    (rebuilt as a ``PipelineConfig``, so out-of-range knobs fail as they
+    would in code).  A store of another schema, or one without a header,
+    must be rewritten by re-running ``learntags tag``.  Then every tag
+    and provenance field is checked for its type and shape: numbers must
+    be finite, a time bin must be a decade bin, a nominal parameter id
+    must be in 1..5 and set exactly when its value is, and a skip reason
+    must be a string.  Each failure is
     a ValueError naming the field, and the resource where there is one;
     a document nested too deeply for the JSON reader is one naming the
     store.
@@ -474,16 +457,11 @@ def load_store(path) -> TagStore:
     if type(doc["schema"]) is not int or doc["schema"] != STORE_SCHEMA:
         raise ValueError(f"store schema {reprlib.repr(doc['schema'])} is not supported (this "
                          f"version reads schema {STORE_SCHEMA}); re-run `learntags tag`")
-    for name in ("config", "values", "resources"):
+    for name in ("config", "resources"):
         if name not in doc:
             raise ValueError(f"malformed store: no {name} field")
     config = _config_from_json(doc["config"])
-    values = doc["values"]
-    if not isinstance(values, dict) or sorted(values) != sorted(ATTRIBUTES):
-        raise ValueError(f"malformed store values: expected maps for {sorted(ATTRIBUTES)}, "
-                         f"got {reprlib.repr(values)}")
-    value_maps = {a: _value_map_from_json(values[a], a) for a in ATTRIBUTES}
     if not isinstance(doc["resources"], dict):
         raise ValueError("malformed store resources: expected an object")
     clouds = {rid: _cloud_from_json(rid, entry) for rid, entry in doc["resources"].items()}
-    return TagStore(clouds, config, value_maps)
+    return TagStore(clouds, config)

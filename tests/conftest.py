@@ -34,7 +34,6 @@ from learntags import (
     FrequentItemset,
     LearnerProfile,
     RatingRecord,
-    Tag,
     TimeBin,
     generate_profiles,
 )
@@ -428,41 +427,6 @@ def reference_select_tag(frequent: list[FrequentItemset]) -> list[FrequentItemse
     return sorted((f for f in biggest if f.count == top_count), key=reference_order)
 
 
-def items_from_tag(
-    tag: Tag,
-    strategy_values: dict[int, float],
-    presentation_values: dict[int, float],
-) -> list[frozenset]:
-    """All itemsets a rendered tag could denote.
-
-    The nominal fields store quantified values; every parameter whose
-    value matches exactly is a candidate, so value collisions yield more
-    than one candidate itemset.
-    """
-    fixed = []
-    if tag.current_skill is not None:
-        fixed.append([Item(1, tag.current_skill)])
-    if tag.target_skill is not None:
-        fixed.append([Item(2, tag.target_skill)])
-    if tag.strategy_value is not None:
-        fixed.append(
-            [Item(3, p) for p, v in sorted(strategy_values.items())
-             if v == tag.strategy_value]
-        )
-    if tag.presentation_value is not None:
-        fixed.append(
-            [Item(4, p) for p, v in sorted(presentation_values.items())
-             if v == tag.presentation_value]
-        )
-    if tag.time_bin is not None:
-        fixed.append([Item(5, tag.time_bin)])
-
-    candidates = [frozenset()]
-    for choices in fixed:
-        candidates = [c | {item} for c in candidates for item in choices]
-    return candidates
-
-
 def recover_clusters(records, profiles, config):
     """Replay the run() stages to recover each resource's mined cluster,
     as oracle transactions.
@@ -475,9 +439,7 @@ def recover_clusters(records, profiles, config):
 
     table = learner_table(records, profiles, config.delta0)
     details = quantify_nominal(table, config)
-    strategy_values = details["strategy"].values
-    presentation_values = details["presentation"].values
-    coords = table.coords({"strategy": strategy_values, "presentation": presentation_values})
+    coords = table.coords({a: details[a].values for a in ("strategy", "presentation")})
     clusters = {}
     for rid, rows in zip(table.resources, table.members):
         if len(rows) < config.min_subset:
@@ -485,7 +447,7 @@ def recover_clusters(records, profiles, config):
         group = group_rows(coords[rows], config.k_max, config.gamma, config.seed)
         members = [table.ids[r] for r in rows[group.largest]]
         clusters[rid] = [transaction_from_profile(profiles[lid]) for lid in members]
-    return clusters, strategy_values, presentation_values
+    return clusters
 
 
 def make_blobs(

@@ -15,10 +15,10 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from conftest import (
+    Item,
     brute_force_frequent,
     build_subset,
     items_array,
-    items_from_tag,
     itemset_of,
     lloyd_kmeans,
     make_blobs,
@@ -165,8 +165,7 @@ def test_criterion_6_tag_validity_and_format():
     config = PipelineConfig(seed=13)
     records, profiles = synth_corpus(1000, 100, 5000, seed=13)
     store = run(config, records, profiles)
-    clusters, strategy_values, presentation_values = recover_clusters(
-        records, profiles, config)
+    clusters = recover_clusters(records, profiles, config)
     failures = []
     tagged = 0
     for rid in sorted(store):
@@ -176,12 +175,10 @@ def test_criterion_6_tag_validity_and_format():
         tagged += 1
         transactions = clusters[rid]
         for tag in cloud.tags:
-            counts = [
-                sum(1 for t in transactions if candidate <= t.items)
-                for candidate in items_from_tag(tag, strategy_values,
-                                                presentation_values)
-            ]
-            support = max(counts) / len(transactions)
+            items = frozenset(Item(a, v) for a, v in enumerate(
+                (tag.current_skill, tag.target_skill, tag.strategy, tag.presentation,
+                 tag.time_bin), 1) if v is not None)
+            support = sum(1 for t in transactions if items <= t.items) / len(transactions)
             if support < config.support_sl:
                 failures.append(f"{rid}: recounted support {support:.3f}")
             if support != cloud.provenance.support:

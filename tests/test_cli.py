@@ -26,7 +26,6 @@ from learntags import (
     extreme_pairs,
     find_profile,
     generate_profiles,
-    TagStore,
     learner_table,
     load_store,
     match_resources,
@@ -679,7 +678,8 @@ class TestMatch:
 
     @pytest.mark.parametrize("corpus_seed, config_seed", [(2, 3), (7, 0), (11, 5)])
     def test_matches_requantified_ranking(self, tmp_path, capsys, corpus_seed, config_seed):
-        """Oracle: the ranking from values quantified again from the ratings."""
+        """Oracle: every stored id names the value quantified again from
+        the ratings, and `match` prints ``match_resources`` of the store."""
         from conftest import synth_corpus
 
         records, by_id = synth_corpus(200, 12, 4000, seed=corpus_seed)
@@ -691,8 +691,12 @@ class TestMatch:
                          "--seed", str(config_seed), "--out", str(store_path)]) == 0
         config = PipelineConfig(seed=config_seed)
         details = quantify_nominal(learner_table(records, by_id, config.delta0), config)
-        loaded = load_store(str(store_path))
-        store = TagStore(loaded.clouds, config, {a: details[a].values for a in details})
+        store = load_store(str(store_path))
+        for tag in (t for cloud in store.values() for t in cloud.tags):
+            for a in ("strategy", "presentation"):
+                pid = getattr(tag, a)
+                assert getattr(tag, f"{a}_value") == (
+                    None if pid is None else details[a].values[pid])
         for lid in sorted(by_id)[::10]:
             capsys.readouterr()
             assert dispatch(["match", "--profiles", str(profiles), "--store", str(store_path),
@@ -710,11 +714,7 @@ class TestMatch:
         if breakage == "headerless":
             doc = doc["resources"]
         elif breakage == "schema":
-            doc["schema"] = 3
-        elif breakage == "missing id":
-            del doc["values"]["strategy"]["5"]
-        elif breakage == "not a number":
-            doc["values"]["presentation"]["2"] = "4.0"
+            doc["schema"] = 2
         elif breakage == "config":
             doc["config"]["k_max"] = 0
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -722,9 +722,7 @@ class TestMatch:
 
     @pytest.mark.parametrize("breakage, message", [
         ("headerless", "no schema header"),
-        ("schema", "store schema 3 is not supported"),
-        ("missing id", "strategy must map the ids 1..5"),
-        ("not a number", "presentation must map the ids 1..5"),
+        ("schema", "store schema 2 is not supported"),
         ("config", "malformed store config: k_max must be >= 1"),
     ])
     def test_bad_store_header_exits_one(self, tmp_path, capsys, breakage, message):
@@ -749,8 +747,8 @@ class TestMatch:
     # Edits of a tagged store that put in what no `learntags tag` run writes;
     # json writes the floats as NaN and Infinity, which json.load reads.
     UNWRITTEN = {
-        "nan value": (lambda doc: doc["values"]["strategy"].update({"1": float("nan")}),
-                      "strategy must map the ids 1..5 to numbers"),
+        "out-of-range id": (lambda doc: doc["resources"]["b1"]["tags"][0].update(strategy=6),
+                            "strategy must be in 1..5, got 6"),
         "infinite tag value": (
             lambda doc: doc["resources"]["b1"]["tags"][0].update(strategy_value=float("inf")),
             "strategy_value must be a number or null"),
@@ -772,9 +770,6 @@ class TestMatch:
                    "malformed store config: expected an object, got [0, 1, 2"),
         "config field": (lambda doc: doc["config"].update(seed=TestMatch.HUGE),
                          "seed must be an int"),
-        "values": (lambda doc: doc.update(values=TestMatch.HUGE), "malformed store values"),
-        "value map": (lambda doc: doc["values"].update(strategy=TestMatch.HUGE),
-                      "strategy must map the ids 1..5"),
         "schema": (lambda doc: doc.update(schema=TestMatch.HUGE), "store schema [0, 1, 2"),
         "tag field": (lambda doc: doc["resources"]["b1"]["tags"][0].update(
             current_skill="6" * 200_000), "current_skill must be an int or null"),

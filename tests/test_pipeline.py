@@ -9,7 +9,7 @@ import re
 import reprlib
 import tempfile
 from collections import Counter
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -36,27 +36,19 @@ from learntags import (
 from learntags.ingest import MAX_HOURS, TimeBin, discretize_time
 from learntags.pipeline import MAX_NMF_K, SKIP_NO_ITEMSET, SKIP_SMALL_SUBSET, STORE_SCHEMA
 
-from conftest import ORACLE_TYPE_CHECKS
+from conftest import ORACLE_TYPE_CHECKS, Item
 
-VALUE_MAPS = {
-    "strategy": {1: 5.0, 2: 10.0, 3: 15.0, 4: 20.0, 5: 25.0},
-    "presentation": {1: 2.0, 2: 4.0, 3: 6.0, 4: 8.0, 5: 10.0},
-}
+NOMINAL = ("strategy", "presentation")
 
 
 def tag_store(clouds: dict) -> TagStore:
-    """Clouds built in a test, with the default config and fixed value maps."""
-    return TagStore(clouds, PipelineConfig(), VALUE_MAPS)
+    """Clouds built in a test, with the default config."""
+    return TagStore(clouds, PipelineConfig())
 
 
 def store_doc(resources: dict) -> dict:
-    """A schema-2 store document around ``resources``, as save_store writes it."""
-    return {
-        "schema": STORE_SCHEMA,
-        "config": asdict(PipelineConfig()),
-        "values": {a: {str(p): v for p, v in m.items()} for a, m in VALUE_MAPS.items()},
-        "resources": resources,
-    }
+    """A schema-3 store document around ``resources``, as save_store writes it."""
+    return {"schema": STORE_SCHEMA, "config": asdict(PipelineConfig()), "resources": resources}
 
 TAG_FIELD = r"(?:\d+|-)"
 TAG_BIN = r"(?:\[\d+-\d+\]|-)"
@@ -208,14 +200,12 @@ class TestRun:
             assert len(qualified) == cloud.provenance.subset_size
 
     def test_tag_supports_recounted(self):
-        from conftest import items_from_tag, recover_clusters
+        from conftest import recover_clusters
 
         records, profiles = self.small_corpus(seed=7)
         config = PipelineConfig(seed=3)
         store = run(config, records, profiles)
-        clusters, strategy_values, presentation_values = recover_clusters(
-            records, profiles, config
-        )
+        clusters = recover_clusters(records, profiles, config)
         checked = 0
         for rid, cloud in store.items():
             if not cloud.tags:
@@ -223,12 +213,12 @@ class TestRun:
             transactions = clusters[rid]
             assert cloud.provenance.cluster_size == len(transactions)
             for tag in cloud.tags:
-                best = 0.0
-                for items in items_from_tag(tag, strategy_values, presentation_values):
-                    contained = sum(1 for t in transactions if items <= t.items)
-                    best = max(best, contained / len(transactions))
-                assert best >= config.support_sl
-                assert best == pytest.approx(cloud.provenance.support)
+                items = frozenset(Item(a, v) for a, v in enumerate(
+                    (tag.current_skill, tag.target_skill, tag.strategy, tag.presentation,
+                     tag.time_bin), 1) if v is not None)
+                support = sum(1 for t in transactions if items <= t.items) / len(transactions)
+                assert support >= config.support_sl
+                assert support == pytest.approx(cloud.provenance.support)
                 checked += 1
         assert checked > 0
 
@@ -251,7 +241,7 @@ class TestRun:
         members = {r.learner_id for r in records if r.rating >= config.delta0}
         assert tables[0].ids == sorted(members)
         # The table rows mined equal fresh encodings of every mined cluster.
-        clusters, _, _ = recover_clusters(records, profiles, config)
+        clusters = recover_clusters(records, profiles, config)
         assert [m.tolist() for m in mined] == [
             items_array(clusters[rid]).tolist() for rid in sorted(clusters)]
         # Learners sit in several mined clusters, so encoding per cluster
@@ -293,19 +283,26 @@ class TestRun:
         fit at k = 1 of SSE and diameter 0, its row the largest cluster,
         so the cloud is the rater's whole profile at support 1."""
         records, profiles = self.small_corpus()
+        from learntags import quantify_nominal
+
+        records, profiles = self.small_corpus()
         solo = profiles["u000007"]
         records.append(RatingRecord(solo.learner_id, "solo", 9))
         seen: dict[str, list] = {}
-        store = run(PipelineConfig(seed=5, min_subset=1), records, profiles,
-                    trace_hook=lambda r, t: seen.setdefault(r, t))
+        config = PipelineConfig(seed=5, min_subset=1)
+        store = run(config, records, profiles, trace_hook=lambda r, t: seen.setdefault(r, t))
         assert seen["solo"] == [KTraceEntry(1, 0.0, 0.0)]
-        strategy, presentation = (store.value_maps[a] for a in ("strategy", "presentation"))
+        details = quantify_nominal(learner_table(records, profiles, config.delta0), config)
         assert store["solo"] == TagCloud("solo", [Tag(
             solo.current_skill, solo.target_skill, discretize_time(max(solo.hours, 1)),
-            strategy[solo.strategy], presentation[solo.presentation])],
+            details["strategy"].values[solo.strategy],
+            details["presentation"].values[solo.presentation],
+            solo.strategy, solo.presentation)],
             Provenance(subset_size=1, chosen_k=1, cluster_size=1, support=1.0))
 
-    def test_store_carries_config_and_value_maps(self):
+    def test_store_carries_config_and_tag_ids(self):
+        """Each tag's nominal id names its stored value under the run's
+        quantification, and is null exactly when the value is."""
         from learntags import quantify_nominal
 
         records, profiles = self.small_corpus()
@@ -314,7 +311,14 @@ class TestRun:
         table = learner_table(records, profiles, config.delta0)
         details = quantify_nominal(table, config)
         assert store.config == config
-        assert store.value_maps == {a: details[a].values for a in ("strategy", "presentation")}
+        ids = 0
+        for cloud in store.values():
+            for tag in cloud.tags:
+                for a in NOMINAL:
+                    pid, value = getattr(tag, a), getattr(tag, f"{a}_value")
+                    assert value == (None if pid is None else details[a].values[pid])
+                    ids += pid is not None
+        assert ids > 0
         # The mapping side holds resource ids and clouds only.
         assert sorted(store) == table.resources == sorted(store.clouds)
         assert all(isinstance(c, TagCloud) for c in store.values())
@@ -360,9 +364,8 @@ class TestRenderTag:
 
 class TestMatchResources:
     def build_store(self) -> TagStore:
-        """Two resources ranked with VALUE_MAPS: strategy 3 is 15.0 and
-        presentation 4 is 8.0."""
-        full = Tag(2, 5, TimeBin(21, 30), 15.0, 8.0)
+        """Two resources; the full tag holds strategy 3 and presentation 4."""
+        full = Tag(2, 5, TimeBin(21, 30), 15.0, 8.0, 3, 4)
         return tag_store({
             "match": TagCloud("match", [full], Provenance(20, 2, 12, 0.5)),
             "other": TagCloud(
@@ -397,28 +400,33 @@ class TestMatchResources:
         with pytest.raises(ValueError, match="empty"):
             match_resources(profile, tag_store({}), top_n=3)
 
-    def test_ranks_with_the_stores_value_maps(self):
-        """The same clouds rank differently under another run's value maps."""
-        store = self.build_store()
-        profile = LearnerProfile("u1", 2, 5, 3, 4, 25)
-        assert match_resources(profile, store, top_n=1) == [("match", 1.0)]
-        swapped = {"strategy": {**VALUE_MAPS["strategy"], 2: 15.0, 3: 10.0},
-                   "presentation": VALUE_MAPS["presentation"]}
-        moved = TagStore(store.clouds, store.config, swapped)
-        assert match_resources(profile, moved, top_n=1) == [("match", 0.8)]
+    def test_shared_value_matches_by_id(self, tmp_path):
+        """Strategies 2 and 4 share the value 10.0; a stored tag still
+        names its own id, so each learner matches the tag of its id."""
+        store = tag_store({
+            f"r{p}": TagCloud(f"r{p}", [Tag(strategy_value=10.0, strategy=p)],
+                              Provenance(10, 1, 10, 0.5))
+            for p in (2, 4)})
+        save_store(store, tmp_path / "store.json")
+        loaded = load_store(tmp_path / "store.json")
+        for p, other in ((2, "r4"), (4, "r2")):
+            learner = LearnerProfile("u", 2, 5, p, 1, 5)
+            assert match_resources(learner, loaded, 2) == [(f"r{p}", 1.0), (other, 0.0)]
 
-    @pytest.mark.parametrize("value", [10.0, 12.5])
-    def test_nearest_parameter_ties_to_the_smaller_id(self, value):
-        """Strategies 2 and 4 share 10.0, and 12.5 is as near 15.0 (id 3):
-        each stored value maps to id 2, however many tags hold it."""
-        values = {"strategy": {1: 5.0, 2: 10.0, 3: 15.0, 4: 10.0, 5: 25.0},
-                  "presentation": VALUE_MAPS["presentation"]}
-        tags = [Tag(strategy_value=value), Tag(1, None, None, value, None)]
-        store = TagStore({"r": TagCloud("r", tags, Provenance(10, 1, 10, 0.5))},
-                         PipelineConfig(), values)
-        ranked = {strategy: match_resources(LearnerProfile("u", 2, 5, strategy, 1, 5), store, 1)
-                  for strategy in (2, 3, 4)}
-        assert ranked == {2: [("r", 1.0)], 3: [("r", 0.0)], 4: [("r", 0.0)]}
+    def test_all_zero_values_rank_each_learners_own_resource_first(self):
+        """Each resource is rated by one learner, so every co-occurrence
+        count and every quantified value is 0: the values cannot tell the
+        ids apart, and the ids still rank each learner's resource first."""
+        profiles = {lid: LearnerProfile(lid, 2, 5, s, p, 25)
+                    for lid, s, p in (("u0", 1, 4), ("u1", 2, 5), ("u2", 3, 1))}
+        records = [RatingRecord(lid, f"r{lid}", 9) for lid in profiles]
+        store = run(PipelineConfig(min_subset=1), records, profiles)
+        tags = [t for cloud in store.values() for t in cloud.tags]
+        assert {(t.strategy_value, t.presentation_value) for t in tags} == {(0.0, 0.0)}
+        for lid, profile in profiles.items():
+            others = sorted(f"r{o}" for o in profiles if o != lid)
+            assert match_resources(profile, store, 3) == [
+                (f"r{lid}", 1.0), (others[0], 0.6), (others[1], 0.6)]
 
     def test_matches_independent_scoring(self):
         """20-resource seeded store against a second formula implementation."""
@@ -435,26 +443,17 @@ class TestMatchResources:
             tags = []
             for _ in range(int(rng.integers(1, 3))):
                 lo = 1 + 10 * int(rng.integers(0, 6))
-                tag = Tag(
-                    maybe(int(rng.integers(1, 7))),
-                    maybe(int(rng.integers(1, 7))),
-                    maybe(TimeBin(lo, lo + 9)),
-                    maybe(sv[int(rng.integers(1, 6))]),
-                    maybe(pv[int(rng.integers(1, 6))]),
-                )
-                if all(
-                    v is None
-                    for v in (tag.current_skill, tag.target_skill, tag.time_bin,
-                              tag.strategy_value, tag.presentation_value)
-                ):
+                skills = maybe(int(rng.integers(1, 7))), maybe(int(rng.integers(1, 7)))
+                time_bin = maybe(TimeBin(lo, lo + 9))
+                s, p = maybe(int(rng.integers(1, 6))), maybe(int(rng.integers(1, 6)))
+                tag = Tag(*skills, time_bin, None if s is None else sv[s],
+                          None if p is None else pv[p], s, p)
+                if all(v is None for v in (*skills, time_bin, s, p)):
                     tag = Tag(1, None, None, None, None)
                 tags.append(tag)
             clouds[f"r{i:02d}"] = TagCloud(f"r{i:02d}", tags, Provenance(10, 1, 10, 0.2))
-        store = TagStore(clouds, PipelineConfig(), {"strategy": sv, "presentation": pv})
+        store = tag_store(clouds)
         profile = LearnerProfile("u1", 3, 5, 2, 4, 33)
-
-        def nearest(values, target):
-            return min(sorted(values), key=lambda p: abs(values[p] - target))
 
         def score_tag(t):
             present, matched = 0, 0
@@ -467,12 +466,12 @@ class TestMatchResources:
             if t.time_bin is not None:
                 present += 1
                 matched += t.time_bin.lower <= profile.hours <= t.time_bin.upper
-            if t.strategy_value is not None:
+            if t.strategy is not None:
                 present += 1
-                matched += nearest(sv, t.strategy_value) == profile.strategy
-            if t.presentation_value is not None:
+                matched += t.strategy == profile.strategy
+            if t.presentation is not None:
                 present += 1
-                matched += nearest(pv, t.presentation_value) == profile.presentation
+                matched += t.presentation == profile.presentation
             return matched / present if present else 0.0
 
         expected = sorted(
@@ -505,8 +504,8 @@ class TestStore:
 
     def test_multi_tag_order_preserved(self, tmp_path):
         tags = [
-            Tag(1, 2, TimeBin(1, 10), 5.0, 6.0),
-            Tag(2, 3, None, None, 7.0),
+            Tag(1, 2, TimeBin(1, 10), 5.0, 6.0, 1, 3),
+            Tag(2, 3, None, None, 7.0, None, 2),
         ]
         store = tag_store({"r1": TagCloud("r1", tags, Provenance(12, 2, 8, 0.25))})
         path = tmp_path / "store.json"
@@ -536,6 +535,8 @@ class TestStore:
                 float(np.round(rng.uniform(0, 3e4), 6)) if rng.random() < 0.8 else None,
                 None,
             )
+            if tag.strategy_value is not None:
+                tag = replace(tag, strategy=1 + i % 5)
             store[f"r{i:03d}"] = TagCloud(
                 f"r{i:03d}", [tag],
                 Provenance(int(rng.integers(10, 99)), int(rng.integers(1, 9)),
@@ -584,7 +585,8 @@ class TestStore:
         """A one-resource store file with some fields replaced."""
         entry = {
             "tags": [{"current_skill": 2, "target_skill": 5, "time_bin": [41, 50],
-                      "strategy_value": 12.5, "presentation_value": 3}],
+                      "strategy_value": 12.5, "presentation_value": 3,
+                      "strategy": 2, "presentation": 4}],
             "provenance": {"subset_size": 12, "chosen_k": 2, "cluster_size": 8,
                            "support": 0.25},
         }
@@ -596,8 +598,31 @@ class TestStore:
 
     def test_well_typed_fields_load(self, tmp_path):
         (tag,) = load_store(self.store_with(tmp_path))["r7"].tags
-        assert tag == Tag(2, 5, TimeBin(41, 50), 12.5, 3)
+        assert tag == Tag(2, 5, TimeBin(41, 50), 12.5, 3, 2, 4)
         assert type(tag.time_bin) is TimeBin
+
+    @pytest.mark.parametrize("pid", [0, 6, -1, 10**30])
+    @pytest.mark.parametrize("field", NOMINAL)
+    def test_parameter_id_outside_1_to_5_rejected(self, tmp_path, field, pid):
+        path = self.store_with(tmp_path, tag={field: pid})
+        with pytest.raises(ValueError, match=rf"^malformed tag in resource 'r7': {field} must "
+                                             rf"be in 1\.\.5, got {pid}$"):
+            load_store(path)
+
+    @pytest.mark.parametrize("field, tag, got", [
+        ("strategy", {"strategy": None}, "None and 12.5"),
+        ("strategy", {"strategy_value": None}, "2 and None"),
+        ("presentation", {"presentation": None}, "None and 3"),
+        ("presentation", {"presentation_value": None}, "4 and None"),
+    ])
+    def test_id_and_value_not_both_set_or_null_rejected(self, tmp_path, field, tag, got):
+        path = self.store_with(tmp_path, tag=tag)
+        with pytest.raises(ValueError) as info:
+            load_store(path)
+        assert str(info.value) == (f"malformed tag in resource 'r7': {field} and {field}_value "
+                                   f"must be both null or both set, got {got}")
+        both_null = self.store_with(tmp_path, tag={field: None, f"{field}_value": None})
+        assert getattr(load_store(both_null)["r7"].tags[0], field) is None
 
     @pytest.mark.parametrize("record, name", [
         *[("tag", f.name) for f in fields(Tag)],
@@ -677,14 +702,17 @@ class TestStore:
     def test_field_types_match_the_check_oracle(self, field, drawn):
         """One stored tag, provenance or config field set to a value of
         each JSON type: load_store refuses exactly what the per-type check
-        closures it replaced refused, with the same message."""
+        closures it replaced refused, with the same message.  A value of
+        the right type may still fail the config's range checks or, in a
+        nominal tag field, the id rules, which have their own tests."""
         cls, name, hint = field
         valid, expected = ORACLE_TYPE_CHECKS[hint]
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "store.json"
             for value in [*JSON_VALUES, drawn]:
                 entry = {"tags": [{"current_skill": 2, "target_skill": 5, "time_bin": [41, 50],
-                                   "strategy_value": 12.5, "presentation_value": 3}],
+                                   "strategy_value": 12.5, "presentation_value": 3,
+                                   "strategy": 2, "presentation": 4}],
                          "provenance": {"subset_size": 12, "chosen_k": 2, "cluster_size": 8,
                                         "support": 0.25}}
                 doc = store_doc({"r7": entry})
@@ -703,10 +731,11 @@ class TestStore:
                     error = None
                 message = (f"malformed {where}: {name} must be {expected}, "
                            f"got {reprlib.repr(value)}")
+                nominal = cls is Tag and name.removesuffix("_value") in NOMINAL
                 if not valid(value):
                     assert error == message
-                elif cls is PipelineConfig:  # the config's own range checks may refuse it
-                    assert error is None or error.startswith(f"malformed {where}: {name} must ")
+                elif cls is PipelineConfig or nominal and error is not None:
+                    assert error is None or error.startswith(f"malformed {where}: ")
                     assert error != message
                 else:
                     assert error is None
@@ -750,7 +779,7 @@ class TestStore:
         save_store(tag_store({"r1": TagCloud("r1", [Tag(current_skill=1)],
                                              Provenance(10, 1, 5, 0.5))}), path)
         before = path.read_bytes()
-        bad = tag_store({"r2": TagCloud("r2", [Tag(strategy_value=value)],
+        bad = tag_store({"r2": TagCloud("r2", [Tag(strategy_value=value, strategy=1)],
                                         Provenance(10, 1, 5, 0.5))})
         with pytest.raises(ValueError, match="not JSON compliant"):
             save_store(bad, path)
@@ -758,11 +787,6 @@ class TestStore:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["store.json"]
 
 
-stored_value_maps = st.fixed_dictionaries({
-    attribute: st.fixed_dictionaries({
-        p: st.floats(allow_nan=False, allow_infinity=False) for p in range(1, 6)})
-    for attribute in ("strategy", "presentation")
-})
 configs = st.builds(
     PipelineConfig,
     delta0=st.integers(1, 10),
@@ -778,19 +802,19 @@ configs = st.builds(
 
 
 class TestStoreHeader:
-    """The schema-2 header: schema version, config and value maps."""
+    """The schema-3 header: schema version and config."""
 
-    @given(configs, stored_value_maps)
-    def test_header_round_trips(self, config, value_maps):
-        store = TagStore({"r1": TagCloud("r1", [Tag(1, 2, None, value_maps["strategy"][3], None)],
+    @given(configs, st.floats(allow_nan=False, allow_infinity=False))
+    def test_header_round_trips(self, config, value):
+        store = TagStore({"r1": TagCloud("r1", [Tag(1, 2, None, value, None, 3, None)],
                                          Provenance(12, 2, 8, 0.25))},
-                         config, value_maps)
+                         config)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "store.json"
             save_store(store, path)
             loaded = load_store(path)
             assert loaded == store
-            assert (loaded.config, loaded.value_maps) == (config, value_maps)
+            assert loaded.config == config
             save_store(loaded, Path(tmp) / "again.json")
             assert (Path(tmp) / "again.json").read_bytes() == path.read_bytes()
 
@@ -803,12 +827,10 @@ class TestStoreHeader:
         assert loaded == store
         assert sorted(loaded) == sorted(store.clouds)
 
-    def test_equality_compares_config_and_value_maps(self):
+    def test_equality_compares_config_and_clouds(self):
         store = tag_store({"r1": TagCloud("r1", [], Provenance(3), skipped=SKIP_SMALL_SUBSET)})
         assert store == tag_store(dict(store.clouds))
-        assert store != TagStore(store.clouds, PipelineConfig(seed=1), VALUE_MAPS)
-        moved = {**VALUE_MAPS, "strategy": {**VALUE_MAPS["strategy"], 3: 15.5}}
-        assert store != TagStore(store.clouds, PipelineConfig(), moved)
+        assert store != TagStore(store.clouds, PipelineConfig(seed=1))
         assert store != tag_store({})
 
     @staticmethod
@@ -823,37 +845,20 @@ class TestStoreHeader:
         with pytest.raises(ValueError, match=r"no schema header.*re-run `learntags tag`"):
             load_store(self.write(tmp_path, old))
 
-    @pytest.mark.parametrize("schema", [1, 3, "2", 2.0, True])
+    @pytest.mark.parametrize("schema", [1, 2, "3", 3.0, 2.0, True])
     def test_unknown_schema_rejected(self, tmp_path, schema):
+        """Schema 2 stored value maps and tags without ids: such a store is
+        rewritten, not read."""
         doc = dict(store_doc({}), schema=schema)
-        with pytest.raises(ValueError, match=rf"store schema {re.escape(repr(schema))} is not"):
+        with pytest.raises(ValueError, match=rf"^store schema {re.escape(repr(schema))} is not "
+                                             r"supported .* re-run `learntags tag`$"):
             load_store(self.write(tmp_path, doc))
 
-    @pytest.mark.parametrize("field", ["config", "values", "resources"])
+    @pytest.mark.parametrize("field", ["config", "resources"])
     def test_missing_header_field_named(self, tmp_path, field):
         doc = store_doc({})
         del doc[field]
         with pytest.raises(ValueError, match=rf"no {field} field"):
-            load_store(self.write(tmp_path, doc))
-
-    def test_value_map_missing_an_id_rejected(self, tmp_path):
-        doc = store_doc({})
-        del doc["values"]["strategy"]["4"]
-        with pytest.raises(ValueError, match=r"strategy must map the ids 1\.\.5 to numbers"):
-            load_store(self.write(tmp_path, doc))
-
-    @pytest.mark.parametrize("value", ["6.0", None, True, [6.0], float("nan"), float("inf"),
-                                       float("-inf")])
-    def test_value_not_a_number_rejected(self, tmp_path, value):
-        doc = store_doc({})
-        doc["values"]["presentation"]["3"] = value
-        with pytest.raises(ValueError, match=r"presentation must map the ids 1\.\.5 to numbers"):
-            load_store(self.write(tmp_path, doc))
-
-    def test_value_maps_for_other_attributes_rejected(self, tmp_path):
-        doc = store_doc({})
-        doc["values"]["hours"] = doc["values"].pop("presentation")
-        with pytest.raises(ValueError, match=r"malformed store values: expected maps"):
             load_store(self.write(tmp_path, doc))
 
     @pytest.mark.parametrize("change, message", [
