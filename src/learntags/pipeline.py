@@ -100,7 +100,8 @@ class Tag:
     Fields missing from the itemset stay None and render as "-".  Each
     nominal attribute the itemset holds is carried twice: as its
     quantified numeric value, which is rendered, and as its parameter id
-    (1..5), which ``match`` compares.
+    (1..5), which ``match`` compares.  An id must be set exactly when
+    its value is.
     """
 
     current_skill: int | None = None
@@ -110,6 +111,19 @@ class Tag:
     presentation_value: float | None = None
     strategy: int | None = None
     presentation: int | None = None
+
+    def __post_init__(self):
+        for name, value in (("strategy", self.strategy_value),
+                            ("presentation", self.presentation_value)):
+            pid = getattr(self, name)
+            if pid not in _PARAMETER_IDS:
+                raise ValueError(f"{name} must be in 1..5, got {reprlib.repr(pid)}")
+            if (pid is None) != (value is None):
+                raise ValueError(f"{name} and {name}_value must be both null or both set, "
+                                 f"got {pid} and {reprlib.repr(value)}")
+
+
+_PARAMETER_IDS = {None, 1, 2, 3, 4, 5}
 
 
 @dataclass(frozen=True)
@@ -329,8 +343,6 @@ def _field_checks(cls) -> dict:
 
 _TAG_FIELDS = _field_checks(Tag)
 # Each nominal tag field's id and value, and the ids a stored one may hold.
-_NOMINAL_FIELDS = (("strategy", "strategy_value"), ("presentation", "presentation_value"))
-_PARAMETER_IDS = {None, 1, 2, 3, 4, 5}
 _PROVENANCE_FIELDS = _field_checks(Provenance)
 _CONFIG_FIELDS = _field_checks(PipelineConfig)
 
@@ -376,13 +388,6 @@ def _cloud_from_json(rid: str, entry) -> TagCloud:
         tags = []
         for obj in entry["tags"]:
             checked = _validated(obj, _TAG_FIELDS)
-            for name, value in _NOMINAL_FIELDS:
-                pid = checked[name]
-                if pid not in _PARAMETER_IDS:
-                    raise ValueError(f"{name} must be in 1..5, got {reprlib.repr(pid)}")
-                if (pid is None) != (checked[value] is None):
-                    raise ValueError(f"{name} and {value} must be both null or both set, "
-                                     f"got {pid} and {reprlib.repr(checked[value])}")
             if checked["time_bin"] is not None:
                 checked["time_bin"] = TimeBin(*checked["time_bin"])
             tags.append(Tag(**checked))

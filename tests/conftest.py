@@ -34,6 +34,7 @@ from learntags import (
     FrequentItemset,
     LearnerProfile,
     RatingRecord,
+    Tag,
     TimeBin,
     generate_profiles,
 )
@@ -301,6 +302,13 @@ def itemset_of(fields: tuple[int, ...]) -> frozenset[Item]:
         Item(a + 1, discretize_time(10 * v) if a == N_ATTRIBUTES - 1 else v)
         for a, v in enumerate(fields) if v
     )
+
+
+def items_of_tag(tag: Tag) -> frozenset[Item]:
+    """The items a tag names, its nominal fields by parameter id."""
+    return frozenset(Item(a, v) for a, v in enumerate(
+        (tag.current_skill, tag.target_skill, tag.strategy, tag.presentation, tag.time_bin), 1)
+        if v is not None)
 
 
 def as_oracle(frequent: list[FrequentItemset]) -> list[OracleItemset]:

@@ -15,10 +15,10 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from conftest import (
-    Item,
     brute_force_frequent,
     build_subset,
     items_array,
+    items_of_tag,
     itemset_of,
     lloyd_kmeans,
     make_blobs,
@@ -175,9 +175,7 @@ def test_criterion_6_tag_validity_and_format():
         tagged += 1
         transactions = clusters[rid]
         for tag in cloud.tags:
-            items = frozenset(Item(a, v) for a, v in enumerate(
-                (tag.current_skill, tag.target_skill, tag.strategy, tag.presentation,
-                 tag.time_bin), 1) if v is not None)
+            items = items_of_tag(tag)
             support = sum(1 for t in transactions if items <= t.items) / len(transactions)
             if support < config.support_sl:
                 failures.append(f"{rid}: recounted support {support:.3f}")

@@ -9,7 +9,7 @@ import re
 import reprlib
 import tempfile
 from collections import Counter
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import get_type_hints
 
@@ -36,7 +36,7 @@ from learntags import (
 from learntags.ingest import MAX_HOURS, TimeBin, discretize_time
 from learntags.pipeline import MAX_NMF_K, SKIP_NO_ITEMSET, SKIP_SMALL_SUBSET, STORE_SCHEMA
 
-from conftest import ORACLE_TYPE_CHECKS, Item
+from conftest import ORACLE_TYPE_CHECKS, items_of_tag
 
 NOMINAL = ("strategy", "presentation")
 
@@ -78,6 +78,9 @@ def parse_tag(text: str) -> Tag:
         time_bin=time_bin,
         strategy_value=None if fields[3] == "-" else float(fields[3]),
         presentation_value=None if fields[4] == "-" else float(fields[4]),
+        # A rendered line shows no ids; any id renders the same.
+        strategy=None if fields[3] == "-" else 1,
+        presentation=None if fields[4] == "-" else 1,
     )
 
 
@@ -213,9 +216,7 @@ class TestRun:
             transactions = clusters[rid]
             assert cloud.provenance.cluster_size == len(transactions)
             for tag in cloud.tags:
-                items = frozenset(Item(a, v) for a, v in enumerate(
-                    (tag.current_skill, tag.target_skill, tag.strategy, tag.presentation,
-                     tag.time_bin), 1) if v is not None)
+                items = items_of_tag(tag)
                 support = sum(1 for t in transactions if items <= t.items) / len(transactions)
                 assert support >= config.support_sl
                 assert support == pytest.approx(cloud.provenance.support)
@@ -282,7 +283,6 @@ class TestRun:
         """With min_subset 1 a one-row subset takes the shared sweep: one
         fit at k = 1 of SSE and diameter 0, its row the largest cluster,
         so the cloud is the rater's whole profile at support 1."""
-        records, profiles = self.small_corpus()
         from learntags import quantify_nominal
 
         records, profiles = self.small_corpus()
@@ -337,7 +337,7 @@ class TestRun:
 
 class TestRenderTag:
     def test_full_tag(self):
-        tag = Tag(6, 6, TimeBin(41, 50), 24240.0, 20549.0)
+        tag = Tag(6, 6, TimeBin(41, 50), 24240.0, 20549.0, 2, 5)
         assert render_tag(tag) == "[6, 6, [41-50], 24240, 20549]"
 
     def test_partial_tag(self):
@@ -345,15 +345,15 @@ class TestRenderTag:
         assert render_tag(tag) == "[-, 6, [41-50], -, -]"
 
     def test_values_rounded(self):
-        tag = Tag(1, 2, None, 1234.49, 1234.51)
+        tag = Tag(1, 2, None, 1234.49, 1234.51, 3, 3)
         assert render_tag(tag) == "[1, 2, -, 1234, 1235]"
 
     @pytest.mark.parametrize(
         "tag",
         [
-            Tag(6, 6, TimeBin(41, 50), 24240.0, 20549.0),
-            Tag(None, None, TimeBin(1, 10), None, 7.0),
-            Tag(3, None, None, 12.0, None),
+            Tag(6, 6, TimeBin(41, 50), 24240.0, 20549.0, 2, 5),
+            Tag(None, None, TimeBin(1, 10), None, 7.0, None, 4),
+            Tag(3, None, None, 12.0, None, 1, None),
         ],
     )
     def test_render_parse_round_trip(self, tag):
@@ -528,15 +528,10 @@ class TestStore:
         store = {}
         for i in range(500):
             lo = 1 + 10 * int(rng.integers(0, 6))
-            tag = Tag(
-                int(rng.integers(1, 7)),
-                int(rng.integers(1, 7)),
-                TimeBin(lo, lo + 9) if rng.random() < 0.8 else None,
-                float(np.round(rng.uniform(0, 3e4), 6)) if rng.random() < 0.8 else None,
-                None,
-            )
-            if tag.strategy_value is not None:
-                tag = replace(tag, strategy=1 + i % 5)
+            skills = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+            time_bin = TimeBin(lo, lo + 9) if rng.random() < 0.8 else None
+            value = float(np.round(rng.uniform(0, 3e4), 6)) if rng.random() < 0.8 else None
+            tag = Tag(*skills, time_bin, value, None, None if value is None else 1 + i % 5)
             store[f"r{i:03d}"] = TagCloud(
                 f"r{i:03d}", [tag],
                 Provenance(int(rng.integers(10, 99)), int(rng.integers(1, 9)),
@@ -624,6 +619,17 @@ class TestStore:
         both_null = self.store_with(tmp_path, tag={field: None, f"{field}_value": None})
         assert getattr(load_store(both_null)["r7"].tags[0], field) is None
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"strategy_value": 15.0}, "strategy and strategy_value must be both null or both set"),
+        ({"presentation": 2}, "presentation and presentation_value must be both null or both"),
+        ({"strategy": 6, "strategy_value": 1.0}, r"strategy must be in 1\.\.5, got 6"),
+    ])
+    def test_tag_breaking_the_id_rules_not_built(self, kwargs, message):
+        """The id rules hold in memory too, so save_store cannot write a
+        tag that load_store would refuse."""
+        with pytest.raises(ValueError, match=message):
+            Tag(1, 2, **kwargs)
+
     @pytest.mark.parametrize("record, name", [
         *[("tag", f.name) for f in fields(Tag)],
         *[("provenance", f.name) for f in fields(Provenance)],
@@ -703,8 +709,9 @@ class TestStore:
         """One stored tag, provenance or config field set to a value of
         each JSON type: load_store refuses exactly what the per-type check
         closures it replaced refused, with the same message.  A value of
-        the right type may still fail the config's range checks or, in a
-        nominal tag field, the id rules, which have their own tests."""
+        the right type may still fail the config's range checks, or in a
+        nominal tag field the id rules: an id must be in 1..5, and an id
+        and its value must be both null or both set."""
         cls, name, hint = field
         valid, expected = ORACLE_TYPE_CHECKS[hint]
         with tempfile.TemporaryDirectory() as tmp:
@@ -731,12 +738,21 @@ class TestStore:
                     error = None
                 message = (f"malformed {where}: {name} must be {expected}, "
                            f"got {reprlib.repr(value)}")
-                nominal = cls is Tag and name.removesuffix("_value") in NOMINAL
+                nominal = name.removesuffix("_value")
                 if not valid(value):
                     assert error == message
-                elif cls is PipelineConfig or nominal and error is not None:
-                    assert error is None or error.startswith(f"malformed {where}: ")
+                elif cls is PipelineConfig:  # the config's own range checks may refuse it
+                    assert error is None or error.startswith(f"malformed {where}: {name} must ")
                     assert error != message
+                elif cls is Tag and nominal in NOMINAL and (value is None or name == nominal
+                                                            and not 1 <= value <= 5):
+                    tag = entry["tags"][0]
+                    if value is None:
+                        rule = (f"{nominal} and {nominal}_value must be both null or both set, "
+                                f"got {tag[nominal]} and {reprlib.repr(tag[nominal + '_value'])}")
+                    else:
+                        rule = f"{name} must be in 1..5, got {reprlib.repr(value)}"
+                    assert error == f"malformed {where}: {rule}"
                 else:
                     assert error is None
                     loaded = store["r7"].tags[0] if cls is Tag else store["r7"].provenance
