@@ -21,12 +21,20 @@ subsets in k_max shared steps, then runs every (subset, k) Lloyd fit in
 one lockstep loop: each round labels the rows of every fit still moving,
 with one distance call per subset, and a fit retires once its labels
 stop changing, so every fit equals the one run alone.  A subset alone in
-its batch is the one-subset case of the same code.  Diameters and the
-diameter-jump rule stay per subset, and one distance pass serves all of
-a subset's fits: its rows are grouped into atoms, the rows that share a
-cluster in every fit, and each block of rows against the rows after it
-is reduced to atom-pair maxima, so no distance temporary exceeds one row
-block by the subset size.
+its batch is the one-subset case of the same code.
+
+The jump rule reads the steps of a sweep from the top k down, and most
+of them are settled by bounds: a cluster's diameter lies between its
+largest column span and its bounding-box diagonal, both computed for
+every cluster of a batch's fits at once.  A step is settled when a bound
+clears the rule's threshold by the relative ``_BOUND_MARGIN``.  Exact
+diameters are computed, per subset, only for the fits of the steps left
+open above the first settled jump; ``Grouping.trace``, which lists every
+fit's exact diameter, is computed when it is first read.  One distance
+pass serves all the fits it is given: the subset's rows are grouped into
+atoms, the rows that share a cluster in every fit, and each block of
+rows against the rows after it is reduced to atom-pair maxima, so no
+distance temporary exceeds one row block by the subset size.
 """
 from __future__ import annotations
 
@@ -79,20 +87,27 @@ class KTraceEntry:
 @dataclass
 class Grouping:
     """One subset's k sweep: its farthest-first seeds, Lloyd's fit for
-    every k from the first down to 1, the (k, sse, avg_diameter) trace,
-    the chosen k and its largest cluster."""
+    every k from the first down to 1, the chosen k and its largest
+    cluster.  The (k, sse, avg_diameter) trace of every fit is computed
+    when first read."""
 
-    x: np.ndarray                    # (n, dims) rows, normalized by group_subsets
+    x: np.ndarray                    # (n, dims) rows, normalized by group_batches
     k: int
     seeds: list[int]
     fits: list[LloydFit]             # fits[i] is the fit at k = len(fits) - i
-    trace: list[KTraceEntry]
     largest: np.ndarray              # (n,) bool, rows of the largest cluster
 
     @property
     def labels(self) -> np.ndarray:
         """(n,) cluster index per row at the chosen k."""
         return self.fits[len(self.fits) - self.k].labels
+
+    @functools.cached_property
+    def trace(self) -> list[KTraceEntry]:
+        """Each fit's k, SSE and exact average diameter, from the first k down."""
+        diameters = average_diameter(self.x, np.array([f.labels for f in self.fits]))
+        return [KTraceEntry(k=len(self.fits) - i, sse=f.sse, avg_diameter=d)
+                for i, (f, d) in enumerate(zip(self.fits, diameters))]
 
 
 def normalize(x: np.ndarray) -> np.ndarray:
@@ -372,25 +387,78 @@ def average_diameter(x: np.ndarray, labels: np.ndarray) -> list[float]:
             for v in (d[f] for d, f in zip(diameters, filled))]
 
 
+# A bound settles a step of the jump rule only if it clears the rule's
+# threshold by this relative margin, far above the rounding by which a
+# bound's arithmetic can differ from that of an exact diameter.
+_BOUND_MARGIN = 1e-9
+
+
+def _diameter_bounds(x: np.ndarray, sizes: Sequence[int],
+                     fits: Sequence[Sequence[LloydFit]]) -> tuple[list[float], list[float]]:
+    """Lower and upper bounds on the average diameter of every fit of a
+    batch laid out in ``x`` as for ``_farthest_first``, fits in subset
+    order.  A cluster's diameter is at least its largest column span and
+    at most its bounding-box diagonal; each bound is the mean over the
+    fit's non-empty clusters."""
+    counts = [len(subset_fits) for subset_fits in fits]
+    n = np.repeat(sizes, counts)                     # rows per fit
+    offsets = np.cumsum(n) - n
+    rows = np.arange(n.sum()) + np.repeat(np.repeat(np.cumsum(sizes) - sizes, counts) - offsets, n)
+    width = max(counts)
+    slots = np.repeat(np.arange(len(n)) * width, n)
+    slots += np.concatenate([f.labels for subset_fits in fits for f in subset_fits])
+    # The narrowest unsigned type lets the stable sort count its keys.
+    order = np.argsort(slots.astype(np.min_scalar_type(len(n) * width)), kind="stable")
+    slots = slots.take(order)
+    cuts = np.flatnonzero(np.concatenate(([True], slots[1:] != slots[:-1])))
+    members = x.T.take(rows.take(order), axis=1)      # (dims, fit rows), by cluster
+    spans = np.maximum.reduceat(members, cuts, axis=1)
+    spans -= np.minimum.reduceat(members, cuts, axis=1)
+    # Squared first, as a distance sums squares: a span whose square
+    # underflows bounds a distance that reads 0.
+    spans *= spans
+    fit_of = slots[cuts] // width
+    clusters = np.bincount(fit_of, minlength=len(n))
+    low = np.bincount(fit_of, np.sqrt(spans.max(axis=0)), minlength=len(n)) / clusters
+    high = np.bincount(fit_of, np.sqrt(spans.sum(axis=0)), minlength=len(n)) / clusters
+    return low.tolist(), high.tolist()
+
+
 def _sweeps(xs: Sequence[np.ndarray], k_max: int, gamma: float, seed: int) -> list[Grouping]:
     """The grouping of each subset's rows ``xs[s]``: seeds and Lloyd fits
-    in shared rounds on their concatenation, diameters, the jump rule and
-    the largest cluster per subset."""
+    in shared rounds on their concatenation, then per subset the jump
+    rule, on diameter bounds or exact diameters, and the largest
+    cluster."""
     sizes = [len(x) for x in xs]
     k_starts = [min(k_max, n) for n in sizes]
     x = np.concatenate(xs)
     seeds = _farthest_first(x, sizes, k_starts, seed)
     fits = _lockstep(x, sizes, seeds, [range(k, 0, -1) for k in k_starts])
+    low, high = _diameter_bounds(x, sizes, fits)
     groupings = []
+    first = 0
     for rows, subset_seeds, subset_fits in zip(xs, seeds, fits):
-        diameters = average_diameter(rows, np.array([f.labels for f in subset_fits]))
-        trace = [KTraceEntry(k=len(subset_fits) - i, sse=f.sse, avg_diameter=d)
-                 for i, (f, d) in enumerate(zip(subset_fits, diameters))]
+        lo, hi = low[first:first + len(subset_fits)], high[first:first + len(subset_fits)]
+        first += len(subset_fits)
+        # Step i goes from fits[i] to fits[i + 1].  The rule reads the steps
+        # from the top down to the first jump, so none below one the bounds
+        # settle; the steps they leave open above it are read exactly.
+        jumps, open_steps = [], []
+        for i in range(len(subset_fits) - 1):
+            if lo[i + 1] > gamma * hi[i] * (1 + _BOUND_MARGIN):
+                jumps.append(i)
+                break
+            if hi[i + 1] * (1 + _BOUND_MARGIN) > gamma * lo[i]:
+                open_steps.append(i)
+        if open_steps:
+            read = sorted({j for i in open_steps for j in (i, i + 1)})
+            exact = dict(zip(read, average_diameter(
+                rows, np.array([subset_fits[j].labels for j in read]))))
+            jumps[:0] = [i for i in open_steps if exact[i + 1] > gamma * exact[i]]
         # The first jump from k to k - 1 picks k; with none the sweep ends at 1.
-        chosen = next((e.k for e, after in zip(trace, diameters[1:])
-                       if after > gamma * e.avg_diameter), 1)
+        chosen = len(subset_fits) - jumps[0] if jumps else 1
         largest = largest_cluster(subset_fits[len(subset_fits) - chosen].labels)
-        groupings.append(Grouping(rows, chosen, subset_seeds, subset_fits, trace, largest))
+        groupings.append(Grouping(rows, chosen, subset_seeds, subset_fits, largest))
     return groupings
 
 
@@ -411,7 +479,7 @@ def sweep_k(x: np.ndarray, k_max: int, gamma: float, seed: int) -> Grouping:
     of ``gamma`` in one step; a zero diameter at k treats any positive
     diameter at k - 1 as a jump.  With no jump anywhere the sweep ends at
     k = 1.  Returns the grouping of the rows as given: the one-subset
-    case of ``group_subsets``' shared rounds, without normalization.
+    case of ``group_batches``' shared rounds, without normalization.
     """
     if len(x) == 0:
         raise ValueError("no points to cluster")
@@ -467,19 +535,7 @@ def group_batches(
         yield _sweeps([normalize(coords[members[i]]) for i in batch], k_max, gamma, seed)
 
 
-def group_subsets(
-    coords: np.ndarray,
-    members: Sequence[np.ndarray],
-    k_max: int,
-    gamma: float,
-    seed: int,
-) -> Iterator[Grouping]:
-    """The groupings of ``group_batches``, one at a time, in subset order."""
-    for batch in group_batches(coords, members, k_max, gamma, seed):
-        yield from batch
-
-
 def group_rows(coords: np.ndarray, k_max: int, gamma: float, seed: int) -> Grouping:
     """Normalize one subset's rows, sweep k and pick the largest cluster:
-    the one-subset case of ``group_subsets``."""
-    return next(group_subsets(coords, [np.arange(len(coords))], k_max, gamma, seed))
+    the one-subset case of ``group_batches``."""
+    return next(group_batches(coords, [np.arange(len(coords))], k_max, gamma, seed))[0]

@@ -347,8 +347,13 @@ _PROVENANCE_FIELDS = _field_checks(Provenance)
 _CONFIG_FIELDS = _field_checks(PipelineConfig)
 
 
+def _unknown_fields(obj: dict, known) -> str:
+    return f"unknown fields {sorted(set(obj) - set(known))}"
+
+
 def _validated(obj, checks: dict) -> dict:
-    """The ``checks`` fields of a JSON object, each checked; its caller names the object."""
+    """A JSON object holding exactly the ``checks`` fields, each checked;
+    its caller names the object."""
     if not isinstance(obj, dict):
         raise ValueError(f"expected an object, got {reprlib.repr(obj)}")
     for name, (allowed, expected) in checks.items():
@@ -359,16 +364,15 @@ def _validated(obj, checks: dict) -> dict:
         check = allowed.get(type(value), False)
         if check is False or check is not None and not check(value):
             raise ValueError(f"{name} must be {expected}, got {reprlib.repr(value)}")
-    return {name: obj[name] for name in checks}
+    # Every checked field is present, so any further key is unknown.
+    if len(obj) > len(checks):
+        raise ValueError(_unknown_fields(obj, checks))
+    return obj
 
 
 def _config_from_json(obj) -> PipelineConfig:
     try:
-        known = _validated(obj, _CONFIG_FIELDS)
-        unknown = sorted(set(obj) - set(known))
-        if unknown:
-            raise ValueError(f"unknown fields {unknown}")
-        return PipelineConfig(**known)
+        return PipelineConfig(**_validated(obj, _CONFIG_FIELDS))
     except ValueError as exc:
         raise ValueError(f"malformed store config: {exc}") from None
 
@@ -394,6 +398,9 @@ def _cloud_from_json(rid: str, entry) -> TagCloud:
         skipped = entry.get("skipped")
         if "skipped" in entry and not isinstance(skipped, str):
             raise TypeError(f"skipped must be a string, got {reprlib.repr(skipped)}")
+        if len(entry) > 2 + ("skipped" in entry):
+            record = "store entry for"
+            raise ValueError(_unknown_fields(entry, ("tags", "provenance", "skipped")))
     except ValueError as exc:
         raise ValueError(f"malformed {record} resource {reprlib.repr(rid)}: {exc}") from None
     except (KeyError, TypeError) as exc:
@@ -444,7 +451,8 @@ def load_store(path) -> TagStore:
     and provenance field is checked for its type and shape: numbers must
     be finite, a time bin must be a decade bin, a nominal parameter id
     must be in 1..5 and set exactly when its value is, and a skip reason
-    must be a string.  Each failure is
+    must be a string.  A key that no field of its object names, at any
+    level, is refused too.  Each failure is
     a ValueError naming the field, and the resource where there is one;
     a document nested too deeply for the JSON reader is one naming the
     store.
@@ -469,4 +477,7 @@ def load_store(path) -> TagStore:
     if not isinstance(doc["resources"], dict):
         raise ValueError("malformed store resources: expected an object")
     clouds = {rid: _cloud_from_json(rid, entry) for rid, entry in doc["resources"].items()}
+    if len(doc) > 3:
+        unknown = _unknown_fields(doc, ("schema", "config", "resources"))
+        raise ValueError(f"malformed store: {unknown}")
     return TagStore(clouds, config)

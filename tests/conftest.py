@@ -6,13 +6,14 @@ Apriori candidate search over item objects, the Python sort key and
 the tag selection over a full list of frequent itemsets that the array
 passes of ``apriori`` and ``tag_itemsets`` replaced, a k sweep of one
 subset at a time with its own Lloyd loop, empty-cluster repair and
-``pdist`` diameters, the one-matrix NMF loop that the stacked NMF replaced, the
-row-by-row ``int()`` checks and profile scan that the parsers' tables of
-canonical texts replaced, over the header-checking row generator they
-dropped, the per-type check closures that ``load_store``'s table of
-allowed types replaced, and direct rescans (``build_subset`` scans the
-ratings once per resource), so test expectations are derived
-independently of the code under test.  The item types those oracles
+``pdist`` diameters, diameter bounds and the steps they leave open from
+a loop over each fit's clusters, the one-matrix NMF loop that the
+stacked NMF replaced, the row-by-row ``int()`` checks and profile scan
+that the parsers' tables of canonical texts replaced, over the
+header-checking row generator they dropped, the per-type check
+closures that ``load_store``'s table of allowed types replaced, and
+direct rescans (``build_subset`` scans the ratings once per resource),
+so test expectations are derived independently of the code under test.  The item types those oracles
 work on live here too; the library works on the integer arrays of its
 learner table.
 """
@@ -38,7 +39,15 @@ from learntags import (
     TimeBin,
     generate_profiles,
 )
-from learntags.cluster import LLOYD_MAX_ITERS, Grouping, KTraceEntry, LloydFit, _lockstep
+from learntags.cluster import (
+    _BOUND_MARGIN,
+    LLOYD_MAX_ITERS,
+    Grouping,
+    KTraceEntry,
+    LloydFit,
+    _lockstep,
+    group_batches,
+)
 from learntags.mine import N_ATTRIBUTES
 from learntags.ingest import (
     MAX_HOURS,
@@ -602,7 +611,42 @@ def reference_select_k(
     labels = fits[chosen].labels
     sizes = np.bincount(labels)
     biggest = next(j for j in labels if sizes[j] == sizes.max())
-    return Grouping(x, chosen, seeds, list(fits.values()), trace, labels == biggest)
+    grouping = Grouping(x, chosen, seeds, list(fits.values()), labels == biggest)
+    grouping.trace = trace
+    return grouping
+
+
+def group_subsets(coords: np.ndarray, members, k_max: int, gamma: float, seed: int):
+    """The groupings of ``group_batches``, one at a time, in subset order."""
+    for batch in group_batches(coords, members, k_max, gamma, seed):
+        yield from batch
+
+
+def reference_diameter_bounds(x: np.ndarray, labels) -> tuple[float, float]:
+    """A fit's average over non-empty clusters of the largest column span
+    and of the bounding-box diagonal, each span squared first."""
+    labels = np.asarray(labels)
+    low, high = [], []
+    for j in np.unique(labels):
+        rows = x[labels == j]
+        squares = (rows.max(axis=0) - rows.min(axis=0)) ** 2
+        low.append(math.sqrt(max(squares)))
+        high.append(math.sqrt(sum(squares)))
+    return sum(low) / len(low), sum(high) / len(high)
+
+
+def reference_read_fits(grouping: Grouping, gamma: float) -> list[int]:
+    """The fits, by index, whose exact diameters the jump rule reads:
+    both fits of each step, from the top down to the first one the
+    bounds settle as a jump, that the bounds settle neither way."""
+    bounds = [reference_diameter_bounds(grouping.x, f.labels) for f in grouping.fits]
+    read = set()
+    for i, ((low, high), (low_after, high_after)) in enumerate(zip(bounds, bounds[1:])):
+        if low_after > gamma * high * (1 + _BOUND_MARGIN):
+            break
+        if high_after * (1 + _BOUND_MARGIN) > gamma * low:
+            read |= {i, i + 1}
+    return sorted(read)
 
 
 def oracle_nmf(a: np.ndarray, k: int, max_iters: int, tol: float, seed: int):

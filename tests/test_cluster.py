@@ -16,7 +16,6 @@ from learntags import (
     average_diameter,
     farthest_first_seeds,
     group_rows,
-    group_subsets,
     largest_cluster,
     learner_table,
     normalize,
@@ -25,16 +24,20 @@ from learntags import (
 import learntags.cluster as cluster_module
 from learntags.cluster import _repair_empty
 from learntags.ingest import RatingRecord
+from learntags.pipeline import PipelineConfig, run
 
 from conftest import (
+    group_subsets,
     high_ratings,
     lloyd_kmeans,
     make_blobs,
     reference_average_diameter,
     reference_farthest_first_seeds,
     reference_lloyd_kmeans,
+    reference_read_fits,
     reference_repair_empty,
     reference_select_k,
+    synth_corpus,
 )
 
 FULL_VALUES = {1: 10.0, 2: 20.0, 3: 24240.0, 4: 40.0, 5: 50.0}
@@ -618,10 +621,12 @@ def reference_group_rows(coords: np.ndarray, k_max: int, gamma: float, seed: int
 
 
 class TestSharedSweep:
-    """group_subsets, whose subsets share their rounds, against the
+    """group_batches, whose subsets share their rounds, against the
     reference that sweeps each subset alone."""
 
-    @settings(phases=[p for p in Phase if p is not Phase.shrink])
+    # No deadline: an edit of this class can draw examples that run past
+    # hypothesis's default 200 ms on a loaded machine.
+    @settings(phases=[p for p in Phase if p is not Phase.shrink], deadline=None)
     @given(st.data())
     def test_matches_sweeping_each_subset_alone(self, data):
         """Subsets draw their rows, with repeats, from one small table, so
@@ -679,3 +684,96 @@ class TestSharedSweep:
         rows = [np.arange(0, 40, 2), np.arange(1, 40, 3), np.arange(40)]
         for r, group in zip(rows, group_subsets(coords, rows, 6, 1.5, 2)):
             assert_same_grouping(group_rows(coords[r], 6, 1.5, 2), group)
+
+
+@pytest.fixture
+def diameter_calls(monkeypatch):
+    """The label arrays each ``cluster.average_diameter`` call is given."""
+    calls = []
+    measure = cluster_module.average_diameter
+
+    def spy(x, labels):
+        calls.append(np.asarray(labels).tolist())
+        return measure(x, labels)
+
+    monkeypatch.setattr(cluster_module, "average_diameter", spy)
+    return calls
+
+
+def first_exact_jump(group: Grouping, gamma: float) -> int:
+    """The k the jump rule picks from the exact trace."""
+    trace = group.trace
+    return next((e.k for e, after in zip(trace, trace[1:])
+                 if after.avg_diameter > gamma * e.avg_diameter), 1)
+
+
+class TestBoundedRule:
+    """The jump rule settled by diameter bounds where they clear the
+    threshold, and read from exact diameters only where they do not."""
+
+    @settings(deadline=None)
+    @given(rows_strategy, st.sampled_from([1.0, 1e-160, 1e-310]), st.integers(1, 8),
+           st.floats(1.0, 4.0, exclude_min=True), st.integers(0, 2**32 - 1))
+    def test_chosen_k_is_the_first_jump_of_the_exact_trace(self, rows, scale, k_max, gamma,
+                                                           seed):
+        """Tiny scales give spans whose squares are subnormal or underflow."""
+        group = sweep_k(np.array(rows, dtype=np.float64) * scale, k_max, gamma, seed)
+        assert group.k == first_exact_jump(group, gamma)
+
+    def test_duplicate_rows(self, diameter_calls):
+        # Two points, five rows each: every fit above k = 1 has clusters of
+        # one point, diameter 0, so the step to k = 1 is a jump.
+        x = line([0.0] * 5 + [1.0] * 5)
+        group = assert_sweep_matches_reference(x, k_max=4)
+        assert group.k == 2
+        assert diameter_calls == [[fit.labels.tolist() for fit in group.fits]]  # the trace
+
+    @pytest.mark.parametrize("gap, k", [(1e-6, 3), (1e-200, 2)])
+    def test_zero_diameter_cluster(self, gap, k):
+        # At k = 3 every cluster is one row, so any positive diameter at
+        # k = 2, where the first two rows merge, is a jump.  A gap of 1e-200
+        # squares to 0, so its distance reads 0 and the jump comes at 2 -> 1.
+        x = line([0.0, gap, 1.0])
+        group = assert_sweep_matches_reference(x, k_max=3, gamma=2.0)
+        assert group.k == k
+
+    @pytest.mark.parametrize("gamma, k", [(4.0, 1), (np.nextafter(4.0, 0.0), 2)])
+    def test_step_inside_the_margin_is_read_exactly(self, diameter_calls, gamma, k):
+        # Rows on a line have equal bounds and diameters: 1 at k = 2 and 4
+        # at k = 1.  At gamma 4 the step sits on the threshold, so no bound
+        # clears it by the margin and both fits are read exactly.
+        x = line([0.0, 1.0, 3.0, 4.0])
+        with lloyd_iters(100):
+            group = sweep_k(x, 2, gamma, 0)
+        assert diameter_calls == [[fit.labels.tolist() for fit in group.fits]]
+        assert group.k == k == first_exact_jump(group, gamma)
+        assert [e.avg_diameter for e in group.trace] == [1.0, 4.0]
+
+    def test_well_separated_subset_reads_no_diameter(self, diameter_calls):
+        # Three blobs whose rows differ only in the first column, where
+        # every cluster's span is its diameter.
+        x = make_blobs([(0,) * 5, (10,) + (0,) * 4, (0, 10, 0, 0, 0)], 12, 0.1, 3)
+        x[:, 1:] = x[:, 1:].round()
+        group = group_rows(x, k_max=8, gamma=2.0, seed=1)
+        assert diameter_calls == []
+        assert group.k == 3 == first_exact_jump(group, 2.0)
+
+    def test_run_reads_only_the_open_steps(self, diameter_calls, monkeypatch):
+        """Without a trace hook, each subset's one distance pass gets the
+        fits of its open steps, and none when the bounds settle it."""
+        groups = []
+        batches = cluster_module.group_batches
+
+        def keep(*args):
+            for batch in batches(*args):
+                groups.extend(batch)
+                yield batch
+
+        monkeypatch.setattr("learntags.pipeline.group_batches", keep)
+        config = PipelineConfig(seed=5)
+        run(config, *synth_corpus(200, 12, 4000, seed=2))
+        calls = list(diameter_calls)
+        reads = [reference_read_fits(g, config.gamma) for g in groups]
+        assert calls == [[g.fits[j].labels.tolist() for j in read]
+                         for g, read in zip(groups, reads) if read]
+        assert sum(map(len, calls)) < sum(len(g.fits) for g in groups)

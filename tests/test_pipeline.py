@@ -278,6 +278,8 @@ class TestRun:
         assert set(seen) == clustered
         for rid, trace in seen.items():
             assert [e.k for e in trace][-1] == 1
+        # Reading the traces, computed on demand, leaves every chosen k as it is.
+        assert run(config, records, profiles) == store
 
     def test_one_rater_resource_is_swept_as_one_fit(self):
         """With min_subset 1 a one-row subset takes the shared sweep: one
@@ -896,6 +898,34 @@ class TestStoreHeader:
         doc["config"].update(change)
         with pytest.raises(ValueError, match=rf"malformed store config: {message}"):
             load_store(self.write(tmp_path, doc))
+
+    @pytest.mark.parametrize("level, message", [
+        ("store", "malformed store: unknown fields ['values']"),
+        ("entry", "malformed store entry for resource 'r7': unknown fields ['values']"),
+        ("skipped entry", "malformed store entry for resource 'r7': unknown fields ['values']"),
+        ("provenance", "malformed provenance of resource 'r7': unknown fields ['values']"),
+        ("tag", "malformed tag in resource 'r7': unknown fields ['colour']"),
+        ("config", "malformed store config: unknown fields ['values']"),
+    ])
+    def test_unknown_key_rejected_at_every_level(self, tmp_path, level, message):
+        entry = {"tags": [{"current_skill": 2, "target_skill": None, "time_bin": None,
+                           "strategy_value": None, "presentation_value": None,
+                           "strategy": None, "presentation": None}],
+                 "provenance": {"subset_size": 12, "chosen_k": 2, "cluster_size": 8,
+                                "support": 0.25}}
+        doc = store_doc({"r7": entry})
+        if level == "skipped entry":
+            entry.update(tags=[], skipped="subset below threshold")
+        load_store(self.write(tmp_path, doc))
+        if level == "tag":
+            entry["tags"][0]["colour"] = "red"
+        else:
+            record = {"store": doc, "entry": entry, "skipped entry": entry,
+                      "config": doc["config"], "provenance": entry["provenance"]}[level]
+            record["values"] = {"strategy": "junk"}
+        with pytest.raises(ValueError) as info:
+            load_store(self.write(tmp_path, doc))
+        assert str(info.value) == message
 
     def test_missing_config_field_named(self, tmp_path):
         doc = store_doc({})
