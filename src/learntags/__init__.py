@@ -18,7 +18,6 @@ from .ingest import (
     parse_profiles,
     parse_ratings,
     render_profiles,
-    render_ratings,
 )
 from .quantify import (
     FactorPair,
@@ -66,7 +65,7 @@ __all__ = [
     "LearnerProfile", "LearnerTable", "MalformedRowError",
     "RatingRecord", "TimeBin", "discretize_time", "find_profile",
     "generate_profiles", "learner_table", "parse_profiles", "parse_ratings",
-    "render_profiles", "render_ratings",
+    "render_profiles",
     "FactorPair", "QuantifyDetail", "attribute_values",
     "build_cooccurrence", "derive_orderings", "nmf", "nmf_stack", "quantification_report",
     "quantify_nominal", "symmetrize",

@@ -202,15 +202,6 @@ def parse_ratings(stream: Iterable[str] | str) -> RatingsResult:
     return result
 
 
-def render_ratings(records: Iterable[RatingRecord]) -> str:
-    """Write records back to the ratings file format (inverse of parse)."""
-    out = io.StringIO()
-    writer = csv.writer(out, delimiter=";", quoting=csv.QUOTE_ALL, lineterminator="\n")
-    writer.writerow(RATINGS_HEADER)
-    writer.writerows(records)
-    return out.getvalue()
-
-
 def _checked_values(row: list[str]) -> tuple[int, ...] | str:
     """The five attribute values of a non-blank profiles data row, or the
     reason the row is rejected."""

@@ -6,14 +6,17 @@ Apriori candidate search over item objects, the Python sort key and
 the tag selection over a full list of frequent itemsets that the array
 passes of ``apriori`` and ``tag_itemsets`` replaced, a k sweep of one
 subset at a time with its own Lloyd loop, empty-cluster repair and
-``pdist`` diameters, diameter bounds and the steps they leave open from
-a loop over each fit's clusters, the one-matrix NMF loop that the
+``pdist`` diameters, diameter bounds (span, diagonal and farthest
+member) and the steps they leave open from a loop over each fit's
+clusters, the one-matrix NMF loop that the
 stacked NMF replaced, the row-by-row ``int()`` checks and profile scan
 that the parsers' tables of canonical texts replaced, over the
 header-checking row generator they dropped, the per-type check
 closures that ``load_store``'s table of allowed types replaced, and
 direct rescans (``build_subset`` scans the ratings once per resource),
-so test expectations are derived independently of the code under test.  The item types those oracles
+so test expectations are derived independently of the code under test.
+``render_ratings`` writes records back to the ratings format for tests
+that need a ratings file.  The item types those oracles
 work on live here too; the library works on the integer arrays of its
 learner table.
 """
@@ -622,31 +625,57 @@ def group_subsets(coords: np.ndarray, members, k_max: int, gamma: float, seed: i
         yield from batch
 
 
-def reference_diameter_bounds(x: np.ndarray, labels) -> tuple[float, float]:
-    """A fit's average over non-empty clusters of the largest column span
-    and of the bounding-box diagonal, each span squared first."""
+def reference_diameter_bounds(x: np.ndarray, labels,
+                              farthest: bool = False) -> tuple[float, float]:
+    """A fit's average over non-empty clusters, in label order, of the
+    largest column span and of the bounding-box diagonal, each span
+    squared first.  With ``farthest`` a cluster's lower bound is the
+    larger of its largest span and the distance from its first row to
+    its farthest member."""
     labels = np.asarray(labels)
     low, high = [], []
     for j in np.unique(labels):
         rows = x[labels == j]
         squares = (rows.max(axis=0) - rows.min(axis=0)) ** 2
         low.append(math.sqrt(max(squares)))
+        if farthest:
+            low[-1] = max(low[-1], float(cdist(rows[:1], rows).max()))
         high.append(math.sqrt(sum(squares)))
-    return sum(low) / len(low), sum(high) / len(high)
+    # Averaged as reference_average_diameter averages, so that a bound
+    # at most each cluster's diameter is at most their average.
+    return float(np.mean(low)), float(np.mean(high))
 
 
-def reference_read_fits(grouping: Grouping, gamma: float) -> list[int]:
-    """The fits, by index, whose exact diameters the jump rule reads:
-    both fits of each step, from the top down to the first one the
-    bounds settle as a jump, that the bounds settle neither way."""
-    bounds = [reference_diameter_bounds(grouping.x, f.labels) for f in grouping.fits]
-    read = set()
+def reference_open_fits(bounds: list[tuple[float, float]], gamma: float) -> set[int]:
+    """The fits of the steps, from the top down to the first the bounds
+    settle as a jump, that they settle neither way."""
+    fits = set()
     for i, ((low, high), (low_after, high_after)) in enumerate(zip(bounds, bounds[1:])):
         if low_after > gamma * high * (1 + _BOUND_MARGIN):
             break
         if high_after * (1 + _BOUND_MARGIN) > gamma * low:
-            read |= {i, i + 1}
-    return sorted(read)
+            fits |= {i, i + 1}
+    return fits
+
+
+def reference_read_fits(grouping: Grouping, gamma: float) -> list[int]:
+    """The fits, by index, whose exact diameters the jump rule reads:
+    those of the steps the span and diagonal bounds leave open that the
+    farthest-member bound leaves open too."""
+    bounds = [reference_diameter_bounds(grouping.x, f.labels) for f in grouping.fits]
+    for j in reference_open_fits(bounds, gamma):
+        low = reference_diameter_bounds(grouping.x, grouping.fits[j].labels, farthest=True)[0]
+        bounds[j] = (low, bounds[j][1])
+    return sorted(reference_open_fits(bounds, gamma))
+
+
+def render_ratings(records) -> str:
+    """Write records back to the ratings file format (inverse of parse)."""
+    out = io.StringIO()
+    writer = csv.writer(out, delimiter=";", quoting=csv.QUOTE_ALL, lineterminator="\n")
+    writer.writerow(RATINGS_HEADER)
+    writer.writerows(records)
+    return out.getvalue()
 
 
 def oracle_nmf(a: np.ndarray, k: int, max_iters: int, tol: float, seed: int):

@@ -32,10 +32,11 @@ from learntags import (
     parse_profiles,
     quantify_nominal,
     render_profiles,
-    render_ratings,
 )
 from learntags import ingest
 from learntags.cli import _build_parser, _config_from, dispatch
+
+from conftest import render_ratings
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 

@@ -2,6 +2,7 @@
 seeding, Lloyd, k selection and the largest cluster."""
 from __future__ import annotations
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -13,6 +14,7 @@ from learntags import (
     Grouping,
     KTraceEntry,
     LearnerProfile,
+    LloydFit,
     average_diameter,
     farthest_first_seeds,
     group_rows,
@@ -22,7 +24,7 @@ from learntags import (
     sweep_k,
 )
 import learntags.cluster as cluster_module
-from learntags.cluster import _repair_empty
+from learntags.cluster import _ClusterBounds, _repair_empty
 from learntags.ingest import RatingRecord
 from learntags.pipeline import PipelineConfig, run
 
@@ -32,8 +34,10 @@ from conftest import (
     lloyd_kmeans,
     make_blobs,
     reference_average_diameter,
+    reference_diameter_bounds,
     reference_farthest_first_seeds,
     reference_lloyd_kmeans,
+    reference_open_fits,
     reference_read_fits,
     reference_repair_empty,
     reference_select_k,
@@ -707,6 +711,15 @@ def first_exact_jump(group: Grouping, gamma: float) -> int:
                  if after.avg_diameter > gamma * e.avg_diameter), 1)
 
 
+def farthest_bounds(x: np.ndarray, labels) -> list[float]:
+    """The library's farthest-member lower bound of each fit of the rows
+    of ``x``, fits given by their labels."""
+    fits = [LloydFit(np.empty((0, x.shape[1])), np.asarray(fit), []) for fit in labels]
+    bounds = _ClusterBounds(x, [len(x)], [fits])
+    bounds.tighten(np.ones(len(labels), dtype=bool))
+    return bounds.fit_bounds()[0]
+
+
 class TestBoundedRule:
     """The jump rule settled by diameter bounds where they clear the
     threshold, and read from exact diameters only where they do not."""
@@ -739,9 +752,10 @@ class TestBoundedRule:
 
     @pytest.mark.parametrize("gamma, k", [(4.0, 1), (np.nextafter(4.0, 0.0), 2)])
     def test_step_inside_the_margin_is_read_exactly(self, diameter_calls, gamma, k):
-        # Rows on a line have equal bounds and diameters: 1 at k = 2 and 4
-        # at k = 1.  At gamma 4 the step sits on the threshold, so no bound
-        # clears it by the margin and both fits are read exactly.
+        # Rows on a line have spans, farthest-member distances and diameters
+        # all equal: 1 at k = 2 and 4 at k = 1.  At gamma 4 the step sits on
+        # the threshold, so no bound clears it by the margin and both fits
+        # are read exactly.
         x = line([0.0, 1.0, 3.0, 4.0])
         with lloyd_iters(100):
             group = sweep_k(x, 2, gamma, 0)
@@ -758,22 +772,104 @@ class TestBoundedRule:
         assert diameter_calls == []
         assert group.k == 3 == first_exact_jump(group, 2.0)
 
+    @settings(deadline=None)
+    @given(rows_strategy, st.sampled_from([1.0, 1e-160, 1e-310]), st.data())
+    def test_farthest_bound_lies_between_span_bound_and_diameter(self, rows, scale, data):
+        """Tiny scales give spans whose squares are subnormal or underflow.
+        The library's per-cluster bounds are the oracle's; its mean adds
+        them in another order, which the rule's margin absorbs."""
+        x = np.array(rows, dtype=np.float64) * scale
+        labels = data.draw(st.lists(st.integers(0, 7), min_size=len(x), max_size=len(x)))
+        bound = reference_diameter_bounds(x, labels, farthest=True)[0]
+        assert reference_diameter_bounds(x, labels)[0] <= bound
+        assert bound <= reference_average_diameter(x, labels)
+        assert farthest_bounds(x, [labels]) == [pytest.approx(bound, rel=1e-12, abs=0)]
+
+    def test_one_row_cluster_bounds_zero(self):
+        # Clusters {0} and {3, 4} bound 0 and 1; three clusters of one row, 0.
+        x = line([0.0, 3.0, 4.0])
+        assert farthest_bounds(x, [[0, 1, 1], [0, 1, 2]]) == [0.5, 0.0]
+        assert reference_diameter_bounds(x, [0, 1, 1], farthest=True)[0] == 0.5
+
+    def test_duplicate_rows_bound_the_diameter(self):
+        # The first row's duplicates lie at distance 0 and its farthest
+        # member across the diagonal: the bound is the diameter, sqrt(2),
+        # where the largest span is 1.
+        x = np.zeros((5, 5))
+        x[2:4, :2] = 1.0
+        labels = [0] * 5
+        assert farthest_bounds(x, [labels]) == [math.sqrt(2)]
+        assert reference_average_diameter(x, labels) == math.sqrt(2)
+        assert reference_diameter_bounds(x, labels)[0] == 1.0
+
+    def test_uniform_subset_settles_its_last_step_without_a_read(self, diameter_calls):
+        # Uniform rows: the span and diagonal bounds leave the k = 2 -> 1
+        # step open, and the farthest-member bound settles it.
+        x = np.random.default_rng(1).random((30, 5))
+        group = group_rows(x, k_max=8, gamma=2.0, seed=0)
+        bounds = [reference_diameter_bounds(group.x, f.labels) for f in group.fits]
+        assert len(group.fits) - 1 in reference_open_fits(bounds, 2.0)
+        assert diameter_calls == []
+        assert group.k == 1 == first_exact_jump(group, 2.0)
+
+    @pytest.mark.parametrize("tighten", [False, True])
+    def test_some_fits_passed_alone_keep_their_bounds(self, tighten):
+        """Slots are as wide as the largest label, not as the most fits of
+        a subset, so fits passed alone keep the bounds they have in the
+        full batch, where the sweep tightens only the fits it opens."""
+        rng = np.random.default_rng(4)
+        xs = [rng.random((n, 5)) for n in (9, 3, 14)]
+        fits = [sweep_k(rows, 8, 2.0, 0).fits for rows in xs]
+        picks = [[1, 5], [], [0, 2, 3]]            # by index in each subset's fits
+        ids = [first + i for first, subset_picks in zip(np.cumsum([0, 8, 3]), picks)
+               for i in subset_picks]
+        x, sizes = np.concatenate(xs), [len(rows) for rows in xs]
+        full = _ClusterBounds(x, sizes, fits)
+        alone = _ClusterBounds(x, sizes, [[f[i] for i in p] for f, p in zip(fits, picks)])
+        if tighten:
+            opened = np.zeros(sum(map(len, fits)), dtype=bool)
+            opened[ids] = True
+            full.tighten(opened)
+            alone.tighten(np.ones(len(ids), dtype=bool))
+        assert alone.fit_bounds() == tuple([bound[i] for i in ids] for bound in full.fit_bounds())
+
     def test_run_reads_only_the_open_steps(self, diameter_calls, monkeypatch):
         """Without a trace hook, each subset's one distance pass gets the
-        fits of its open steps, and none when the bounds settle it."""
-        groups = []
-        batches = cluster_module.group_batches
-
-        def keep(*args):
-            for batch in batches(*args):
-                groups.extend(batch)
-                yield batch
-
-        monkeypatch.setattr("learntags.pipeline.group_batches", keep)
-        config = PipelineConfig(seed=5)
-        run(config, *synth_corpus(200, 12, 4000, seed=2))
+        fits of the steps both bound tiers leave open, and none when they
+        settle it.  At gamma 1.5 the farthest-member bound settles some of
+        the steps the span and diagonal bounds leave open, not all."""
+        groups = run_groups(monkeypatch, 1.5)
         calls = list(diameter_calls)
-        reads = [reference_read_fits(g, config.gamma) for g in groups]
-        assert calls == [[g.fits[j].labels.tolist() for j in read]
-                         for g, read in zip(groups, reads) if read]
-        assert sum(map(len, calls)) < sum(len(g.fits) for g in groups)
+        read = [reference_read_fits(g, 1.5) for g in groups]
+        assert calls == [[g.fits[j].labels.tolist() for j in fits]
+                         for g, fits in zip(groups, read) if fits]
+        assert 0 < sum(map(len, calls)) < sum(map(len, open_fits(groups, 1.5)))
+
+    def test_run_at_the_default_gamma_reads_no_diameter(self, diameter_calls, monkeypatch):
+        """At gamma 2 the farthest-member bound settles every step of the
+        corpus that the span and diagonal bounds leave open."""
+        groups = run_groups(monkeypatch, 2.0)
+        assert diameter_calls == []
+        assert [reference_read_fits(g, 2.0) for g in groups] == [[] for _ in groups]
+        assert any(open_fits(groups, 2.0))
+
+
+def run_groups(monkeypatch, gamma: float) -> list[Grouping]:
+    """The groupings of a run at ``gamma`` on a small synthetic corpus."""
+    groups = []
+    batches = cluster_module.group_batches
+
+    def keep(*args):
+        for batch in batches(*args):
+            groups.extend(batch)
+            yield batch
+
+    monkeypatch.setattr("learntags.pipeline.group_batches", keep)
+    run(PipelineConfig(seed=5, gamma=gamma), *synth_corpus(200, 12, 4000, seed=2))
+    return groups
+
+
+def open_fits(groups: list[Grouping], gamma: float) -> list[set[int]]:
+    """Each grouping's fits of the steps its span and diagonal bounds leave open."""
+    return [reference_open_fits([reference_diameter_bounds(g.x, f.labels) for f in g.fits],
+                                gamma) for g in groups]

@@ -24,7 +24,6 @@ from learntags import (
     parse_profiles,
     parse_ratings,
     render_profiles,
-    render_ratings,
 )
 from learntags.ingest import (
     _DOC_ID_MAX,
@@ -36,7 +35,13 @@ from learntags.ingest import (
 )
 from learntags.mine import apriori
 
-from conftest import build_subset, high_ratings, oracle_parse_ratings, oracle_scan_profiles
+from conftest import (
+    build_subset,
+    high_ratings,
+    oracle_parse_ratings,
+    oracle_scan_profiles,
+    render_ratings,
+)
 
 RATINGS_HEADER_LINE = '"User-ID";"ISBN";"Book-Rating"\n'
 
