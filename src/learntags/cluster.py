@@ -23,17 +23,14 @@ with one distance call per subset, and a fit retires once its labels
 stop changing, so every fit equals the one run alone.  A subset alone in
 its batch is the one-subset case of the same code.
 
-The jump rule reads the steps of a sweep from the top k down, in three
-tiers, and a step is settled when a bound clears the rule's threshold by
-the relative ``_BOUND_MARGIN``.  First, a cluster's diameter lies between
-its largest column span and its bounding-box diagonal, both computed for
-every cluster of a batch's fits from one stable sort of their (fit,
-cluster) slots.  Second, the fits of the steps those leave open get a
-tighter lower bound, batch-wide from the same sort: the larger of the
-largest span and the distance from the cluster's first row to its
-farthest member, which is one of the distances its diameter is the
-largest of.  Third, exact diameters are computed, per subset, only for
-the fits of the steps still open above the first settled jump;
+The jump rule reads the steps of a sweep from the top k down, in two
+stages, and a step is settled when a bound clears the rule's threshold
+by the relative ``_BOUND_MARGIN``.  First, bounds for every cluster of a
+batch's fits, from one stable sort of their (fit, cluster) slots: a
+cluster's diameter is at least the larger of its largest column span
+and the distance from its first row to its farthest member, and at most
+its bounding-box diagonal.  Second, exact diameters, per subset, only
+for the fits of the steps still open above the first settled jump;
 ``Grouping.trace``, which lists every fit's exact diameter, is computed
 when it is first read.  One distance pass serves all the fits it is
 given: the subset's rows are grouped into atoms, the rows that share a
@@ -398,60 +395,45 @@ def average_diameter(x: np.ndarray, labels: np.ndarray) -> list[float]:
 _BOUND_MARGIN = 1e-9
 
 
-class _ClusterBounds:
-    """Lower and upper bounds on the diameter of every cluster of a batch's
-    fits, laid out in ``x`` as for ``_farthest_first`` and given in subset
-    order.  One stable sort by (fit, cluster) slot makes each cluster's
-    rows contiguous and in row order.  A cluster's diameter is at least its
-    largest column span and at most its bounding-box diagonal.  Slots are
-    one past the largest label wide, not the most fits of a subset, so any
-    of a batch's fits can be passed without their slots colliding."""
-
-    def __init__(self, x: np.ndarray, sizes: Sequence[int],
-                 fits: Sequence[Sequence[LloydFit]]):
-        counts = [len(subset_fits) for subset_fits in fits]
-        n = np.repeat(sizes, counts)                     # rows per fit
-        offsets = np.cumsum(n) - n
-        rows = np.arange(n.sum()) + np.repeat(np.repeat(np.cumsum(sizes) - sizes, counts) - offsets, n)
-        labels = np.concatenate([f.labels for subset_fits in fits for f in subset_fits])
-        width = int(labels.max()) + 1
-        slots = np.repeat(np.arange(len(n)) * width, n) + labels
-        # The narrowest unsigned type lets the stable sort count its keys.
-        order = np.argsort(slots.astype(np.min_scalar_type(len(n) * width)), kind="stable")
-        slots = slots.take(order)
-        self.new_cluster = np.concatenate(([True], slots[1:] != slots[:-1]))  # a cluster's first row
-        self.cuts = np.flatnonzero(self.new_cluster)
-        self.fit_of = slots.take(self.cuts) // width
-        self.members = x.T.take(rows.take(order), axis=1)      # (dims, fit rows), by cluster
-        spans = np.maximum.reduceat(self.members, self.cuts, axis=1)
-        spans -= np.minimum.reduceat(self.members, self.cuts, axis=1)
-        # Squared first, as a distance sums squares: a span whose square
-        # underflows bounds a distance that reads 0.
-        spans *= spans
-        self.low = np.sqrt(spans.max(axis=0))
-        self.high = np.sqrt(spans.sum(axis=0))
-
-    def fit_bounds(self) -> tuple[list[float], list[float]]:
-        """Each fit's mean over its non-empty clusters of their lower and
-        of their upper bounds, in fit order."""
-        clusters = np.bincount(self.fit_of)
-        return ((np.bincount(self.fit_of, self.low) / clusters).tolist(),
-                (np.bincount(self.fit_of, self.high) / clusters).tolist())
-
-    def tighten(self, opened: np.ndarray) -> None:
-        """Raise the lower bound of each cluster of the fits ``opened``
-        marks to the distance from its first row to its farthest member,
-        one of the distances its diameter is the largest of, where that is
-        larger than its largest span."""
-        kept = opened[self.fit_of]
-        sizes = np.diff(self.cuts, append=len(self.new_cluster))
-        rows = np.flatnonzero(np.repeat(kept, sizes))
-        # Gathered in the members' (dims, rows) layout: gathering rows of
-        # its transpose took twice as long.
-        first = self.members.take(np.repeat(self.cuts[kept], sizes[kept]), axis=1)
-        far = _row_distances(self.members.take(rows, axis=1).T, first.T)
-        far = np.maximum.reduceat(far, np.flatnonzero(self.new_cluster.take(rows)))
-        self.low[kept] = np.maximum(self.low[kept], far)
+def _fit_bounds(x: np.ndarray, sizes: Sequence[int],
+                fits: Sequence[Sequence[LloydFit]]) -> tuple[list[float], list[float]]:
+    """Each fit's mean over its non-empty clusters of a lower and of an
+    upper bound on their diameters, for a batch's fits laid out in ``x``
+    as for ``_farthest_first`` and given in subset order.  One stable sort
+    by (fit, cluster) slot makes each cluster's rows contiguous and in row
+    order.  A cluster's diameter is at least the larger of its largest
+    column span and the distance from its first row to its farthest
+    member, and at most its bounding-box diagonal.  Slots are one past the
+    largest label wide, not the most fits of a subset, so any of a batch's
+    fits can be passed without their slots colliding."""
+    counts = [len(subset_fits) for subset_fits in fits]
+    n = np.repeat(sizes, counts)                         # rows per fit
+    offsets = np.cumsum(n) - n
+    rows = np.arange(n.sum()) + np.repeat(np.repeat(np.cumsum(sizes) - sizes, counts) - offsets, n)
+    labels = np.concatenate([f.labels for subset_fits in fits for f in subset_fits])
+    width = int(labels.max()) + 1
+    slots = np.repeat(np.arange(len(n)) * width, n) + labels
+    # The narrowest unsigned type lets the stable sort count its keys.
+    order = np.argsort(slots.astype(np.min_scalar_type(len(n) * width)), kind="stable")
+    slots = slots.take(order)
+    cuts = np.flatnonzero(np.concatenate(([True], slots[1:] != slots[:-1])))  # first rows
+    fit_of = slots.take(cuts) // width
+    members = x.T.take(rows.take(order), axis=1)         # (dims, fit rows), by cluster
+    spans = np.maximum.reduceat(members, cuts, axis=1)
+    spans -= np.minimum.reduceat(members, cuts, axis=1)
+    # Squared first, as a distance sums squares: a span whose square
+    # underflows bounds a distance that reads 0.
+    spans *= spans
+    low = np.sqrt(spans.max(axis=0))
+    high = np.sqrt(spans.sum(axis=0))
+    # Gathered in the members' (dims, rows) layout: gathering rows of its
+    # transpose took twice as long.
+    first = members.take(np.repeat(cuts, np.diff(cuts, append=len(slots))), axis=1)
+    far = np.maximum.reduceat(_row_distances(members.T, first.T), cuts)
+    np.maximum(low, far, out=low)
+    clusters = np.bincount(fit_of)
+    return ((np.bincount(fit_of, low) / clusters).tolist(),
+            (np.bincount(fit_of, high) / clusters).tolist())
 
 
 def _scan(low: Sequence[float], high: Sequence[float], gamma: float,
@@ -473,33 +455,23 @@ def _scan(low: Sequence[float], high: Sequence[float], gamma: float,
 
 def _sweeps(xs: Sequence[np.ndarray], k_max: int, gamma: float, seed: int) -> list[Grouping]:
     """The grouping of each subset's rows ``xs[s]``: seeds and Lloyd fits
-    in shared rounds on their concatenation, then per subset the jump
-    rule, on diameter bounds or exact diameters, and the largest
-    cluster."""
+    in shared rounds on their concatenation, bounds on every fit's
+    average diameter, then per subset the jump rule on those bounds,
+    exact diameters for the fits of the steps they leave open, and the
+    largest cluster."""
     sizes = [len(x) for x in xs]
     k_starts = [min(k_max, n) for n in sizes]
     x = np.concatenate(xs)
     seeds = _farthest_first(x, sizes, k_starts, seed)
     fits = _lockstep(x, sizes, seeds, [range(k, 0, -1) for k in k_starts])
-    bounds = _ClusterBounds(x, sizes, fits)
-    low, high = bounds.fit_bounds()
+    low, high = _fit_bounds(x, sizes, fits)
     firsts = np.cumsum([0, *map(len, fits)]).tolist()
-    # Step i goes from fits[i] to fits[i + 1].  The rule reads the steps
-    # from the top down to the first jump, so none below one the bounds
-    # settle.  The fits of the steps they leave open get the farthest-
-    # member bound, batch-wide, and those still open are read exactly.
-    scans = [_scan(low[f:g], high[f:g], gamma, _BOUND_MARGIN) for f, g in zip(firsts, firsts[1:])]
-    tighten = [f + j for f, (_, open_steps) in zip(firsts, scans)
-               for i in open_steps for j in (i, i + 1)]
-    if tighten:
-        bounds.tighten(np.bincount(tighten, minlength=len(low)).astype(bool))
-        low = bounds.fit_bounds()[0]
     groupings = []
-    for rows, subset_seeds, subset_fits, f, (jump, open_steps) in zip(
-            xs, seeds, fits, firsts, scans):
+    for rows, subset_seeds, subset_fits, f in zip(xs, seeds, fits, firsts):
         lo, hi = low[f:f + len(subset_fits)], high[f:f + len(subset_fits)]
-        if open_steps:
-            jump, open_steps = _scan(lo, hi, gamma, _BOUND_MARGIN)
+        # Step i goes from fit i to fit i + 1.  The rule stops at the first
+        # jump, so only the fits of the open steps above it are read.
+        jump, open_steps = _scan(lo, hi, gamma, _BOUND_MARGIN)
         if open_steps:
             read = sorted({j for i in open_steps for j in (i, i + 1)})
             exact = average_diameter(rows, np.array([subset_fits[j].labels for j in read]))

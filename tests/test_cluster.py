@@ -24,7 +24,7 @@ from learntags import (
     sweep_k,
 )
 import learntags.cluster as cluster_module
-from learntags.cluster import _ClusterBounds, _repair_empty
+from learntags.cluster import _BOUND_MARGIN, _fit_bounds, _repair_empty, _scan
 from learntags.ingest import RatingRecord
 from learntags.pipeline import PipelineConfig, run
 
@@ -715,9 +715,21 @@ def farthest_bounds(x: np.ndarray, labels) -> list[float]:
     """The library's farthest-member lower bound of each fit of the rows
     of ``x``, fits given by their labels."""
     fits = [LloydFit(np.empty((0, x.shape[1])), np.asarray(fit), []) for fit in labels]
-    bounds = _ClusterBounds(x, [len(x)], [fits])
-    bounds.tighten(np.ones(len(labels), dtype=bool))
-    return bounds.fit_bounds()[0]
+    return _fit_bounds(x, [len(x)], [fits])[0]
+
+
+def two_tier_scan(group: Grouping, gamma: float) -> tuple[int | None, set[int]]:
+    """The oracle's two bound tiers: span and diagonal bounds for every
+    fit, then the farthest-member lower bound for the fits of the steps
+    those leave open.  Returns the first step they settle as a jump, if
+    any, and the fits of the steps above it they leave open."""
+    bounds = [reference_diameter_bounds(group.x, f.labels) for f in group.fits]
+    for j in reference_open_fits(bounds, gamma):
+        low = reference_diameter_bounds(group.x, group.fits[j].labels, farthest=True)[0]
+        bounds[j] = (low, bounds[j][1])
+    jump = next((i for i, ((_, high), (low_after, _)) in enumerate(zip(bounds, bounds[1:]))
+                 if low_after > gamma * high * (1 + _BOUND_MARGIN)), None)
+    return jump, reference_open_fits(bounds, gamma)
 
 
 class TestBoundedRule:
@@ -785,6 +797,35 @@ class TestBoundedRule:
         assert bound <= reference_average_diameter(x, labels)
         assert farthest_bounds(x, [labels]) == [pytest.approx(bound, rel=1e-12, abs=0)]
 
+    @settings(deadline=None)
+    @given(st.lists(rows_strategy, min_size=1, max_size=4),
+           st.sampled_from([1.0, 1e-160, 1e-310]), st.integers(1, 8),
+           st.floats(1.0, 4.0, exclude_min=True), st.integers(0, 2**32 - 1))
+    def test_batch_bounds_are_the_oracles_and_settle_what_two_tiers_do(
+            self, subsets, scale, k_max, gamma, seed):
+        """Every fit of a batch gets the oracle's farthest-member and
+        diagonal bounds, which bracket its exact diameter; the library
+        averages them in another order.  One bounded scan per subset then
+        settles the same jump and leaves the same steps open as the
+        oracle's two tiers, which raise the lower bounds of only the fits
+        the span and diagonal bounds leave open."""
+        xs = [np.array(rows, dtype=np.float64) * scale for rows in subsets]
+        groups = cluster_module._sweeps(xs, k_max, gamma, seed)
+        low, high = _fit_bounds(np.concatenate(xs), list(map(len, xs)), [g.fits for g in groups])
+        first = 0
+        for group in groups:
+            lo, hi = low[first:first + len(group.fits)], high[first:first + len(group.fits)]
+            first += len(group.fits)
+            for fit, bounds in zip(group.fits, zip(lo, hi)):
+                want = reference_diameter_bounds(group.x, fit.labels, farthest=True)
+                assert bounds == pytest.approx(want, rel=1e-12, abs=0)
+                diameter = reference_average_diameter(group.x, fit.labels)
+                assert bounds[0] <= diameter * (1 + 1e-12)
+                assert diameter <= bounds[1] * (1 + 1e-12)
+            jump, open_steps = _scan(lo, hi, gamma, _BOUND_MARGIN)
+            read = {j for i in open_steps for j in (i, i + 1)}
+            assert (jump, read) == two_tier_scan(group, gamma)
+
     def test_one_row_cluster_bounds_zero(self):
         # Clusters {0} and {3, 4} bound 0 and 1; three clusters of one row, 0.
         x = line([0.0, 3.0, 4.0])
@@ -812,11 +853,10 @@ class TestBoundedRule:
         assert diameter_calls == []
         assert group.k == 1 == first_exact_jump(group, 2.0)
 
-    @pytest.mark.parametrize("tighten", [False, True])
-    def test_some_fits_passed_alone_keep_their_bounds(self, tighten):
+    def test_some_fits_passed_alone_keep_their_bounds(self):
         """Slots are as wide as the largest label, not as the most fits of
         a subset, so fits passed alone keep the bounds they have in the
-        full batch, where the sweep tightens only the fits it opens."""
+        full batch."""
         rng = np.random.default_rng(4)
         xs = [rng.random((n, 5)) for n in (9, 3, 14)]
         fits = [sweep_k(rows, 8, 2.0, 0).fits for rows in xs]
@@ -824,20 +864,15 @@ class TestBoundedRule:
         ids = [first + i for first, subset_picks in zip(np.cumsum([0, 8, 3]), picks)
                for i in subset_picks]
         x, sizes = np.concatenate(xs), [len(rows) for rows in xs]
-        full = _ClusterBounds(x, sizes, fits)
-        alone = _ClusterBounds(x, sizes, [[f[i] for i in p] for f, p in zip(fits, picks)])
-        if tighten:
-            opened = np.zeros(sum(map(len, fits)), dtype=bool)
-            opened[ids] = True
-            full.tighten(opened)
-            alone.tighten(np.ones(len(ids), dtype=bool))
-        assert alone.fit_bounds() == tuple([bound[i] for i in ids] for bound in full.fit_bounds())
+        alone = _fit_bounds(x, sizes, [[f[i] for i in p] for f, p in zip(fits, picks)])
+        assert alone == tuple([bound[i] for i in ids] for bound in _fit_bounds(x, sizes, fits))
 
     def test_run_reads_only_the_open_steps(self, diameter_calls, monkeypatch):
         """Without a trace hook, each subset's one distance pass gets the
-        fits of the steps both bound tiers leave open, and none when they
-        settle it.  At gamma 1.5 the farthest-member bound settles some of
-        the steps the span and diagonal bounds leave open, not all."""
+        fits of the steps the oracle's two bound tiers leave open, and none
+        when they settle it.  At gamma 1.5 the farthest-member bound
+        settles some of the steps the span and diagonal bounds leave open,
+        not all."""
         groups = run_groups(monkeypatch, 1.5)
         calls = list(diameter_calls)
         read = [reference_read_fits(g, 1.5) for g in groups]
