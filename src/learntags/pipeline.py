@@ -37,6 +37,7 @@ from .ingest import (
     LearnerProfile,
     RatingRecord,
     TimeBin,
+    _new_record,
     discretize_time,
     learner_table,
 )
@@ -303,7 +304,7 @@ def match_resources(profile: LearnerProfile, store: TagStore,
     if not store:
         raise ValueError("store is empty")
     scored = [(rid, max(_tag_score(t, profile) for t in cloud.tags))
-              for rid, cloud in sorted(store.items()) if cloud.tags]
+              for rid, cloud in store.items() if cloud.tags]
     scored.sort(key=lambda rs: (-rs[1], rs[0]))
     return scored[:top_n]
 
@@ -384,17 +385,29 @@ def _cloud_to_json(cloud: TagCloud) -> dict:
     return entry
 
 
+def _record(cls, fields: dict):
+    """An instance of the frozen dataclass ``cls`` holding ``fields``,
+    which ``_validated`` has checked to be exactly its fields, set in one
+    step rather than one ``__setattr__`` each by the generated
+    ``__init__``."""
+    record = object.__new__(cls)
+    record.__dict__.update(fields)
+    return record
+
+
 def _cloud_from_json(rid: str, entry) -> TagCloud:
     record = "provenance of"  # the record a failed _validated check is in
     try:
-        provenance = Provenance(**_validated(entry["provenance"], _PROVENANCE_FIELDS))
+        provenance = _record(Provenance, _validated(entry["provenance"], _PROVENANCE_FIELDS))
         record = "tag in"
         tags = []
         for obj in entry["tags"]:
             checked = _validated(obj, _TAG_FIELDS)
             if checked["time_bin"] is not None:
-                checked["time_bin"] = TimeBin(*checked["time_bin"])
-            tags.append(Tag(**checked))
+                checked["time_bin"] = _new_record(TimeBin, checked["time_bin"])
+            tag = _record(Tag, checked)
+            tag.__post_init__()  # the id rules, as Tag() checks them
+            tags.append(tag)
         skipped = entry.get("skipped")
         if "skipped" in entry and not isinstance(skipped, str):
             raise TypeError(f"skipped must be a string, got {reprlib.repr(skipped)}")

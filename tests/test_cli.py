@@ -8,7 +8,10 @@ geometry independently.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import copy
 import importlib
+import io
 import json
 import os
 import re
@@ -17,6 +20,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from learntags import (
     PipelineConfig,
@@ -815,6 +819,68 @@ class TestMatch:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
+
+    # What a mutation may put in place of a store value: non-finite and
+    # over-long numbers, bools, strings, an object, and a list nested more
+    # deeply than the JSON reader allows.
+    DEEP = "[" * 50_000 + "]" * 50_000
+    REPLACEMENTS = [float("nan"), float("inf"), float("-inf"), 10**30, -10**30, True, False,
+                    "6", "", {}, {"colour": 1}, DEEP]
+
+    @staticmethod
+    def paths(node, path=()):
+        """The path of every value in a JSON document, the root first."""
+        yield path
+        children = (node.items() if isinstance(node, dict)
+                    else enumerate(node) if isinstance(node, list) else ())
+        for key, child in children:
+            yield from TestMatch.paths(child, (*path, key))
+
+    def test_mutated_store_never_raises(self, tmp_path):
+        """One value of a valid store replaced, one key deleted or one
+        unknown key added: ``match`` ranks (exit 0) or prints one
+        ``error:`` line (exit 1), and never a traceback."""
+        ratings, profiles = write_corpus(tmp_path)
+        path = tmp_path / "store.json"
+        assert dispatch(["tag", "--ratings", ratings, "--profiles", profiles,
+                         "--out", str(path)]) == 0
+        valid = json.loads(path.read_text(encoding="utf-8"))
+        paths = list(self.paths(valid))
+
+        @settings(max_examples=300, deadline=None)
+        @given(st.sampled_from(paths), st.sampled_from(["replace", "delete", "add"]),
+               st.sampled_from(self.REPLACEMENTS) | st.text(max_size=3))
+        def check(target, mutation, value):
+            doc = copy.deepcopy(valid)
+            *parents, key = target or [None]
+            holder = doc
+            for step in parents:
+                holder = holder[step]
+            node = holder[key] if target else doc
+            # The root cannot be deleted, nor a key added to a non-object:
+            # such a draw replaces the value instead.
+            if mutation == "delete" and target:
+                del holder[key]
+            elif mutation == "add" and isinstance(node, dict):
+                node["colour"] = "red"
+            elif target:
+                holder[key] = value
+            else:
+                doc = value
+            # The deep list is spliced in as text: json.dumps would overflow
+            # Python's own stack writing it.
+            text = json.dumps(doc).replace(json.dumps(self.DEEP), self.DEEP)
+            path.write_text(text, encoding="utf-8")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = dispatch(["match", "--profiles", profiles, "--store", str(path),
+                                 "--learner", "u00"])
+            err = err.getvalue()
+            assert "Traceback" not in err
+            assert (code, err) == (0, "") or (
+                code == 1 and err.startswith("error: ") and err.count("\n") == 1), (code, err)
+
+        check()
 
 
 class TestExportCommands:

@@ -34,7 +34,8 @@ from learntags import (
     save_store,
 )
 from learntags.ingest import MAX_HOURS, TimeBin, discretize_time
-from learntags.pipeline import MAX_NMF_K, SKIP_NO_ITEMSET, SKIP_SMALL_SUBSET, STORE_SCHEMA
+from learntags.pipeline import (MAX_NMF_K, SKIP_NO_ITEMSET, SKIP_SMALL_SUBSET, STORE_SCHEMA,
+                                _tag_score)
 
 from conftest import ORACLE_TYPE_CHECKS, items_of_tag
 
@@ -364,6 +365,50 @@ class TestRenderTag:
         assert render_tag(parse_tag(text)) == text
 
 
+def reference_match_resources(profile: LearnerProfile, store: TagStore,
+                              top_n: int) -> list[tuple[str, float]]:
+    """``match_resources`` as it was before its pre-sort went: the clouds
+    scored in resource-id order, then sorted by (-score, resource id)."""
+    if top_n <= 0:
+        raise ValueError(f"top_n must be positive, got {top_n}")
+    if not store:
+        raise ValueError("store is empty")
+    scored = [(rid, max(_tag_score(t, profile) for t in cloud.tags))
+              for rid, cloud in sorted(store.items()) if cloud.tags]
+    scored.sort(key=lambda rs: (-rs[1], rs[0]))
+    return scored[:top_n]
+
+
+def _tag_of(current, target, decade, strategy, presentation, values):
+    """A tag whose nominal values are set exactly where its ids are."""
+    strategy_value, presentation_value = values
+    return Tag(current, target, None if decade is None else discretize_time(10 * decade + 1),
+               None if strategy is None else strategy_value,
+               None if presentation is None else presentation_value,
+               strategy, presentation)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+tag_records = st.builds(_tag_of, st.none() | st.integers(1, 6), st.none() | st.integers(1, 6),
+                        st.none() | st.integers(0, MAX_HOURS // 10 - 1),
+                        st.none() | st.integers(1, 5), st.none() | st.integers(1, 5),
+                        st.tuples(finite, finite))
+provenances = st.builds(Provenance, st.integers(0, 10**6), st.none() | st.integers(1, 64),
+                        st.none() | st.integers(0, 10**6), st.none() | finite)
+# Resource id -> (tags, provenance, skip reason); a cloud without tags
+# is skipped, as run records one.
+cloud_fields = st.dictionaries(
+    st.text(max_size=3),
+    st.tuples(st.lists(tag_records, max_size=3), provenances,
+              st.sampled_from([SKIP_SMALL_SUBSET, SKIP_NO_ITEMSET])),
+    max_size=12)
+
+
+def clouds_of(fields_by_rid: dict) -> dict[str, TagCloud]:
+    return {rid: TagCloud(rid, tags, provenance, skipped=None if tags else skipped)
+            for rid, (tags, provenance, skipped) in fields_by_rid.items()}
+
+
 class TestMatchResources:
     def build_store(self) -> TagStore:
         """Two resources; the full tag holds strategy 3 and presentation 4."""
@@ -481,6 +526,21 @@ class TestMatchResources:
             key=lambda rs: (-rs[1], rs[0]),
         )[:7]
         assert match_resources(profile, store, top_n=7) == expected
+
+    @given(cloud_fields.filter(bool), st.builds(LearnerProfile, st.just("u"),
+                                                *[st.integers(1, 6)] * 2,
+                                                *[st.integers(1, 5)] * 2,
+                                                st.integers(0, MAX_HOURS)),
+           st.integers(1, 14), st.data())
+    def test_ranking_ignores_the_stores_insertion_order(self, fields_by_rid, profile, top_n,
+                                                        data):
+        """(-score, resource id) orders every candidate, so the ranking is
+        the pre-sorting oracle's whatever order the clouds were put in."""
+        clouds = clouds_of(fields_by_rid)
+        order = data.draw(st.permutations(list(clouds)))
+        shuffled = tag_store({rid: clouds[rid] for rid in order})
+        assert match_resources(profile, shuffled, top_n) == reference_match_resources(
+            profile, tag_store(clouds), top_n)
 
 
 # A value of each JSON type, a stored field being set to each: bools,
@@ -835,6 +895,26 @@ class TestStoreHeader:
             assert loaded.config == config
             save_store(loaded, Path(tmp) / "again.json")
             assert (Path(tmp) / "again.json").read_bytes() == path.read_bytes()
+
+    @given(configs, cloud_fields)
+    def test_loaded_records_equal_constructed_ones(self, config, fields_by_rid):
+        """load_store sets a checked record's fields in one step; each
+        loaded tag and provenance is the record its constructor builds
+        from the same fields: equal, with the same hash and attributes."""
+        store = TagStore(clouds_of(fields_by_rid), config)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "store.json"
+            save_store(store, path)
+            loaded = load_store(path)
+        assert loaded == store
+        for cloud in loaded.values():
+            for record in [*cloud.tags, cloud.provenance]:
+                built = type(record)(**{f.name: getattr(record, f.name)
+                                        for f in fields(record)})
+                assert record == built and hash(record) == hash(built)
+                assert vars(record) == vars(built)
+            for tag in cloud.tags:
+                assert tag.time_bin is None or type(tag.time_bin) is TimeBin
 
     def test_run_store_round_trips(self, tmp_path):
         from conftest import synth_corpus
