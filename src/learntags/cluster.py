@@ -16,12 +16,14 @@ subset's rows, seeds, fits, trace, k and largest cluster are one
 A run sweeps k for all of its subsets in shared rounds.  The subsets are
 packed, in order, into batches of at most ``_BATCH_FIT_ROWS`` fit rows:
 a subset of n rows has a fit for each k from min(k_max, n) down to 1,
-each of n rows.  A batch draws the farthest-first seeds of all its
-subsets in k_max shared steps, then runs every (subset, k) Lloyd fit in
-one lockstep loop: each round labels the rows of every fit still moving,
-with one distance call per subset, and a fit retires once its labels
-stop changing, so every fit equals the one run alone.  A subset alone in
-its batch is the one-subset case of the same code.
+each of n rows.  A batch normalizes the rows of all its subsets in one
+pass, draws their farthest-first seeds in k_max shared steps, then runs
+every (subset, k) Lloyd fit in one lockstep loop.  Round 0 labels each
+row by its nearest seed from the distances the seeding steps computed;
+each later round labels the rows of every fit still moving, with one
+distance call per subset, and a fit retires once its labels stop
+changing, so every fit equals the one run alone.  A subset alone in its
+batch is the one-subset case of the same code.
 
 The jump rule reads the steps of a sweep from the top k down, in two
 stages, and a step is settled when a bound clears the rule's threshold
@@ -36,7 +38,8 @@ when it is first read.  One distance pass serves all the fits it is
 given: the subset's rows are grouped into atoms, the rows that share a
 cluster in every fit, and each block of rows against the rows after it
 is reduced to atom-pair maxima, so no distance temporary exceeds one row
-block by the subset size.
+block by the subset size.  The first stage's sort also gives every fit's
+largest cluster, so the chosen fit's is looked up, not counted again.
 """
 from __future__ import annotations
 
@@ -53,10 +56,13 @@ LLOYD_MAX_ITERS = 100
 
 # Fit rows per batch of the shared sweep.  A batch's largest temporaries
 # hold one float per fit row and centroid slot, a quarter megabyte at the
-# default k_max of 8.  On the perfbench corpora, budgets from 4,096 to
-# 32,768 fit rows timed within noise of each other, and a run's peak
-# memory grows with the budget.  A subset with more fit rows than this is
-# a batch of its own and costs what sweeping it alone costs.
+# default k_max of 8.  Doubling the budget to 8,192 does not pay as a
+# whole (perfbench pairs on a 2-vCPU VM, with the batch-wide set-up and
+# finish): tag jobs got 3.6 % faster on skewed and 2.6 % on match, but
+# 2.1 % slower on planted and 0.8 % on uniform, and peak RSS rose
+# 0.3-1.8 %; in process, planted's bound pass took 35 % and its SSE sums
+# 44 % longer per job.  A subset with more fit rows than this is a batch
+# of its own and costs what sweeping it alone costs.
 _BATCH_FIT_ROWS = 1 << 12
 
 
@@ -112,13 +118,22 @@ class Grouping:
                 for i, (f, d) in enumerate(zip(self.fits, diameters))]
 
 
+def _normalize(x: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+    """Map each column of each subset's rows to (x - min) / (max - min)
+    over the subset, degenerate columns to 0; subset s is the ``sizes[s]``
+    rows of ``x`` after those of the subsets before it."""
+    starts = np.cumsum(sizes) - sizes
+    mins = np.minimum.reduceat(x, starts)
+    spans = np.maximum.reduceat(x, starts) - mins
+    mins, spans = np.repeat(mins, sizes, axis=0), np.repeat(spans, sizes, axis=0)
+    return np.where(spans == 0, 0.0, (x - mins) / np.where(spans > 0, spans, 1.0))
+
+
 def normalize(x: np.ndarray) -> np.ndarray:
     """Map each column to (x - min) / (max - min); degenerate columns to 0."""
     if len(x) == 0:
         raise ValueError("cannot normalize an empty point set")
-    mins = x.min(axis=0)
-    spans = x.max(axis=0) - mins
-    return np.where(spans == 0, 0.0, (x - mins) / np.where(spans > 0, spans, 1.0))
+    return _normalize(x, [len(x)])
 
 
 @functools.lru_cache(maxsize=256)  # a run draws from one seed for every subset size
@@ -140,17 +155,20 @@ def _row_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _farthest_first(x: np.ndarray, sizes: Sequence[int], ks: Sequence[int],
-                    seed: int) -> list[list[int]]:
+                    seed: int) -> tuple[list[list[int]], np.ndarray]:
     """Farthest-first seeds of each subset, ``ks[s]`` of them for subset s
     as row indices within it; subset s is the ``sizes[s]`` rows of ``x``
     after those of the subsets before it.  All subsets take their picks in
-    max(ks) shared steps."""
+    max(ks) shared steps.  Also returns the ``(max(ks), rows)`` distances
+    of step t: from each row to its subset's pick at step t, which is seed
+    t wherever the subset has one."""
     sizes = np.asarray(sizes)
     starts = np.cumsum(sizes) - sizes
     subset_of = np.repeat(np.arange(len(sizes)), sizes)
     picks = starts + [_first_seed(seed, n) for n in sizes.tolist()]
     steps = [picks]
-    min_dist = _row_distances(x, x.take(picks[subset_of], axis=0))
+    distances = [_row_distances(x, x.take(picks[subset_of], axis=0))]
+    min_dist = distances[0].copy()
     min_dist[picks] = -np.inf  # a chosen row stays at -inf, so it is never picked again
     for _ in range(1, max(ks)):
         best = np.maximum.reduceat(min_dist, starts)
@@ -158,10 +176,11 @@ def _farthest_first(x: np.ndarray, sizes: Sequence[int], ks: Sequence[int],
         # Each subset's first maximum is its smallest row.
         picks = ties[np.searchsorted(ties, starts)]
         steps.append(picks)
-        np.minimum(min_dist, _row_distances(x, x.take(picks[subset_of], axis=0)), out=min_dist)
+        distances.append(_row_distances(x, x.take(picks[subset_of], axis=0)))
+        np.minimum(min_dist, distances[-1], out=min_dist)
         min_dist[picks] = -np.inf
     seeds = (np.stack(steps, axis=1) - starts[:, None]).tolist()
-    return [rows[:k] for rows, k in zip(seeds, ks)]
+    return [rows[:k] for rows, k in zip(seeds, ks)], np.stack(distances)
 
 
 def farthest_first_seeds(x: np.ndarray, k: int, seed: int) -> list[int]:
@@ -174,7 +193,7 @@ def farthest_first_seeds(x: np.ndarray, k: int, seed: int) -> list[int]:
     n = len(x)
     if not 1 <= k <= n:
         raise ValueError(f"insufficient points: need 1 <= k <= {n}, got k={k}")
-    return _farthest_first(x, [n], [k], seed)[0]
+    return _farthest_first(x, [n], [k], seed)[0][0]
 
 
 def _repair_empty(x: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> None:
@@ -217,19 +236,24 @@ def _layout(subset: np.ndarray, n: np.ndarray, starts: list[int], sizes: list[in
     return np.cumsum(n) - n, np.repeat(np.arange(len(n)), n), spans
 
 
-def _assign(x: np.ndarray, centroids: np.ndarray, k: np.ndarray, fit_of_row: np.ndarray,
-            spans: list):
+def _assign(x: np.ndarray, centroids: np.ndarray, spans: list) -> np.ndarray:
     """Label each fit row by the nearest of its fit's ``(fits, width,
-    dims)`` centroids, with one distance call per subset, repair the fits
-    left with an empty cluster, and count each fit row's (fit, cluster)
-    slot."""
-    fits, width, dims = centroids.shape
-    labels = np.empty(len(fit_of_row), dtype=np.intp)
+    dims)`` centroids, with one distance call per subset."""
+    _, width, dims = centroids.shape
+    labels = np.empty(spans[-1][2].stop, dtype=np.intp)
     for rows, subset_fits, fit_rows in spans:
         m, f = rows.stop - rows.start, subset_fits.stop - subset_fits.start
         dist = cdist(x[rows], centroids[subset_fits].reshape(-1, dims)).reshape(m, f, width)
         # argmin takes the first minimum, which is the smallest cluster index.
         dist.argmin(axis=2, out=labels[fit_rows].reshape(f, m).T)
+    return labels
+
+
+def _tally(x: np.ndarray, labels: np.ndarray, centroids: np.ndarray, k: np.ndarray,
+           fit_of_row: np.ndarray, spans: list):
+    """Repair, in place, the fits whose ``labels`` leave a cluster empty,
+    and count each fit row's (fit, cluster) slot."""
+    fits, width, _ = centroids.shape
     slots = fit_of_row * width + labels
     counts = np.bincount(slots, minlength=fits * width).reshape(fits, width)
     for f in np.flatnonzero(np.count_nonzero(counts, axis=1) < k):
@@ -240,7 +264,7 @@ def _assign(x: np.ndarray, centroids: np.ndarray, k: np.ndarray, fit_of_row: np.
         _repair_empty(x[rows], own, centroids[f, :k[f]])
         counts[f] = np.bincount(own, minlength=width)
         slots[first:first + m] = f * width + own
-    return labels, slots, counts
+    return slots, counts
 
 
 def _update(xe: np.ndarray, centroids: np.ndarray, slots: np.ndarray, counts: np.ndarray):
@@ -265,14 +289,17 @@ def _sse(xe: np.ndarray, centroids: np.ndarray, slots: np.ndarray, spans: list) 
 
 
 def _lockstep(x: np.ndarray, sizes: Sequence[int], seeds: Sequence[Sequence[int]],
-              ks: Sequence[Sequence[int]]) -> list[list[LloydFit]]:
+              ks: Sequence[Sequence[int]], distances: np.ndarray) -> list[list[LloydFit]]:
     """Lloyd's iteration for every fit of each subset, laid out in ``x`` as
     for ``_farthest_first``: subset s has a fit for each k of ``ks[s]``,
     starting from centroids at the first k of ``seeds[s]``.
 
-    Each round moves the centroids of every fit still running, labels
-    the fit rows of all of them, with one distance call per subset, and
-    appends each fit's SSE.  A fit stops when no label changes or after
+    Round 0 labels each row of a fit by the first minimum over the first
+    k of ``distances``, whose row t holds each row's distance to its
+    subset's seed t, as ``_farthest_first`` returns them.  Each later
+    round moves the centroids of every fit still running, labels the fit
+    rows of all of them, with one distance call per subset, and appends
+    each fit's SSE.  A fit stops when no label changes or after
     ``LLOYD_MAX_ITERS`` rounds; its final labels are always computed against
     its final centroids, and it equals the fit run alone.
     """
@@ -289,18 +316,28 @@ def _lockstep(x: np.ndarray, sizes: Sequence[int], seeds: Sequence[Sequence[int]
     used = np.arange(width) < k[:, None]
     centroids = np.where(used[:, :, None], x[(seed_rows + starts[:, None])[subset]], np.inf)
     offsets, fit_of_row, spans = _layout(subset, n, starts.tolist(), sizes)
-    xe = x.take(np.arange(n.sum()) + np.repeat(starts[subset] - offsets, n), axis=0)
+    x_rows = np.arange(n.sum()) + np.repeat(starts[subset] - offsets, n)  # per fit row
+    xe = x.take(x_rows, axis=0)
     ids = np.arange(len(k))
     traces: list[list[float]] = [[] for _ in ids]
     fits: list[LloydFit] = [None] * len(k)
 
-    labels, slots, counts = _assign(x, centroids, k, fit_of_row, spans)
+    # nearest[j, r]: the nearest to row r of its subset's first j + 1 seeds,
+    # ties to the first.
+    nearest = np.zeros((width, len(x)), dtype=np.intp)
+    closest = distances[0].copy()
+    for j in range(1, width):
+        nearest[j] = np.where(distances[j] < closest, j, nearest[j - 1])
+        np.minimum(closest, distances[j], out=closest)
+    labels = nearest[k[fit_of_row] - 1, x_rows]
+    slots, counts = _tally(x, labels, centroids, k, fit_of_row, spans)
     for i, value in zip(ids.tolist(), _sse(xe, centroids, slots, spans)):
         traces[i].append(value)
     for round_ in range(1, LLOYD_MAX_ITERS + 1):
         _update(xe, centroids, slots, counts)
         prev = labels
-        labels, slots, counts = _assign(x, centroids, k, fit_of_row, spans)
+        labels = _assign(x, centroids, spans)
+        slots, counts = _tally(x, labels, centroids, k, fit_of_row, spans)
         for i, value in zip(ids.tolist(), _sse(xe, centroids, slots, spans)):
             traces[i].append(value)
         done = ~np.logical_or.reduceat(labels != prev, offsets) | (round_ == LLOYD_MAX_ITERS)
@@ -395,21 +432,25 @@ def average_diameter(x: np.ndarray, labels: np.ndarray) -> list[float]:
 _BOUND_MARGIN = 1e-9
 
 
-def _fit_bounds(x: np.ndarray, sizes: Sequence[int],
-                fits: Sequence[Sequence[LloydFit]]) -> tuple[list[float], list[float]]:
+def _fit_bounds(x: np.ndarray, sizes: Sequence[int], fits: Sequence[Sequence[LloydFit]]
+                ) -> tuple[list[float], list[float], list[int]]:
     """Each fit's mean over its non-empty clusters of a lower and of an
-    upper bound on their diameters, for a batch's fits laid out in ``x``
-    as for ``_farthest_first`` and given in subset order.  One stable sort
-    by (fit, cluster) slot makes each cluster's rows contiguous and in row
+    upper bound on their diameters, and the first row of its largest
+    cluster, for a batch's fits laid out in ``x`` as for
+    ``_farthest_first`` and given in subset order.  One stable sort by
+    (fit, cluster) slot makes each cluster's rows contiguous and in row
     order.  A cluster's diameter is at least the larger of its largest
     column span and the distance from its first row to its farthest
-    member, and at most its bounding-box diagonal.  Slots are one past the
-    largest label wide, not the most fits of a subset, so any of a batch's
-    fits can be passed without their slots colliding."""
+    member, and at most its bounding-box diagonal.  Of tied largest
+    clusters, the one holding the smallest row is taken, as
+    ``largest_cluster`` takes it.  Slots are one past the largest label
+    wide, not the most fits of a subset, so any of a batch's fits can be
+    passed without their slots colliding."""
     counts = [len(subset_fits) for subset_fits in fits]
     n = np.repeat(sizes, counts)                         # rows per fit
     offsets = np.cumsum(n) - n
-    rows = np.arange(n.sum()) + np.repeat(np.repeat(np.cumsum(sizes) - sizes, counts) - offsets, n)
+    subset_starts = np.repeat(np.cumsum(sizes) - sizes, counts)  # each fit's first row of x
+    rows = np.arange(n.sum()) + np.repeat(subset_starts - offsets, n)
     labels = np.concatenate([f.labels for subset_fits in fits for f in subset_fits])
     width = int(labels.max()) + 1
     slots = np.repeat(np.arange(len(n)) * width, n) + labels
@@ -418,7 +459,8 @@ def _fit_bounds(x: np.ndarray, sizes: Sequence[int],
     slots = slots.take(order)
     cuts = np.flatnonzero(np.concatenate(([True], slots[1:] != slots[:-1])))  # first rows
     fit_of = slots.take(cuts) // width
-    members = x.T.take(rows.take(order), axis=1)         # (dims, fit rows), by cluster
+    rows = rows.take(order)
+    members = x.T.take(rows, axis=1)                     # (dims, fit rows), by cluster
     spans = np.maximum.reduceat(members, cuts, axis=1)
     spans -= np.minimum.reduceat(members, cuts, axis=1)
     # Squared first, as a distance sums squares: a span whose square
@@ -428,12 +470,18 @@ def _fit_bounds(x: np.ndarray, sizes: Sequence[int],
     high = np.sqrt(spans.sum(axis=0))
     # Gathered in the members' (dims, rows) layout: gathering rows of its
     # transpose took twice as long.
-    first = members.take(np.repeat(cuts, np.diff(cuts, append=len(slots))), axis=1)
+    size = np.diff(cuts, append=len(slots))
+    first = members.take(np.repeat(cuts, size), axis=1)
     far = np.maximum.reduceat(_row_distances(members.T, first.T), cuts)
     np.maximum(low, far, out=low)
     clusters = np.bincount(fit_of)
+    # First rows are below len(x), so a fit's largest cluster, of tied ones
+    # the one holding the smallest row, has the largest size * len(x) - first row.
+    key = size * len(x) - rows.take(cuts)
+    largest = np.maximum.reduceat(key, np.cumsum(clusters) - clusters)
     return ((np.bincount(fit_of, low) / clusters).tolist(),
-            (np.bincount(fit_of, high) / clusters).tolist())
+            (np.bincount(fit_of, high) / clusters).tolist(),
+            (-largest % len(x) - subset_starts).tolist())
 
 
 def _scan(low: Sequence[float], high: Sequence[float], gamma: float,
@@ -453,21 +501,22 @@ def _scan(low: Sequence[float], high: Sequence[float], gamma: float,
     return None, open_steps
 
 
-def _sweeps(xs: Sequence[np.ndarray], k_max: int, gamma: float, seed: int) -> list[Grouping]:
-    """The grouping of each subset's rows ``xs[s]``: seeds and Lloyd fits
-    in shared rounds on their concatenation, bounds on every fit's
-    average diameter, then per subset the jump rule on those bounds,
-    exact diameters for the fits of the steps they leave open, and the
-    largest cluster."""
-    sizes = [len(x) for x in xs]
+def _sweeps(x: np.ndarray, sizes: Sequence[int], k_max: int, gamma: float,
+            seed: int) -> list[Grouping]:
+    """The grouping of each subset's rows, laid out in ``x`` as for
+    ``_farthest_first``: seeds and Lloyd fits in shared rounds, bounds on
+    every fit's average diameter and every fit's largest cluster, then per
+    subset the jump rule on those bounds and exact diameters for the fits
+    of the steps they leave open."""
     k_starts = [min(k_max, n) for n in sizes]
-    x = np.concatenate(xs)
-    seeds = _farthest_first(x, sizes, k_starts, seed)
-    fits = _lockstep(x, sizes, seeds, [range(k, 0, -1) for k in k_starts])
-    low, high = _fit_bounds(x, sizes, fits)
+    seeds, distances = _farthest_first(x, sizes, k_starts, seed)
+    fits = _lockstep(x, sizes, seeds, [range(k, 0, -1) for k in k_starts], distances)
+    low, high, largest_rows = _fit_bounds(x, sizes, fits)
     firsts = np.cumsum([0, *map(len, fits)]).tolist()
+    ends = np.cumsum(sizes).tolist()
     groupings = []
-    for rows, subset_seeds, subset_fits, f in zip(xs, seeds, fits, firsts):
+    for end, n, subset_seeds, subset_fits, f in zip(ends, sizes, seeds, fits, firsts):
+        rows = x[end - n:end]
         lo, hi = low[f:f + len(subset_fits)], high[f:f + len(subset_fits)]
         # Step i goes from fit i to fit i + 1.  The rule stops at the first
         # jump, so only the fits of the open steps above it are read.
@@ -480,8 +529,10 @@ def _sweeps(xs: Sequence[np.ndarray], k_max: int, gamma: float, seed: int) -> li
             jump, _ = _scan(lo, hi, gamma, 0.0)
         # The first jump from k to k - 1 picks k; with none the sweep ends at 1.
         chosen = 1 if jump is None else len(subset_fits) - jump
-        largest = largest_cluster(subset_fits[len(subset_fits) - chosen].labels)
-        groupings.append(Grouping(rows, chosen, subset_seeds, subset_fits, largest))
+        labels = subset_fits[len(subset_fits) - chosen].labels
+        first = largest_rows[f + len(subset_fits) - chosen]
+        groupings.append(Grouping(rows, chosen, subset_seeds, subset_fits,
+                                  labels == labels[first]))
     return groupings
 
 
@@ -507,7 +558,7 @@ def sweep_k(x: np.ndarray, k_max: int, gamma: float, seed: int) -> Grouping:
     if len(x) == 0:
         raise ValueError("no points to cluster")
     _check_sweep(k_max, gamma)
-    return _sweeps([x], k_max, gamma, seed)[0]
+    return _sweeps(np.asarray(x), [len(x)], k_max, gamma, seed)[0]
 
 
 def largest_cluster(labels: np.ndarray) -> np.ndarray:
@@ -555,7 +606,9 @@ def group_batches(
     if 0 in sizes:
         raise ValueError(f"subset {sizes.index(0)} is empty")
     for batch in _batches(sizes, k_max):
-        yield _sweeps([normalize(coords[members[i]]) for i in batch], k_max, gamma, seed)
+        batch_sizes = [sizes[i] for i in batch]
+        x = _normalize(coords[np.concatenate([members[i] for i in batch])], batch_sizes)
+        yield _sweeps(x, batch_sizes, k_max, gamma, seed)
 
 
 def group_rows(coords: np.ndarray, k_max: int, gamma: float, seed: int) -> Grouping:

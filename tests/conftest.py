@@ -49,6 +49,7 @@ from learntags.cluster import (
     KTraceEntry,
     LloydFit,
     _lockstep,
+    _row_distances,
     group_batches,
 )
 from learntags.mine import N_ATTRIBUTES
@@ -485,10 +486,17 @@ def make_blobs(
     ])
 
 
+def seed_distances(x: np.ndarray, seed_rows: list[int]) -> np.ndarray:
+    """Each row's distance to each of ``seed_rows``, one seed per row of
+    the result, with the farthest-first traversal's arithmetic."""
+    return np.stack([_row_distances(x, x[[s] * len(x)]) for s in seed_rows])
+
+
 def lloyd_kmeans(x: np.ndarray, seed_rows: list[int]) -> LloydFit:
     """Lloyd's iteration on the rows of ``x`` from centroids at
     ``seed_rows``: the one-fit case of the library's shared rounds."""
-    return _lockstep(x, [len(x)], [seed_rows], [[len(seed_rows)]])[0][0]
+    return _lockstep(x, [len(x)], [seed_rows], [[len(seed_rows)]],
+                     seed_distances(x, seed_rows))[0][0]
 
 
 # Reference k sweep of one subset's rows, with its own Lloyd loop,

@@ -41,6 +41,7 @@ from conftest import (
     reference_read_fits,
     reference_repair_empty,
     reference_select_k,
+    seed_distances,
     synth_corpus,
 )
 
@@ -63,7 +64,8 @@ def lloyd_iters(max_iters: int):
 def lockstep(x: np.ndarray, seed_rows: list[int], ks: list[int]):
     """Every fit of one subset's rows in one lockstep loop, fit f from the
     first ``ks[f]`` of ``seed_rows``."""
-    return cluster_module._lockstep(x, [len(x)], [seed_rows], [ks])[0]
+    return cluster_module._lockstep(x, [len(x)], [seed_rows], [ks],
+                                    seed_distances(x, seed_rows))[0]
 
 
 def assert_fits_equal(got, want):
@@ -667,7 +669,7 @@ class TestSharedSweep:
         sweeps = cluster_module._sweeps
         monkeypatch.setattr(cluster_module, "_BATCH_FIT_ROWS", 1)
         monkeypatch.setattr(cluster_module, "_sweeps",
-                            lambda xs, *args: calls.append(sum(map(len, xs))) or sweeps(xs, *args))
+                            lambda x, *args: calls.append(len(x)) or sweeps(x, *args))
         coords = np.random.default_rng(3).uniform(0, 1, (30, 5))
         groups = group_subsets(coords, [np.arange(10), np.arange(5, 30)], 8, 2.0, 0)
         next(groups)
@@ -688,6 +690,70 @@ class TestSharedSweep:
         rows = [np.arange(0, 40, 2), np.arange(1, 40, 3), np.arange(40)]
         for r, group in zip(rows, group_subsets(coords, rows, 6, 1.5, 2)):
             assert_same_grouping(group_rows(coords[r], 6, 1.5, 2), group)
+
+
+def assert_one_batch_matches_reference(coords, members, k_max, gamma=2.0, seed=0):
+    """The subsets form one batch, and each grouping equals the reference
+    sweep of its subset alone."""
+    [groups] = cluster_module.group_batches(coords, members, k_max, gamma, seed)
+    assert len(groups) == len(members)
+    for rows, group in zip(members, groups):
+        assert_same_grouping(group, reference_group_rows(coords[rows], k_max, gamma, seed, 100))
+        np.testing.assert_array_equal(group.largest, largest_cluster(group.labels))
+    return groups
+
+
+class TestBatchSetUpAndFinish:
+    """Named cases of a batch's shared set-up and finish: one normalization
+    pass, round 0 labelled from the traversal's distances and every
+    chosen fit's largest cluster from the bound sort."""
+
+    def test_duplicate_seed_leaves_round_zero_clusters_empty(self, monkeypatch):
+        # Three distinct rows and k = 5: the traversal's last two seeds are
+        # duplicates at distance 0, so round 0 leaves their clusters empty
+        # and the repair, with nothing farther than 0, keeps them empty.
+        coords = np.concatenate([line([0.0, 0.0, 1.0, 1.0, 3.0, 3.0]),
+                                 np.random.default_rng(2).uniform(0, 1, (10, 5))])
+        rounds, repairs = [0], []
+        update, repair = cluster_module._update, cluster_module._repair_empty
+
+        def counting_update(*args):
+            rounds[0] += 1
+            update(*args)
+
+        def logging_repair(x, labels, centroids):
+            repairs.append((rounds[0], len(centroids)))
+            repair(x, labels, centroids)
+
+        monkeypatch.setattr(cluster_module, "_update", counting_update)
+        monkeypatch.setattr(cluster_module, "_repair_empty", logging_repair)
+        group, _ = assert_one_batch_matches_reference(
+            coords, [np.arange(6), np.arange(6, 16)], k_max=5)
+        assert len({tuple(group.x[s]) for s in group.seeds}) == 3 < len(group.seeds) == 5
+        assert {(0, 5), (0, 4)} <= set(repairs)
+        assert len(set(group.fits[0].labels.tolist())) == 3
+
+    def test_tied_largest_clusters_take_the_one_holding_the_smallest_row(self):
+        # The middle subset chooses k = 2 with two clusters of four rows;
+        # the one holding its first row has label 1, not 0.
+        tied = line([10.0, 0.0, 10.2, 0.3, 10.1, 0.1, 10.4, 0.2])
+        coords = np.concatenate([np.random.default_rng(5).uniform(0, 1, (12, 5)), tied])
+        members = [np.arange(7), np.arange(12, 20), np.arange(3, 12)]
+        _, group, _ = assert_one_batch_matches_reference(coords, members, k_max=2, seed=1)
+        assert group.k == 2
+        assert np.bincount(group.labels).tolist() == [4, 4]
+        assert group.labels[0] == 1
+        assert group.largest.tolist() == [True, False] * 4
+
+    def test_small_subset_beside_a_zero_span_column(self):
+        # A subset of three rows sweeps from k = 3 beside one whose last
+        # column is constant, which normalizes to 0.0 as normalize does.
+        coords = np.random.default_rng(7).uniform(0, 50, (30, 5))
+        coords[10:, 4] = 7.0
+        members = [np.array([4, 0, 8]), np.arange(10, 30)]
+        small, flat = assert_one_batch_matches_reference(coords, members, k_max=8)
+        assert len(small.fits) == 3
+        assert flat.x[:, 4].tolist() == [0.0] * 20
 
 
 @pytest.fixture
@@ -810,8 +876,9 @@ class TestBoundedRule:
         oracle's two tiers, which raise the lower bounds of only the fits
         the span and diagonal bounds leave open."""
         xs = [np.array(rows, dtype=np.float64) * scale for rows in subsets]
-        groups = cluster_module._sweeps(xs, k_max, gamma, seed)
-        low, high = _fit_bounds(np.concatenate(xs), list(map(len, xs)), [g.fits for g in groups])
+        x, sizes = np.concatenate(xs), list(map(len, xs))
+        groups = cluster_module._sweeps(x, sizes, k_max, gamma, seed)
+        low, high, _ = _fit_bounds(x, sizes, [g.fits for g in groups])
         first = 0
         for group in groups:
             lo, hi = low[first:first + len(group.fits)], high[first:first + len(group.fits)]
