@@ -39,7 +39,6 @@ from .cluster import (
     farthest_first_seeds,
     group_batches,
     group_rows,
-    largest_cluster,
     normalize,
     sweep_k,
 )
@@ -70,7 +69,7 @@ __all__ = [
     "build_cooccurrence", "derive_orderings", "nmf", "nmf_stack", "quantification_report",
     "quantify_nominal", "symmetrize",
     "Grouping", "KTraceEntry", "LloydFit", "average_diameter", "farthest_first_seeds",
-    "group_batches", "group_rows", "largest_cluster", "normalize", "sweep_k",
+    "group_batches", "group_rows", "normalize", "sweep_k",
     "FrequentItemset", "apriori", "tag_itemsets", "tag_itemsets_batch",
     "PipelineConfig", "Provenance", "Tag", "TagCloud",
     "TagStore", "load_store", "match_resources", "render_report",

@@ -20,10 +20,12 @@ each of n rows.  A batch normalizes the rows of all its subsets in one
 pass, draws their farthest-first seeds in k_max shared steps, then runs
 every (subset, k) Lloyd fit in one lockstep loop.  Round 0 labels each
 row by its nearest seed from the distances the seeding steps computed;
-each later round labels the rows of every fit still moving, with one
-distance call per subset, and a fit retires once its labels stop
-changing, so every fit equals the one run alone.  A subset alone in its
-batch is the one-subset case of the same code.
+each later round moves the centroids and labels the rows of every fit
+still moving, with one distance call per subset, and a fit retires once
+its labels stop changing, so every fit equals the one run alone.  A
+round computes labels and centroids only: a fit's SSE is computed from
+its final state when the trace is read.  A subset alone in its batch is
+the one-subset case of the same code.
 
 The jump rule reads the steps of a sweep from the top k down, in two
 stages, and a step is settled when a bound clears the rule's threshold
@@ -60,9 +62,9 @@ LLOYD_MAX_ITERS = 100
 # whole (perfbench pairs on a 2-vCPU VM, with the batch-wide set-up and
 # finish): tag jobs got 3.6 % faster on skewed and 2.6 % on match, but
 # 2.1 % slower on planted and 0.8 % on uniform, and peak RSS rose
-# 0.3-1.8 %; in process, planted's bound pass took 35 % and its SSE sums
-# 44 % longer per job.  A subset with more fit rows than this is a batch
-# of its own and costs what sweeping it alone costs.
+# 0.3-1.8 %; in process, planted's bound pass took 35 % longer per job.
+# A subset with more fit rows than this is a batch of its own and costs
+# what sweeping it alone costs.
 _BATCH_FIT_ROWS = 1 << 12
 
 
@@ -70,17 +72,12 @@ _BATCH_FIT_ROWS = 1 << 12
 class LloydFit:
     """Lloyd's result: each row labelled with its nearest centroid (ties
     to the smallest index, except a row a repaired empty cluster was
-    reseeded on, at distance 0), and the non-increasing SSE after the
-    seeding and after each iteration.
+    reseeded on, at distance 0), and the number of rounds it ran.
     """
 
     centroids: np.ndarray            # (k, dims)
     labels: np.ndarray               # (n,) cluster index per row
-    sse_trace: list[float]
-
-    @property
-    def sse(self) -> float:
-        return self.sse_trace[-1]
+    rounds: int                      # 1 to LLOYD_MAX_ITERS
 
 
 @dataclass(frozen=True)
@@ -112,10 +109,17 @@ class Grouping:
 
     @functools.cached_property
     def trace(self) -> list[KTraceEntry]:
-        """Each fit's k, SSE and exact average diameter, from the first k down."""
+        """Each fit's k, final SSE and exact average diameter, from the
+        first k down.  An SSE is one pairwise sum over the fit's squared
+        differences, flattened in row order."""
         diameters = average_diameter(self.x, np.array([f.labels for f in self.fits]))
-        return [KTraceEntry(k=len(self.fits) - i, sse=f.sse, avg_diameter=d)
-                for i, (f, d) in enumerate(zip(self.fits, diameters))]
+        trace = []
+        for i, (f, d) in enumerate(zip(self.fits, diameters)):
+            diffs = self.x - f.centroids[f.labels]
+            diffs *= diffs
+            trace.append(KTraceEntry(k=len(self.fits) - i, sse=float(diffs.ravel().sum()),
+                                     avg_diameter=d))
+        return trace
 
 
 def _normalize(x: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
@@ -268,24 +272,14 @@ def _tally(x: np.ndarray, labels: np.ndarray, centroids: np.ndarray, k: np.ndarr
 
 
 def _update(xe: np.ndarray, centroids: np.ndarray, slots: np.ndarray, counts: np.ndarray):
-    """Move each centroid with members to their mean, in place.  Sums in
-    fit-row order over counts equal ``x[labels == j].mean(axis=0)``
+    """Move each centroid with members to their mean, in place, from the
+    ``(dims, fit rows)`` rows ``xe``, whose columns are contiguous.  Sums
+    in fit-row order over counts equal ``x[labels == j].mean(axis=0)``
     exactly."""
-    sums = np.stack([np.bincount(slots, column, minlength=counts.size) for column in xe.T],
+    sums = np.stack([np.bincount(slots, column, minlength=counts.size) for column in xe],
                     axis=1)
     np.divide(sums.reshape(centroids.shape), counts[:, :, None], out=centroids,
               where=(counts > 0)[:, :, None])
-
-
-def _sse(xe: np.ndarray, centroids: np.ndarray, slots: np.ndarray, spans: list) -> list[float]:
-    """Each fit's SSE: one pairwise sum over its own fit rows, as the fit
-    sums it when it runs alone."""
-    diffs = centroids.reshape(-1, xe.shape[1]).take(slots, axis=0)
-    np.subtract(xe, diffs, out=diffs)
-    diffs *= diffs
-    return np.concatenate([
-        diffs[fit_rows].reshape(subset_fits.stop - subset_fits.start, -1).sum(axis=1)
-        for _, subset_fits, fit_rows in spans]).tolist()
 
 
 def _lockstep(x: np.ndarray, sizes: Sequence[int], seeds: Sequence[Sequence[int]],
@@ -297,11 +291,11 @@ def _lockstep(x: np.ndarray, sizes: Sequence[int], seeds: Sequence[Sequence[int]
     Round 0 labels each row of a fit by the first minimum over the first
     k of ``distances``, whose row t holds each row's distance to its
     subset's seed t, as ``_farthest_first`` returns them.  Each later
-    round moves the centroids of every fit still running, labels the fit
-    rows of all of them, with one distance call per subset, and appends
-    each fit's SSE.  A fit stops when no label changes or after
-    ``LLOYD_MAX_ITERS`` rounds; its final labels are always computed against
-    its final centroids, and it equals the fit run alone.
+    round moves the centroids of every fit still running and labels the
+    fit rows of all of them, with one distance call per subset.  A fit
+    stops when no label changes or after ``LLOYD_MAX_ITERS`` rounds; its
+    final labels are always computed against its final centroids, and it
+    equals the fit run alone.
     """
     sizes = list(sizes)
     starts = np.cumsum([0, *sizes[:-1]])
@@ -317,9 +311,8 @@ def _lockstep(x: np.ndarray, sizes: Sequence[int], seeds: Sequence[Sequence[int]
     centroids = np.where(used[:, :, None], x[(seed_rows + starts[:, None])[subset]], np.inf)
     offsets, fit_of_row, spans = _layout(subset, n, starts.tolist(), sizes)
     x_rows = np.arange(n.sum()) + np.repeat(starts[subset] - offsets, n)  # per fit row
-    xe = x.take(x_rows, axis=0)
+    xe = x.T.take(x_rows, axis=1)                # (dims, fit rows)
     ids = np.arange(len(k))
-    traces: list[list[float]] = [[] for _ in ids]
     fits: list[LloydFit] = [None] * len(k)
 
     # nearest[j, r]: the nearest to row r of its subset's first j + 1 seeds,
@@ -331,27 +324,23 @@ def _lockstep(x: np.ndarray, sizes: Sequence[int], seeds: Sequence[Sequence[int]
         np.minimum(closest, distances[j], out=closest)
     labels = nearest[k[fit_of_row] - 1, x_rows]
     slots, counts = _tally(x, labels, centroids, k, fit_of_row, spans)
-    for i, value in zip(ids.tolist(), _sse(xe, centroids, slots, spans)):
-        traces[i].append(value)
     for round_ in range(1, LLOYD_MAX_ITERS + 1):
         _update(xe, centroids, slots, counts)
         prev = labels
         labels = _assign(x, centroids, spans)
         slots, counts = _tally(x, labels, centroids, k, fit_of_row, spans)
-        for i, value in zip(ids.tolist(), _sse(xe, centroids, slots, spans)):
-            traces[i].append(value)
         done = ~np.logical_or.reduceat(labels != prev, offsets) | (round_ == LLOYD_MAX_ITERS)
         if not done.any():
             continue
         for f in np.flatnonzero(done).tolist():
             fits[ids[f]] = LloydFit(centroids=centroids[f, :k[f]].copy(),
                                     labels=labels[offsets[f]:offsets[f] + n[f]].copy(),
-                                    sse_trace=traces[ids[f]])
+                                    rounds=round_)
         if done.all():
             break
         moving = ~done
         kept = np.flatnonzero(np.repeat(moving, n))
-        xe, labels = xe.take(kept, axis=0), labels.take(kept)
+        xe, labels = xe.take(kept, axis=1), labels.take(kept)
         ids, subset, k, n, centroids, counts = (
             a[moving] for a in (ids, subset, k, n, centroids, counts))
         offsets, fit_of_row, spans = _layout(subset, n, starts.tolist(), sizes)
@@ -442,10 +431,9 @@ def _fit_bounds(x: np.ndarray, sizes: Sequence[int], fits: Sequence[Sequence[Llo
     order.  A cluster's diameter is at least the larger of its largest
     column span and the distance from its first row to its farthest
     member, and at most its bounding-box diagonal.  Of tied largest
-    clusters, the one holding the smallest row is taken, as
-    ``largest_cluster`` takes it.  Slots are one past the largest label
-    wide, not the most fits of a subset, so any of a batch's fits can be
-    passed without their slots colliding."""
+    clusters, the one holding the smallest row is taken.  Slots are one
+    past the largest label wide, not the most fits of a subset, so any of
+    a batch's fits can be passed without their slots colliding."""
     counts = [len(subset_fits) for subset_fits in fits]
     n = np.repeat(sizes, counts)                         # rows per fit
     offsets = np.cumsum(n) - n
@@ -559,16 +547,6 @@ def sweep_k(x: np.ndarray, k_max: int, gamma: float, seed: int) -> Grouping:
         raise ValueError("no points to cluster")
     _check_sweep(k_max, gamma)
     return _sweeps(np.asarray(x), [len(x)], k_max, gamma, seed)[0]
-
-
-def largest_cluster(labels: np.ndarray) -> np.ndarray:
-    """Row mask of the biggest cluster; of tied clusters, the one holding
-    the smallest row."""
-    if len(labels) == 0:
-        raise ValueError("clustering has no points")
-    sizes = np.bincount(labels)
-    first = np.argmax(sizes[labels] == sizes.max())
-    return labels == labels[first]
 
 
 def _batches(sizes: Sequence[int], k_max: int) -> Iterator[list[int]]:

@@ -5,10 +5,11 @@ brute-force pair enumeration, exhaustive subset counting, level-wise
 Apriori candidate search over item objects, the Python sort key and
 the tag selection over a full list of frequent itemsets that the array
 passes of ``apriori`` and ``tag_itemsets`` replaced, a k sweep of one
-subset at a time with its own Lloyd loop, empty-cluster repair and
-``pdist`` diameters, diameter bounds (span, diagonal and farthest
-member) and the steps they leave open from a loop over each fit's
-clusters, the one-matrix NMF loop that the
+subset at a time with its own Lloyd loop, per-round SSE trace,
+empty-cluster repair and ``pdist`` diameters, the one-fit
+largest-cluster rule that the bound sort replaced, diameter bounds
+(span, diagonal and farthest member) and the steps they leave open from
+a loop over each fit's clusters, the one-matrix NMF loop that the
 stacked NMF replaced, the row-by-row ``int()`` checks and profile scan
 that the parsers' tables of canonical texts replaced, over the
 header-checking row generator they dropped, the per-type check
@@ -16,9 +17,10 @@ closures that ``load_store``'s table of allowed types replaced, and
 direct rescans (``build_subset`` scans the ratings once per resource),
 so test expectations are derived independently of the code under test.
 ``render_ratings`` writes records back to the ratings format for tests
-that need a ratings file.  The item types those oracles
-work on live here too; the library works on the integer arrays of its
-learner table.
+that need a ratings file, and ``lockstep_sse_traces`` rebuilds a library
+fit's per-round SSE from Lloyd runs capped at each round.  The item
+types those oracles work on live here too; the library works on the
+integer arrays of its learner table.
 """
 from __future__ import annotations
 
@@ -29,6 +31,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, settings
@@ -42,6 +45,7 @@ from learntags import (
     TimeBin,
     generate_profiles,
 )
+import learntags.cluster as cluster_module
 from learntags.cluster import (
     _BOUND_MARGIN,
     LLOYD_MAX_ITERS,
@@ -49,6 +53,7 @@ from learntags.cluster import (
     KTraceEntry,
     LloydFit,
     _lockstep,
+    _repair_empty,
     _row_distances,
     group_batches,
 )
@@ -499,6 +504,50 @@ def lloyd_kmeans(x: np.ndarray, seed_rows: list[int]) -> LloydFit:
                      seed_distances(x, seed_rows))[0][0]
 
 
+def lloyd_iters(max_iters: int):
+    """Cap the library's Lloyd rounds at ``max_iters``."""
+    return mock.patch.object(cluster_module, "LLOYD_MAX_ITERS", max_iters)
+
+
+def lockstep_sse_traces(x: np.ndarray, seed_rows: list[int],
+                        fits: list[LloydFit]) -> list[list[float]]:
+    """Each library fit's SSE after round 0 and after each of its rounds,
+    summed as the reference Lloyd's sums it, for fits of the rows of
+    ``x`` from prefixes of ``seed_rows``, fit f from the first
+    ``len(fits[f].centroids)``.  Round 0 labels each row by its first
+    nearest seed and repairs empty clusters with the library's repair.
+    Round r is each fit's state in one lockstep run capped at r rounds:
+    a fit the cap stops is in its state after round r."""
+    x = np.asarray(x, dtype=np.float64)
+    ks = [len(fit.centroids) for fit in fits]
+    distances = seed_distances(x, seed_rows)
+    traces = []
+    for k in ks:
+        labels = distances[:k].argmin(axis=0)
+        centroids = x[list(seed_rows[:k])]
+        _repair_empty(x, labels, centroids)
+        traces.append([_reference_sse(x, labels, centroids)])
+    for r in range(1, max(fit.rounds for fit in fits) + 1):
+        with lloyd_iters(r):
+            capped = _lockstep(x, [len(x)], [seed_rows], [ks], distances)[0]
+        for fit, state, trace in zip(fits, capped, traces):
+            if fit.rounds >= r:
+                assert state.rounds == r
+                trace.append(_reference_sse(x, state.labels, state.centroids))
+    return traces
+
+
+def largest_cluster(labels: np.ndarray) -> np.ndarray:
+    """Row mask of the biggest cluster of one fit; of tied clusters, the
+    one holding the smallest row.  The one-fit oracle of the largest
+    cluster that the library takes from its bound sort."""
+    if len(labels) == 0:
+        raise ValueError("clustering has no points")
+    sizes = np.bincount(labels)
+    first = np.argmax(sizes[labels] == sizes.max())
+    return labels == labels[first]
+
+
 # Reference k sweep of one subset's rows, with its own Lloyd loop,
 # empty-cluster repair and pdist diameters: the shared rounds in
 # learntags.cluster must reproduce it bit for bit.
@@ -552,9 +601,27 @@ def reference_repair_empty(x: np.ndarray, labels: np.ndarray, centroids: np.ndar
         labels[far] = j
 
 
+@dataclass
+class ReferenceFit:
+    """The reference Lloyd's result, with the SSE after the seeding and
+    after each round."""
+
+    centroids: np.ndarray
+    labels: np.ndarray
+    sse_trace: list[float]
+
+    @property
+    def rounds(self) -> int:
+        return len(self.sse_trace) - 1
+
+    @property
+    def sse(self) -> float:
+        return self.sse_trace[-1]
+
+
 def reference_lloyd_kmeans(
     x: np.ndarray, seed_rows: list[int], max_iters: int = LLOYD_MAX_ITERS
-) -> LloydFit:
+) -> ReferenceFit:
     """Alternate nearest-centroid assignment and centroid means.
 
     Stops when no assignment changes or after ``max_iters``; the SSE is
@@ -576,7 +643,7 @@ def reference_lloyd_kmeans(
         trace.append(_reference_sse(x, labels, centroids))
         if np.array_equal(labels, prev):
             break
-    return LloydFit(centroids=centroids, labels=labels, sse_trace=trace)
+    return ReferenceFit(centroids=centroids, labels=labels, sse_trace=trace)
 
 
 def reference_average_diameter(x: np.ndarray, labels) -> float:

@@ -21,6 +21,7 @@ from conftest import (
     items_of_tag,
     itemset_of,
     lloyd_kmeans,
+    lockstep_sse_traces,
     make_blobs,
     random_transactions,
     recover_clusters,
@@ -106,7 +107,8 @@ def test_criterion_3_kmeans_invariants():
                 if mine < dmin.max() - 1e-9:
                     failures.append(f"inst {inst} k={k}: seed {j} not max-min")
             clustering = lloyd_kmeans(coords, seeds)
-            trace = np.asarray(clustering.sse_trace)
+            [trace] = lockstep_sse_traces(coords, seeds, [clustering])
+            trace = np.asarray(trace)
             if np.any(np.diff(trace) > 1e-9 * trace[0]):
                 failures.append(f"inst {inst} k={k}: SSE increased")
             labels = clustering.labels

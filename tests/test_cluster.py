@@ -18,7 +18,6 @@ from learntags import (
     average_diameter,
     farthest_first_seeds,
     group_rows,
-    largest_cluster,
     learner_table,
     normalize,
     sweep_k,
@@ -29,9 +28,14 @@ from learntags.ingest import RatingRecord
 from learntags.pipeline import PipelineConfig, run
 
 from conftest import (
+    ReferenceFit,
+    _reference_sse,
     group_subsets,
     high_ratings,
+    largest_cluster,
+    lloyd_iters,
     lloyd_kmeans,
+    lockstep_sse_traces,
     make_blobs,
     reference_average_diameter,
     reference_diameter_bounds,
@@ -56,11 +60,6 @@ def line(xs: list[float]) -> np.ndarray:
     return x
 
 
-def lloyd_iters(max_iters: int):
-    """Cap the library's Lloyd rounds at ``max_iters``."""
-    return mock.patch.object(cluster_module, "LLOYD_MAX_ITERS", max_iters)
-
-
 def lockstep(x: np.ndarray, seed_rows: list[int], ks: list[int]):
     """Every fit of one subset's rows in one lockstep loop, fit f from the
     first ``ks[f]`` of ``seed_rows``."""
@@ -68,23 +67,35 @@ def lockstep(x: np.ndarray, seed_rows: list[int], ks: list[int]):
                                     seed_distances(x, seed_rows))[0]
 
 
-def assert_fits_equal(got, want):
-    """Labels, centroids and sse_trace equal, float for float."""
+def assert_fits_equal(got, got_trace, want, want_trace):
+    """Labels, centroids, rounds and the per-round SSE traces equal,
+    float for float."""
     assert got.labels.tolist() == want.labels.tolist()
     np.testing.assert_array_equal(got.centroids, want.centroids)
-    assert repr(got.sse_trace) == repr(want.sse_trace)
+    assert got.rounds == want.rounds == len(want_trace) - 1
+    assert repr(got_trace) == repr(want_trace)
+
+
+def sse_traces(group: Grouping) -> list[list[float]]:
+    """Each fit's SSE after round 0 and after each round: a reference
+    sweep's own, a library sweep's rebuilt from its capped rounds."""
+    if isinstance(group.fits[0], ReferenceFit):
+        return [fit.sse_trace for fit in group.fits]
+    return lockstep_sse_traces(group.x, group.seeds, group.fits)
 
 
 def assert_lockstep_matches_reference(x, seed_rows: list[int], ks: list[int],
                                       max_iters: int = 100):
     """Each lockstep fit equals the reference Lloyd's from its seed
-    prefix, run alone."""
+    prefix, run alone.  Returns the fits and their rebuilt traces."""
     x = np.asarray(x, dtype=np.float64)
     with lloyd_iters(max_iters):
         fits = lockstep(x, seed_rows, ks)
-    for k, fit in zip(ks, fits):
-        assert_fits_equal(fit, reference_lloyd_kmeans(x, seed_rows[:k], max_iters))
-    return fits
+    traces = lockstep_sse_traces(x, seed_rows, fits)
+    for k, fit, trace in zip(ks, fits, traces):
+        want = reference_lloyd_kmeans(x, seed_rows[:k], max_iters)
+        assert_fits_equal(fit, trace, want, want.sse_trace)
+    return fits, traces
 
 
 def assert_same_grouping(got, want):
@@ -93,8 +104,8 @@ def assert_same_grouping(got, want):
     assert repr(got.x.tolist()) == repr(want.x.tolist())
     assert (got.k, got.seeds, got.largest.tolist()) == (want.k, want.seeds, want.largest.tolist())
     assert len(got.fits) == len(want.fits)
-    for fit, expected in zip(got.fits, want.fits):
-        assert_fits_equal(fit, expected)
+    for fits_and_traces in zip(got.fits, sse_traces(got), want.fits, sse_traces(want)):
+        assert_fits_equal(*fits_and_traces)
     assert [(e.k, repr(e.sse), repr(e.avg_diameter)) for e in got.trace] == [
         (e.k, repr(e.sse), repr(e.avg_diameter)) for e in want.trace]
     assert got.labels.tolist() == want.labels.tolist()
@@ -290,11 +301,15 @@ class TestLloydKmeans:
 
     def test_sse_trace_monotone(self):
         x = np.random.default_rng(6).uniform(0, 1, (8, 5))
-        clustering = lloyd_kmeans(x, farthest_first_seeds(x, k=2, seed=1))
-        trace = np.array(clustering.sse_trace)
+        seeds = farthest_first_seeds(x, k=2, seed=1)
+        clustering = lloyd_kmeans(x, seeds)
+        [trace] = lockstep_sse_traces(x, seeds, [clustering])
+        trace = np.array(trace)
+        assert len(trace) == clustering.rounds + 1
         assert np.all(np.diff(trace) <= 1e-12)
-        assert clustering.sse == trace[-1]
-        assert clustering.sse <= trace[0]
+        sse = _reference_sse(x, clustering.labels, clustering.centroids)
+        assert sse == trace[-1]
+        assert sse <= trace[0]
 
     def test_final_assignment_is_nearest_centroid(self):
         x = np.random.default_rng(16).uniform(0, 1, (50, 5))
@@ -303,7 +318,8 @@ class TestLloydKmeans:
         np.testing.assert_array_equal(clustering.labels, expected)
 
     def test_duplicate_points_terminate(self):
-        assert lloyd_kmeans(np.ones((6, 5)), [0, 1]).sse == 0.0
+        clustering = lloyd_kmeans(np.ones((6, 5)), [0, 1])
+        assert _reference_sse(np.ones((6, 5)), clustering.labels, clustering.centroids) == 0.0
 
 
 class TestAverageDiameter:
@@ -478,7 +494,7 @@ class TestSweepEdgeCases:
         # Seeds 1 and 2 coincide, so cluster 1 starts empty and is reseeded
         # on row 3, the point farthest from its centroid.
         x = [(3, 3, 0, 0, 0), (0, 9, 0, 0, 0), (0, 9, 0, 0, 0), (9, 9, 0, 0, 0)]
-        [fit] = assert_lockstep_matches_reference(x, [1, 2, 0], [3])
+        [fit], _ = assert_lockstep_matches_reference(x, [1, 2, 0], [3])
         assert fit.labels[3] == 1
         assert sorted(set(fit.labels.tolist())) == [0, 1, 2]
 
@@ -497,9 +513,9 @@ class TestSweepEdgeCases:
     def test_repair_leaves_cluster_empty_on_duplicates(self):
         # Every point sits on centroid 0, so the farthest point is at
         # distance 0 and cluster 1 stays empty.
-        [fit] = assert_lockstep_matches_reference(np.ones((6, 5)), [0, 1], [2])
+        [fit], [trace] = assert_lockstep_matches_reference(np.ones((6, 5)), [0, 1], [2])
         assert set(fit.labels.tolist()) == {0}
-        assert fit.sse == 0.0
+        assert trace[-1] == 0.0
 
     def test_two_points(self):
         sweep = assert_sweep_matches_reference([(0, 0, 0, 0, 0), (1, 2, 0, 0, 0)])
@@ -538,17 +554,18 @@ class TestLockstep:
 
         monkeypatch.setattr(cluster_module, "_update", counting_update)
         monkeypatch.setattr(cluster_module, "_repair_empty", logging_repair)
-        fits = assert_lockstep_matches_reference(x, [0, 3, 4, 2], [4, 3, 2, 1])
+        fits, _ = assert_lockstep_matches_reference(x, [0, 3, 4, 2], [4, 3, 2, 1])
         assert (1, 3) in reseeds
-        assert len(fits[0].sse_trace) == 2  # the k = 4 fit stops after round 1
-        assert len(fits[1].sse_trace) > 2
+        assert fits[0].rounds == 1  # the k = 4 fit stops after round 1
+        assert fits[1].rounds > 1
 
     def test_duplicate_rows_leave_clusters_empty(self):
         # Every reseed would be at distance 0, so each fit keeps one cluster.
-        fits = assert_lockstep_matches_reference(np.ones((6, 5)), [0, 1, 2, 3], [4, 3, 2, 1])
-        for fit in fits:
+        fits, traces = assert_lockstep_matches_reference(np.ones((6, 5)), [0, 1, 2, 3],
+                                                         [4, 3, 2, 1])
+        for fit, trace in zip(fits, traces):
             assert set(fit.labels.tolist()) == {0}
-            assert fit.sse_trace == [0.0, 0.0]
+            assert trace == [0.0, 0.0]
 
     @pytest.mark.parametrize("max_iters", [1, 100])
     def test_fewer_rows_than_k_max(self, max_iters):
@@ -564,10 +581,10 @@ class TestLockstep:
         # and 1 rounds, so every cap here stops some fits and not others.
         x = np.random.default_rng(5).uniform(0, 1, (20, 5))
         ks, seeds = list(range(8, 0, -1)), farthest_first_seeds(x, 8, 0)
-        capped = [len(fit.sse_trace) > max_iters + 1 for fit in lockstep(x, seeds, ks)]
+        capped = [fit.rounds > max_iters for fit in lockstep(x, seeds, ks)]
         assert any(capped) and not all(capped)
-        fits = assert_lockstep_matches_reference(x, seeds, ks, max_iters)
-        assert max(len(fit.sse_trace) for fit in fits) == max_iters + 1
+        _, traces = assert_lockstep_matches_reference(x, seeds, ks, max_iters)
+        assert max(len(trace) for trace in traces) == max_iters + 1
         assert_sweep_matches_reference(x, seed=0, max_iters=max_iters)
 
     @pytest.mark.parametrize("second", [(0, 0, 0, 0, 0), (1, 2, 0, 0, 0)])
@@ -576,6 +593,53 @@ class TestLockstep:
         sweep = assert_sweep_matches_reference(x)
         assert [e.k for e in sweep.trace] == [2, 1]
         assert_lockstep_matches_reference(x, [1, 0], [2, 1])
+
+
+def assert_trace_sse_matches_reference(x, k_max=8, max_iters=100):
+    """The SSE that ``Grouping.trace`` computes from each fit's final
+    state, and each fit's rounds, equal the reference sweep's, repr for
+    repr."""
+    x = np.asarray(x, dtype=np.float64)
+    with lloyd_iters(max_iters):
+        got = sweep_k(x, k_max, 2.0, 0)
+    want = reference_select_k(x, k_max, 2.0, 0, max_iters)
+    assert [repr(e.sse) for e in got.trace] == [repr(e.sse) for e in want.trace]
+    assert [fit.rounds for fit in got.fits] == [fit.rounds for fit in want.fits]
+    return got
+
+
+class TestTraceSse:
+    """Named cases of the SSE computed when the trace is read, from each
+    fit's rows, centroids and labels, not kept by Lloyd's rounds."""
+
+    def test_one_row(self):
+        group = assert_trace_sse_matches_reference([(2.0, 5.0, 1.5, 3.5, 25.0)])
+        assert [(e.k, e.sse) for e in group.trace] == [(1, 0.0)]
+        assert [fit.rounds for fit in group.fits] == [1]
+
+    def test_duplicate_rows_keep_empty_clusters_empty(self):
+        # Two points, three rows each: the k = 4 fit's last two seeds repeat
+        # rows at distance 0, so their clusters stay empty.
+        group = assert_trace_sse_matches_reference(line([0.0] * 3 + [1.0] * 3), k_max=4)
+        assert [len(set(fit.labels.tolist())) for fit in group.fits] == [2, 2, 2, 1]
+        assert [e.sse for e in group.trace] == [0.0, 0.0, 0.0, 1.5]
+
+    def test_fits_capped_at_one_round(self):
+        x = np.random.default_rng(5).uniform(0, 1, (20, 5))
+        group = assert_trace_sse_matches_reference(x, max_iters=1)
+        assert [fit.rounds for fit in group.fits] == [1] * 8
+        # Uncapped, some fits run on, so the cap stops them.
+        assert max(fit.rounds for fit in sweep_k(x, 8, 2.0, 0).fits) > 1
+
+    def test_two_thousand_rows(self):
+        # 10,000 squared differences per fit, far past the 128-element
+        # blocks of numpy's pairwise sum, so summing in another layout,
+        # here row sums first, changes the last bits of some fit's SSE.
+        x = np.random.default_rng(11).uniform(0, 1, (2000, 5))
+        group = assert_trace_sse_matches_reference(x)
+        row_first = [float(((group.x - f.centroids[f.labels]) ** 2).sum(axis=1).sum())
+                     for f in group.fits]
+        assert any(repr(a) != repr(e.sse) for a, e in zip(row_first, group.trace))
 
 
 row_strategies = (
@@ -780,7 +844,7 @@ def first_exact_jump(group: Grouping, gamma: float) -> int:
 def farthest_bounds(x: np.ndarray, labels) -> list[float]:
     """The library's farthest-member lower bound of each fit of the rows
     of ``x``, fits given by their labels."""
-    fits = [LloydFit(np.empty((0, x.shape[1])), np.asarray(fit), []) for fit in labels]
+    fits = [LloydFit(np.empty((0, x.shape[1])), np.asarray(fit), 0) for fit in labels]
     return _fit_bounds(x, [len(x)], [fits])[0]
 
 
